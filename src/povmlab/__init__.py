@@ -22,7 +22,7 @@ from .povm import (DiscretePOVM, MomentReport, NaimarkDilation, PovmReport,
                    povm_validate, random_povm, state_to_measure)
 from .modular import (GnsRep, ModularTriple, TraceWeight, build_gns,
                       build_modular, kms_residual, lemma_modular_residual,
-                      modtime_unitarity, modular_flow)
+                      modtime_unitarity)
 from .oscillator import (commutator_defect, covariance_residual, gibbs,
                          number_operator, phase_effect,
                          thermal_covariance_residual, toeplitz_arg,

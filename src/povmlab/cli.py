@@ -13,8 +13,6 @@ import sys
 from .harness import (STUDY_KINDS, SUITES, SuiteConfig, convergence_study,
                       report_to_csv, report_to_json, run_suite, study_to_csv)
 
-import json
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -66,7 +64,7 @@ def main(argv=None) -> int:
         try:
             cfg = SuiteConfig(suite=args.suite, d=args.d, n=args.n, m=args.m,
                               betas=tuple(args.beta), seed=args.seed,
-                              tol=args.tol, out=args.out, fmt=args.fmt)
+                              tol=args.tol)
             report = run_suite(cfg)
         except (ValueError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -80,8 +78,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = study_to_csv(study) if args.fmt == "csv" else json.dumps(
-        study, sort_keys=True, indent=2)
+    text = study_to_csv(study) if args.fmt == "csv" else report_to_json(study)
     _emit(text, args.out)
     return 0
 

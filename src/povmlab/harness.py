@@ -18,7 +18,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import modular, oscillator, povm, relativistic, weylnc
-from .operators import adjoint, is_effect, opnorm, EFFECT, PROJECTION
+from .operators import (EFFECT, PROJECTION, adjoint, covariance_defect,
+                        is_effect, opnorm)
 from .regions import RegionSet, circle_full, equal_partition
 
 SCHEMA_VERSION = 1
@@ -57,14 +58,10 @@ class SuiteConfig:
     betas: tuple = (0.5, 1.0)
     seed: int = 7
     tol: float = None          # global tolerance override (None: per-case)
-    out: str = None
-    fmt: str = "json"
 
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITES}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.fmt!r}")
         if self.seed is None:
             raise ValueError("a seed is mandatory")
         self.betas = tuple(float(b) for b in self.betas)
@@ -332,7 +329,7 @@ def _suite_weyl(c: _Cases):
 
     parts = equal_partition(lat.q_region([]), 4)
     effs = [weylnc.nc_effect(lat, B) for B in parts]
-    dim = 2 * len(lat.positive_sites)
+    dim = len(lat.positive_sites)
     c.add("nc.povm.sum", "Thm thermal-Dixmier(1)", f"m={m} 4 cells",
           opnorm(sum(effs) - np.eye(dim)), 1e-12)
     half = parts[0]
@@ -345,9 +342,9 @@ def _suite_weyl(c: _Cases):
     c.add("nc.conjugation", "Thm thermal-Dixmier(2)", f"m={m} t=2*dual",
           weylnc.conjugation_residual(lat, t, a), 1e-10)
     at = a.translated(lat, t)
-    c.add("nc.htau-isometry", "Thm thermal-Dixmier(2)", f"m={m}",
-          abs(weylnc.htau_norm(at, lat.x_length) - weylnc.htau_norm(a, lat.x_length)),
-          1e-13)
+    htau = abs(weylnc.htau_norm(at, lat.x_length)
+               - weylnc.htau_norm(a, lat.x_length))
+    c.add("nc.htau-isometry", "Thm thermal-Dixmier(2)", f"m={m}", htau, 1e-13)
     c.add("nc.integral-invariance", "Thm thermal-Dixmier(2)", f"m={m}",
           abs(weylnc.nc_integral(at, lat.x_length) - weylnc.nc_integral(a, lat.x_length)),
           1e-13)
@@ -358,9 +355,7 @@ def _suite_weyl(c: _Cases):
     c.add("nc.covariance.def", "Def covariance", f"m={m}",
           weylnc.nc_covariance_residual(lat, lat.dual_spacing, half)["residual"],
           1e-12)
-    c.add("modtime.weighted", "Def modular-time", f"m={m}",
-          abs(weylnc.htau_norm(at, lat.x_length) - weylnc.htau_norm(a, lat.x_length)),
-          1e-13)
+    c.add("modtime.weighted", "Def modular-time", f"m={m}", htau, 1e-13)
 
 
 def _random_symbol(lat, rng) -> "weylnc.SymbolRep":
@@ -443,31 +438,6 @@ def report_to_csv(report: dict) -> str:
 # --------------------------------------------------------------------------
 # convergence studies
 
-STUDY_KINDS = ("poisson-kernel", "covariance-interp", "weyl-wrap")
-
-
-def convergence_study(kind: str, sizes) -> dict:
-    """Error-vs-size table for the discretisation-limited checks."""
-    if kind not in STUDY_KINDS:
-        raise ValueError(f"unknown study kind {kind!r}; choose from {STUDY_KINDS}")
-    sizes = [int(s) for s in sizes]
-    rows = []
-    for s in sizes:
-        if kind == "poisson-kernel":
-            err = relativistic.poisson_kernel_error(s, np.pi * s / 16)
-        elif kind == "covariance-interp":
-            err = _covariance_interp_error(s)
-        else:
-            err = _weyl_wrap_error(s)
-        rows.append({"size": s, "error": float(err)})
-    if len(rows) < 2:
-        monotone = "n/a"
-    elif all(b["error"] < a["error"] for a, b in zip(rows, rows[1:])):
-        monotone = "decreasing"
-    else:
-        monotone = "non-monotone"
-    return {"kind": kind, "rows": rows, "monotone": monotone}
-
 
 def _covariance_interp_error(n: int) -> float:
     """Covariance residual at the non-aligned shift 2.5h, measured between
@@ -477,18 +447,15 @@ def _covariance_interp_error(n: int) -> float:
     """
     grid = relativistic.make_grid(n, 8 * np.pi)
     model = relativistic.HardyModel(grid)
-    B = grid.region([(0.0, grid.L / 4)])
     s = 2.5 * grid.h
-    E = relativistic.rel_effect(model, B)
-    D = np.exp(-1j * s * model.xi)
-    conj = (D[:, None] * E) * np.conj(D)[None, :]
-    ind = np.array(B.shifted(s).indicator(grid.x))
-    V = model.modes
-    target = adjoint(V) @ (ind[:, None] * V)
+    B = grid.region([(0.0, grid.L / 4)])
+    defect, _ = covariance_defect(
+        np.exp(-1j * s * model.xi), relativistic.rel_effect(model, B),
+        lambda R: relativistic._sampled_effect(model, R), B, s, grid.h)
     # fixed functions of xi, so the same states at every resolution
     f = np.exp(-0.2 * model.xi)
     g = np.exp(-0.3 * model.xi) * np.exp(1.3j * model.xi)
-    return float(abs(np.vdot(g, (conj - target) @ f)))
+    return float(abs(np.vdot(g, defect @ f)))
 
 
 def _weyl_wrap_error(m: int) -> float:
@@ -503,6 +470,30 @@ def _weyl_wrap_error(m: int) -> float:
     g = np.exp(-lat.u ** 2 / 8.0)
     g /= np.linalg.norm(g)
     return float(np.linalg.norm(defect @ g))
+
+
+_STUDIES = {
+    "poisson-kernel":
+        lambda s: relativistic.poisson_kernel_error(s, np.pi * s / 16),
+    "covariance-interp": _covariance_interp_error,
+    "weyl-wrap": _weyl_wrap_error,
+}
+STUDY_KINDS = tuple(_STUDIES)
+
+
+def convergence_study(kind: str, sizes) -> dict:
+    """Error-vs-size table for the discretisation-limited checks."""
+    if kind not in _STUDIES:
+        raise ValueError(f"unknown study kind {kind!r}; choose from {STUDY_KINDS}")
+    rows = [{"size": s, "error": float(_STUDIES[kind](s))}
+            for s in map(int, sizes)]
+    if len(rows) < 2:
+        monotone = "n/a"
+    elif all(b["error"] < a["error"] for a, b in zip(rows, rows[1:])):
+        monotone = "decreasing"
+    else:
+        monotone = "non-monotone"
+    return {"kind": kind, "rows": rows, "monotone": monotone}
 
 
 def study_to_csv(study: dict) -> str:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (DEFAULT_TOL, adjoint, as_operator, herm_spectrum,
-                        hs_inner, imag_power, opnorm, require_square,
-                        sqrtm_psd)
+from .operators import (DEFAULT_TOL, HermitianSpectrum, adjoint,
+                        as_operator, herm_spectrum, imag_power, opnorm,
+                        require_square, sqrtm_psd)
 
 
 def vec(X) -> np.ndarray:
@@ -106,11 +106,8 @@ class TraceWeight:
 
 @dataclass
 class GnsRep:
-    generators: list
     density: np.ndarray
     basis: np.ndarray          # d^2 x r, orthonormal columns spanning the quotient
-    gram: np.ndarray
-    pi_matrices: list          # represented left multiplications, r x r
     omega_vec: np.ndarray      # coordinates of the cyclic vector q(I)
     dim: int
     faithful: bool
@@ -139,18 +136,15 @@ def build_gns(generators, T, tol: float = DEFAULT_TOL) -> GnsRep:
     if lam.min() < -1e-10:
         raise ValueError(f"not positive: min eigenvalue {lam.min():.3e}")
     sqrtT = sqrtm_psd(T, max(tol, 1e-8))
-    gens = [require_square(A) for A in generators]
-    images = np.column_stack([vec(A @ sqrtT) for A in gens])
-    gram = adjoint(images) @ images
+    images = np.column_stack([vec(require_square(A) @ sqrtT)
+                              for A in generators])
     U, s, _ = np.linalg.svd(images, full_matrices=False)
     rank = int(np.sum(s > 1e-10 * max(s.max(), 1e-300)))
     basis = U[:, :rank]
-    pis = [adjoint(basis) @ left_mult(A) @ basis for A in gens]
     omega_vec = adjoint(basis) @ vec(sqrtT)
     # faithful iff A -> A T^{1/2} is injective on the full matrix algebra
     faithful = bool(np.linalg.matrix_rank(sqrtT, tol=1e-10) == d)
-    return GnsRep(generators=gens, density=T, basis=basis, gram=gram,
-                  pi_matrices=pis, omega_vec=omega_vec, dim=rank,
+    return GnsRep(density=T, basis=basis, omega_vec=omega_vec, dim=rank,
                   faithful=faithful)
 
 
@@ -168,8 +162,7 @@ class ModularTriple:
     S_mat: np.ndarray          # linear part of the antilinear S
     J_mat: np.ndarray          # linear part of the antilinear J
     Delta: np.ndarray          # positive d^2 x d^2 matrix
-    log_Delta: np.ndarray
-    condition_number: float
+    delta_spectrum: HermitianSpectrum
     min_delta_eigenvalue: float
     closed_form_residuals: dict = field(default_factory=dict)
 
@@ -180,7 +173,8 @@ class ModularTriple:
         return self.J_mat @ np.conj(np.asarray(x, dtype=complex))
 
     def delta_power(self, p: complex) -> np.ndarray:
-        lam, V = np.linalg.eigh((self.Delta + adjoint(self.Delta)) / 2)
+        lam = self.delta_spectrum.eigenvalues
+        V = self.delta_spectrum.eigenvectors
         return (V * np.exp(p * np.log(lam))) @ adjoint(V)
 
     def flow(self, t: float, A) -> np.ndarray:
@@ -228,7 +222,6 @@ def build_modular(T, tol: float = DEFAULT_TOL,
     dmin = float(spec.eigenvalues.min())
     V = spec.eigenvectors
     inv_sqrt_Delta = (V / np.sqrt(spec.eigenvalues)) @ adjoint(V)
-    log_Delta = (V * np.log(spec.eigenvalues)) @ adjoint(V)
     M_J = M_S @ np.conj(inv_sqrt_Delta)
 
     invT = np.linalg.inv(T)
@@ -251,13 +244,8 @@ def build_modular(T, tol: float = DEFAULT_TOL,
     residuals["s_defining"] = worst_s
 
     return ModularTriple(T=T, d=d, S_mat=M_S, J_mat=M_J, Delta=Delta,
-                         log_Delta=log_Delta, condition_number=cond,
-                         min_delta_eigenvalue=dmin,
+                         delta_spectrum=spec, min_delta_eigenvalue=dmin,
                          closed_form_residuals=residuals)
-
-
-def modular_flow(triple: ModularTriple, t: float, A) -> np.ndarray:
-    return triple.flow(t, A)
 
 
 def kms_residual(T, A, B) -> float:

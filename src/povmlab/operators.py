@@ -84,9 +84,13 @@ def herm_spectrum(H, tol: float = DEFAULT_TOL) -> HermitianSpectrum:
     if not is_hermitian(H, tol):
         raise ValueError("operator is not Hermitian within tolerance "
                          f"(defect {opnorm(H - adjoint(H)):.3e})")
-    Hs = (H + adjoint(H)) / 2.0
-    lam, V = np.linalg.eigh(Hs)
+    lam, V = _sym_eigh(H)
     return HermitianSpectrum(eigenvalues=lam, eigenvectors=V)
+
+
+def _sym_eigh(H):
+    """eigh of (H + H*)/2, so the spectrum is exactly real."""
+    return np.linalg.eigh((H + adjoint(H)) / 2.0)
 
 
 def funcalc(H, f, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -123,12 +127,33 @@ def is_effect(A, tol: float = DEFAULT_TOL) -> str:
     A = require_square(A)
     if not is_hermitian(A, tol):
         return NOT_EFFECT
-    lam = herm_spectrum(A, tol).eigenvalues
+    lam = _sym_eigh(A)[0]
     if lam.min() < -tol or lam.max() > 1.0 + tol:
         return NOT_EFFECT
     if opnorm(A @ A - A) <= tol:
         return PROJECTION
     return EFFECT
+
+
+def diag_conjugate(phase, A) -> np.ndarray:
+    """diag(phase) A diag(phase)*, without forming the diagonal matrices."""
+    return (phase[:, None] * A) * np.conj(phase)[None, :]
+
+
+def covariance_defect(phase, E, sampled, B, shift, h):
+    """Defect diag(phase) E diag(phase)* - E_{B + shift} of a covariance
+    identity for the effect E = E_B, and whether the exact path was taken.
+
+    ``sampled`` builds the target from the indicator of B + shift sampled
+    at the grid points.  The path is exact when ``shift`` is a multiple of
+    the grid step ``h`` and the shifted region is aligned to the grid, where
+    the sampled indicator is the effect itself; otherwise the interpolation
+    error shows in the defect.
+    """
+    shifted = B.shifted(shift)
+    steps = shift / h
+    exact = abs(steps - round(steps)) < 1e-9 and shifted.is_aligned(h)
+    return diag_conjugate(phase, E) - sampled(shifted), exact
 
 
 def hs_inner(A, B) -> complex:

@@ -12,7 +12,7 @@ Arc convention: angles in [-pi, pi), half-open arcs, arg valued in
 
 import numpy as np
 
-from .operators import DEFAULT_TOL, adjoint, funcalc, opnorm
+from .operators import diag_conjugate, funcalc, opnorm
 from .modular import build_modular, left_mult
 from .regions import RegionSet
 
@@ -58,9 +58,7 @@ def phase_effect(B: RegionSet, d: int) -> np.ndarray:
 
 def covariance_residual(d: int, t: float, B: RegionSet) -> float:
     """|| e^{-itN} E_B e^{itN} - E_{rot_t B} ||, both sides in closed form."""
-    n = np.arange(d)
-    phase = np.exp(-1j * t * n)
-    conj = phase[:, None] * phase_effect(B, d) * np.conj(phase)[None, :]
+    conj = diag_conjugate(np.exp(-1j * t * np.arange(d)), phase_effect(B, d))
     return opnorm(conj - phase_effect(B.rotate(t), d))
 
 
@@ -77,7 +75,7 @@ def toeplitz_arg(d: int) -> np.ndarray:
     return F
 
 
-def commutator_defect(d: int, tol: float = DEFAULT_TOL) -> dict:
+def commutator_defect(d: int) -> dict:
     """Defect C = NF - FN + iI of the Heisenberg relation.
 
     C has exact entries i(-1)^{m-n}, i.e. C = i v v* for the alternating
@@ -100,13 +98,10 @@ def commutator_defect(d: int, tol: float = DEFAULT_TOL) -> dict:
     h[0] = h[1] = 1 / np.sqrt(2)
     ortho_residual = float(np.linalg.norm((N @ F - F @ N) @ h + 1j * h))
     return {
-        "defect": C,
-        "singular_values": s,
         "rank_one_ratio": float(s[1] / s[0]) if d > 1 else 0.0,
         "top_singular_value": float(s[0]),
         "alternating_alignment": float(alignment),
         "orthogonal_commutator_residual": ortho_residual,
-        "rank_one": s[1] / s[0] <= tol,
     }
 
 

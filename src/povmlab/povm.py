@@ -8,13 +8,13 @@ and the moment POVM of a contraction obtained from a circular unitary
 dilation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .operators import (DEFAULT_TOL, EFFECT, PROJECTION, adjoint, as_operator,
-                        hs_inner, is_effect, opnorm, sqrtm_psd)
+                        is_effect, opnorm, sqrtm_psd)
 from .regions import RegionSet, equal_partition
 
 
@@ -104,21 +104,15 @@ def povm_integrate(p: DiscretePOVM, f) -> np.ndarray:
 @dataclass
 class NaimarkDilation:
     """Isometry J of shape (k*d, d); block i of J corresponds to cell i,
-    and E_i = J* Ptilde_i J with Ptilde_i the block selector."""
+    and E_i = J* Ptilde_i J = J_i* J_i with Ptilde_i the block selector
+    and J_i the i-th block of rows."""
 
     isometry: np.ndarray
     dim: int
-    cells: int
-
-    def block_projection(self, i: int) -> np.ndarray:
-        k, d = self.cells, self.dim
-        P = np.zeros((k * d, k * d))
-        P[i * d:(i + 1) * d, i * d:(i + 1) * d] = np.eye(d)
-        return P
 
     def compress(self, i: int) -> np.ndarray:
-        J = self.isometry
-        return adjoint(J) @ self.block_projection(i) @ J
+        Ji = self.isometry[i * self.dim:(i + 1) * self.dim]
+        return adjoint(Ji) @ Ji
 
 
 def naimark_dilate(p: DiscretePOVM, tol: float = DEFAULT_TOL) -> NaimarkDilation:
@@ -129,7 +123,7 @@ def naimark_dilate(p: DiscretePOVM, tol: float = DEFAULT_TOL) -> NaimarkDilation
                          f"{report.sum_residual:.3e}, classes {report.classifications}")
     roots = [sqrtm_psd(E, max(tol, 1e-8)) for E in p.effects]
     J = np.vstack(roots)
-    dil = NaimarkDilation(isometry=J, dim=p.dim, cells=len(p.effects))
+    dil = NaimarkDilation(isometry=J, dim=p.dim)
     iso_res = opnorm(adjoint(J) @ J - np.eye(p.dim))
     if iso_res > max(tol, 1e-8):
         raise ValueError(f"dilation is not an isometry (residual {iso_res:.3e})")
@@ -159,10 +153,7 @@ class MomentReport:
 
     depth: int
     moment_residuals: np.ndarray
-    eigenphases: np.ndarray
-    point_masses: np.ndarray
     cell_masses: np.ndarray
-    binned_moment_error: float
     multiplicative: bool
 
 
@@ -231,8 +222,6 @@ def contraction_moment_povm(T, M: int, cells: int, tol: float = DEFAULT_TOL):
     for n in range(M):
         Mn = (P0V * np.exp(1j * n * thetas)) @ adjoint(P0V)
         moments.append(opnorm(Mn - np.linalg.matrix_power(T, n)))
-    point_masses = np.array([float(np.linalg.norm(P0V[:, j]) ** 2)
-                             for j in range(P0V.shape[1])])
 
     regions = equal_partition(RegionSet.circle([(-np.pi, np.pi)]), cells)
     effects = []
@@ -246,17 +235,10 @@ def contraction_moment_povm(T, M: int, cells: int, tol: float = DEFAULT_TOL):
     povm = DiscretePOVM(regions=regions, effects=effects)
 
     cell_masses = np.array([E.trace().real / max(d, 1) for E in effects])
-    # binned first moment vs the exact one, as the binning error indicator
-    mids = np.array([cell_representative(r) for r in regions])
-    binned_m1 = sum(np.exp(1j * mids[i]) * effects[i] for i in range(cells))
-    binned_err = opnorm(binned_m1 - T)
     report = MomentReport(
         depth=M,
         moment_residuals=np.array(moments),
-        eigenphases=thetas,
-        point_masses=point_masses,
         cell_masses=cell_masses,
-        binned_moment_error=binned_err,
         multiplicative=povm_validate(povm, max(tol, 1e-8)).multiplicative,
     )
     return povm, report

@@ -76,12 +76,6 @@ class RegionSet:
     def line(cls, cells, length, base=0.0):
         return cls(domain=LINE, period=length, cells=tuple(cells), base=base)
 
-    @classmethod
-    def full(cls, like: "RegionSet") -> "RegionSet":
-        return cls(domain=like.domain, period=like.period,
-                   cells=((like.base, like.base + like.period),),
-                   base=like.base)
-
     @property
     def measure(self) -> float:
         return sum(b - a for a, b in self.cells)
@@ -102,6 +96,10 @@ class RegionSet:
         x = lo + math.fmod(x - lo, self.period)
         if x < lo:
             x += self.period
+        # a point within rounding below base wraps to the window's seam;
+        # it belongs to the cell starting at base, as in _normalize
+        if x >= lo + self.period - _EPS:
+            x -= self.period
         for a, b in self.cells:
             if a - _EPS <= x < b - _EPS:
                 return True

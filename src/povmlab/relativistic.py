@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import DEFAULT_TOL, adjoint, opnorm
+from .operators import DEFAULT_TOL, adjoint, covariance_defect, opnorm
 from .regions import RegionSet
 
 
@@ -180,8 +180,11 @@ def boundary_isometry_check(model: HardyModel, f, ys,
     }
 
 
-def _indicator_on_grid(grid: CircleGrid, B: RegionSet) -> np.ndarray:
-    return np.array(B.indicator(grid.x))
+def _sampled_effect(model: HardyModel, B: RegionSet) -> np.ndarray:
+    """P_+ 1_B(X) P_+ on the Hardy basis with the indicator of B sampled at
+    the grid points; agrees with ``rel_effect`` on aligned regions."""
+    V = model.modes
+    return adjoint(V) @ (np.array(B.indicator(model.grid.x))[:, None] * V)
 
 
 def rel_effect(model: HardyModel, B: RegionSet) -> np.ndarray:
@@ -196,9 +199,7 @@ def rel_effect(model: HardyModel, B: RegionSet) -> np.ndarray:
         raise ValueError("region must live on the grid's circle")
     if not B.is_aligned(grid.h):
         raise ValueError("region is not aligned to grid cells")
-    ind = _indicator_on_grid(grid, B)
-    V = model.modes
-    return adjoint(V) @ (ind[:, None] * V)
+    return _sampled_effect(model, B)
 
 
 def rel_covariance_residual(model: HardyModel, beta: float, t: float,
@@ -212,21 +213,11 @@ def rel_covariance_residual(model: HardyModel, beta: float, t: float,
     otherwise the shifted set is sampled pointwise and the interpolation
     error is reported, never silently accepted.
     """
-    grid = model.grid
     s = beta * t
-    E = rel_effect(model, B)
-    D = np.exp(-1j * s * model.xi)
-    conj = (D[:, None] * E) * np.conj(D)[None, :]
-    steps = s / grid.h
-    exact = abs(steps - round(steps)) < 1e-9 and B.shifted(s).is_aligned(grid.h)
-    shifted = B.shifted(s)
-    if exact:
-        target = rel_effect(model, shifted)
-    else:
-        ind = _indicator_on_grid(grid, shifted)
-        V = model.modes
-        target = adjoint(V) @ (ind[:, None] * V)
-    return {"residual": opnorm(conj - target), "exact_path": exact}
+    defect, exact = covariance_defect(
+        np.exp(-1j * s * model.xi), rel_effect(model, B),
+        lambda R: _sampled_effect(model, R), B, s, model.grid.h)
+    return {"residual": opnorm(defect), "exact_path": exact}
 
 
 def abs_momentum_weight(grid: CircleGrid, beta: float) -> np.ndarray:

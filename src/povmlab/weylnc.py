@@ -2,11 +2,14 @@
 
 In the coordinate u = ln|xi| the dilation group becomes the translation
 group and ln|D| becomes multiplication by u.  The lattice models the
-u-picture directly on a circle of circumference m*delta, with two
-channels for the sign of the original frequency.  On aligned data the
-Weyl relation e^{isP} S(t) = e^{-ist} S(t) e^{isP}, the conjugation-shift
-identity for quantized symbols, and the covariance of the half-line
-effects are exact; misaligned inputs report the wrap-around defect.
+u-picture directly on a circle of circumference m*delta.  The sign of the
+original frequency splits the space into two channels carrying the same
+operator, so operators live on one channel (every operator norm is the
+same) while symbols keep a principal part per channel.  On aligned data
+the Weyl relation e^{isP} S(t) = e^{-ist} S(t) e^{isP}, the conjugation-
+shift identity for quantized symbols, and the covariance of the
+half-line effects are exact; misaligned inputs report the wrap-around
+defect.
 
 Operator conventions.  S(t) shifts forward, (S(t)g)(u) = g(u + t), and
 S(t) = e^{itQ}, so [Q, P] = -i; the symmetric (selfadjoint-for-real-
@@ -24,14 +27,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import DEFAULT_TOL, adjoint, opnorm
+from .operators import (DEFAULT_TOL, adjoint, covariance_defect,
+                        diag_conjugate, opnorm)
 from .regions import RegionSet
 
 
 @dataclass(frozen=True)
 class MellinLattice:
     """m-point lattice u_j = u_min + j*delta on a circle of circumference
-    m*delta, with two identical channels (+/- original frequency sign)."""
+    m*delta: one of the two identical channels (+/- frequency sign)."""
 
     m: int
     delta: float
@@ -69,8 +73,6 @@ class MellinLattice:
     def q_eigenvectors(self) -> np.ndarray:
         """Columns phi_q(l) = e^{i q u_l} / sqrt(m), one per dual point."""
         return np.exp(1j * np.outer(self.u, self.q)) / np.sqrt(self.m)
-
-    # single-channel operators -------------------------------------------
 
     def shift(self, t: float) -> np.ndarray:
         """S(t) for t in delta*Z: exact circular permutation (S g)_l =
@@ -173,8 +175,8 @@ class SymbolRep:
 
 
 def quantize(lat: MellinLattice, a: SymbolRep) -> np.ndarray:
-    """Weyl quantization on the lattice, block diagonal over the two
-    channels (each channel carries the same m x m operator)."""
+    """Weyl quantization on the lattice: the m x m operator of one channel
+    (both channels carry the same one)."""
     O = np.zeros((lat.m, lat.m), dtype=complex)
     nyq = lat.m // 2
     for (j, k), c in a.coeffs.items():
@@ -184,8 +186,7 @@ def quantize(lat: MellinLattice, a: SymbolRep) -> np.ndarray:
         u = j * lat.delta
         v = k * lat.dual_spacing
         O += c * np.exp(0.5j * u * v) * (lat.exp_P(v) @ lat.shift(u))
-    Z = np.zeros_like(O)
-    return np.block([[O, Z], [Z, O]])
+    return O
 
 
 def nc_integral(a: SymbolRep, x_length: float) -> float:
@@ -210,12 +211,6 @@ def htau_norm(a: SymbolRep, x_length: float) -> float:
                                      + np.sum(np.abs(a.a0_neg) ** 2))))
 
 
-def _half_line_projection_channel(lat: MellinLattice) -> np.ndarray:
-    P = np.zeros((lat.m, lat.m))
-    P[lat.positive_sites, lat.positive_sites] = 1.0
-    return P
-
-
 def indicator_Q(lat: MellinLattice, B: RegionSet) -> np.ndarray:
     """1_B(Q) on one channel: a projection, finitely additive in B."""
     if abs(B.period - lat.x_length) > 1e-9:
@@ -224,19 +219,20 @@ def indicator_Q(lat: MellinLattice, B: RegionSet) -> np.ndarray:
     return lat.spectral_multiplier_Q(vals)
 
 
+def _compressed_indicator(lat: MellinLattice, B: RegionSet) -> np.ndarray:
+    pos = lat.positive_sites
+    return indicator_Q(lat, B)[np.ix_(pos, pos)]
+
+
 def nc_effect(lat: MellinLattice, B: RegionSet) -> np.ndarray:
     """Effect 1_{R+}(P) 1_B(Q) 1_{R+}(P) compressed to the range of the
-    half-line projection, both channels stacked block diagonally.
+    half-line projection, on one channel (both carry the same effect).
 
     B must be aligned to the Q-spectral cells [q_k, q_k + dual_spacing).
     """
     if not B.is_aligned(lat.dual_spacing):
         raise ValueError("region is not aligned to the Q-spectral cells")
-    C = indicator_Q(lat, B)
-    pos = lat.positive_sites
-    Ech = C[np.ix_(pos, pos)]
-    Z = np.zeros_like(Ech)
-    return np.block([[Ech, Z], [Z, Ech]])
+    return _compressed_indicator(lat, B)
 
 
 def nc_covariance_residual(lat: MellinLattice, t: float, B: RegionSet) -> dict:
@@ -245,23 +241,10 @@ def nc_covariance_residual(lat: MellinLattice, t: float, B: RegionSet) -> dict:
     Exact for t on the Q-dual lattice; misaligned t is routed to the
     sampled-indicator interpolation path and its error reported.
     """
-    pos = lat.positive_sites
-    u_pos = lat.u[pos]
-    phase = np.exp(1j * t * u_pos)
-    phase2 = np.concatenate([phase, phase])
-    E = nc_effect(lat, B)
-    conj = (phase2[:, None] * E) * np.conj(phase2)[None, :]
-    steps = t / lat.dual_spacing
-    shifted = B.shifted(t)
-    exact = abs(steps - round(steps)) < 1e-9 and shifted.is_aligned(lat.dual_spacing)
-    if exact:
-        target = nc_effect(lat, shifted)
-    else:
-        C = lat.spectral_multiplier_Q(np.array(shifted.indicator(lat.q)))
-        Ech = C[np.ix_(pos, pos)]
-        Z = np.zeros_like(Ech)
-        target = np.block([[Ech, Z], [Z, Ech]])
-    return {"residual": opnorm(conj - target), "exact_path": exact}
+    defect, exact = covariance_defect(
+        np.exp(1j * t * lat.u[lat.positive_sites]), nc_effect(lat, B),
+        lambda R: _compressed_indicator(lat, R), B, t, lat.dual_spacing)
+    return {"residual": opnorm(defect), "exact_path": exact}
 
 
 def conjugation_residual(lat: MellinLattice, t: float, a: SymbolRep) -> float:
@@ -271,8 +254,5 @@ def conjugation_residual(lat: MellinLattice, t: float, a: SymbolRep) -> float:
     r = t / dx
     if abs(r - round(r)) > 1e-9:
         raise ValueError("translation must lie on the x-grid for the exact path")
-    phase = np.exp(1j * t * lat.u)
-    phase2 = np.concatenate([phase, phase])
-    A = quantize(lat, a)
-    conj = (phase2[:, None] * A) * np.conj(phase2)[None, :]
+    conj = diag_conjugate(np.exp(1j * t * lat.u), quantize(lat, a))
     return opnorm(conj - quantize(lat, a.translated(lat, t)))

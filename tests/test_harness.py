@@ -107,3 +107,8 @@ def test_cli_study(tmp_path):
                  "--format", "csv", "--out", str(out)])
     assert code == 0
     assert out.read_text().splitlines()[0] == "size,error"
+
+
+def test_weyl_suite_passes_where_the_seam_point_rounds_below_base():
+    report = run_suite(SuiteConfig(suite="weyl", m=20))
+    assert [c["case"] for c in report["cases"] if not c["pass"]] == []

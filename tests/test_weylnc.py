@@ -107,7 +107,7 @@ def test_nc_effects_form_povm():
     lat = selfdual_lattice(32)
     parts = equal_partition(lat.q_region([]), 4)
     effects = [nc_effect(lat, B) for B in parts]
-    dim = 2 * len(lat.positive_sites)
+    dim = len(lat.positive_sites)
     assert opnorm(sum(effects) - np.eye(dim)) < 1e-12
 
 
@@ -139,3 +139,13 @@ def test_selfdual_spacing_aligns_both_grids():
     lat = selfdual_lattice(64)
     assert abs(lat.dual_spacing - lat.delta) < 1e-12
     assert abs(lat.x_length / lat.m - lat.delta) < 1e-12
+
+
+def test_partition_cells_cover_every_lattice_point():
+    # points within rounding below the window's base must wrap into the
+    # first cell, not onto the seam where no half-open cell holds them
+    for m in range(8, 400, 4):
+        lat = selfdual_lattice(m)
+        parts = equal_partition(lat.q_region([]), 4)
+        total = np.sum([B.indicator(lat.q) for B in parts], axis=0)
+        assert np.array_equal(total, np.ones(m)), m
