@@ -72,11 +72,8 @@ class _Cases:
         self.cfg = cfg
         self.records = []
 
-    def tol(self, default: float) -> float:
-        return self.cfg.tol if self.cfg.tol is not None else default
-
     def add(self, case, anchor, param, residual, default_tol):
-        tol = self.tol(default_tol)
+        tol = self.cfg.tol if self.cfg.tol is not None else default_tol
         self.records.append({
             "case": case,
             "anchor": anchor,
@@ -124,7 +121,7 @@ def _suite_povm(c: _Cases):
     d = min(cfg.d, 8)
 
     p = povm.random_povm(d, 4, rng)
-    rep = povm.povm_validate(p, c.tol(1e-10))
+    rep = povm.povm_validate(p)
     c.add("povm.random.sum", "Thm unsharp-observables", f"d={d} k=4",
           rep.sum_residual, 1e-10)
 

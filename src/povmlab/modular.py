@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (DEFAULT_TOL, HermitianSpectrum, adjoint,
-                        as_operator, herm_spectrum, imag_power, opnorm,
-                        require_square, sqrtm_psd)
+from .operators import (DEFAULT_TOL, NUMERIC_TOL, HermitianSpectrum,
+                        _sym_eigh, adjoint, as_operator, herm_spectrum,
+                        imag_power, opnorm, require_square, sqrtm_psd)
 
 
 def vec(X) -> np.ndarray:
@@ -55,15 +55,13 @@ def _conj_action(A, B) -> np.ndarray:
 
 @dataclass
 class TraceWeight:
-    """tau(A) = tr(A W) for a positive weight W; beta is an optional
-    provenance tag for W = e^{-beta H}."""
+    """tau(A) = tr(A W) for a positive weight W."""
 
     W: np.ndarray
-    beta: float = None
 
     def __post_init__(self):
         self.W = require_square(self.W)
-        lam = np.linalg.eigvalsh((self.W + adjoint(self.W)) / 2)
+        lam = _sym_eigh(self.W)[0]
         if lam.min() < -1e-10 * max(1.0, lam.max()):
             raise ValueError(f"weight not positive (min eigenvalue {lam.min():.3e})")
 
@@ -74,7 +72,7 @@ class TraceWeight:
         """<A, B>_tau = tr(B* A W)."""
         return complex(np.trace(adjoint(B) @ as_operator(A) @ self.W))
 
-    def axiom_report(self, samples, tol: float = DEFAULT_TOL) -> dict:
+    def axiom_report(self, samples) -> dict:
         """Run the trace axioms on a sample set and report residuals.
 
         The model is finite, so semifiniteness is vacuous and the
@@ -96,7 +94,7 @@ class TraceWeight:
             "homogeneity_residual": lin,
             "additivity_residual": add,
             "tracial_residual": tracial,
-            "tracial_ok": tracial <= tol,
+            "tracial_ok": tracial <= DEFAULT_TOL,
         }
 
 
@@ -121,7 +119,7 @@ class GnsRep:
         return adjoint(self.basis) @ left_mult(A) @ self.basis
 
 
-def build_gns(generators, T, tol: float = DEFAULT_TOL) -> GnsRep:
+def build_gns(generators, T) -> GnsRep:
     """GNS representation of omega(A) = tr(A T) from a generating set.
 
     Concretely realised inside Hilbert-Schmidt space: q(A) = A T^{1/2},
@@ -130,12 +128,12 @@ def build_gns(generators, T, tol: float = DEFAULT_TOL) -> GnsRep:
     """
     T = require_square(T)
     d = T.shape[0]
-    if abs(np.trace(T) - 1.0) > 1e-8:
+    if abs(np.trace(T) - 1.0) > NUMERIC_TOL:
         raise ValueError(f"not unit trace: tr T = {np.trace(T)}")
-    lam = np.linalg.eigvalsh((T + adjoint(T)) / 2)
+    lam = _sym_eigh(T)[0]
     if lam.min() < -1e-10:
         raise ValueError(f"not positive: min eigenvalue {lam.min():.3e}")
-    sqrtT = sqrtm_psd(T, max(tol, 1e-8))
+    sqrtT = sqrtm_psd(T)
     images = np.column_stack([vec(require_square(A) @ sqrtT)
                               for A in generators])
     U, s, _ = np.linalg.svd(images, full_matrices=False)
@@ -159,15 +157,11 @@ class ModularTriple:
 
     T: np.ndarray
     d: int
-    S_mat: np.ndarray          # linear part of the antilinear S
     J_mat: np.ndarray          # linear part of the antilinear J
     Delta: np.ndarray          # positive d^2 x d^2 matrix
     delta_spectrum: HermitianSpectrum
     min_delta_eigenvalue: float
     closed_form_residuals: dict = field(default_factory=dict)
-
-    def apply_S(self, x) -> np.ndarray:
-        return self.S_mat @ np.conj(np.asarray(x, dtype=complex))
 
     def apply_J(self, x) -> np.ndarray:
         return self.J_mat @ np.conj(np.asarray(x, dtype=complex))
@@ -194,8 +188,7 @@ class ModularTriple:
                          f"square operator, got {A.shape}")
 
 
-def build_modular(T, tol: float = DEFAULT_TOL,
-                  cond_max: float = 1e12) -> ModularTriple:
+def build_modular(T) -> ModularTriple:
     """Modular triple of the state tr(. T) for a positive invertible T.
 
     S is defined by S(X Omega) = X* Omega, i.e. Y -> T^{-1/2} Y* T^{1/2};
@@ -205,20 +198,20 @@ def build_modular(T, tol: float = DEFAULT_TOL,
     """
     T = require_square(T)
     d = T.shape[0]
-    lam = np.linalg.eigvalsh((T + adjoint(T)) / 2)
+    lam = _sym_eigh(T)[0]
     if lam.min() <= 0:
         raise ValueError(f"density not invertible (min eigenvalue {lam.min():.3e})")
     cond = float(lam.max() / lam.min())
-    if cond > cond_max:
+    if cond > 1e12:
         raise ValueError(f"density too ill-conditioned: cond(T) = {cond:.3e} "
-                         f"> {cond_max:.1e}; reduce beta*d")
-    sqrtT = sqrtm_psd(T, max(tol, 1e-8))
+                         "> 1.0e+12; reduce beta*d")
+    sqrtT = sqrtm_psd(T)
     isqrtT = np.linalg.inv(sqrtT)
     K = commutation_matrix(d)
     # S(Y) = T^{-1/2} (conj Y)^T T^{1/2}, linear in conj(Y)
     M_S = _conj_action(isqrtT, sqrtT) @ K
     Delta = M_S.T @ np.conj(M_S)
-    spec = herm_spectrum(Delta, 1e-8)
+    spec = herm_spectrum(Delta, NUMERIC_TOL)
     dmin = float(spec.eigenvalues.min())
     V = spec.eigenvectors
     inv_sqrt_Delta = (V / np.sqrt(spec.eigenvalues)) @ adjoint(V)
@@ -243,7 +236,7 @@ def build_modular(T, tol: float = DEFAULT_TOL,
     residuals["j_adjoint"] = worst_j
     residuals["s_defining"] = worst_s
 
-    return ModularTriple(T=T, d=d, S_mat=M_S, J_mat=M_J, Delta=Delta,
+    return ModularTriple(T=T, d=d, J_mat=M_J, Delta=Delta,
                          delta_spectrum=spec, min_delta_eigenvalue=dmin,
                          closed_form_residuals=residuals)
 
@@ -254,7 +247,7 @@ def kms_residual(T, A, B) -> float:
     T = require_square(T)
     A = require_square(A)
     B = require_square(B)
-    lam = np.linalg.eigvalsh((T + adjoint(T)) / 2)
+    lam = _sym_eigh(T)[0]
     if lam.min() <= 0:
         raise ValueError("density must be invertible")
     lhs = np.trace(T @ A @ B)
@@ -262,8 +255,7 @@ def kms_residual(T, A, B) -> float:
     return float(abs(lhs - rhs))
 
 
-def modtime_unitarity(weight: TraceWeight, T, ts, samples,
-                      tol: float = DEFAULT_TOL) -> dict:
+def modtime_unitarity(weight: TraceWeight, T, ts, samples) -> dict:
     """Check that A -> T^{it} A T^{-it} is a unitary group on H_tau.
 
     Returns per-(t, pair) isometry residuals
@@ -271,7 +263,7 @@ def modtime_unitarity(weight: TraceWeight, T, ts, samples,
     consecutive times.
     """
     T = require_square(T)
-    lam = np.linalg.eigvalsh((T + adjoint(T)) / 2)
+    lam = _sym_eigh(T)[0]
     if lam.min() <= 0:
         raise ValueError("positive operator required for imaginary powers")
 
@@ -291,13 +283,13 @@ def modtime_unitarity(weight: TraceWeight, T, ts, samples,
         group.append({"t1": t1, "t2": t2, "residual": float(r)})
     worst = max((c["residual"] for c in iso), default=0.0)
     return {"isometry": iso, "group_law": group, "max_isometry_residual": worst,
-            "unitary": worst <= max(tol, 1e-10)}
+            "unitary": worst <= DEFAULT_TOL}
 
 
-def lemma_modular_residual(T, A, tol: float = DEFAULT_TOL) -> float:
+def lemma_modular_residual(T, A) -> float:
     """|| J Delta^{1/2} (A T^{1/2}) - A* T^{1/2} || via the modular triple."""
-    triple = build_modular(T, tol)
-    sqrtT = sqrtm_psd(triple.T, max(tol, 1e-8))
+    triple = build_modular(T)
+    sqrtT = sqrtm_psd(triple.T)
     x = vec(require_square(A) @ sqrtT)
     y = triple.apply_J(triple.delta_power(0.5) @ x)
     target = vec(adjoint(A) @ sqrtT)

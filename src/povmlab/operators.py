@@ -13,6 +13,9 @@ import numpy as np
 
 # Relative tolerance used by every predicate unless the caller overrides it.
 DEFAULT_TOL = 1e-10
+# Tolerance for checks on operators built numerically (square roots, dilations,
+# densities), whose rounding error sits well above DEFAULT_TOL.
+NUMERIC_TOL = 1e-8
 
 NOT_EFFECT = "not_effect"
 EFFECT = "effect"
@@ -93,14 +96,14 @@ def _sym_eigh(H):
     return np.linalg.eigh((H + adjoint(H)) / 2.0)
 
 
-def funcalc(H, f, tol: float = DEFAULT_TOL) -> np.ndarray:
+def funcalc(H, f) -> np.ndarray:
     """Hermitian functional calculus: return V f(lam) V*.
 
     ``f`` is applied eigenvalue-wise; a value that comes back non-finite
     (or an exception from ``f``) is reported as a domain error naming the
     offending eigenvalue.
     """
-    spec = herm_spectrum(H, tol)
+    spec = herm_spectrum(H)
     vals = np.empty(len(spec.eigenvalues), dtype=complex)
     for i, lam in enumerate(spec.eigenvalues):
         try:
@@ -165,25 +168,25 @@ def hs_inner(A, B) -> complex:
     return complex(np.sum(np.conj(B) * A))
 
 
-def sqrtm_psd(A, tol: float = DEFAULT_TOL) -> np.ndarray:
+def sqrtm_psd(A) -> np.ndarray:
     """Hermitian square root of a positive semidefinite operator.
 
-    Eigenvalues in [-tol, 0) are clipped to zero; anything below -tol is a
-    genuine negativity and is rejected.
+    Eigenvalues in [-NUMERIC_TOL, 0) (relative) are clipped to zero;
+    anything below is a genuine negativity and is rejected.
     """
-    spec = herm_spectrum(A, tol)
+    spec = herm_spectrum(A, NUMERIC_TOL)
     lam = spec.eigenvalues.copy()
     scale = max(1.0, abs(lam).max())
-    if lam.min() < -tol * scale:
+    if lam.min() < -NUMERIC_TOL * scale:
         raise ValueError(f"operator not positive (min eigenvalue {lam.min():.3e})")
     lam = np.clip(lam, 0.0, None)
     V = spec.eigenvectors
     return (V * np.sqrt(lam)) @ adjoint(V)
 
 
-def imag_power(A, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+def imag_power(A, t: float) -> np.ndarray:
     """A^{it} for positive definite A, via the functional calculus."""
-    spec = herm_spectrum(A, tol)
+    spec = herm_spectrum(A)
     lam = spec.eigenvalues
     if lam.min() <= 0:
         raise ValueError("imaginary powers need a positive definite operator "

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .operators import (DEFAULT_TOL, EFFECT, PROJECTION, adjoint, as_operator,
-                        is_effect, opnorm, sqrtm_psd)
-from .regions import RegionSet, equal_partition
+from .operators import (DEFAULT_TOL, EFFECT, NUMERIC_TOL, PROJECTION,
+                        _sym_eigh, adjoint, as_operator, is_effect, opnorm,
+                        sqrtm_psd)
+from .regions import RegionSet, circle_full, equal_partition
 
 
 @dataclass
@@ -54,33 +55,30 @@ class PovmReport:
 
 def povm_validate(p: DiscretePOVM, tol: float = DEFAULT_TOL) -> PovmReport:
     """Check the POVM axioms: each effect is an effect, the effects sum to
-    the identity, and detect the PVM case E_i E_j = delta_ij E_i."""
+    the identity, and detect the PVM case ||E_i E_j - delta_ij E_i|| <= tol
+    for every pair i, j."""
     d = p.dim
     classes = [is_effect(E, tol) for E in p.effects]
     sum_residual = opnorm(p.total() - np.eye(d))
-    multiplicative = True
-    for i, Ei in enumerate(p.effects):
-        for j, Ej in enumerate(p.effects):
-            target = Ei if i == j else 0.0
-            if opnorm(Ei @ Ej - target) > tol:
-                multiplicative = False
-                break
-        if not multiplicative:
-            break
+    E = np.stack(p.effects)
+    defects = E[:, None] @ E[None, :]
+    diag = np.arange(len(E))
+    defects[diag, diag] -= E
+    multiplicative = bool((np.linalg.norm(defects, 2, axis=(-2, -1)) <= tol).all())
     ok = sum_residual <= tol and all(c in (EFFECT, PROJECTION) for c in classes)
     return PovmReport(sum_residual=sum_residual, classifications=classes,
                       multiplicative=multiplicative, ok=ok)
 
 
-def state_to_measure(p: DiscretePOVM, T, tol: float = DEFAULT_TOL) -> np.ndarray:
+def state_to_measure(p: DiscretePOVM, T) -> np.ndarray:
     """Probabilities tr(E_i T) of a density operator T over the cells."""
     T = as_operator(T)
     if T.shape != (p.dim, p.dim):
         raise ValueError("density has wrong shape")
-    if abs(np.trace(T) - 1.0) > max(tol, 1e-8):
+    if abs(np.trace(T) - 1.0) > NUMERIC_TOL:
         raise ValueError(f"not unit trace: tr T = {np.trace(T)}")
-    lam = np.linalg.eigvalsh((T + adjoint(T)) / 2)
-    if lam.min() < -max(tol, 1e-8):
+    lam = _sym_eigh(T)[0]
+    if lam.min() < -NUMERIC_TOL:
         raise ValueError(f"not positive: min eigenvalue {lam.min():.3e}")
     probs = np.array([np.trace(E @ T).real for E in p.effects])
     return probs
@@ -115,17 +113,17 @@ class NaimarkDilation:
         return adjoint(Ji) @ Ji
 
 
-def naimark_dilate(p: DiscretePOVM, tol: float = DEFAULT_TOL) -> NaimarkDilation:
+def naimark_dilate(p: DiscretePOVM) -> NaimarkDilation:
     """Dilate a validated POVM by stacking the square roots E_i^{1/2}."""
-    report = povm_validate(p, max(tol, 1e-8))
+    report = povm_validate(p, NUMERIC_TOL)
     if not report.ok:
         raise ValueError(f"POVM does not validate: sum residual "
                          f"{report.sum_residual:.3e}, classes {report.classifications}")
-    roots = [sqrtm_psd(E, max(tol, 1e-8)) for E in p.effects]
+    roots = [sqrtm_psd(E) for E in p.effects]
     J = np.vstack(roots)
     dil = NaimarkDilation(isometry=J, dim=p.dim)
     iso_res = opnorm(adjoint(J) @ J - np.eye(p.dim))
-    if iso_res > max(tol, 1e-8):
+    if iso_res > NUMERIC_TOL:
         raise ValueError(f"dilation is not an isometry (residual {iso_res:.3e})")
     return dil
 
@@ -137,10 +135,9 @@ def random_povm(d: int, k: int, rng) -> DiscretePOVM:
             for _ in range(k)]
     gram = [adjoint(A) @ A for A in mats]
     S = sum(gram)
-    lam, V = np.linalg.eigh((S + adjoint(S)) / 2)
+    lam, V = _sym_eigh(S)
     S_isqrt = (V / np.sqrt(lam)) @ adjoint(V)
     effects = [S_isqrt @ G @ S_isqrt for G in gram]
-    from .regions import circle_full
     regions = equal_partition(circle_full(), k)
     return DiscretePOVM(regions=regions, effects=effects)
 
@@ -157,7 +154,7 @@ class MomentReport:
     multiplicative: bool
 
 
-def _circular_dilation(T: np.ndarray, M: int, tol: float) -> np.ndarray:
+def _circular_dilation(T: np.ndarray, M: int) -> np.ndarray:
     """Circular Schaeffer-type unitary dilation on 2M blocks.
 
     Block 0 carries the original space.  Every block column feeds the next
@@ -173,8 +170,8 @@ def _circular_dilation(T: np.ndarray, M: int, tol: float) -> np.ndarray:
     d = T.shape[0]
     K = 2 * M
     I = np.eye(d)
-    DT = sqrtm_psd(I - adjoint(T) @ T, max(tol, 1e-8))
-    DTs = sqrtm_psd(I - T @ adjoint(T), max(tol, 1e-8))
+    DT = sqrtm_psd(I - adjoint(T) @ T)
+    DTs = sqrtm_psd(I - T @ adjoint(T))
     U = np.zeros((K * d, K * d), dtype=complex)
 
     def put(r, c, block):
@@ -189,7 +186,7 @@ def _circular_dilation(T: np.ndarray, M: int, tol: float) -> np.ndarray:
     return U
 
 
-def contraction_moment_povm(T, M: int, cells: int, tol: float = DEFAULT_TOL):
+def contraction_moment_povm(T, M: int, cells: int):
     """Moment POVM of a contraction: T^n = int e^{i n theta} dE(theta).
 
     Builds the circular unitary dilation of depth M, takes the spectral
@@ -201,10 +198,10 @@ def contraction_moment_povm(T, M: int, cells: int, tol: float = DEFAULT_TOL):
     T = as_operator(T)
     if T.shape[0] != T.shape[1]:
         raise ValueError("square contraction required")
-    if opnorm(T) > 1.0 + max(tol, 1e-8):
+    if opnorm(T) > 1.0 + NUMERIC_TOL:
         raise ValueError(f"not a contraction: ||T|| = {opnorm(T):.6f}")
     d = T.shape[0]
-    U = _circular_dilation(T, M, tol)
+    U = _circular_dilation(T, M)
     # U is unitary hence normal; the complex Schur form is then diagonal
     # with orthonormal eigenvectors even across degenerate clusters.
     S, V = scipy.linalg.schur(U, output="complex")
@@ -239,6 +236,6 @@ def contraction_moment_povm(T, M: int, cells: int, tol: float = DEFAULT_TOL):
         depth=M,
         moment_residuals=np.array(moments),
         cell_masses=cell_masses,
-        multiplicative=povm_validate(povm, max(tol, 1e-8)).multiplicative,
+        multiplicative=povm_validate(povm, NUMERIC_TOL).multiplicative,
     )
     return povm, report

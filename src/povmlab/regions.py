@@ -109,12 +109,12 @@ class RegionSet:
         """Evaluate the set indicator at each point of ``xs``."""
         return [1.0 if self.contains(x) else 0.0 for x in xs]
 
-    def is_aligned(self, h: float, tol: float = 1e-9) -> bool:
+    def is_aligned(self, h: float) -> bool:
         """True when every endpoint sits on the grid base + h*Z."""
         for a, b in self.cells:
             for x in (a, b):
                 r = (x - self.base) / h
-                if abs(r - round(r)) > tol:
+                if abs(r - round(r)) > 1e-9:
                     return False
         return True
 

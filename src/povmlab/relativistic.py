@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import DEFAULT_TOL, adjoint, covariance_defect, opnorm
+from .operators import NUMERIC_TOL, adjoint, covariance_defect, opnorm
 from .regions import RegionSet
 
 
@@ -149,8 +149,7 @@ class HardyModel:
         return float(np.linalg.norm(hardy_project(self.grid, f) - f))
 
 
-def boundary_isometry_check(model: HardyModel, f, ys,
-                            tol: float = DEFAULT_TOL) -> dict:
+def boundary_isometry_check(model: HardyModel, f, ys) -> dict:
     """Boundary behaviour of the harmonic extension F(x + iy) = P(y)f(x).
 
     Checks that y -> ||P(y) f|| is nonincreasing with its supremum at the
@@ -159,7 +158,7 @@ def boundary_isometry_check(model: HardyModel, f, ys,
     """
     f = np.asarray(f, dtype=complex)
     res = model.hardy_residual(f)
-    if res > max(tol, 1e-8) * max(1.0, float(np.linalg.norm(f))):
+    if res > NUMERIC_TOL * max(1.0, float(np.linalg.norm(f))):
         raise ValueError(f"input is not in the Hardy range (residual {res:.3e})")
     ys = sorted(float(y) for y in ys)
     norms = []

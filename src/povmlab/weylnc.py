@@ -153,9 +153,9 @@ class SymbolRep:
     a0_pos: np.ndarray = None
     a0_neg: np.ndarray = None
 
-    def is_real(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_real(self) -> bool:
         for (j, k), c in self.coeffs.items():
-            if abs(np.conj(self.coeffs.get((-j, -k), 0.0)) - c) > tol:
+            if abs(np.conj(self.coeffs.get((-j, -k), 0.0)) - c) > DEFAULT_TOL:
                 return False
         return True
 

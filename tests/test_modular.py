@@ -29,7 +29,7 @@ def test_commutation_matrix_transposes():
 
 def test_trace_weight_axioms_commuting():
     W = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    tw = TraceWeight(W, beta=1.0)
+    tw = TraceWeight(W)
     samples = [np.diag(rng.standard_normal(3)).astype(complex)
                for _ in range(4)]
     rep = tw.axiom_report(samples)

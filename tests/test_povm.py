@@ -116,3 +116,32 @@ def test_povm_shape_mismatch():
     with pytest.raises(ValueError):
         DiscretePOVM(regions=equal_partition(circle_full(), 2),
                      effects=[np.eye(2)])
+
+
+def pair_loop_multiplicative(p, tol):
+    """Reference PVM check: ||E_i E_j - delta_ij E_i|| <= tol pair by pair."""
+    for i, Ei in enumerate(p.effects):
+        for j, Ej in enumerate(p.effects):
+            target = Ei if i == j else 0.0
+            if opnorm(Ei @ Ej - target) > tol:
+                return False
+    return True
+
+
+def test_pvm_check_matches_pair_loop():
+    unitary, _ = contraction_moment_povm(np.array([[np.exp(0.7j)]]), 32, 64)
+    coords = [np.diag(np.eye(8)[i]).astype(complex) for i in range(8)]
+    coords[3][3, 3] += 1e-9
+    coordinate = DiscretePOVM(regions=equal_partition(circle_full(), 8),
+                              effects=coords)
+    unsharp = random_povm(6, 4, rng)
+    cases = [
+        (unitary, 1e-8, True),
+        (unsharp, 1e-8, False),
+        (unsharp, 1e-10, False),
+        (coordinate, 1e-8, True),
+        (coordinate, 1e-10, False),
+    ]
+    for p, tol, expected in cases:
+        assert pair_loop_multiplicative(p, tol) is expected
+        assert povm_validate(p, tol).multiplicative is expected
