@@ -18,8 +18,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import modular, oscillator, povm, relativistic, weylnc
-from .operators import (EFFECT, PROJECTION, adjoint, covariance_defect,
-                        is_effect, opnorm)
+from .operators import (EFFECT, NUMERIC_TOL, PROJECTION, adjoint,
+                        covariance_defect, is_effect, opnorm)
 from .regions import RegionSet, circle_full, equal_partition
 
 SCHEMA_VERSION = 1
@@ -62,9 +62,15 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITES}")
-        if self.seed is None:
-            raise ValueError("a seed is mandatory")
+        if self.seed is None or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        if self.d < 1:
+            raise ValueError(f"d must be at least 1, got {self.d}")
         self.betas = tuple(float(b) for b in self.betas)
+        if not all(0 <= b < np.inf for b in self.betas):
+            raise ValueError(f"betas must be finite and >= 0, got {self.betas}")
+        if self.tol is not None and not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 class _Cases:
@@ -158,9 +164,10 @@ def _suite_povm(c: _Cases):
     c.add("contraction.poisson.masses", "Thm contraction-POVM", "T=0.5 M=32",
           pk, 1e-2)
     phi = 0.7
-    _, repu = povm.contraction_moment_povm(np.array([[np.exp(1j * phi)]]), 32, 64)
+    pu, _ = povm.contraction_moment_povm(np.array([[np.exp(1j * phi)]]), 32, 64)
+    pvm = povm.povm_validate(pu, NUMERIC_TOL).multiplicative
     c.add_flag("contraction.unitary.pvm", "Thm contraction-POVM",
-               f"T=e^(i{phi})", repu.multiplicative, "multiplicative")
+               f"T=e^(i{phi})", pvm, "multiplicative")
 
 
 def _poisson_cell_masses(report, r):
@@ -460,10 +467,7 @@ def _weyl_wrap_error(m: int) -> float:
     a normalized Gaussian localized away from the lattice seam."""
     delta = float(np.sqrt(2 * np.pi / m))
     lat = weylnc.make_lattice(m, delta, -delta * (m // 2))
-    s, t = 0.37, lat.delta
-    St = lat.shift(t)
-    Es = lat.exp_P(s)
-    defect = Es @ St - np.exp(-1j * s * t) * St @ Es
+    defect = weylnc.weyl_defect(lat, 0.37, lat.delta)
     g = np.exp(-lat.u ** 2 / 8.0)
     g /= np.linalg.norm(g)
     return float(np.linalg.norm(defect @ g))

@@ -143,6 +143,18 @@ def diag_conjugate(phase, A) -> np.ndarray:
     return (phase[:, None] * A) * np.conj(phase)[None, :]
 
 
+def circulant(c) -> np.ndarray:
+    """Circulant matrix C[j, l] = c[(j - l) mod n].
+
+    A function of a generator diagonal in the DFT basis, with values s on
+    the frequencies in FFT order, is circulant(ifft(s)); the grid and
+    lattice models build every such operator through it.
+    """
+    c = np.asarray(c)
+    j = np.arange(len(c))
+    return c[(j[:, None] - j[None, :]) % len(c)]
+
+
 def covariance_defect(phase, E, sampled, B, shift, h):
     """Defect diag(phase) E diag(phase)* - E_{B + shift} of a covariance
     identity for the effect E = E_B, and whether the exact path was taken.

@@ -146,12 +146,10 @@ def random_povm(d: int, k: int, rng) -> DiscretePOVM:
 class MomentReport:
     """Moment residuals ||T^n - sum_j e^{i n theta_j} F_j|| from the
     unbinned spectral measure of the circular dilation, certified for
-    n = 0..depth-1, plus the binned cell masses."""
+    n = 0..M-1, plus the binned cell masses."""
 
-    depth: int
     moment_residuals: np.ndarray
     cell_masses: np.ndarray
-    multiplicative: bool
 
 
 def _circular_dilation(T: np.ndarray, M: int) -> np.ndarray:
@@ -232,10 +230,6 @@ def contraction_moment_povm(T, M: int, cells: int):
     povm = DiscretePOVM(regions=regions, effects=effects)
 
     cell_masses = np.array([E.trace().real / max(d, 1) for E in effects])
-    report = MomentReport(
-        depth=M,
-        moment_residuals=np.array(moments),
-        cell_masses=cell_masses,
-        multiplicative=povm_validate(povm, NUMERIC_TOL).multiplicative,
-    )
+    report = MomentReport(moment_residuals=np.array(moments),
+                          cell_masses=cell_masses)
     return povm, report

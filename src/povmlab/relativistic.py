@@ -2,11 +2,12 @@
 
 L^2(R) is periodised to a circle of circumference L sampled at n points;
 the discrete Fourier transform is unitary, Fourier multipliers are
-diagonal in frequency, and translations by grid multiples are exact index
-shifts.  On this grid: the Hardy projection onto nonnegative frequencies
-(zero mode included), the modulus-of-momentum multiplier |xi|, the Poisson
-semigroup e^{-y|xi|}, the position-band effects compressed to the Hardy
-subspace, and the weighted trace tr(. e^{-beta |D|}).
+diagonal in frequency (circulant matrices on the grid), and translations
+by grid multiples are exact index shifts.  On this grid: the Hardy
+projection onto nonnegative frequencies (zero mode included), the
+modulus-of-momentum multiplier |xi|, the Poisson semigroup e^{-y|xi|}, the
+position-band effects compressed to the Hardy subspace (circulant in the
+Fourier basis), and the weighted trace tr(. e^{-beta |D|}).
 
 Multiplier commutation and shift covariance are exact under periodisation
 and are tested tightly; kernel shapes carry discretisation error and are
@@ -18,7 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import NUMERIC_TOL, adjoint, covariance_defect, opnorm
+from .operators import (NUMERIC_TOL, adjoint, circulant, covariance_defect,
+                        opnorm)
 from .regions import RegionSet
 
 
@@ -54,17 +56,12 @@ class CircleGrid:
     def ifft(self, fhat) -> np.ndarray:
         return np.fft.ifft(np.asarray(fhat, dtype=complex)) * np.sqrt(self.n)
 
-    @cached_property
-    def dft_matrix(self) -> np.ndarray:
-        """Unitary DFT matrix W with W[k, j] = e^{-i xi_k x_j} / sqrt(n)."""
-        return np.exp(-1j * np.outer(self.xi, self.x)) / np.sqrt(self.n)
-
     def multiplier_apply(self, symbol_values, f) -> np.ndarray:
         return self.ifft(np.asarray(symbol_values) * self.fft(f))
 
     def multiplier_matrix(self, symbol_values) -> np.ndarray:
-        W = self.dft_matrix
-        return adjoint(W) @ (np.asarray(symbol_values)[:, None] * W)
+        """W* diag(symbol) W for the unitary DFT W, as a circulant."""
+        return circulant(np.fft.ifft(symbol_values))
 
     def convolve(self, f, g) -> np.ndarray:
         """Riemann-sum circular convolution h * circconv(f, g)."""
@@ -133,17 +130,13 @@ class HardyModel:
 
     @cached_property
     def modes(self) -> np.ndarray:
-        return adjoint(self.grid.dft_matrix)[:, : self.dim]
+        """Columns e^{i xi_k x_j} / sqrt(n), one per Hardy mode."""
+        return (np.exp(1j * np.outer(self.grid.x, self.xi))
+                / np.sqrt(self.grid.n))
 
     @cached_property
     def projection_matrix(self) -> np.ndarray:
-        V = self.modes
-        return V @ adjoint(V)
-
-    def compress(self, A) -> np.ndarray:
-        """Compression of a full-grid operator to the Hardy basis."""
-        V = self.modes
-        return adjoint(V) @ np.asarray(A, dtype=complex) @ V
+        return self.grid.multiplier_matrix(self.grid.xi >= 0)
 
     def hardy_residual(self, f) -> float:
         return float(np.linalg.norm(hardy_project(self.grid, f) - f))
@@ -181,9 +174,10 @@ def boundary_isometry_check(model: HardyModel, f, ys) -> dict:
 
 def _sampled_effect(model: HardyModel, B: RegionSet) -> np.ndarray:
     """P_+ 1_B(X) P_+ on the Hardy basis with the indicator of B sampled at
-    the grid points; agrees with ``rel_effect`` on aligned regions."""
-    V = model.modes
-    return adjoint(V) @ (np.array(B.indicator(model.grid.x))[:, None] * V)
+    the grid points; agrees with ``rel_effect`` on aligned regions.  It is
+    the Hardy block of 1_B(X) in the Fourier basis, a circulant."""
+    c = np.fft.fft(B.indicator(model.grid.x)) / model.grid.n
+    return circulant(c)[: model.dim, : model.dim]
 
 
 def rel_effect(model: HardyModel, B: RegionSet) -> np.ndarray:
@@ -219,18 +213,13 @@ def rel_covariance_residual(model: HardyModel, beta: float, t: float,
     return {"residual": opnorm(defect), "exact_path": exact}
 
 
-def abs_momentum_weight(grid: CircleGrid, beta: float) -> np.ndarray:
-    """The trace weight e^{-beta |D|} as a full-grid matrix."""
-    return grid.multiplier_matrix(np.exp(-beta * np.abs(grid.xi)))
-
-
 def tau_unitarity_residual(grid: CircleGrid, beta: float, t: float,
                            A, B) -> float:
     """Isometry defect of conjugation by e^{it|D|} in the weighted inner
     product <A, B>_tau = tr(B* A e^{-beta |D|})."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    W = abs_momentum_weight(grid, beta)
+    W = grid.multiplier_matrix(np.exp(-beta * np.abs(grid.xi)))
     U = grid.multiplier_matrix(np.exp(1j * t * np.abs(grid.xi)))
     UA = U @ A @ adjoint(U)
     UB = U @ B @ adjoint(U)

@@ -5,11 +5,12 @@ group and ln|D| becomes multiplication by u.  The lattice models the
 u-picture directly on a circle of circumference m*delta.  The sign of the
 original frequency splits the space into two channels carrying the same
 operator, so operators live on one channel (every operator norm is the
-same) while symbols keep a principal part per channel.  On aligned data
-the Weyl relation e^{isP} S(t) = e^{-ist} S(t) e^{isP}, the conjugation-
-shift identity for quantized symbols, and the covariance of the
-half-line effects are exact; misaligned inputs report the wrap-around
-defect.
+same) while symbols keep a principal part per channel.  e^{isP} is kept
+as its diagonal and functions of Q, diagonal in the dual (DFT) basis, are
+circulants.  On aligned data the Weyl relation e^{isP} S(t) = e^{-ist}
+S(t) e^{isP}, the conjugation-shift identity for quantized symbols, and
+the covariance of the half-line effects are exact; misaligned inputs
+report the wrap-around defect.
 
 Operator conventions.  S(t) shifts forward, (S(t)g)(u) = g(u + t), and
 S(t) = e^{itQ}, so [Q, P] = -i; the symmetric (selfadjoint-for-real-
@@ -27,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import (DEFAULT_TOL, adjoint, covariance_defect,
+from .operators import (DEFAULT_TOL, circulant, covariance_defect,
                         diag_conjugate, opnorm)
 from .regions import RegionSet
 
@@ -69,11 +70,6 @@ class MellinLattice:
         k = np.arange(-self.m // 2, self.m // 2)
         return self.dual_spacing * k
 
-    @cached_property
-    def q_eigenvectors(self) -> np.ndarray:
-        """Columns phi_q(l) = e^{i q u_l} / sqrt(m), one per dual point."""
-        return np.exp(1j * np.outer(self.u, self.q)) / np.sqrt(self.m)
-
     def shift(self, t: float) -> np.ndarray:
         """S(t) for t in delta*Z: exact circular permutation (S g)_l =
         g_{l+j}."""
@@ -86,19 +82,17 @@ class MellinLattice:
         return S
 
     def exp_P(self, s: float) -> np.ndarray:
-        """e^{isP} = diag(e^{i s u_l})."""
-        return np.diag(np.exp(1j * s * self.u))
+        """e^{isP} = diag(e^{i s u_l}), returned as its diagonal."""
+        return np.exp(1j * s * self.u)
 
     def exp_Q(self, t: float) -> np.ndarray:
-        """e^{itQ} through the dual basis; coincides with shift(t) for
-        t in delta*Z."""
-        Phi = self.q_eigenvectors
-        return (Phi * np.exp(1j * t * self.q)) @ adjoint(Phi)
+        """e^{itQ}; coincides with shift(t) for t in delta*Z."""
+        return self.spectral_multiplier_Q(np.exp(1j * t * self.q))
 
     def spectral_multiplier_Q(self, values) -> np.ndarray:
-        """f(Q) = Phi diag(f(q)) Phi*."""
-        Phi = self.q_eigenvectors
-        return (Phi * np.asarray(values)) @ adjoint(Phi)
+        """f(Q) = Phi diag(f(q)) Phi* with Phi[l, k] = e^{i q_k u_l} /
+        sqrt(m), as a circulant; ifftshift moves q = 0 (mid-array) first."""
+        return circulant(np.fft.ifft(np.fft.ifftshift(values)))
 
     @cached_property
     def positive_sites(self) -> np.ndarray:
@@ -127,16 +121,22 @@ def make_lattice(m: int, delta: float, u_min: float) -> MellinLattice:
     return MellinLattice(m=m, delta=delta, u_min=u_min)
 
 
+def weyl_defect(lat: MellinLattice, s: float, t: float) -> np.ndarray:
+    """e^{isP} S(t) - e^{-ist} S(t) e^{isP}, with S(t) the exact shift for
+    t in delta*Z and e^{itQ} otherwise."""
+    j = t / lat.delta
+    St = lat.shift(t) if abs(j - round(j)) < 1e-9 else lat.exp_Q(t)
+    Es = lat.exp_P(s)
+    return Es[:, None] * St - np.exp(-1j * s * t) * St * Es[None, :]
+
+
 def weyl_relation_residual(lat: MellinLattice, s: float, t: float) -> float:
     """|| e^{isP} S(t) - e^{-ist} S(t) e^{isP} ||.
 
     Exact (rounding-level) for t in delta*Z and s on the dual grid;
     generic s reports the wrap-around boundary defect.
     """
-    j = t / lat.delta
-    St = lat.shift(t) if abs(j - round(j)) < 1e-9 else lat.exp_Q(t)
-    Es = lat.exp_P(s)
-    return opnorm(Es @ St - np.exp(-1j * s * t) * St @ Es)
+    return opnorm(weyl_defect(lat, s, t))
 
 
 @dataclass
@@ -185,7 +185,7 @@ def quantize(lat: MellinLattice, a: SymbolRep) -> np.ndarray:
                              "Nyquist bounds")
         u = j * lat.delta
         v = k * lat.dual_spacing
-        O += c * np.exp(0.5j * u * v) * (lat.exp_P(v) @ lat.shift(u))
+        O += c * np.exp(0.5j * u * v) * (lat.exp_P(v)[:, None] * lat.shift(u))
     return O
 
 

@@ -8,14 +8,14 @@ import pytest
 from povmlab.modular import (TraceWeight, build_gns, build_modular,
                              kms_residual, left_mult, lemma_modular_residual,
                              vec)
-from povmlab.operators import (EFFECT, PROJECTION, adjoint, is_effect, opnorm,
-                               sqrtm_psd)
+from povmlab.operators import (EFFECT, NUMERIC_TOL, PROJECTION, adjoint,
+                               is_effect, opnorm, sqrtm_psd)
 from povmlab.oscillator import (commutator_defect, covariance_residual, gibbs,
                                 number_operator, phase_effect,
                                 thermal_covariance_residual, toeplitz_arg,
                                 weyl_failure_check)
 from povmlab.povm import (DiscretePOVM, contraction_moment_povm,
-                          naimark_dilate, random_povm)
+                          naimark_dilate, povm_validate, random_povm)
 from povmlab.regions import RegionSet, circle_full, equal_partition
 from povmlab.relativistic import (HardyModel, boundary_isometry_check,
                                   make_grid, poisson_kernel_error,
@@ -157,11 +157,12 @@ def test_criterion_08_contraction_moments():
         dens = (1 - r * r) / (1 - 2 * r * np.cos(mid) + r * r) / (2 * np.pi)
         mass_dev = max(mass_dev, abs(rep.cell_masses[i]
                                      - float(dens.sum() * (sub[1] - sub[0]))))
-    _, repu = contraction_moment_povm(np.array([[np.exp(0.7j)]]), 32, 64)
-    ok = worst <= 1e-8 and mass_dev <= 1e-2 and repu.multiplicative
+    pu, _ = contraction_moment_povm(np.array([[np.exp(0.7j)]]), 32, 64)
+    multiplicative = povm_validate(pu, NUMERIC_TOL).multiplicative
+    ok = worst <= 1e-8 and mass_dev <= 1e-2 and multiplicative
     verdict(8, "contraction POVM moments M=32", ok,
             f"moment residual {worst:.3e}, Poisson mass dev {mass_dev:.3e}, "
-            f"unitary multiplicative {repu.multiplicative}")
+            f"unitary multiplicative {multiplicative}")
 
 
 def test_criterion_09_relativistic():

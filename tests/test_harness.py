@@ -95,6 +95,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["verify", "all", "--tol", "nan"], "tol"),
+    (["verify", "all", "--tol", "-1"], "tol"),
+    (["verify", "povm", "--tol", "0"], "tol"),
+    (["verify", "povm", "--d", "0"], "d"),
+    (["verify", "povm", "--beta", "nan"], "betas"),
+    (["verify", "oscillator", "--beta", "inf"], "betas"),
+    (["verify", "oscillator", "--beta", "1", "-0.5"], "betas"),
+    (["verify", "povm", "--seed", "-1"], "seed"),
+])
+def test_cli_rejects_bad_config_naming_the_field(argv, field, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} ")
+
+
 def test_cli_csv_output(tmp_path):
     out = tmp_path / "report.csv"
     assert main(["verify", "weyl", "--format", "csv", "--out", str(out)]) == 0

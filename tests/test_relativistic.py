@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from povmlab.operators import EFFECT, PROJECTION, adjoint, is_effect, opnorm
 from povmlab.relativistic import (HardyModel, boundary_isometry_check,
@@ -11,13 +12,73 @@ from povmlab.relativistic import (HardyModel, boundary_isometry_check,
 rng = np.random.default_rng(53)
 
 
+def dft_matrix(grid):
+    """Dense reference: the unitary DFT W[k, j] = e^{-i xi_k x_j} / sqrt(n)."""
+    return np.exp(-1j * np.outer(grid.xi, grid.x)) / np.sqrt(grid.n)
+
+
+def dense_multiplier(grid, symbol):
+    """Dense reference: W* diag(symbol) W."""
+    W = dft_matrix(grid)
+    return adjoint(W) @ (np.asarray(symbol)[:, None] * W)
+
+
+def dense_rel_effect(grid, indicator):
+    """Dense reference: V* diag(indicator) V with V the Hardy columns of W*."""
+    V = adjoint(dft_matrix(grid))[:, : grid.n // 2]
+    return adjoint(V) @ (indicator[:, None] * V)
+
+
+def band_indicator(n, start, length):
+    """Samples of the cells start .. start + length - 1, wrapped mod n."""
+    return ((np.arange(n) - start) % n < length).astype(float)
+
+
+# n/2 odd (10, 34) and even (16)
+SIZES = (10, 16, 34)
+
+
 def test_fft_is_unitary():
     grid = make_grid(32, 5.0)
     f = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     assert abs(np.linalg.norm(grid.fft(f)) - np.linalg.norm(f)) < 1e-12
     assert np.linalg.norm(grid.ifft(grid.fft(f)) - f) < 1e-12
-    W = grid.dft_matrix
+    W = dft_matrix(grid)
     assert opnorm(W @ adjoint(W) - np.eye(32)) < 1e-12
+
+
+def test_multiplier_matrix_matches_dense_reference():
+    for n in SIZES:
+        grid = make_grid(n, 3.0)
+        sym = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert opnorm(grid.multiplier_matrix(sym)
+                      - dense_multiplier(grid, sym)) < 1e-12
+        assert opnorm(HardyModel(grid).projection_matrix
+                      - dense_multiplier(grid, grid.xi >= 0)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from(SIZES), data=st.data())
+def test_rel_effect_matches_dense_reference(n, data):
+    start = data.draw(st.integers(0, n - 1), label="start")
+    length = data.draw(st.integers(1, n), label="length")
+    grid = make_grid(n, 5.0)
+    B = grid.region([(start * grid.h, (start + length) * grid.h)])
+    dense = dense_rel_effect(grid, band_indicator(n, start, length))
+    assert opnorm(rel_effect(HardyModel(grid), B) - dense) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from(SIZES), data=st.data())
+def test_aligned_partition_sums_to_identity(n, data):
+    cuts = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                    max_size=6), label="cuts"))
+    grid = make_grid(n, 5.0)
+    model = HardyModel(grid)
+    ends = cuts[1:] + [cuts[0] + n]
+    total = sum(rel_effect(model, grid.region([(a * grid.h, b * grid.h)]))
+                for a, b in zip(cuts, ends))
+    assert opnorm(total - np.eye(model.dim)) < 1e-12
 
 
 def test_multiplier_matrix_matches_apply():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from povmlab.operators import adjoint, opnorm
 from povmlab.weylnc import (SymbolRep, conjugation_residual, htau_norm,
                             indicator_Q, make_lattice, nc_covariance_residual,
-                            nc_effect, nc_integral, quantize,
+                            nc_effect, nc_integral, quantize, weyl_defect,
                             weyl_relation_residual)
 from povmlab.regions import equal_partition
 
@@ -16,11 +17,63 @@ def selfdual_lattice(m):
     return make_lattice(m, delta, -delta * (m // 2))
 
 
+# (m, delta, u_min / delta): not self-dual, u_min != -delta * m / 2, and
+# m/2 odd (10, 34) or even (16)
+SKEWED = {10: (0.7, -3), 16: (0.45, 2), 34: (0.3, -20)}
+
+
+def skewed_lattice(m):
+    delta, j0 = SKEWED[m]
+    return make_lattice(m, delta, j0 * delta)
+
+
+def dense_multiplier_Q(lat, values):
+    """Dense reference: Phi diag(values) Phi* with Phi[l, k] =
+    e^{i q_k u_l} / sqrt(m)."""
+    Phi = np.exp(1j * np.outer(lat.u, lat.q)) / np.sqrt(lat.m)
+    return (Phi * values) @ adjoint(Phi)
+
+
 def test_shift_is_unitary_and_matches_exp_q():
     lat = selfdual_lattice(16)
     S = lat.shift(2 * lat.delta)
     assert opnorm(S @ adjoint(S) - np.eye(16)) < 1e-12
     assert opnorm(S - lat.exp_Q(2 * lat.delta)) < 1e-12
+
+
+def test_spectral_multiplier_q_matches_dense_reference():
+    for m in SKEWED:
+        lat = skewed_lattice(m)
+        vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        assert opnorm(lat.spectral_multiplier_Q(vals)
+                      - dense_multiplier_Q(lat, vals)) < 1e-12
+        assert opnorm(lat.exp_Q(0.37)
+                      - dense_multiplier_Q(lat, np.exp(0.37j * lat.q))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.sampled_from(tuple(SKEWED)), data=st.data())
+def test_indicator_q_matches_dense_reference(m, data):
+    start = data.draw(st.integers(0, m - 1), label="start")
+    length = data.draw(st.integers(1, m), label="length")
+    lat = skewed_lattice(m)
+    q0, dq = lat.q[0], lat.dual_spacing
+    B = lat.q_region([(q0 + start * dq, q0 + (start + length) * dq)])
+    ind = ((np.arange(m) - start) % m < length).astype(float)
+    assert opnorm(indicator_Q(lat, B) - dense_multiplier_Q(lat, ind)) < 1e-12
+
+
+def test_weyl_defect_matches_dense_reference():
+    for m in SKEWED:
+        lat = skewed_lattice(m)
+        s = 0.37
+        Es = np.diag(np.exp(1j * s * lat.u))
+        on = 2 * lat.delta       # S(t) is the exact shift
+        off = 0.6 * lat.delta    # S(t) is e^{itQ}
+        for t, St in ((on, lat.shift(on)),
+                      (off, dense_multiplier_Q(lat, np.exp(1j * off * lat.q)))):
+            dense = Es @ St - np.exp(-1j * s * t) * St @ Es
+            assert opnorm(weyl_defect(lat, s, t) - dense) < 1e-12
 
 
 def test_shift_rejects_misaligned():
