@@ -26,7 +26,7 @@ from .modular import (GnsRep, ModularTriple, TraceWeight, build_gns,
 from .oscillator import (commutator_defect, covariance_residual, gibbs,
                          number_operator, phase_effect,
                          thermal_covariance_residual, toeplitz_arg,
-                         weyl_failure_check)
+                         weyl_failure_check, worst_thermal_covariance_residual)
 from .relativistic import (CircleGrid, HardyModel, boundary_isometry_check,
                            hardy_project, make_grid, poisson_apply,
                            poisson_kernel, poisson_kernel_error, rel_effect,

@@ -66,6 +66,10 @@ class SuiteConfig:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.d < 1:
             raise ValueError(f"d must be at least 1, got {self.d}")
+        for name in ("n", "m"):     # each is split into 4 aligned cells
+            size = getattr(self, name)
+            if size < 8 or size % 4:
+                raise ValueError(f"{name} must be a multiple of 4 and >= 8, got {size}")
         self.betas = tuple(float(b) for b in self.betas)
         if not all(0 <= b < np.inf for b in self.betas):
             raise ValueError(f"betas must be finite and >= 0, got {self.betas}")
@@ -255,12 +259,10 @@ def _suite_oscillator(c: _Cases):
             c.skip("osc.thermal", "Thm thermal-L", f"beta={beta} d={d}",
                    "conditioning guard beta*d <= 20")
             continue
-        worst = 0.0
-        for _ in range(5):
-            t = float(rng.uniform(-1.0, 1.0))
-            a = float(rng.uniform(-np.pi, np.pi))
-            B = RegionSet.circle([(a, a + 1.0)])
-            worst = max(worst, oscillator.thermal_covariance_residual(beta, d, t, B))
+        pairs = [(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-np.pi, np.pi)))
+                 for _ in range(5)]
+        worst = oscillator.worst_thermal_covariance_residual(
+            beta, d, [(t, RegionSet.circle([(a, a + 1.0)])) for t, a in pairs])
         c.add("osc.thermal", "Thm thermal-L", f"beta={beta} d={d}", worst, 1e-8)
 
     info = oscillator.commutator_defect(min(d, 32))

@@ -12,7 +12,8 @@ sigma_t(A) = Delta^{-it} A Delta^{it}, which on algebra elements is
 conjugation A -> T^{-it} A T^{it}.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -161,7 +162,30 @@ class ModularTriple:
     Delta: np.ndarray          # positive d^2 x d^2 matrix
     delta_spectrum: HermitianSpectrum
     min_delta_eigenvalue: float
-    closed_form_residuals: dict = field(default_factory=dict)
+
+    @cached_property
+    def closed_form_residuals(self) -> dict:
+        """Residuals of the closed forms Delta: X -> T X T^{-1} and
+        J: X -> X*, of J being an involution and of S(X Omega) = X* Omega,
+        the last two on 8 seeded random X.  Computed on first read."""
+        d = self.d
+        sqrtT = sqrtm_psd(self.T)
+        M_S = _conj_action(np.linalg.inv(sqrtT), sqrtT) @ commutation_matrix(d)
+        rng = np.random.default_rng(0)
+        worst_j = worst_s = 0.0
+        for _ in range(8):
+            X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            y = self.J_mat @ np.conj(vec(X))
+            worst_j = max(worst_j, float(np.linalg.norm(y - vec(adjoint(X)))))
+            s = M_S @ np.conj(vec(X @ sqrtT))
+            worst_s = max(worst_s, float(np.linalg.norm(s - vec(adjoint(X) @ sqrtT))))
+        return {
+            "delta_conjugation":
+                opnorm(self.Delta - _conj_action(self.T, np.linalg.inv(self.T))),
+            "j_adjoint": worst_j,
+            "j_involution": opnorm(self.J_mat @ np.conj(self.J_mat) - np.eye(d * d)),
+            "s_defining": worst_s,
+        }
 
     def apply_J(self, x) -> np.ndarray:
         return self.J_mat @ np.conj(np.asarray(x, dtype=complex))
@@ -192,9 +216,9 @@ def build_modular(T) -> ModularTriple:
     """Modular triple of the state tr(. T) for a positive invertible T.
 
     S is defined by S(X Omega) = X* Omega, i.e. Y -> T^{-1/2} Y* T^{1/2};
-    the antilinear polar decomposition then gives Delta and J, and the
-    closed forms Delta: X -> T X T^{-1}, J: X -> X* are verified and the
-    residuals recorded on the triple.
+    the antilinear polar decomposition then gives Delta and J.  The
+    triple's ``closed_form_residuals`` check them against the closed forms
+    Delta: X -> T X T^{-1}, J: X -> X* when first read.
     """
     T = require_square(T)
     d = T.shape[0]
@@ -216,29 +240,8 @@ def build_modular(T) -> ModularTriple:
     V = spec.eigenvectors
     inv_sqrt_Delta = (V / np.sqrt(spec.eigenvalues)) @ adjoint(V)
     M_J = M_S @ np.conj(inv_sqrt_Delta)
-
-    invT = np.linalg.inv(T)
-    residuals = {
-        "delta_conjugation": opnorm(Delta - _conj_action(T, invT)),
-        "j_adjoint": 0.0,
-        "j_involution": opnorm(M_J @ np.conj(M_J) - np.eye(d * d)),
-        "s_defining": 0.0,
-    }
-    rng = np.random.default_rng(0)
-    worst_j = 0.0
-    worst_s = 0.0
-    for _ in range(8):
-        X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        y = M_J @ np.conj(vec(X))
-        worst_j = max(worst_j, float(np.linalg.norm(y - vec(adjoint(X)))))
-        s = M_S @ np.conj(vec(X @ sqrtT))
-        worst_s = max(worst_s, float(np.linalg.norm(s - vec(adjoint(X) @ sqrtT))))
-    residuals["j_adjoint"] = worst_j
-    residuals["s_defining"] = worst_s
-
     return ModularTriple(T=T, d=d, J_mat=M_J, Delta=Delta,
-                         delta_spectrum=spec, min_delta_eigenvalue=dmin,
-                         closed_form_residuals=residuals)
+                         delta_spectrum=spec, min_delta_eigenvalue=dmin)
 
 
 def kms_residual(T, A, B) -> float:

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative tolerance used by every predicate unless the caller overrides it.
+# Default tolerance of the predicates: relative to max(1, ||A||) in
+# is_hermitian (so in herm_spectrum), absolute in is_effect's spectrum and
+# projection tests.
 DEFAULT_TOL = 1e-10
 # Tolerance for checks on operators built numerically (square roots, dilations,
 # densities), whose rounding error sits well above DEFAULT_TOL.
@@ -51,9 +53,21 @@ def adjoint(A) -> np.ndarray:
     return np.conj(np.asarray(A)).T
 
 
+def _maxcol(A) -> float:
+    """Largest column norm, a lower bound on the operator norm."""
+    return float(np.linalg.norm(A, axis=0).max(initial=0.0))
+
+
 def is_hermitian(A, tol: float = DEFAULT_TOL) -> bool:
+    """||A - A*|| <= tol * max(1, ||A||).  A pass is certified without an
+    SVD when ||A - A*||_F <= tol/2 * max(1, largest column norm of A), as
+    those bound the two operator norms from above and below; otherwise both
+    operator norms are computed by SVD."""
     A = require_square(A)
-    return opnorm(A - adjoint(A)) <= tol * max(1.0, opnorm(A))
+    D = A - adjoint(A)
+    if np.linalg.norm(D) <= 0.5 * tol * max(1.0, _maxcol(A)):
+        return True
+    return opnorm(D) <= tol * max(1.0, opnorm(A))
 
 
 @dataclass(frozen=True)
@@ -124,8 +138,11 @@ def funcalc(H, f) -> np.ndarray:
 def is_effect(A, tol: float = DEFAULT_TOL) -> str:
     """Classify A as not_effect / effect / projection.
 
-    Effect: Hermitian with spectrum in [-tol, 1+tol].  Projection:
-    additionally ||A^2 - A|| <= tol.
+    Effect: Hermitian (``is_hermitian``) with spectrum in [-tol, 1+tol].
+    Projection: additionally ||A^2 - A|| <= tol in the operator norm, which
+    is decided by its Frobenius norm (an upper bound) when that is at most
+    tol/2, by its largest column norm (a lower bound) when that exceeds
+    2*tol, and by an SVD only in between.
     """
     A = require_square(A)
     if not is_hermitian(A, tol):
@@ -133,9 +150,12 @@ def is_effect(A, tol: float = DEFAULT_TOL) -> str:
     lam = _sym_eigh(A)[0]
     if lam.min() < -tol or lam.max() > 1.0 + tol:
         return NOT_EFFECT
-    if opnorm(A @ A - A) <= tol:
+    R = A @ A - A
+    if np.linalg.norm(R) <= 0.5 * tol:
         return PROJECTION
-    return EFFECT
+    if _maxcol(R) > 2.0 * tol or opnorm(R) > tol:
+        return EFFECT
+    return PROJECTION
 
 
 def diag_conjugate(phase, A) -> np.ndarray:

@@ -117,17 +117,24 @@ def weyl_failure_check(d: int, s: float, t: float) -> float:
 
 def thermal_covariance_residual(beta: float, d: int, t: float,
                                 B: RegionSet) -> float:
-    """Residual of the thermal covariance of the phase POVM.
+    """Residual of the thermal covariance of the phase POVM at one sample
+    (see ``worst_thermal_covariance_residual``)."""
+    return worst_thermal_covariance_residual(beta, d, [(t, B)])
 
-    Builds the modular triple of gibbs(beta, d) and compares the flow of
-    E_B (acting on the carrier by left multiplication) against the rotated
-    arc effect.  With sigma_t = Delta^{-it} . Delta^{it} the exact rotation
-    is by -beta*t; that direction is frozen here (and by a regression
-    test), making the identity entrywise exact.
+
+def worst_thermal_covariance_residual(beta: float, d: int, samples) -> float:
+    """Largest residual of the thermal covariance of the phase POVM over
+    the (t, B) pairs in ``samples``.
+
+    Builds the modular triple of gibbs(beta, d) once and compares the flow
+    of E_B (acting on the carrier by left multiplication) against the
+    rotated arc effect.  With sigma_t = Delta^{-it} . Delta^{it} the exact
+    rotation is by -beta*t; that direction is frozen here (and by a
+    regression test), making the identity entrywise exact.
     """
     if beta * d > 20:
         raise ValueError("conditioning guard: beta*d must be <= 20")
     triple = build_modular(gibbs(beta, d))
-    flowed = triple.flow(t, left_mult(phase_effect(B, d)))
-    target = left_mult(phase_effect(B.rotate(-beta * t), d))
-    return opnorm(flowed - target)
+    return max(opnorm(triple.flow(t, left_mult(phase_effect(B, d)))
+                      - left_mult(phase_effect(B.rotate(-beta * t), d)))
+               for t, B in samples)

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from povmlab import oscillator
 from povmlab.cli import main
 from povmlab.harness import (REQUIRED_ANCHORS, SuiteConfig, convergence_study,
                              report_body, report_to_csv, run_suite)
@@ -45,6 +47,24 @@ def test_guard_violations_become_skips():
     skipped = [c for c in report["cases"] if c.get("skipped")]
     assert skipped
     assert all(c["pass"] for c in skipped)
+
+
+def test_oscillator_suite_builds_one_triple_per_executed_beta(monkeypatch):
+    built = []
+    real = oscillator.build_modular
+
+    def counting(T):
+        built.append(np.diag(T).real.copy())
+        return real(T)
+
+    monkeypatch.setattr(oscillator, "build_modular", counting)
+    report = run_suite(SuiteConfig(suite="oscillator", d=12,
+                                   betas=(0.5, 1.0, 2.0)))
+    thermal = [c for c in report["cases"] if c["case"] == "osc.thermal"]
+    assert [c.get("skipped") is None for c in thermal] == [True, True, False]
+    assert len(built) == 2
+    for diag, beta in zip(built, (0.5, 1.0)):
+        assert np.array_equal(diag, np.diag(oscillator.gibbs(beta, 12)).real)
 
 
 def test_csv_header_and_shape():
@@ -104,6 +124,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     (["verify", "oscillator", "--beta", "inf"], "betas"),
     (["verify", "oscillator", "--beta", "1", "-0.5"], "betas"),
     (["verify", "povm", "--seed", "-1"], "seed"),
+    (["verify", "relativistic", "--n", "10"], "n"),
+    (["verify", "relativistic", "--n", "4"], "n"),
+    (["verify", "weyl", "--m", "18"], "m"),
 ])
 def test_cli_rejects_bad_config_naming_the_field(argv, field, capsys):
     assert main(argv) == 2

@@ -86,6 +86,15 @@ def test_modular_closed_forms():
     assert triple.min_delta_eigenvalue > 0
 
 
+def test_closed_form_residuals_computed_on_first_read():
+    triple = build_modular(gibbs(1.0, 4))
+    assert "closed_form_residuals" not in vars(triple)
+    residuals = triple.closed_form_residuals
+    assert vars(triple)["closed_form_residuals"] is residuals
+    assert set(residuals) == {"delta_conjugation", "j_adjoint",
+                              "j_involution", "s_defining"}
+
+
 def test_flow_on_algebra_matches_carrier():
     T = gibbs(0.8, 4)
     triple = build_modular(T)

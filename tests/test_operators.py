@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from povmlab.operators import (EFFECT, NOT_EFFECT, PROJECTION, adjoint,
-                               funcalc, herm_spectrum, hs_inner, imag_power,
-                               is_effect, is_hermitian, opnorm, sqrtm_psd)
+from povmlab.operators import (DEFAULT_TOL, EFFECT, NOT_EFFECT, PROJECTION,
+                               adjoint, funcalc, herm_spectrum, hs_inner,
+                               imag_power, is_effect, is_hermitian, opnorm,
+                               sqrtm_psd)
 
 rng = np.random.default_rng(11)
 
@@ -72,3 +74,94 @@ def test_hs_inner_conjugate_symmetry():
     A, B = rand_c(5), rand_c(5)
     assert abs(hs_inner(A, B) - np.conj(hs_inner(B, A))) < 1e-12
     assert hs_inner(A, A).real > 0
+
+
+# --------------------------------------------------------------------------
+# is_hermitian and is_effect decide by Frobenius and column-norm bounds
+# where those settle the verdict; the SVD formulas below are the reference
+
+TOL_FACTORS = (0.1, 0.5, 0.9, 1.1, 2.0, 10.0)
+
+
+def _is_hermitian_ref(A, tol):
+    return opnorm(A - adjoint(A)) <= tol * max(1.0, opnorm(A))
+
+
+def _is_effect_ref(A, tol):
+    if not _is_hermitian_ref(A, tol):
+        return NOT_EFFECT
+    lam = np.linalg.eigh((A + adjoint(A)) / 2.0)[0]
+    if lam.min() < -tol or lam.max() > 1.0 + tol:
+        return NOT_EFFECT
+    return PROJECTION if opnorm(A @ A - A) <= tol else EFFECT
+
+
+def _assert_predicates_match_reference(A, tol):
+    assert is_hermitian(A, tol) == _is_hermitian_ref(A, tol)
+    assert is_effect(A, tol) == _is_effect_ref(A, tol)
+
+
+def _inward_shift(f, tol):
+    """s in [0, 1/2] with s - s^2 = f*tol: moving a 0 or 1 eigenvalue of a
+    projection inward by s gives |lam^2 - lam| = f*tol."""
+    return 2 * f * tol / (1 + np.sqrt(1 - 4 * f * tol))
+
+
+def _defect(shape, n, rng):
+    """Perturbation P with ||P - P*|| = 1."""
+    if shape == "dense":
+        X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return X / opnorm(X - adjoint(X))
+    if shape == "flat-rank-one" or n == 1:
+        # anti-Hermitian; every column norm is ||P|| / sqrt(n)
+        return 0.5j * np.ones((n, n)) / n
+    P = np.zeros((n, n), dtype=complex)
+    P[tuple(rng.choice(n, 2, replace=False))] = 1.0
+    return P
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       tol=st.sampled_from([1e-10, 1e-8]),
+       f_herm=st.sampled_from((0.0,) + TOL_FACTORS),
+       f_proj=st.sampled_from((0.0,) + TOL_FACTORS),
+       shape=st.sampled_from(["dense", "flat-rank-one", "entry"]),
+       standard_basis=st.booleans(), scale=st.sampled_from([1.0, 100.0]))
+def test_predicates_match_svd_reference(n, seed, tol, f_herm, f_proj, shape,
+                                        standard_basis, scale):
+    # H = scale * (a projection moved to projection defect f_proj * tol),
+    # plus a perturbation with Hermiticity defect f_herm * tol * max(1, ||H||)
+    rng = np.random.default_rng(seed)
+    lam = (np.arange(n) < rng.integers(0, n + 1)).astype(float)
+    moved = rng.permutation(n)[:rng.integers(1, n + 1)]
+    shift = _inward_shift(f_proj, tol)
+    lam[moved] = np.where(lam[moved] > 0.5, 1.0 - shift, shift)
+    if standard_basis:
+        V = np.eye(n)
+    else:
+        V = np.linalg.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))[0]
+    H = scale * (V * lam) @ adjoint(V)
+    A = H + f_herm * tol * max(1.0, opnorm(H)) * _defect(shape, n, rng)
+    _assert_predicates_match_reference(A, tol)
+    assert _is_hermitian_ref(A, tol) == (f_herm < 1)
+    if f_herm == 0 and scale == 1:
+        assert _is_effect_ref(A, tol) == (PROJECTION if f_proj < 1 else EFFECT)
+
+
+@pytest.mark.parametrize("f", TOL_FACTORS)
+@pytest.mark.parametrize("defect", ["hermitian", "projection"])
+@pytest.mark.parametrize("shape", ["flat-rank-one", "entry"])
+def test_predicates_on_adversarial_shapes(shape, defect, f):
+    # A = I_n plus a defect i*eps*11* (each column norm is its norm / sqrt(n))
+    # or a defect in a single entry (||A||_F = sqrt(n) ||A||)
+    n, tol = 40, DEFAULT_TOL
+    if defect == "hermitian":
+        A = np.eye(n) + f * tol * _defect(shape, n, np.random.default_rng(0))
+    else:
+        u = np.ones(n) / np.sqrt(n) if shape == "flat-rank-one" else np.eye(n)[0]
+        A = np.eye(n) - _inward_shift(f, tol) * np.outer(u, u)
+    _assert_predicates_match_reference(A, tol)
+    assert is_hermitian(A, tol) == (defect == "projection" or f < 1)
+    if defect == "projection":
+        assert is_effect(A, tol) == (PROJECTION if f < 1 else EFFECT)

@@ -5,7 +5,8 @@ from povmlab.operators import adjoint, opnorm
 from povmlab.oscillator import (commutator_defect, covariance_residual,
                                 gibbs, number_operator, phase_effect,
                                 thermal_covariance_residual, toeplitz_arg,
-                                weyl_failure_check)
+                                weyl_failure_check,
+                                worst_thermal_covariance_residual)
 from povmlab.regions import RegionSet, circle_full, equal_partition
 
 rng = np.random.default_rng(41)
@@ -86,6 +87,16 @@ def test_thermal_covariance():
             a = float(rng.uniform(-np.pi, np.pi))
             B = RegionSet.circle([(a, a + 1.0)])
             assert thermal_covariance_residual(beta, 12, t, B) < 1e-8
+
+
+def test_worst_thermal_residual_is_max_over_single_samples():
+    # one triple for all samples gives exactly the residuals of one triple each
+    draw = np.random.default_rng(5)
+    samples = [(float(t), RegionSet.circle([(a, a + 1.0)]))
+               for t, a in zip(draw.uniform(-1, 1, 4),
+                               draw.uniform(-np.pi, np.pi, 4))]
+    singles = [thermal_covariance_residual(0.7, 10, t, B) for t, B in samples]
+    assert worst_thermal_covariance_residual(0.7, 10, samples) == max(singles)
 
 
 def test_thermal_rotation_direction_frozen():
