@@ -14,8 +14,8 @@ convergence studies instead.
 """
 
 from .operators import (DEFAULT_TOL, EFFECT, NOT_EFFECT, PROJECTION, adjoint,
-                        funcalc, herm_spectrum, hs_inner, imag_power,
-                        is_effect, is_hermitian, opnorm, sqrtm_psd)
+                        funcalc, herm_spectrum, imag_power, is_effect,
+                        is_hermitian, opnorm, sqrtm_psd)
 from .regions import RegionSet, circle_full, equal_partition
 from .povm import (DiscretePOVM, MomentReport, NaimarkDilation, PovmReport,
                    contraction_moment_povm, naimark_dilate, povm_integrate,

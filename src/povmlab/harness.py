@@ -26,6 +26,16 @@ SCHEMA_VERSION = 1
 
 SUITES = ("povm", "gns-modular", "oscillator", "relativistic", "weyl", "all")
 
+# the SuiteConfig fields each suite reads beyond seed and tol, which every
+# suite reads; a field is validated only when a selected suite reads it
+_FIELDS_READ = {
+    "povm": {"d"},
+    "gns-modular": {"d"},
+    "oscillator": {"d", "betas"},
+    "relativistic": {"n"},
+    "weyl": {"m"},
+}
+
 # every theorem of the source material must be exercised by at least one
 # case; the harness fails its own self-check otherwise
 REQUIRED_ANCHORS = (
@@ -64,14 +74,16 @@ class SuiteConfig:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if self.seed is None or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.d < 1:
+        suites = _FIELDS_READ if self.suite == "all" else (self.suite,)
+        reads = set().union(*(_FIELDS_READ[s] for s in suites))
+        if "d" in reads and self.d < 1:
             raise ValueError(f"d must be at least 1, got {self.d}")
         for name in ("n", "m"):     # each is split into 4 aligned cells
             size = getattr(self, name)
-            if size < 8 or size % 4:
+            if name in reads and (size < 8 or size % 4):
                 raise ValueError(f"{name} must be a multiple of 4 and >= 8, got {size}")
         self.betas = tuple(float(b) for b in self.betas)
-        if not all(0 <= b < np.inf for b in self.betas):
+        if "betas" in reads and not all(0 <= b < np.inf for b in self.betas):
             raise ValueError(f"betas must be finite and >= 0, got {self.betas}")
         if self.tol is not None and not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
@@ -219,7 +231,7 @@ def _suite_gns_modular(c: _Cases):
           triple.closed_form_residuals["delta_conjugation"], 1e-8)
     c.add("modular.j.closed-form", "Lemma modular", f"d={triple.d}",
           triple.closed_form_residuals["j_adjoint"], 1e-8)
-    worst = max(modular.lemma_modular_residual(triple.T, _rand_complex(rng, triple.d))
+    worst = max(modular.lemma_modular_residual(triple, _rand_complex(rng, triple.d))
                 for _ in range(5))
     c.add("modular.lemma", "Lemma modular", f"d={triple.d}", worst, 1e-8)
 
@@ -451,6 +463,8 @@ def _covariance_interp_error(n: int) -> float:
     atom at the shifted boundary whose compressed norm stays near 1/4 at
     every resolution; only matrix elements against smooth vectors refine.
     """
+    if n % 4:       # the quarter-circle band must be aligned to the grid
+        raise ValueError(f"covariance-interp size must be a multiple of 4, got {n}")
     grid = relativistic.make_grid(n, 8 * np.pi)
     model = relativistic.HardyModel(grid)
     s = 2.5 * grid.h

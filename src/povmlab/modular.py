@@ -17,9 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import (DEFAULT_TOL, NUMERIC_TOL, HermitianSpectrum,
-                        _sym_eigh, adjoint, as_operator, herm_spectrum,
-                        imag_power, opnorm, require_square, sqrtm_psd)
+from .operators import (DEFAULT_TOL, NUMERIC_TOL, _sym_eigvalsh, adjoint,
+                        as_operator, herm_spectrum, imag_power, opnorm,
+                        require_square, sqrtm_psd)
 
 
 def vec(X) -> np.ndarray:
@@ -62,41 +62,13 @@ class TraceWeight:
 
     def __post_init__(self):
         self.W = require_square(self.W)
-        lam = _sym_eigh(self.W)[0]
+        lam = _sym_eigvalsh(self.W)
         if lam.min() < -1e-10 * max(1.0, lam.max()):
             raise ValueError(f"weight not positive (min eigenvalue {lam.min():.3e})")
-
-    def tau(self, A) -> complex:
-        return complex(np.trace(as_operator(A) @ self.W))
 
     def inner(self, A, B) -> complex:
         """<A, B>_tau = tr(B* A W)."""
         return complex(np.trace(adjoint(B) @ as_operator(A) @ self.W))
-
-    def axiom_report(self, samples) -> dict:
-        """Run the trace axioms on a sample set and report residuals.
-
-        The model is finite, so semifiniteness is vacuous and the
-        tracial axiom tau(A*A) = tau(AA*) holds only when the weight
-        commutes with the samples; the check is reported, never assumed.
-        """
-        lin = 0.0
-        tracial = 0.0
-        for A in samples:
-            A = as_operator(A)
-            lin = max(lin, abs(self.tau(2.5 * A) - 2.5 * self.tau(A)))
-            tracial = max(tracial,
-                          abs(self.tau(adjoint(A) @ A) - self.tau(A @ adjoint(A))))
-        B0 = adjoint(samples[0]) @ samples[0]
-        B1 = adjoint(samples[-1]) @ samples[-1]
-        add = abs(self.tau(B0 + B1) - self.tau(B0) - self.tau(B1))
-        return {
-            "scope": "finite-model check only",
-            "homogeneity_residual": lin,
-            "additivity_residual": add,
-            "tracial_residual": tracial,
-            "tracial_ok": tracial <= DEFAULT_TOL,
-        }
 
 
 # --------------------------------------------------------------------------
@@ -131,7 +103,7 @@ def build_gns(generators, T) -> GnsRep:
     d = T.shape[0]
     if abs(np.trace(T) - 1.0) > NUMERIC_TOL:
         raise ValueError(f"not unit trace: tr T = {np.trace(T)}")
-    lam = _sym_eigh(T)[0]
+    lam = _sym_eigvalsh(T)
     if lam.min() < -1e-10:
         raise ValueError(f"not positive: min eigenvalue {lam.min():.3e}")
     sqrtT = sqrtm_psd(T)
@@ -160,8 +132,7 @@ class ModularTriple:
     d: int
     J_mat: np.ndarray          # linear part of the antilinear J
     Delta: np.ndarray          # positive d^2 x d^2 matrix
-    delta_spectrum: HermitianSpectrum
-    min_delta_eigenvalue: float
+    delta_spectrum: tuple      # (eigenvalues, eigenvectors) of Delta
 
     @cached_property
     def closed_form_residuals(self) -> dict:
@@ -191,8 +162,7 @@ class ModularTriple:
         return self.J_mat @ np.conj(np.asarray(x, dtype=complex))
 
     def delta_power(self, p: complex) -> np.ndarray:
-        lam = self.delta_spectrum.eigenvalues
-        V = self.delta_spectrum.eigenvectors
+        lam, V = self.delta_spectrum
         return (V * np.exp(p * np.log(lam))) @ adjoint(V)
 
     def flow(self, t: float, A) -> np.ndarray:
@@ -222,7 +192,7 @@ def build_modular(T) -> ModularTriple:
     """
     T = require_square(T)
     d = T.shape[0]
-    lam = _sym_eigh(T)[0]
+    lam = _sym_eigvalsh(T)
     if lam.min() <= 0:
         raise ValueError(f"density not invertible (min eigenvalue {lam.min():.3e})")
     cond = float(lam.max() / lam.min())
@@ -235,13 +205,11 @@ def build_modular(T) -> ModularTriple:
     # S(Y) = T^{-1/2} (conj Y)^T T^{1/2}, linear in conj(Y)
     M_S = _conj_action(isqrtT, sqrtT) @ K
     Delta = M_S.T @ np.conj(M_S)
-    spec = herm_spectrum(Delta, NUMERIC_TOL)
-    dmin = float(spec.eigenvalues.min())
-    V = spec.eigenvectors
-    inv_sqrt_Delta = (V / np.sqrt(spec.eigenvalues)) @ adjoint(V)
+    lam_D, V = herm_spectrum(Delta, NUMERIC_TOL)
+    inv_sqrt_Delta = (V / np.sqrt(lam_D)) @ adjoint(V)
     M_J = M_S @ np.conj(inv_sqrt_Delta)
     return ModularTriple(T=T, d=d, J_mat=M_J, Delta=Delta,
-                         delta_spectrum=spec, min_delta_eigenvalue=dmin)
+                         delta_spectrum=(lam_D, V))
 
 
 def kms_residual(T, A, B) -> float:
@@ -250,7 +218,7 @@ def kms_residual(T, A, B) -> float:
     T = require_square(T)
     A = require_square(A)
     B = require_square(B)
-    lam = _sym_eigh(T)[0]
+    lam = _sym_eigvalsh(T)
     if lam.min() <= 0:
         raise ValueError("density must be invertible")
     lhs = np.trace(T @ A @ B)
@@ -266,7 +234,7 @@ def modtime_unitarity(weight: TraceWeight, T, ts, samples) -> dict:
     consecutive times.
     """
     T = require_square(T)
-    lam = _sym_eigh(T)[0]
+    lam = _sym_eigvalsh(T)
     if lam.min() <= 0:
         raise ValueError("positive operator required for imaginary powers")
 
@@ -289,9 +257,10 @@ def modtime_unitarity(weight: TraceWeight, T, ts, samples) -> dict:
             "unitary": worst <= DEFAULT_TOL}
 
 
-def lemma_modular_residual(T, A) -> float:
-    """|| J Delta^{1/2} (A T^{1/2}) - A* T^{1/2} || via the modular triple."""
-    triple = build_modular(T)
+def lemma_modular_residual(triple: ModularTriple, A) -> float:
+    """|| J Delta^{1/2} (A T^{1/2}) - A* T^{1/2} || for the density T of a
+    modular triple already built by ``build_modular``: the Lemma-modular
+    identity S = J Delta^{1/2} applied to A Omega."""
     sqrtT = sqrtm_psd(triple.T)
     x = vec(require_square(A) @ sqrtT)
     y = triple.apply_J(triple.delta_power(0.5) @ x)

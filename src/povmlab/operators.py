@@ -1,13 +1,10 @@
 """Dense complex-matrix foundation.
 
 Operators are plain numpy arrays of complex128.  This module provides the
-pieces everything else is built from: Hermitian eigendecomposition with a
-reconstruction guarantee, functional calculus f(H) = V f(lam) V*, the
-effect/projection classification, and the Hilbert-Schmidt inner product
-tr(B* A).
+pieces everything else is built from: Hermitian eigendecomposition,
+functional calculus f(H) = V f(lam) V*, and the effect/projection
+classification.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,44 +67,29 @@ def is_hermitian(A, tol: float = DEFAULT_TOL) -> bool:
     return opnorm(D) <= tol * max(1.0, opnorm(A))
 
 
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Eigendecomposition of a Hermitian operator.
-
-    ``eigenvalues`` are real ascending, columns of ``eigenvectors`` the
-    corresponding orthonormal eigenbasis.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ adjoint(V)
-
-    def projection(self, mask) -> np.ndarray:
-        """Spectral projection onto the eigenvalues selected by ``mask``."""
-        V = self.eigenvectors[:, np.asarray(mask, dtype=bool)]
-        return V @ adjoint(V)
-
-
-def herm_spectrum(H, tol: float = DEFAULT_TOL) -> HermitianSpectrum:
+def herm_spectrum(H, tol: float = DEFAULT_TOL):
     """Eigendecomposition of H, which must be Hermitian within tol.
 
-    H is symmetrised to (H + H*)/2 before decomposition so the result is
-    exactly real-spectral.
+    Returns the pair (eigenvalues, eigenvectors) as ``np.linalg.eigh``
+    does: real eigenvalues in ascending order, and the orthonormal
+    eigenbasis as the columns of the second.  H is symmetrised to
+    (H + H*)/2 before decomposition so the spectrum is exactly real.
     """
     H = require_square(H)
     if not is_hermitian(H, tol):
         raise ValueError("operator is not Hermitian within tolerance "
                          f"(defect {opnorm(H - adjoint(H)):.3e})")
-    lam, V = _sym_eigh(H)
-    return HermitianSpectrum(eigenvalues=lam, eigenvectors=V)
+    return _sym_eigh(H)
 
 
 def _sym_eigh(H):
     """eigh of (H + H*)/2, so the spectrum is exactly real."""
     return np.linalg.eigh((H + adjoint(H)) / 2.0)
+
+
+def _sym_eigvalsh(H):
+    """eigvalsh of (H + H*)/2: the spectrum alone, ascending."""
+    return np.linalg.eigvalsh((H + adjoint(H)) / 2.0)
 
 
 def funcalc(H, f) -> np.ndarray:
@@ -117,9 +99,9 @@ def funcalc(H, f) -> np.ndarray:
     (or an exception from ``f``) is reported as a domain error naming the
     offending eigenvalue.
     """
-    spec = herm_spectrum(H)
-    vals = np.empty(len(spec.eigenvalues), dtype=complex)
-    for i, lam in enumerate(spec.eigenvalues):
+    eigenvalues, V = herm_spectrum(H)
+    vals = np.empty(len(eigenvalues), dtype=complex)
+    for i, lam in enumerate(eigenvalues):
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 v = f(lam)
@@ -130,9 +112,7 @@ def funcalc(H, f) -> np.ndarray:
         if not (np.isfinite(v.real) and np.isfinite(v.imag)):
             raise ValueError(f"function undefined at eigenvalue {lam!r}")
         vals[i] = v
-    V = spec.eigenvectors
-    out = (V * vals) @ adjoint(V)
-    return out
+    return (V * vals) @ adjoint(V)
 
 
 def is_effect(A, tol: float = DEFAULT_TOL) -> str:
@@ -147,7 +127,7 @@ def is_effect(A, tol: float = DEFAULT_TOL) -> str:
     A = require_square(A)
     if not is_hermitian(A, tol):
         return NOT_EFFECT
-    lam = _sym_eigh(A)[0]
+    lam = _sym_eigvalsh(A)
     if lam.min() < -tol or lam.max() > 1.0 + tol:
         return NOT_EFFECT
     R = A @ A - A
@@ -191,37 +171,23 @@ def covariance_defect(phase, E, sampled, B, shift, h):
     return diag_conjugate(phase, E) - sampled(shifted), exact
 
 
-def hs_inner(A, B) -> complex:
-    """Hilbert-Schmidt inner product tr(B* A)."""
-    A = as_operator(A)
-    B = as_operator(B)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")
-    return complex(np.sum(np.conj(B) * A))
-
-
 def sqrtm_psd(A) -> np.ndarray:
     """Hermitian square root of a positive semidefinite operator.
 
     Eigenvalues in [-NUMERIC_TOL, 0) (relative) are clipped to zero;
     anything below is a genuine negativity and is rejected.
     """
-    spec = herm_spectrum(A, NUMERIC_TOL)
-    lam = spec.eigenvalues.copy()
+    lam, V = herm_spectrum(A, NUMERIC_TOL)
     scale = max(1.0, abs(lam).max())
     if lam.min() < -NUMERIC_TOL * scale:
         raise ValueError(f"operator not positive (min eigenvalue {lam.min():.3e})")
-    lam = np.clip(lam, 0.0, None)
-    V = spec.eigenvectors
-    return (V * np.sqrt(lam)) @ adjoint(V)
+    return (V * np.sqrt(np.clip(lam, 0.0, None))) @ adjoint(V)
 
 
 def imag_power(A, t: float) -> np.ndarray:
     """A^{it} for positive definite A, via the functional calculus."""
-    spec = herm_spectrum(A)
-    lam = spec.eigenvalues
+    lam, V = herm_spectrum(A)
     if lam.min() <= 0:
         raise ValueError("imaginary powers need a positive definite operator "
                          f"(min eigenvalue {lam.min():.3e})")
-    V = spec.eigenvectors
     return (V * np.exp(1j * t * np.log(lam))) @ adjoint(V)

@@ -11,11 +11,10 @@ dilation.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .operators import (DEFAULT_TOL, EFFECT, NUMERIC_TOL, PROJECTION,
-                        _sym_eigh, adjoint, as_operator, is_effect, opnorm,
-                        sqrtm_psd)
+                        _sym_eigh, _sym_eigvalsh, adjoint, as_operator,
+                        is_effect, opnorm, sqrtm_psd)
 from .regions import RegionSet, circle_full, equal_partition
 
 
@@ -77,7 +76,7 @@ def state_to_measure(p: DiscretePOVM, T) -> np.ndarray:
         raise ValueError("density has wrong shape")
     if abs(np.trace(T) - 1.0) > NUMERIC_TOL:
         raise ValueError(f"not unit trace: tr T = {np.trace(T)}")
-    lam = _sym_eigh(T)[0]
+    lam = _sym_eigvalsh(T)
     if lam.min() < -NUMERIC_TOL:
         raise ValueError(f"not positive: min eigenvalue {lam.min():.3e}")
     probs = np.array([np.trace(E @ T).real for E in p.effects])
@@ -193,6 +192,7 @@ def contraction_moment_povm(T, M: int, cells: int):
     DiscretePOVM together with a MomentReport; the unbinned moments are
     certified for n = 0..M-1.
     """
+    import scipy.linalg     # its only user; importing it costs most of a cold start
     T = as_operator(T)
     if T.shape[0] != T.shape[1]:
         raise ValueError("square contraction required")

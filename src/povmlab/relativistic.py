@@ -63,17 +63,6 @@ class CircleGrid:
         """W* diag(symbol) W for the unitary DFT W, as a circulant."""
         return circulant(np.fft.ifft(symbol_values))
 
-    def convolve(self, f, g) -> np.ndarray:
-        """Riemann-sum circular convolution h * circconv(f, g)."""
-        fh, gh = self.fft(f), self.fft(g)
-        return self.ifft(self.conv_constant * fh * gh)
-
-    @property
-    def conv_constant(self) -> float:
-        """Grid constant in the convolution theorem: hat(f*g) = c hat f hat g
-        with c = h sqrt(n) (the periodised analogue of sqrt(2 pi))."""
-        return self.h * np.sqrt(self.n)
-
     def region(self, cells) -> RegionSet:
         return RegionSet.line(cells, length=self.L)
 
@@ -133,10 +122,6 @@ class HardyModel:
         """Columns e^{i xi_k x_j} / sqrt(n), one per Hardy mode."""
         return (np.exp(1j * np.outer(self.grid.x, self.xi))
                 / np.sqrt(self.grid.n))
-
-    @cached_property
-    def projection_matrix(self) -> np.ndarray:
-        return self.grid.multiplier_matrix(self.grid.xi >= 0)
 
     def hardy_residual(self, f) -> float:
         return float(np.linalg.norm(hardy_project(self.grid, f) - f))
@@ -226,12 +211,3 @@ def tau_unitarity_residual(grid: CircleGrid, beta: float, t: float,
     lhs = np.trace(adjoint(UB) @ UA @ W)
     rhs = np.trace(adjoint(B) @ A @ W)
     return float(abs(lhs - rhs))
-
-
-def hardy_generator_agreement(model: HardyModel, t: float) -> float:
-    """|| (e^{it|D|} - e^{itD}) P_+ || - the proof step identifying |D|
-    with D on the Hardy range, at the discrete level."""
-    grid = model.grid
-    U_abs = grid.multiplier_matrix(np.exp(1j * t * np.abs(grid.xi)))
-    U_lin = grid.multiplier_matrix(np.exp(1j * t * grid.xi))
-    return opnorm((U_abs - U_lin) @ model.projection_matrix)

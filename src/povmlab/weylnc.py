@@ -28,8 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import (DEFAULT_TOL, circulant, covariance_defect,
-                        diag_conjugate, opnorm)
+from .operators import circulant, covariance_defect, diag_conjugate, opnorm
 from .regions import RegionSet
 
 
@@ -152,12 +151,6 @@ class SymbolRep:
     coeffs: dict = field(default_factory=dict)
     a0_pos: np.ndarray = None
     a0_neg: np.ndarray = None
-
-    def is_real(self) -> bool:
-        for (j, k), c in self.coeffs.items():
-            if abs(np.conj(self.coeffs.get((-j, -k), 0.0)) - c) > DEFAULT_TOL:
-                return False
-        return True
 
     def translated(self, lat: MellinLattice, t: float) -> "SymbolRep":
         """a_t(x, xi) = a(x + t, xi): coefficient twist e^{-i u_j t} and a

@@ -72,7 +72,7 @@ def test_criterion_03_modular_closed_forms():
         A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         worst = max(worst, float(np.linalg.norm(
             half @ vec(A @ sq) - vec(sq @ A))))
-        worst = max(worst, lemma_modular_residual(T, A))
+        worst = max(worst, lemma_modular_residual(triple, A))
     verdict(3, "modular closed forms (Delta, J, lemma)", worst <= 1e-8,
             f"residual {worst:.3e}")
 

@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import povmlab
 from povmlab.operators import EFFECT, NUMERIC_TOL, PROJECTION, adjoint, opnorm
 from povmlab.povm import (DiscretePOVM, contraction_moment_povm,
                           naimark_dilate, povm_integrate, povm_validate,
@@ -145,3 +150,13 @@ def test_pvm_check_matches_pair_loop():
     for p, tol, expected in cases:
         assert pair_loop_multiplicative(p, tol) is expected
         assert povm_validate(p, tol).multiplicative is expected
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg is most of a cold start; only the contraction POVM uses it
+    src = str(Path(povmlab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import povmlab; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
