@@ -26,15 +26,14 @@ from .modular import (GnsRep, ModularTriple, TraceWeight, build_gns,
 from .oscillator import (commutator_defect, covariance_residual, gibbs,
                          number_operator, phase_effect,
                          thermal_covariance_residual, toeplitz_arg,
-                         weyl_failure_check, worst_thermal_covariance_residual)
+                         weyl_failure_check)
 from .relativistic import (CircleGrid, HardyModel, boundary_isometry_check,
-                           hardy_project, make_grid, poisson_apply,
-                           poisson_kernel, poisson_kernel_error, rel_effect,
+                           hardy_project, poisson_apply, poisson_kernel,
+                           poisson_kernel_error, rel_effect,
                            rel_covariance_residual, tau_unitarity_residual)
 from .weylnc import (MellinLattice, SymbolRep, conjugation_residual,
-                     htau_norm, make_lattice, nc_covariance_residual,
-                     nc_effect, nc_integral, quantize,
-                     weyl_relation_residual)
+                     htau_norm, nc_covariance_residual, nc_effect,
+                     nc_integral, quantize, weyl_relation_residual)
 from .harness import SuiteConfig, convergence_study, run_suite
 
 __version__ = "0.1.0"

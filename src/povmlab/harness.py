@@ -27,7 +27,8 @@ SCHEMA_VERSION = 1
 SUITES = ("povm", "gns-modular", "oscillator", "relativistic", "weyl", "all")
 
 # the SuiteConfig fields each suite reads beyond seed and tol, which every
-# suite reads; a field is validated only when a selected suite reads it
+# suite reads; a field is validated and echoed into the report's config
+# only when a selected suite reads it
 _FIELDS_READ = {
     "povm": {"d"},
     "gns-modular": {"d"},
@@ -35,6 +36,12 @@ _FIELDS_READ = {
     "relativistic": {"n"},
     "weyl": {"m"},
 }
+
+
+def _fields_read(suite: str) -> set:
+    suites = _FIELDS_READ if suite == "all" else (suite,)
+    return set().union({"seed", "tol"}, *(_FIELDS_READ[s] for s in suites))
+
 
 # every theorem of the source material must be exercised by at least one
 # case; the harness fails its own self-check otherwise
@@ -74,8 +81,7 @@ class SuiteConfig:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if self.seed is None or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        suites = _FIELDS_READ if self.suite == "all" else (self.suite,)
-        reads = set().union(*(_FIELDS_READ[s] for s in suites))
+        reads = _fields_read(self.suite)
         if "d" in reads and self.d < 1:
             raise ValueError(f"d must be at least 1, got {self.d}")
         for name in ("n", "m"):     # each is split into 4 aligned cells
@@ -273,7 +279,7 @@ def _suite_oscillator(c: _Cases):
             continue
         pairs = [(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-np.pi, np.pi)))
                  for _ in range(5)]
-        worst = oscillator.worst_thermal_covariance_residual(
+        worst = oscillator.thermal_covariance_residual(
             beta, d, [(t, RegionSet.circle([(a, a + 1.0)])) for t, a in pairs])
         c.add("osc.thermal", "Thm thermal-L", f"beta={beta} d={d}", worst, 1e-8)
 
@@ -293,7 +299,7 @@ def _suite_relativistic(c: _Cases):
     cfg = c.cfg
     rng = np.random.default_rng(cfg.seed + 3)
     n = cfg.n
-    grid = relativistic.make_grid(n, 2 * np.pi * 4)
+    grid = relativistic.CircleGrid(n, 2 * np.pi * 4)
     model = relativistic.HardyModel(grid)
 
     parts = equal_partition(RegionSet.line([], length=grid.L), 4)
@@ -340,7 +346,7 @@ def _suite_weyl(c: _Cases):
     rng = np.random.default_rng(cfg.seed + 4)
     m = cfg.m
     delta = float(np.sqrt(2 * np.pi / m))   # self-dual spacing: delta*Z = dual grid
-    lat = weylnc.make_lattice(m, delta, -delta * (m // 2))
+    lat = weylnc.MellinLattice(m, delta, -delta * (m // 2))
 
     c.add("weyl.relation.exact", "eq:weyl", f"m={m} s=dual t=delta",
           weylnc.weyl_relation_residual(lat, lat.dual_spacing, lat.delta), 1e-12)
@@ -418,8 +424,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "suite": cfg.suite,
-        "config": {"d": cfg.d, "n": cfg.n, "m": cfg.m,
-                   "betas": list(cfg.betas), "seed": cfg.seed, "tol": cfg.tol},
+        "config": {k: getattr(cfg, k) for k in sorted(_fields_read(cfg.suite))},
         "cases": cases.records,
         "summary": {"total": len(cases.records), "failed": failed},
         "meta": {
@@ -465,7 +470,7 @@ def _covariance_interp_error(n: int) -> float:
     """
     if n % 4:       # the quarter-circle band must be aligned to the grid
         raise ValueError(f"covariance-interp size must be a multiple of 4, got {n}")
-    grid = relativistic.make_grid(n, 8 * np.pi)
+    grid = relativistic.CircleGrid(n, 8 * np.pi)
     model = relativistic.HardyModel(grid)
     s = 2.5 * grid.h
     B = grid.region([(0.0, grid.L / 4)])
@@ -482,7 +487,7 @@ def _weyl_wrap_error(m: int) -> float:
     """Wrap-around defect of the Weyl relation at a generic s, measured on
     a normalized Gaussian localized away from the lattice seam."""
     delta = float(np.sqrt(2 * np.pi / m))
-    lat = weylnc.make_lattice(m, delta, -delta * (m // 2))
+    lat = weylnc.MellinLattice(m, delta, -delta * (m // 2))
     defect = weylnc.weyl_defect(lat, 0.37, lat.delta)
     g = np.exp(-lat.u ** 2 / 8.0)
     g /= np.linalg.norm(g)

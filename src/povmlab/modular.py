@@ -30,15 +30,6 @@ def unvec(x, d: int) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape(d, d)
 
 
-def commutation_matrix(d: int) -> np.ndarray:
-    """K with K vec(X) = vec(X^T) for row-major vec."""
-    K = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            K[i * d + j, j * d + i] = 1.0
-    return K
-
-
 def left_mult(A) -> np.ndarray:
     """pi(A): X -> A X on the carrier."""
     A = require_square(A)
@@ -126,10 +117,14 @@ def build_gns(generators, T) -> GnsRep:
 @dataclass
 class ModularTriple:
     """S = J Delta^{1/2} on the Hilbert-Schmidt carrier of a positive
-    invertible density T, with Omega = T^{1/2}."""
+    invertible density T, with Omega = T^{1/2}.  ``S_mat`` is the linear
+    part of S that ``build_modular`` decomposed; every check reads it and
+    ``omega`` rather than recomputing them."""
 
     T: np.ndarray
     d: int
+    omega: np.ndarray          # Omega = T^{1/2}
+    S_mat: np.ndarray          # linear part of the antilinear S
     J_mat: np.ndarray          # linear part of the antilinear J
     Delta: np.ndarray          # positive d^2 x d^2 matrix
     delta_spectrum: tuple      # (eigenvalues, eigenvectors) of Delta
@@ -140,16 +135,14 @@ class ModularTriple:
         J: X -> X*, of J being an involution and of S(X Omega) = X* Omega,
         the last two on 8 seeded random X.  Computed on first read."""
         d = self.d
-        sqrtT = sqrtm_psd(self.T)
-        M_S = _conj_action(np.linalg.inv(sqrtT), sqrtT) @ commutation_matrix(d)
         rng = np.random.default_rng(0)
         worst_j = worst_s = 0.0
         for _ in range(8):
             X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             y = self.J_mat @ np.conj(vec(X))
             worst_j = max(worst_j, float(np.linalg.norm(y - vec(adjoint(X)))))
-            s = M_S @ np.conj(vec(X @ sqrtT))
-            worst_s = max(worst_s, float(np.linalg.norm(s - vec(adjoint(X) @ sqrtT))))
+            s = self.S_mat @ np.conj(vec(X @ self.omega)) - vec(adjoint(X) @ self.omega)
+            worst_s = max(worst_s, float(np.linalg.norm(s)))
         return {
             "delta_conjugation":
                 opnorm(self.Delta - _conj_action(self.T, np.linalg.inv(self.T))),
@@ -200,16 +193,16 @@ def build_modular(T) -> ModularTriple:
         raise ValueError(f"density too ill-conditioned: cond(T) = {cond:.3e} "
                          "> 1.0e+12; reduce beta*d")
     sqrtT = sqrtm_psd(T)
-    isqrtT = np.linalg.inv(sqrtT)
-    K = commutation_matrix(d)
-    # S(Y) = T^{-1/2} (conj Y)^T T^{1/2}, linear in conj(Y)
-    M_S = _conj_action(isqrtT, sqrtT) @ K
+    # S(Y) = T^{-1/2} (conj Y)^T T^{1/2}, linear in conj(Y); the transpose
+    # Y -> Y^T permutes the columns of X -> T^{-1/2} X T^{1/2}
+    C = _conj_action(np.linalg.inv(sqrtT), sqrtT)
+    M_S = C.reshape(d * d, d, d).transpose(0, 2, 1).reshape(d * d, d * d)
     Delta = M_S.T @ np.conj(M_S)
     lam_D, V = herm_spectrum(Delta, NUMERIC_TOL)
     inv_sqrt_Delta = (V / np.sqrt(lam_D)) @ adjoint(V)
     M_J = M_S @ np.conj(inv_sqrt_Delta)
-    return ModularTriple(T=T, d=d, J_mat=M_J, Delta=Delta,
-                         delta_spectrum=(lam_D, V))
+    return ModularTriple(T=T, d=d, omega=sqrtT, S_mat=M_S, J_mat=M_J,
+                         Delta=Delta, delta_spectrum=(lam_D, V))
 
 
 def kms_residual(T, A, B) -> float:
@@ -258,11 +251,10 @@ def modtime_unitarity(weight: TraceWeight, T, ts, samples) -> dict:
 
 
 def lemma_modular_residual(triple: ModularTriple, A) -> float:
-    """|| J Delta^{1/2} (A T^{1/2}) - A* T^{1/2} || for the density T of a
-    modular triple already built by ``build_modular``: the Lemma-modular
-    identity S = J Delta^{1/2} applied to A Omega."""
-    sqrtT = sqrtm_psd(triple.T)
-    x = vec(require_square(A) @ sqrtT)
+    """|| J Delta^{1/2} (A Omega) - A* Omega ||: the Lemma-modular identity
+    S = J Delta^{1/2} applied to A Omega, with J, Delta and Omega = T^{1/2}
+    read from a triple already built by ``build_modular``."""
+    x = vec(require_square(A) @ triple.omega)
     y = triple.apply_J(triple.delta_power(0.5) @ x)
-    target = vec(adjoint(A) @ sqrtT)
+    target = vec(adjoint(A) @ triple.omega)
     return opnorm(unvec(y - target, triple.d))

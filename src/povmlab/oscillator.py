@@ -59,7 +59,7 @@ def phase_effect(B: RegionSet, d: int) -> np.ndarray:
 def covariance_residual(d: int, t: float, B: RegionSet) -> float:
     """|| e^{-itN} E_B e^{itN} - E_{rot_t B} ||, both sides in closed form."""
     conj = diag_conjugate(np.exp(-1j * t * np.arange(d)), phase_effect(B, d))
-    return opnorm(conj - phase_effect(B.rotate(t), d))
+    return opnorm(conj - phase_effect(B.shifted(t), d))
 
 
 def toeplitz_arg(d: int) -> np.ndarray:
@@ -90,7 +90,8 @@ def commutator_defect(d: int) -> dict:
     s = np.linalg.svd(C, compute_uv=False)
     v = ((-1.0) ** np.arange(d)).astype(complex)
     v_hat = v / np.linalg.norm(v)
-    # range alignment: C v_hat should be i*d^{1/2}... i v (v* v_hat)
+    # C = i v v* maps v_hat onto a multiple of v_hat; alignment is the
+    # cosine between v_hat and C v_hat, 1 up to rounding
     u = C @ v_hat
     alignment = abs(np.vdot(v_hat, u)) / max(np.linalg.norm(u), 1e-300)
     # test vector orthogonal to the alternating vector
@@ -98,7 +99,7 @@ def commutator_defect(d: int) -> dict:
     h[0] = h[1] = 1 / np.sqrt(2)
     ortho_residual = float(np.linalg.norm((N @ F - F @ N) @ h + 1j * h))
     return {
-        "rank_one_ratio": float(s[1] / s[0]) if d > 1 else 0.0,
+        "rank_one_ratio": float(s[1] / s[0]),
         "top_singular_value": float(s[0]),
         "alternating_alignment": float(alignment),
         "orthogonal_commutator_residual": ortho_residual,
@@ -115,16 +116,10 @@ def weyl_failure_check(d: int, s: float, t: float) -> float:
     return opnorm(Es @ Et - np.exp(-1j * s * t) * Et @ Es)
 
 
-def thermal_covariance_residual(beta: float, d: int, t: float,
-                                B: RegionSet) -> float:
-    """Residual of the thermal covariance of the phase POVM at one sample
-    (see ``worst_thermal_covariance_residual``)."""
-    return worst_thermal_covariance_residual(beta, d, [(t, B)])
-
-
-def worst_thermal_covariance_residual(beta: float, d: int, samples) -> float:
+def thermal_covariance_residual(beta: float, d: int, samples) -> float:
     """Largest residual of the thermal covariance of the phase POVM over
-    the (t, B) pairs in ``samples``.
+    the (t, B) pairs in ``samples``: the Connes-Rovelli thermal time as a
+    POVM covariant under the modular flow of gibbs(beta, d).
 
     Builds the modular triple of gibbs(beta, d) once and compares the flow
     of E_B (acting on the carrier by left multiplication) against the
@@ -136,5 +131,5 @@ def worst_thermal_covariance_residual(beta: float, d: int, samples) -> float:
         raise ValueError("conditioning guard: beta*d must be <= 20")
     triple = build_modular(gibbs(beta, d))
     return max(opnorm(triple.flow(t, left_mult(phase_effect(B, d)))
-                      - left_mult(phase_effect(B.rotate(-beta * t), d)))
+                      - left_mult(phase_effect(B.shifted(-beta * t), d)))
                for t, B in samples)

@@ -83,18 +83,13 @@ def state_to_measure(p: DiscretePOVM, T) -> np.ndarray:
     return probs
 
 
-def cell_representative(region: RegionSet) -> float:
-    """Representative point of a partition cell: midpoint of its first
-    normalized interval."""
-    a, b = region.cells[0]
-    return 0.5 * (a + b)
-
-
 def povm_integrate(p: DiscretePOVM, f) -> np.ndarray:
-    """Bounded functional calculus Psi(f) = sum_i f(mid_i) E_i."""
+    """Bounded functional calculus Psi(f) = sum_i f(mid_i) E_i, where mid_i
+    is the midpoint of the first normalized interval of cell i."""
     out = np.zeros((p.dim, p.dim), dtype=complex)
     for region, E in zip(p.regions, p.effects):
-        out += complex(f(cell_representative(region))) * E
+        a, b = region.cells[0]
+        out += complex(f(0.5 * (a + b))) * E
     return out
 
 

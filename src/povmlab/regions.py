@@ -86,11 +86,6 @@ class RegionSet:
                          cells=tuple((a + t, b + t) for a, b in self.cells),
                          base=self.base)
 
-    # the rotation e^{it}B on the circle and the translation B + t on the
-    # line are the same endpoint action
-    rotate = shifted
-    translate = shifted
-
     def contains(self, x: float) -> bool:
         lo = self.base
         x = lo + math.fmod(x - lo, self.period)

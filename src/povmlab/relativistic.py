@@ -67,10 +67,6 @@ class CircleGrid:
         return RegionSet.line(cells, length=self.L)
 
 
-def make_grid(n: int, L: float) -> CircleGrid:
-    return CircleGrid(n=n, L=L)
-
-
 def hardy_project(grid: CircleGrid, g) -> np.ndarray:
     """Zero out the negative-frequency coefficients (zero mode kept)."""
     gh = grid.fft(g)
@@ -95,7 +91,7 @@ def poisson_kernel(grid: CircleGrid, y: float) -> np.ndarray:
 
 def poisson_kernel_error(n: int, L: float, y: float = 1.0) -> float:
     """|p(0; y) - 1/(pi y)| on an (n, L) grid."""
-    grid = make_grid(n, L)
+    grid = CircleGrid(n, L)
     return float(abs(poisson_kernel(grid, y)[0] - 1.0 / (np.pi * y)))
 
 
@@ -123,9 +119,6 @@ class HardyModel:
         return (np.exp(1j * np.outer(self.grid.x, self.xi))
                 / np.sqrt(self.grid.n))
 
-    def hardy_residual(self, f) -> float:
-        return float(np.linalg.norm(hardy_project(self.grid, f) - f))
-
 
 def boundary_isometry_check(model: HardyModel, f, ys) -> dict:
     """Boundary behaviour of the harmonic extension F(x + iy) = P(y)f(x).
@@ -135,7 +128,7 @@ def boundary_isometry_check(model: HardyModel, f, ys) -> dict:
     verifies the boundary isometry ||F|| = ||f|| at y = 0.
     """
     f = np.asarray(f, dtype=complex)
-    res = model.hardy_residual(f)
+    res = float(np.linalg.norm(hardy_project(model.grid, f) - f))
     if res > NUMERIC_TOL * max(1.0, float(np.linalg.norm(f))):
         raise ValueError(f"input is not in the Hardy range (residual {res:.3e})")
     ys = sorted(float(y) for y in ys)

@@ -116,10 +116,6 @@ class MellinLattice:
                               base=-np.pi / self.delta)
 
 
-def make_lattice(m: int, delta: float, u_min: float) -> MellinLattice:
-    return MellinLattice(m=m, delta=delta, u_min=u_min)
-
-
 def weyl_defect(lat: MellinLattice, s: float, t: float) -> np.ndarray:
     """e^{isP} S(t) - e^{-ist} S(t) e^{isP}, with S(t) the exact shift for
     t in delta*Z and e^{itQ} otherwise."""

@@ -17,12 +17,12 @@ from povmlab.oscillator import (commutator_defect, covariance_residual, gibbs,
 from povmlab.povm import (DiscretePOVM, contraction_moment_povm,
                           naimark_dilate, povm_validate, random_povm)
 from povmlab.regions import RegionSet, circle_full, equal_partition
-from povmlab.relativistic import (HardyModel, boundary_isometry_check,
-                                  make_grid, poisson_kernel_error,
+from povmlab.relativistic import (CircleGrid, HardyModel,
+                                  boundary_isometry_check, poisson_kernel_error,
                                   rel_covariance_residual, rel_effect,
                                   tau_unitarity_residual)
-from povmlab.weylnc import (SymbolRep, conjugation_residual, htau_norm,
-                            make_lattice, nc_covariance_residual, nc_effect,
+from povmlab.weylnc import (MellinLattice, SymbolRep, conjugation_residual,
+                            htau_norm, nc_covariance_residual, nc_effect,
                             nc_integral, weyl_relation_residual)
 from povmlab.harness import SuiteConfig, report_body, run_suite
 
@@ -56,7 +56,7 @@ def test_criterion_02_thermal_covariance():
             t = float(rng.uniform(-1.0, 1.0))
             a = float(rng.uniform(-np.pi, np.pi))
             B = RegionSet.circle([(a, a + float(rng.uniform(0.3, 1.5)))])
-            worst = max(worst, thermal_covariance_residual(beta, 12, t, B))
+            worst = max(worst, thermal_covariance_residual(beta, 12, [(t, B)]))
     verdict(2, "thermal covariance beta in {0.5,1} d=12", worst <= 1e-8,
             f"residual {worst:.3e}")
 
@@ -167,7 +167,7 @@ def test_criterion_08_contraction_moments():
 
 def test_criterion_09_relativistic():
     rng = np.random.default_rng(109)
-    grid = make_grid(256, 8 * np.pi)
+    grid = CircleGrid(256, 8 * np.pi)
     model = HardyModel(grid)
     B = grid.region([(0.0, grid.L / 4)])
     cov = rel_covariance_residual(model, 1.0, 8 * grid.h, B)["residual"]
@@ -201,7 +201,7 @@ def test_criterion_10_weyl_mellin():
     rng = np.random.default_rng(110)
     m = 64
     delta = float(np.sqrt(2 * np.pi / m))
-    lat = make_lattice(m, delta, -delta * (m // 2))
+    lat = MellinLattice(m, delta, -delta * (m // 2))
     weyl = weyl_relation_residual(lat, lat.dual_spacing, lat.delta)
     coeffs = {}
     a0 = np.zeros(m)

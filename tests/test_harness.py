@@ -154,6 +154,22 @@ def test_cli_ignores_fields_the_suite_does_not_read(argv, tmp_path):
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_cli_report_config_lists_only_fields_read(beta, tmp_path):
+    # a field the suite never reads is neither validated nor echoed, so a
+    # non-finite beta cannot leave NaN or Infinity in the report
+    out = tmp_path / "report.json"
+    assert main(["verify", "povm", "--beta", beta, "--out", str(out)]) == 0
+    data = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert set(data["config"]) == {"d", "seed", "tol"}
+    full = run_suite(SuiteConfig(suite="all"))["config"]
+    assert set(full) == {"d", "n", "m", "betas", "seed", "tol"}
+
+
 def test_cli_study_rejects_a_grid_below_eight_points(capsys):
     assert main(["study", "poisson-kernel", "--sizes", "6"]) == 2
     captured = capsys.readouterr()
@@ -182,9 +198,6 @@ def test_weyl_suite_passes_where_the_seam_point_rounds_below_base():
 
 # Functions that no verify or study run reaches, each kept for a reason.
 UNREACHED = {
-    # perfbench/layers.py traces it by name; the harness calls the
-    # many-sample form worst_thermal_covariance_residual
-    "oscillator.thermal_covariance_residual",
     # the length of a region, through which tests check the cell arithmetic
     "regions.RegionSet.measure",
     # the generic-t branch of weyl_defect; every run shifts by delta*Z

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from povmlab import modular
 from povmlab.modular import (TraceWeight, build_gns, build_modular,
-                             commutation_matrix, kms_residual, left_mult,
-                             lemma_modular_residual, modtime_unitarity,
-                             unvec, vec)
+                             kms_residual, left_mult, lemma_modular_residual,
+                             modtime_unitarity, unvec, vec)
 from povmlab.operators import adjoint, imag_power, opnorm, sqrtm_psd
 from povmlab.oscillator import gibbs
 
@@ -19,12 +19,6 @@ def test_vec_roundtrip_and_left_mult():
     A, X = rand_c(4), rand_c(4)
     assert opnorm(unvec(vec(X), 4) - X) < 1e-15
     assert np.linalg.norm(left_mult(A) @ vec(X) - vec(A @ X)) < 1e-12
-
-
-def test_commutation_matrix_transposes():
-    X = rand_c(3)
-    K = commutation_matrix(3)
-    assert np.linalg.norm(K @ vec(X) - vec(X.T)) < 1e-15
 
 
 def test_trace_weight_rejects_nonpositive():
@@ -104,6 +98,39 @@ def test_lemma_modular_residual():
     triple = build_modular(gibbs(1.0, 4))
     for _ in range(5):
         assert lemma_modular_residual(triple, rand_c(4)) < 1e-8
+
+
+def test_modular_data_is_computed_once(monkeypatch):
+    # S and Omega = T^{1/2} are stored by build_modular; reading the closed
+    # forms and running the lemma check must not take a square root again
+    calls = []
+    counted = modular.sqrtm_psd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(modular, "sqrtm_psd", counting)
+    triple = build_modular(gibbs(1.0, 4))
+    built = len(calls)
+    assert triple.closed_form_residuals["s_defining"] < 1e-8
+    for _ in range(5):
+        assert lemma_modular_residual(triple, rand_c(4)) < 1e-8
+    assert len(calls) == built
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_s_matrix_matches_dense_commutation_product(d):
+    # the column permutation in build_modular equals the product with the
+    # dense 0/1 matrix K, K vec(X) = vec(X^T), bit for bit
+    T = gibbs(0.9, d)
+    sq = sqrtm_psd(T)
+    K = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            K[i * d + j, j * d + i] = 1.0
+    dense = np.kron(np.linalg.inv(sq), sq.T) @ K
+    assert np.array_equal(build_modular(T).S_mat, dense)
 
 
 def test_kms_residual_gibbs_and_tracial():

@@ -5,8 +5,7 @@ from povmlab.operators import adjoint, opnorm
 from povmlab.oscillator import (commutator_defect, covariance_residual,
                                 gibbs, number_operator, phase_effect,
                                 thermal_covariance_residual, toeplitz_arg,
-                                weyl_failure_check,
-                                worst_thermal_covariance_residual)
+                                weyl_failure_check)
 from povmlab.regions import RegionSet, circle_full, equal_partition
 
 rng = np.random.default_rng(41)
@@ -86,7 +85,7 @@ def test_thermal_covariance():
             t = float(rng.uniform(-1, 1))
             a = float(rng.uniform(-np.pi, np.pi))
             B = RegionSet.circle([(a, a + 1.0)])
-            assert thermal_covariance_residual(beta, 12, t, B) < 1e-8
+            assert thermal_covariance_residual(beta, 12, [(t, B)]) < 1e-8
 
 
 def test_worst_thermal_residual_is_max_over_single_samples():
@@ -95,8 +94,8 @@ def test_worst_thermal_residual_is_max_over_single_samples():
     samples = [(float(t), RegionSet.circle([(a, a + 1.0)]))
                for t, a in zip(draw.uniform(-1, 1, 4),
                                draw.uniform(-np.pi, np.pi, 4))]
-    singles = [thermal_covariance_residual(0.7, 10, t, B) for t, B in samples]
-    assert worst_thermal_covariance_residual(0.7, 10, samples) == max(singles)
+    singles = [thermal_covariance_residual(0.7, 10, [s]) for s in samples]
+    assert thermal_covariance_residual(0.7, 10, samples) == max(singles)
 
 
 def test_thermal_rotation_direction_frozen():
@@ -107,12 +106,12 @@ def test_thermal_rotation_direction_frozen():
     B = RegionSet.circle([(0.2, 1.2)])
     triple = build_modular(gibbs(beta, d))
     flowed = triple.flow(t, left_mult(phase_effect(B, d)))
-    good = left_mult(phase_effect(B.rotate(-beta * t), d))
-    bad = left_mult(phase_effect(B.rotate(beta * t), d))
+    good = left_mult(phase_effect(B.shifted(-beta * t), d))
+    bad = left_mult(phase_effect(B.shifted(beta * t), d))
     assert opnorm(flowed - good) < 1e-8
     assert opnorm(flowed - bad) > 1e-2
 
 
 def test_thermal_guard():
     with pytest.raises(ValueError):
-        thermal_covariance_residual(2.0, 16, 0.5, RegionSet.circle([(0.0, 1.0)]))
+        thermal_covariance_residual(2.0, 16, [(0.5, RegionSet.circle([(0.0, 1.0)]))])

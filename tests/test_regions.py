@@ -24,12 +24,12 @@ def test_full_domain_shortcut():
 def test_shift_preserves_measure():
     B = RegionSet.circle([(-1.0, 0.5), (1.0, 2.0)])
     for t in (0.3, -2.7, 5.0):
-        assert abs(B.rotate(t).measure - B.measure) < 1e-12
+        assert abs(B.shifted(t).measure - B.measure) < 1e-12
 
 
 def test_rotation_moves_points():
     B = RegionSet.circle([(0.0, 1.0)])
-    C = B.rotate(0.5)
+    C = B.shifted(0.5)
     assert C.contains(1.2)
     assert not C.contains(0.2)
 
@@ -57,4 +57,4 @@ def test_is_aligned():
 def test_line_base_offset():
     B = RegionSet.line([(-2.0, -1.0)], length=8.0, base=-4.0)
     assert B.cells == ((-2.0, -1.0),)
-    assert B.translate(8.0).cells == ((-2.0, -1.0),)
+    assert B.shifted(8.0).cells == ((-2.0, -1.0),)

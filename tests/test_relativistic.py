@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from povmlab.operators import EFFECT, PROJECTION, adjoint, is_effect, opnorm
-from povmlab.relativistic import (HardyModel, boundary_isometry_check,
-                                  hardy_project, make_grid, poisson_apply,
-                                  poisson_kernel, poisson_kernel_error,
+from povmlab.relativistic import (CircleGrid, HardyModel,
+                                  boundary_isometry_check, hardy_project,
+                                  poisson_apply, poisson_kernel,
+                                  poisson_kernel_error,
                                   rel_covariance_residual, rel_effect,
                                   tau_unitarity_residual)
 
@@ -39,7 +40,7 @@ SIZES = (10, 16, 34)
 
 
 def test_fft_is_unitary():
-    grid = make_grid(32, 5.0)
+    grid = CircleGrid(32, 5.0)
     f = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     assert abs(np.linalg.norm(grid.fft(f)) - np.linalg.norm(f)) < 1e-12
     assert np.linalg.norm(grid.ifft(grid.fft(f)) - f) < 1e-12
@@ -49,7 +50,7 @@ def test_fft_is_unitary():
 
 def test_multiplier_matrix_matches_dense_reference():
     for n in SIZES:
-        grid = make_grid(n, 3.0)
+        grid = CircleGrid(n, 3.0)
         sym = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert opnorm(grid.multiplier_matrix(sym)
                       - dense_multiplier(grid, sym)) < 1e-12
@@ -62,7 +63,7 @@ def test_multiplier_matrix_matches_dense_reference():
 def test_rel_effect_matches_dense_reference(n, data):
     start = data.draw(st.integers(0, n - 1), label="start")
     length = data.draw(st.integers(1, n), label="length")
-    grid = make_grid(n, 5.0)
+    grid = CircleGrid(n, 5.0)
     B = grid.region([(start * grid.h, (start + length) * grid.h)])
     dense = dense_rel_effect(grid, band_indicator(n, start, length))
     assert opnorm(rel_effect(HardyModel(grid), B) - dense) < 1e-12
@@ -73,7 +74,7 @@ def test_rel_effect_matches_dense_reference(n, data):
 def test_aligned_partition_sums_to_identity(n, data):
     cuts = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
                                     max_size=6), label="cuts"))
-    grid = make_grid(n, 5.0)
+    grid = CircleGrid(n, 5.0)
     model = HardyModel(grid)
     ends = cuts[1:] + [cuts[0] + n]
     total = sum(rel_effect(model, grid.region([(a * grid.h, b * grid.h)]))
@@ -82,7 +83,7 @@ def test_aligned_partition_sums_to_identity(n, data):
 
 
 def test_multiplier_matrix_matches_apply():
-    grid = make_grid(16, 3.0)
+    grid = CircleGrid(16, 3.0)
     sym = np.exp(-np.abs(grid.xi))
     f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     M = grid.multiplier_matrix(sym)
@@ -90,7 +91,7 @@ def test_multiplier_matrix_matches_apply():
 
 
 def test_hardy_projection_idempotent():
-    grid = make_grid(32, 6.0)
+    grid = CircleGrid(32, 6.0)
     f = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     P1 = hardy_project(grid, f)
     assert np.linalg.norm(hardy_project(grid, P1) - P1) < 1e-12
@@ -100,7 +101,7 @@ def test_hardy_projection_idempotent():
 
 
 def test_poisson_semigroup_law():
-    grid = make_grid(64, 10.0)
+    grid = CircleGrid(64, 10.0)
     f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     lhs = poisson_apply(grid, 0.3, poisson_apply(grid, 0.5, f))
     rhs = poisson_apply(grid, 0.8, f)
@@ -111,7 +112,7 @@ def test_poisson_semigroup_law():
 
 
 def test_poisson_single_mode_scaling():
-    grid = make_grid(32, 8.0)
+    grid = CircleGrid(32, 8.0)
     k = 3
     f = np.exp(1j * grid.xi[k] * grid.x)
     out = poisson_apply(grid, 0.7, f)
@@ -119,7 +120,7 @@ def test_poisson_single_mode_scaling():
 
 
 def test_poisson_kernel_convolves():
-    grid = make_grid(64, 12.0)
+    grid = CircleGrid(64, 12.0)
     f = rng.standard_normal(64)
     p = poisson_kernel(grid, 0.4)
     # Riemann-sum circular convolution h * sum_k p_{j-k} f_k
@@ -135,7 +136,7 @@ def test_poisson_kernel_error_refines():
 
 
 def test_boundary_isometry():
-    grid = make_grid(128, 8 * np.pi)
+    grid = CircleGrid(128, 8 * np.pi)
     model = HardyModel(grid)
     coef = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
     f = model.modes @ coef
@@ -147,7 +148,7 @@ def test_boundary_isometry():
 
 
 def test_boundary_check_rejects_non_hardy():
-    grid = make_grid(32, 5.0)
+    grid = CircleGrid(32, 5.0)
     model = HardyModel(grid)
     f = np.exp(1j * grid.xi[-1] * grid.x)        # negative frequency
     with pytest.raises(ValueError):
@@ -155,7 +156,7 @@ def test_boundary_check_rejects_non_hardy():
 
 
 def test_rel_effects_form_povm():
-    grid = make_grid(64, 4 * np.pi)
+    grid = CircleGrid(64, 4 * np.pi)
     model = HardyModel(grid)
     from povmlab.regions import RegionSet, equal_partition
     parts = equal_partition(RegionSet.line([], length=grid.L), 4)
@@ -165,14 +166,14 @@ def test_rel_effects_form_povm():
 
 
 def test_rel_effect_rejects_misaligned():
-    grid = make_grid(32, 8.0)
+    grid = CircleGrid(32, 8.0)
     model = HardyModel(grid)
     with pytest.raises(ValueError):
         rel_effect(model, grid.region([(0.0, 0.3 * grid.h)]))
 
 
 def test_covariance_exact_on_aligned_shift():
-    grid = make_grid(256, 8 * np.pi)
+    grid = CircleGrid(256, 8 * np.pi)
     model = HardyModel(grid)
     B = grid.region([(0.0, grid.L / 4)])
     out = rel_covariance_residual(model, 1.0, 8 * grid.h, B)
@@ -181,7 +182,7 @@ def test_covariance_exact_on_aligned_shift():
 
 
 def test_covariance_interpolation_path_reports():
-    grid = make_grid(64, 8.0)
+    grid = CircleGrid(64, 8.0)
     model = HardyModel(grid)
     B = grid.region([(0.0, grid.L / 4)])
     out = rel_covariance_residual(model, 1.0, 0.37, B)
@@ -190,7 +191,7 @@ def test_covariance_interpolation_path_reports():
 
 
 def test_tau_unitarity():
-    grid = make_grid(64, 6.0)
+    grid = CircleGrid(64, 6.0)
     A = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     B = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     A /= opnorm(A)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from povmlab.operators import adjoint, opnorm
-from povmlab.weylnc import (SymbolRep, conjugation_residual, htau_norm,
-                            indicator_Q, make_lattice, nc_covariance_residual,
+from povmlab.weylnc import (MellinLattice, SymbolRep, conjugation_residual,
+                            htau_norm, indicator_Q, nc_covariance_residual,
                             nc_effect, nc_integral, quantize, weyl_defect,
                             weyl_relation_residual)
 from povmlab.regions import equal_partition
@@ -14,7 +14,7 @@ rng = np.random.default_rng(61)
 
 def selfdual_lattice(m):
     delta = float(np.sqrt(2 * np.pi / m))
-    return make_lattice(m, delta, -delta * (m // 2))
+    return MellinLattice(m, delta, -delta * (m // 2))
 
 
 # (m, delta, u_min / delta): not self-dual, u_min != -delta * m / 2, and
@@ -24,7 +24,7 @@ SKEWED = {10: (0.7, -3), 16: (0.45, 2), 34: (0.3, -20)}
 
 def skewed_lattice(m):
     delta, j0 = SKEWED[m]
-    return make_lattice(m, delta, j0 * delta)
+    return MellinLattice(m, delta, j0 * delta)
 
 
 def dense_multiplier_Q(lat, values):
