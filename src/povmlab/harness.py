@@ -310,10 +310,13 @@ def _suite_relativistic(c: _Cases):
     c.add_flag("rel.povm.effects", "Thm thermal-D(1)", f"n={n}",
                all(cl in (EFFECT, PROJECTION) for cl in classes))
 
+    # scaled to ||.||_F = sqrt(n), an O(n^2) step, so the operator norms
+    # stay O(1) as n grows; ||.||_F = 1 would shrink the defect of a
+    # non-unitary U below the tolerance
     A = _rand_complex(rng, n)
     B2 = _rand_complex(rng, n)
-    A /= opnorm(A)
-    B2 /= opnorm(B2)
+    A *= np.sqrt(n) / np.linalg.norm(A)
+    B2 *= np.sqrt(n) / np.linalg.norm(B2)
     c.add("rel.tau-unitarity", "Thm thermal-D(2)", f"n={n} beta=1 t=0.7",
           relativistic.tau_unitarity_residual(grid, 1.0, 0.7, A, B2), 1e-12)
 
@@ -507,8 +510,11 @@ def convergence_study(kind: str, sizes) -> dict:
     """Error-vs-size table for the discretisation-limited checks."""
     if kind not in _STUDIES:
         raise ValueError(f"unknown study kind {kind!r}; choose from {STUDY_KINDS}")
-    rows = [{"size": s, "error": float(_STUDIES[kind](s))}
-            for s in map(int, sizes)]
+    sizes = [int(s) for s in sizes]
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        # the monotone flag compares consecutive rows
+        raise ValueError(f"{kind} sizes must be strictly increasing, got {sizes}")
+    rows = [{"size": s, "error": float(_STUDIES[kind](s))} for s in sizes]
     if len(rows) < 2:
         monotone = "n/a"
     elif all(b["error"] < a["error"] for a, b in zip(rows, rows[1:])):

@@ -9,7 +9,11 @@ algebra: Delta = M_S^T conj(M_S) and M_J = M_S conj(Delta^{-1/2}).
 Conventions.  With reference vector Omega = T^{1/2} the closed forms are
 Delta: X -> T X T^{-1} and J: X -> X*.  The modular flow is
 sigma_t(A) = Delta^{-it} A Delta^{it}, which on algebra elements is
-conjugation A -> T^{-it} A T^{it}.
+conjugation A -> T^{-it} A T^{it}: Delta^{it} = T^{it} (x) (T^{-it})^T
+factors, so the flow of a left multiplication is the left multiplication
+of the d x d flow.  A triple therefore stores only T and Omega; its
+d^2 x d^2 carrier data (S, Delta, its spectrum and J) is computed on
+first read, by the checks that compare it with the closed forms.
 """
 
 from dataclasses import dataclass
@@ -117,17 +121,39 @@ def build_gns(generators, T) -> GnsRep:
 @dataclass
 class ModularTriple:
     """S = J Delta^{1/2} on the Hilbert-Schmidt carrier of a positive
-    invertible density T, with Omega = T^{1/2}.  ``S_mat`` is the linear
-    part of S that ``build_modular`` decomposed; every check reads it and
-    ``omega`` rather than recomputing them."""
+    invertible density T, with Omega = T^{1/2}.  Only T and ``omega`` are
+    stored: the flow of an algebra element needs T alone, and the carrier
+    data ``S_mat``, ``Delta``, ``delta_spectrum`` and ``J_mat`` come from
+    the antilinear polar decomposition of S when first read."""
 
     T: np.ndarray
     d: int
     omega: np.ndarray          # Omega = T^{1/2}
-    S_mat: np.ndarray          # linear part of the antilinear S
-    J_mat: np.ndarray          # linear part of the antilinear J
-    Delta: np.ndarray          # positive d^2 x d^2 matrix
-    delta_spectrum: tuple      # (eigenvalues, eigenvectors) of Delta
+
+    @cached_property
+    def S_mat(self) -> np.ndarray:
+        """Linear part of the antilinear S(Y) = T^{-1/2} Y* T^{1/2}."""
+        d = self.d
+        # S is linear in conj(Y); the transpose Y -> Y^T permutes the
+        # columns of X -> T^{-1/2} X T^{1/2}
+        C = _conj_action(np.linalg.inv(self.omega), self.omega)
+        return C.reshape(d * d, d, d).transpose(0, 2, 1).reshape(d * d, d * d)
+
+    @cached_property
+    def Delta(self) -> np.ndarray:
+        """Positive d^2 x d^2 matrix S* S."""
+        return self.S_mat.T @ np.conj(self.S_mat)
+
+    @cached_property
+    def delta_spectrum(self) -> tuple:
+        """(eigenvalues, eigenvectors) of Delta."""
+        return herm_spectrum(self.Delta, NUMERIC_TOL)
+
+    @cached_property
+    def J_mat(self) -> np.ndarray:
+        """Linear part of the antilinear J = S Delta^{-1/2}."""
+        lam, V = self.delta_spectrum
+        return self.S_mat @ np.conj((V / np.sqrt(lam)) @ adjoint(V))
 
     @cached_property
     def closed_form_residuals(self) -> dict:
@@ -161,8 +187,9 @@ class ModularTriple:
     def flow(self, t: float, A) -> np.ndarray:
         """Modular flow sigma_t = Delta^{-it} . Delta^{it}.
 
-        Accepts an algebra element (d x d, returned as T^{-it} A T^{it})
-        or an operator on the carrier (d^2 x d^2).
+        Accepts an algebra element (d x d, returned as T^{-it} A T^{it},
+        which needs no carrier data) or an operator on the carrier
+        (d^2 x d^2, conjugated by the powers of the decomposed Delta).
         """
         A = require_square(A)
         if A.shape == (self.d, self.d):
@@ -179,12 +206,12 @@ def build_modular(T) -> ModularTriple:
     """Modular triple of the state tr(. T) for a positive invertible T.
 
     S is defined by S(X Omega) = X* Omega, i.e. Y -> T^{-1/2} Y* T^{1/2};
-    the antilinear polar decomposition then gives Delta and J.  The
-    triple's ``closed_form_residuals`` check them against the closed forms
-    Delta: X -> T X T^{-1}, J: X -> X* when first read.
+    its antilinear polar decomposition gives Delta and J when the triple's
+    carrier data is first read, and the triple's
+    ``closed_form_residuals`` check them against the closed forms
+    Delta: X -> T X T^{-1}, J: X -> X*.
     """
     T = require_square(T)
-    d = T.shape[0]
     lam = _sym_eigvalsh(T)
     if lam.min() <= 0:
         raise ValueError(f"density not invertible (min eigenvalue {lam.min():.3e})")
@@ -192,17 +219,7 @@ def build_modular(T) -> ModularTriple:
     if cond > 1e12:
         raise ValueError(f"density too ill-conditioned: cond(T) = {cond:.3e} "
                          "> 1.0e+12; reduce beta*d")
-    sqrtT = sqrtm_psd(T)
-    # S(Y) = T^{-1/2} (conj Y)^T T^{1/2}, linear in conj(Y); the transpose
-    # Y -> Y^T permutes the columns of X -> T^{-1/2} X T^{1/2}
-    C = _conj_action(np.linalg.inv(sqrtT), sqrtT)
-    M_S = C.reshape(d * d, d, d).transpose(0, 2, 1).reshape(d * d, d * d)
-    Delta = M_S.T @ np.conj(M_S)
-    lam_D, V = herm_spectrum(Delta, NUMERIC_TOL)
-    inv_sqrt_Delta = (V / np.sqrt(lam_D)) @ adjoint(V)
-    M_J = M_S @ np.conj(inv_sqrt_Delta)
-    return ModularTriple(T=T, d=d, omega=sqrtT, S_mat=M_S, J_mat=M_J,
-                         Delta=Delta, delta_spectrum=(lam_D, V))
+    return ModularTriple(T=T, d=T.shape[0], omega=sqrtm_psd(T))
 
 
 def kms_residual(T, A, B) -> float:

@@ -13,7 +13,7 @@ Arc convention: angles in [-pi, pi), half-open arcs, arg valued in
 import numpy as np
 
 from .operators import diag_conjugate, funcalc, opnorm
-from .modular import build_modular, left_mult
+from .modular import build_modular
 from .regions import RegionSet
 
 
@@ -122,14 +122,17 @@ def thermal_covariance_residual(beta: float, d: int, samples) -> float:
     POVM covariant under the modular flow of gibbs(beta, d).
 
     Builds the modular triple of gibbs(beta, d) once and compares the flow
-    of E_B (acting on the carrier by left multiplication) against the
-    rotated arc effect.  With sigma_t = Delta^{-it} . Delta^{it} the exact
-    rotation is by -beta*t; that direction is frozen here (and by a
-    regression test), making the identity entrywise exact.
+    of E_B against the rotated arc effect.  The flow of E_B acting on the
+    carrier by left multiplication is the left multiplication of the d x d
+    flow T^{-it} E_B T^{it}, and ||pi(X)|| = ||X||, so the d x d defect is
+    the carrier defect and no d^2 x d^2 matrix is formed.  With
+    sigma_t = Delta^{-it} . Delta^{it} the exact rotation is by -beta*t;
+    that direction is frozen here (and by a regression test), making the
+    identity entrywise exact.
     """
     if beta * d > 20:
         raise ValueError("conditioning guard: beta*d must be <= 20")
     triple = build_modular(gibbs(beta, d))
-    return max(opnorm(triple.flow(t, left_mult(phase_effect(B, d)))
-                      - left_mult(phase_effect(B.shifted(-beta * t), d)))
+    return max(opnorm(triple.flow(t, phase_effect(B, d))
+                      - phase_effect(B.shifted(-beta * t), d))
                for t, B in samples)

@@ -19,8 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import (NUMERIC_TOL, adjoint, circulant, covariance_defect,
-                        opnorm)
+from .operators import NUMERIC_TOL, circulant, covariance_defect, opnorm
 from .regions import RegionSet
 
 
@@ -195,12 +194,21 @@ def tau_unitarity_residual(grid: CircleGrid, beta: float, t: float,
                            A, B) -> float:
     """Isometry defect of conjugation by e^{it|D|} in the weighted inner
     product <A, B>_tau = tr(B* A e^{-beta |D|})."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    W = grid.multiplier_matrix(np.exp(-beta * np.abs(grid.xi)))
-    U = grid.multiplier_matrix(np.exp(1j * t * np.abs(grid.xi)))
-    UA = U @ A @ adjoint(U)
-    UB = U @ B @ adjoint(U)
-    lhs = np.trace(adjoint(UB) @ UA @ W)
-    rhs = np.trace(adjoint(B) @ A @ W)
+    xi = np.abs(grid.xi)
+    return _multiplier_isometry_defect(np.exp(1j * t * xi), np.exp(-beta * xi),
+                                      A, B)
+
+
+def _multiplier_isometry_defect(u, w, A, B) -> float:
+    """|<U A U*, U B U*>_W - <A, B>_W| for the Fourier multipliers U and W
+    with symbols u and w, where <A, B>_W = tr(B* A W).
+
+    FFTs along the columns and rows take A and B to F A F* for the unitary
+    DFT F, in O(n^2 log n); there U, U* and W act diagonally, and the
+    trace of a product is the entrywise inner product.
+    """
+    Ah, Bh = (np.fft.ifft(np.fft.fft(X, axis=0), axis=1) for X in (A, B))
+    uu = np.outer(u, np.conj(u))
+    lhs = np.vdot(uu * Bh, uu * Ah * w)
+    rhs = np.vdot(Bh, Ah * w)
     return float(abs(lhs - rhs))

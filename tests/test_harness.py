@@ -136,7 +136,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     (["verify", "oscillator", "--d", "0"], "d"),
     (["verify", "all", "--n", "10"], "n"),
     (["verify", "all", "--m", "18"], "m"),
-    (["study", "covariance-interp", "--sizes", "128", "10"], "covariance-interp"),
+    (["study", "covariance-interp", "--sizes", "128", "130"], "covariance-interp"),
+    (["study", "poisson-kernel", "--sizes", "256", "128"], "poisson-kernel"),
+    (["study", "weyl-wrap", "--sizes", "16", "16"], "weyl-wrap"),
 ])
 def test_cli_rejects_bad_config_naming_the_field(argv, field, capsys):
     assert main(argv) == 2
@@ -191,6 +193,25 @@ def test_cli_study(tmp_path):
     assert out.read_text().splitlines()[0] == "size,error"
 
 
+def test_tau_unitarity_inputs_detect_a_symbol_off_the_unit_circle(monkeypatch):
+    # the harness scales A and B to ||.||_F = sqrt(n); at that scale the
+    # case's tolerance must catch a symbol u scaled by 1 + 1e-10, which
+    # ||.||_F = 1 would hide below it
+    seen = []
+    defect = relativistic._multiplier_isometry_defect
+
+    def capture(u, w, A, B):
+        seen.append((u, w, A, B))
+        return defect(u, w, A, B)
+
+    monkeypatch.setattr(relativistic, "_multiplier_isometry_defect", capture)
+    report = run_suite(SuiteConfig(suite="relativistic", n=256))
+    (case,) = [c for c in report["cases"] if c["case"] == "rel.tau-unitarity"]
+    (u, w, A, B), = seen
+    assert case["pass"]
+    assert defect(u * (1 + 1e-10), w, A, B) > case["tol"]
+
+
 def test_weyl_suite_passes_where_the_seam_point_rounds_below_base():
     report = run_suite(SuiteConfig(suite="weyl", m=20))
     assert [c["case"] for c in report["cases"] if not c["pass"]] == []
@@ -202,6 +223,11 @@ UNREACHED = {
     "regions.RegionSet.measure",
     # the generic-t branch of weyl_defect; every run shifts by delta*Z
     "weylnc.MellinLattice.exp_Q",
+    # the dense circulant form of a Fourier multiplier: tau_unitarity_residual
+    # applies its multipliers by FFT, and test_relativistic's
+    # test_tau_unitarity_fft_matches_dense_multiplier_products keeps this as
+    # the reference; kept because perfbench/layers.py traces it by name
+    "relativistic.CircleGrid.multiplier_matrix",
 }
 
 

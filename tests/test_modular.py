@@ -66,11 +66,15 @@ def test_modular_closed_forms():
 
 def test_closed_form_residuals_computed_on_first_read():
     triple = build_modular(gibbs(1.0, 4))
+    triple.flow(0.6, rand_c(4))         # the d x d flow reads T alone
+    carrier = {"S_mat", "Delta", "delta_spectrum", "J_mat"}
+    assert not carrier & set(vars(triple))
     assert "closed_form_residuals" not in vars(triple)
     residuals = triple.closed_form_residuals
     assert vars(triple)["closed_form_residuals"] is residuals
     assert set(residuals) == {"delta_conjugation", "j_adjoint",
                               "j_involution", "s_defining"}
+    assert carrier <= set(vars(triple))
 
 
 def test_flow_on_algebra_matches_carrier():
@@ -101,8 +105,9 @@ def test_lemma_modular_residual():
 
 
 def test_modular_data_is_computed_once(monkeypatch):
-    # S and Omega = T^{1/2} are stored by build_modular; reading the closed
-    # forms and running the lemma check must not take a square root again
+    # Omega = T^{1/2} is stored by build_modular and S is cached on the
+    # triple; reading the closed forms and running the lemma check must not
+    # take a square root again
     calls = []
     counted = modular.sqrtm_psd
 

@@ -112,6 +112,20 @@ def test_thermal_rotation_direction_frozen():
     assert opnorm(flowed - bad) > 1e-2
 
 
+@pytest.mark.parametrize("d", [4, 8, 12, 14])
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_carrier_flow_of_a_phase_effect_is_its_algebra_flow(d, beta):
+    # thermal_covariance_residual flows E_B on the d x d algebra; the flow
+    # of its left multiplication through the decomposed d^2 x d^2 Delta is
+    # the dense reference
+    from povmlab.modular import build_modular, left_mult
+    triple = build_modular(gibbs(beta, d))
+    for t, a in [(0.3, -1.0), (-0.8, 2.0), (1.0, 0.0)]:
+        E = phase_effect(RegionSet.circle([(a, a + 1.0)]), d)
+        assert opnorm(triple.flow(t, left_mult(E))
+                      - left_mult(triple.flow(t, E))) < 1e-12
+
+
 def test_thermal_guard():
     with pytest.raises(ValueError):
         thermal_covariance_residual(2.0, 16, [(0.5, RegionSet.circle([(0.0, 1.0)]))])

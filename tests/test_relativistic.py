@@ -197,3 +197,28 @@ def test_tau_unitarity():
     A /= opnorm(A)
     B /= opnorm(B)
     assert tau_unitarity_residual(grid, 1.0, 0.7, A, B) < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 10, 16, 34])
+def test_tau_unitarity_fft_matches_dense_multiplier_products(n):
+    # reference: U, U* and W formed as n x n circulants and multiplied out.
+    # A complex t makes U non-unitary, so the defect is far from rounding
+    # and the two formulas must agree on its value
+    grid = CircleGrid(n, 6.0)
+    xi = np.abs(grid.xi)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for beta, t in [(1.0, 0.7), (0.3, -2.0), (1.0, 0.7 + 0.05j),
+                    (2.0, 1.3 - 0.1j)]:
+        W = grid.multiplier_matrix(np.exp(-beta * xi))
+        U = grid.multiplier_matrix(np.exp(1j * t * xi))
+        UA = U @ A @ adjoint(U)
+        UB = U @ B @ adjoint(U)
+        dense = abs(np.trace(adjoint(UB) @ UA @ W)
+                    - np.trace(adjoint(B) @ A @ W))
+        fft = tau_unitarity_residual(grid, beta, t, A, B)
+        assert fft == pytest.approx(dense, rel=1e-12, abs=1e-13)
+        if np.isreal(t):
+            assert fft < 1e-12
+        else:
+            assert fft > 1e-3
