@@ -23,7 +23,7 @@ import numpy as np
 
 from .operators import (DEFAULT_TOL, NUMERIC_TOL, _sym_eigvalsh, adjoint,
                         as_operator, herm_spectrum, imag_power, opnorm,
-                        require_square, sqrtm_psd)
+                        require_square, spectral_imag_power, sqrtm_psd)
 
 
 def vec(X) -> np.ndarray:
@@ -122,13 +122,19 @@ def build_gns(generators, T) -> GnsRep:
 class ModularTriple:
     """S = J Delta^{1/2} on the Hilbert-Schmidt carrier of a positive
     invertible density T, with Omega = T^{1/2}.  Only T and ``omega`` are
-    stored: the flow of an algebra element needs T alone, and the carrier
-    data ``S_mat``, ``Delta``, ``delta_spectrum`` and ``J_mat`` come from
-    the antilinear polar decomposition of S when first read."""
+    stored: the flow of an algebra element needs the spectrum of T alone,
+    ``T_spectrum``, and the carrier data ``S_mat``, ``Delta``,
+    ``delta_spectrum`` and ``J_mat`` come from the antilinear polar
+    decomposition of S.  All five are computed when first read."""
 
     T: np.ndarray
     d: int
     omega: np.ndarray          # Omega = T^{1/2}
+
+    @cached_property
+    def T_spectrum(self) -> tuple:
+        """(eigenvalues, eigenvectors) of T, shared by every d x d flow."""
+        return herm_spectrum(self.T)
 
     @cached_property
     def S_mat(self) -> np.ndarray:
@@ -188,12 +194,12 @@ class ModularTriple:
         """Modular flow sigma_t = Delta^{-it} . Delta^{it}.
 
         Accepts an algebra element (d x d, returned as T^{-it} A T^{it},
-        which needs no carrier data) or an operator on the carrier
+        which needs only ``T_spectrum``) or an operator on the carrier
         (d^2 x d^2, conjugated by the powers of the decomposed Delta).
         """
         A = require_square(A)
         if A.shape == (self.d, self.d):
-            U = imag_power(self.T, -t)
+            U = spectral_imag_power(self.T_spectrum, -t)
             return U @ A @ adjoint(U)
         if A.shape == (self.d ** 2, self.d ** 2):
             D = self.delta_power(-1j * t)

@@ -143,16 +143,24 @@ def diag_conjugate(phase, A) -> np.ndarray:
     return (phase[:, None] * A) * np.conj(phase)[None, :]
 
 
-def circulant(c) -> np.ndarray:
-    """Circulant matrix C[j, l] = c[(j - l) mod n].
+def circulant(c, k: int = None) -> np.ndarray:
+    """Leading k x k block (the whole matrix by default) of the circulant
+    C[j, l] = c[(j - l) mod n], n = len(c).
 
     A function of a generator diagonal in the DFT basis, with values s on
     the frequencies in FFT order, is circulant(ifft(s)); the grid and
-    lattice models build every such operator through it.
+    lattice models build every such operator, or its compression to
+    consecutive basis vectors, through it.  The block is Toeplitz, so its
+    rows are the reversed windows of length k over c[(k-1, ..., 1-k) mod
+    n], copied out of one vector of 2k - 1 entries.
     """
     c = np.asarray(c)
-    j = np.arange(len(c))
-    return c[(j[:, None] - j[None, :]) % len(c)]
+    n = len(c)
+    k = n if k is None else k
+    if not 1 <= k <= n:
+        raise ValueError(f"block size k must lie in [1, {n}], got {k}")
+    v = c[np.arange(k - 1, -k, -1) % n]
+    return np.lib.stride_tricks.sliding_window_view(v, k)[::-1].copy()
 
 
 def covariance_defect(phase, E, sampled, B, shift, h):
@@ -186,7 +194,13 @@ def sqrtm_psd(A) -> np.ndarray:
 
 def imag_power(A, t: float) -> np.ndarray:
     """A^{it} for positive definite A, via the functional calculus."""
-    lam, V = herm_spectrum(A)
+    return spectral_imag_power(herm_spectrum(A), t)
+
+
+def spectral_imag_power(spectrum, t: float) -> np.ndarray:
+    """A^{it} from the pair (eigenvalues, eigenvectors) of ``herm_spectrum``,
+    for a caller that raises one A to many powers."""
+    lam, V = spectrum
     if lam.min() <= 0:
         raise ValueError("imaginary powers need a positive definite operator "
                          f"(min eigenvalue {lam.min():.3e})")

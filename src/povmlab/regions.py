@@ -10,6 +10,8 @@ construction.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 CIRCLE = "circle"
 LINE = "line"
 
@@ -86,23 +88,19 @@ class RegionSet:
                          cells=tuple((a + t, b + t) for a, b in self.cells),
                          base=self.base)
 
-    def contains(self, x: float) -> bool:
+    def indicator(self, xs) -> np.ndarray:
+        """Indicator of the set (1.0 inside, 0.0 outside) at each point of
+        ``xs``: each point is reduced into the window [base, base + period)
+        and tested against the cells, with their ends moved down by _EPS."""
         lo = self.base
-        x = lo + math.fmod(x - lo, self.period)
-        if x < lo:
-            x += self.period
+        x = lo + np.fmod(np.asarray(xs, dtype=float) - lo, self.period)
+        x = np.where(x < lo, x + self.period, x)
         # a point within rounding below base wraps to the window's seam;
         # it belongs to the cell starting at base, as in _normalize
-        if x >= lo + self.period - _EPS:
-            x -= self.period
-        for a, b in self.cells:
-            if a - _EPS <= x < b - _EPS:
-                return True
-        return False
-
-    def indicator(self, xs):
-        """Evaluate the set indicator at each point of ``xs``."""
-        return [1.0 if self.contains(x) else 0.0 for x in xs]
+        x = np.where(x >= lo + self.period - _EPS, x - self.period, x)
+        a, b = np.array(self.cells, dtype=float).reshape(-1, 2).T
+        inside = (a - _EPS <= x[:, None]) & (x[:, None] < b - _EPS)
+        return inside.any(axis=1).astype(float)
 
     def is_aligned(self, h: float) -> bool:
         """True when every endpoint sits on the grid base + h*Z."""

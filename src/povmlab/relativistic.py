@@ -151,10 +151,12 @@ def boundary_isometry_check(model: HardyModel, f, ys) -> dict:
 
 def _sampled_effect(model: HardyModel, B: RegionSet) -> np.ndarray:
     """P_+ 1_B(X) P_+ on the Hardy basis with the indicator of B sampled at
-    the grid points; agrees with ``rel_effect`` on aligned regions.  It is
-    the Hardy block of 1_B(X) in the Fourier basis, a circulant."""
+    the grid points; agrees with ``rel_effect`` on aligned regions.  In the
+    Fourier basis 1_B(X) is a circulant and the Hardy modes are its first
+    n/2 basis vectors, so the effect is its leading n/2 x n/2 block, built
+    alone."""
     c = np.fft.fft(B.indicator(model.grid.x)) / model.grid.n
-    return circulant(c)[: model.dim, : model.dim]
+    return circulant(c, model.dim)
 
 
 def rel_effect(model: HardyModel, B: RegionSet) -> np.ndarray:

@@ -6,7 +6,8 @@ u-picture directly on a circle of circumference m*delta.  The sign of the
 original frequency splits the space into two channels carrying the same
 operator, so operators live on one channel (every operator norm is the
 same) while symbols keep a principal part per channel.  e^{isP} is kept
-as its diagonal and functions of Q, diagonal in the dual (DFT) basis, are
+as its diagonal, the shift S(t) for t in delta*Z as the columns of its
+permutation, and functions of Q, diagonal in the dual (DFT) basis, are
 circulants.  On aligned data the Weyl relation e^{isP} S(t) = e^{-ist}
 S(t) e^{isP}, the conjugation-shift identity for quantized symbols, and
 the covariance of the half-line effects are exact; misaligned inputs
@@ -69,15 +70,18 @@ class MellinLattice:
         k = np.arange(-self.m // 2, self.m // 2)
         return self.dual_spacing * k
 
-    def shift(self, t: float) -> np.ndarray:
-        """S(t) for t in delta*Z: exact circular permutation (S g)_l =
-        g_{l+j}."""
+    def shift_columns(self, t: float) -> np.ndarray:
+        """Column of the one nonzero entry in each row of S(t), t in
+        delta*Z: (S g)_l = g_{l+j} puts it at (l, (l + j) mod m)."""
         j = t / self.delta
         if abs(j - round(j)) > 1e-9:
             raise ValueError("shift amount must be a lattice multiple")
-        j = int(round(j)) % self.m
+        return (np.arange(self.m) + int(round(j))) % self.m
+
+    def shift(self, t: float) -> np.ndarray:
+        """S(t) for t in delta*Z as a dense m x m permutation matrix."""
         S = np.zeros((self.m, self.m), dtype=complex)
-        S[np.arange(self.m), (np.arange(self.m) + j) % self.m] = 1.0
+        S[np.arange(self.m), self.shift_columns(t)] = 1.0
         return S
 
     def exp_P(self, s: float) -> np.ndarray:
@@ -88,15 +92,20 @@ class MellinLattice:
         """e^{itQ}; coincides with shift(t) for t in delta*Z."""
         return self.spectral_multiplier_Q(np.exp(1j * t * self.q))
 
-    def spectral_multiplier_Q(self, values) -> np.ndarray:
+    def spectral_multiplier_Q(self, values, k: int = None) -> np.ndarray:
         """f(Q) = Phi diag(f(q)) Phi* with Phi[l, k] = e^{i q_k u_l} /
-        sqrt(m), as a circulant; ifftshift moves q = 0 (mid-array) first."""
-        return circulant(np.fft.ifft(np.fft.ifftshift(values)))
+        sqrt(m), as a circulant, or its leading k x k block; ifftshift
+        moves q = 0 (mid-array) first."""
+        return circulant(np.fft.ifft(np.fft.ifftshift(values)), k)
 
     @cached_property
     def positive_sites(self) -> np.ndarray:
-        """Indices of lattice sites with u_j >= 0 (closed half-line)."""
-        return np.flatnonzero(self.u >= -1e-12)
+        """Indices of lattice sites with u_j >= 0 (closed half-line): a
+        contiguous suffix of the increasing lattice, never empty."""
+        pos = np.flatnonzero(self.u >= -1e-12)
+        if len(pos) == 0:
+            raise ValueError("lattice has no site with u >= 0")
+        return pos
 
     # symbol-side grids ---------------------------------------------------
 
@@ -118,11 +127,17 @@ class MellinLattice:
 
 def weyl_defect(lat: MellinLattice, s: float, t: float) -> np.ndarray:
     """e^{isP} S(t) - e^{-ist} S(t) e^{isP}, with S(t) the exact shift for
-    t in delta*Z and e^{itQ} otherwise."""
-    j = t / lat.delta
-    St = lat.shift(t) if abs(j - round(j)) < 1e-9 else lat.exp_Q(t)
+    t in delta*Z and e^{itQ} otherwise.  The shift is a permutation, so its
+    defect is nonzero only at the m entries (l, col_l) of S(t)."""
     Es = lat.exp_P(s)
-    return Es[:, None] * St - np.exp(-1j * s * t) * St * Es[None, :]
+    j = t / lat.delta
+    if abs(j - round(j)) >= 1e-9:
+        St = lat.exp_Q(t)
+        return Es[:, None] * St - np.exp(-1j * s * t) * St * Es[None, :]
+    cols = lat.shift_columns(t)
+    D = np.zeros((lat.m, lat.m), dtype=complex)
+    D[np.arange(lat.m), cols] = Es - np.exp(-1j * s * t) * Es[cols]
+    return D
 
 
 def weyl_relation_residual(lat: MellinLattice, s: float, t: float) -> float:
@@ -165,8 +180,10 @@ class SymbolRep:
 
 def quantize(lat: MellinLattice, a: SymbolRep) -> np.ndarray:
     """Weyl quantization on the lattice: the m x m operator of one channel
-    (both channels carry the same one)."""
+    (both channels carry the same one).  Each term e^{ivP} S(u) is a
+    weighted permutation, added entry by entry along the shifted diagonal."""
     O = np.zeros((lat.m, lat.m), dtype=complex)
+    rows = np.arange(lat.m)
     nyq = lat.m // 2
     for (j, k), c in a.coeffs.items():
         if abs(j) > nyq or abs(k) > nyq:
@@ -174,7 +191,7 @@ def quantize(lat: MellinLattice, a: SymbolRep) -> np.ndarray:
                              "Nyquist bounds")
         u = j * lat.delta
         v = k * lat.dual_spacing
-        O += c * np.exp(0.5j * u * v) * (lat.exp_P(v)[:, None] * lat.shift(u))
+        O[rows, lat.shift_columns(u)] += c * np.exp(0.5j * u * v) * lat.exp_P(v)
     return O
 
 
@@ -200,22 +217,26 @@ def htau_norm(a: SymbolRep, x_length: float) -> float:
                                      + np.sum(np.abs(a.a0_neg) ** 2))))
 
 
-def indicator_Q(lat: MellinLattice, B: RegionSet) -> np.ndarray:
-    """1_B(Q) on one channel: a projection, finitely additive in B."""
+def indicator_Q(lat: MellinLattice, B: RegionSet, k: int = None) -> np.ndarray:
+    """1_B(Q) on one channel: a projection, finitely additive in B; or
+    its leading k x k block."""
     if abs(B.period - lat.x_length) > 1e-9:
         raise ValueError("region must live on the Q-spectral circle")
-    vals = np.array(B.indicator(lat.q))
-    return lat.spectral_multiplier_Q(vals)
+    return lat.spectral_multiplier_Q(B.indicator(lat.q), k)
 
 
 def _compressed_indicator(lat: MellinLattice, B: RegionSet) -> np.ndarray:
-    pos = lat.positive_sites
-    return indicator_Q(lat, B)[np.ix_(pos, pos)]
+    """1_B(Q) compressed to the sites with u >= 0.  They are a suffix of
+    the lattice, and every diagonal block of a circulant on consecutive
+    sites is its leading block of that size, which alone is built."""
+    return indicator_Q(lat, B, len(lat.positive_sites))
 
 
 def nc_effect(lat: MellinLattice, B: RegionSet) -> np.ndarray:
     """Effect 1_{R+}(P) 1_B(Q) 1_{R+}(P) compressed to the range of the
     half-line projection, on one channel (both carry the same effect).
+    It is the leading block of the circulant 1_B(Q) on the sites u >= 0,
+    built without forming the m x m circulant.
 
     B must be aligned to the Q-spectral cells [q_k, q_k + dual_spacing).
     """

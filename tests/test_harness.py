@@ -228,6 +228,10 @@ UNREACHED = {
     # test_tau_unitarity_fft_matches_dense_multiplier_products keeps this as
     # the reference; kept because perfbench/layers.py traces it by name
     "relativistic.CircleGrid.multiplier_matrix",
+    # the dense permutation S(t): weyl_defect and quantize place its m
+    # nonzeros by index, and test_weylnc keeps this as their reference;
+    # kept because perfbench/layers.py traces it by name
+    "weylnc.MellinLattice.shift",
 }
 
 

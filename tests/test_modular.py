@@ -124,6 +124,30 @@ def test_modular_data_is_computed_once(monkeypatch):
     assert len(calls) == built
 
 
+def test_algebra_flows_decompose_t_once(monkeypatch):
+    # the d x d flows share the triple's cached spectrum of T, and each
+    # equals the conjugation by imag_power bit for bit
+    T = gibbs(0.5, 6)
+    A = rand_c(6)
+    expected = []
+    for t in (0.3, -1.1, 2.0):
+        U = imag_power(T, -t)
+        expected.append(U @ A @ adjoint(U))
+    calls = []
+    counted = modular.herm_spectrum
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(modular, "herm_spectrum", counting)
+    triple = build_modular(T)
+    flows = [triple.flow(t, A) for t in (0.3, -1.1, 2.0)]
+    assert len(calls) == 1
+    for got, want in zip(flows, expected):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_s_matrix_matches_dense_commutation_product(d):
     # the column permutation in build_modular equals the product with the

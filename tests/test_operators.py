@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from povmlab.operators import (DEFAULT_TOL, EFFECT, NOT_EFFECT, PROJECTION,
-                               adjoint, funcalc, herm_spectrum, imag_power,
-                               is_effect, is_hermitian, opnorm, sqrtm_psd)
+                               adjoint, circulant, funcalc, herm_spectrum,
+                               imag_power, is_effect, is_hermitian, opnorm,
+                               sqrtm_psd)
 
 rng = np.random.default_rng(11)
 
@@ -67,6 +68,30 @@ def test_imag_power_is_unitary():
     assert opnorm(U @ adjoint(U) - np.eye(4)) < 1e-12
     # group law
     assert opnorm(imag_power(P, 0.3) @ imag_power(P, 0.4) - U) < 1e-12
+
+
+def gathered_circulant(c):
+    """Reference: the circulant gathered through an n x n index array."""
+    j = np.arange(len(c))
+    return c[(j[:, None] - j[None, :]) % len(c)]
+
+
+@pytest.mark.parametrize("n", [7, 8, 10, 384, 1024])
+def test_circulant_block_matches_gathered_circulant(n):
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    full = circulant(c)
+    assert np.array_equal(full, gathered_circulant(c))
+    for k in (1, n // 2, n):
+        block = circulant(c, k)
+        assert np.array_equal(block, full[:k, :k])
+        assert np.array_equal(block, gathered_circulant(c)[:k, :k])
+        assert block.flags.c_contiguous and not np.shares_memory(block, c)
+
+
+@pytest.mark.parametrize("k", [0, 9])
+def test_circulant_rejects_a_bad_block_size_naming_k(k):
+    with pytest.raises(ValueError, match=f"block size k .* got {k}"):
+        circulant(np.ones(8), k)
 
 
 # --------------------------------------------------------------------------

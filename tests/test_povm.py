@@ -90,7 +90,7 @@ def test_unitary_input_is_point_mass():
     assert povm_validate(p, NUMERIC_TOL).multiplicative
     # the whole mass sits in the cell containing phi
     masses = rep.cell_masses
-    hits = [i for i, r in enumerate(p.regions) if r.contains(phi)]
+    hits = [i for i, r in enumerate(p.regions) if r.indicator([phi])[0]]
     assert len(hits) == 1
     assert abs(masses[hits[0]] - 1.0) < 1e-12
     assert sum(masses) == pytest.approx(1.0, abs=1e-12)

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from povmlab.regions import RegionSet, circle_full, equal_partition
+from povmlab.regions import _EPS, RegionSet, circle_full, equal_partition
 
 
 def test_normalization_wraps_and_splits():
@@ -30,22 +31,20 @@ def test_shift_preserves_measure():
 def test_rotation_moves_points():
     B = RegionSet.circle([(0.0, 1.0)])
     C = B.shifted(0.5)
-    assert C.contains(1.2)
-    assert not C.contains(0.2)
+    assert list(C.indicator([1.2, 0.2])) == [1.0, 0.0]
 
 
 def test_contains_half_open():
     B = RegionSet.line([(1.0, 2.0)], length=8.0)
-    assert B.contains(1.0)
-    assert not B.contains(2.0)
+    assert list(B.indicator([1.0, 2.0])) == [1.0, 0.0]
 
 
 def test_equal_partition_covers_disjointly():
     parts = equal_partition(circle_full(), 5)
     assert abs(sum(p.measure for p in parts) - 2 * math.pi) < 1e-12
     # every point of a sample grid belongs to exactly one cell
-    for x in [-3.0, -1.0, 0.0, 1.3, 3.1]:
-        assert sum(p.contains(x) for p in parts) == 1
+    xs = [-3.0, -1.0, 0.0, 1.3, 3.1]
+    assert np.array_equal(sum(p.indicator(xs) for p in parts), np.ones(5))
 
 
 def test_is_aligned():
@@ -58,3 +57,46 @@ def test_line_base_offset():
     B = RegionSet.line([(-2.0, -1.0)], length=8.0, base=-4.0)
     assert B.cells == ((-2.0, -1.0),)
     assert B.shifted(8.0).cells == ((-2.0, -1.0),)
+
+
+def scalar_contains(R, x):
+    """The scalar membership rule ``indicator`` replaced, kept as its
+    reference: reduce x into [base, base + period), wrap a point within
+    _EPS below the window's end to its seam, and test the half-open cells
+    with both ends moved down by _EPS."""
+    lo = R.base
+    x = lo + math.fmod(x - lo, R.period)
+    if x < lo:
+        x += R.period
+    if x >= lo + R.period - _EPS:
+        x -= R.period
+    return any(a - _EPS <= x < b - _EPS for a, b in R.cells)
+
+
+def probe_points(R):
+    """The window's ends, every cell end and its neighbours at +-1e-13,
+    their negatives, and their translates by up to 10 periods."""
+    lo, per = R.base, R.period
+    pts = [lo, lo + per - _EPS / 2]
+    for a, b in R.cells:
+        pts += [e + d for e in (a, b) for d in (-1e-13, 0.0, 1e-13)]
+    pts += [-x for x in pts]
+    return [x + j * per for x in pts for j in range(-10, 11)]
+
+
+@pytest.mark.parametrize("R", [
+    RegionSet.circle([(-1.0, 0.5), (1.0, 2.0)]),
+    RegionSet.circle([(3.0, 4.0)]),                 # wraps through the seam
+    RegionSet.circle([(-math.pi, -2.0), (2.5, math.pi)]),
+    circle_full(),
+    RegionSet.circle([]),
+    RegionSet.line([(1.0, 2.0)], length=8.0),
+    RegionSet.line([(0.0, 1.5), (6.0, 8.0)], length=8.0),
+    RegionSet.line([(-2.0, -1.0), (1.0, 3.5)], length=8.0, base=-4.0),
+    RegionSet.line([(0.3, 0.9)], length=2 * math.pi / 0.3, base=-math.pi / 0.3),
+], ids=lambda R: f"{R.domain}{R.cells}")
+def test_indicator_matches_scalar_rule(R):
+    xs = probe_points(R)
+    ind = R.indicator(xs)
+    assert ind.dtype == float
+    assert np.array_equal(ind, [float(scalar_contains(R, x)) for x in xs])

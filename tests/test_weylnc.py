@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from povmlab.operators import adjoint, opnorm
-from povmlab.weylnc import (MellinLattice, SymbolRep, conjugation_residual,
-                            htau_norm, indicator_Q, nc_covariance_residual,
-                            nc_effect, nc_integral, quantize, weyl_defect,
-                            weyl_relation_residual)
+from povmlab.weylnc import (MellinLattice, SymbolRep, _compressed_indicator,
+                            conjugation_residual, htau_norm, indicator_Q,
+                            nc_covariance_residual, nc_effect, nc_integral,
+                            quantize, weyl_defect, weyl_relation_residual)
 from povmlab.regions import equal_partition
 
 rng = np.random.default_rng(61)
@@ -74,6 +74,67 @@ def test_weyl_defect_matches_dense_reference():
                       (off, dense_multiplier_Q(lat, np.exp(1j * off * lat.q)))):
             dense = Es @ St - np.exp(-1j * s * t) * St @ Es
             assert opnorm(weyl_defect(lat, s, t) - dense) < 1e-12
+
+
+def dense_weyl_defect(lat, s, t):
+    """Reference: the defect with S(t) formed as a dense permutation."""
+    St = lat.shift(t)
+    Es = lat.exp_P(s)
+    return Es[:, None] * St - np.exp(-1j * s * t) * St * Es[None, :]
+
+
+def dense_quantize(lat, a):
+    """Reference: the quantization summed over dense shift matrices."""
+    O = np.zeros((lat.m, lat.m), dtype=complex)
+    for (j, k), c in a.coeffs.items():
+        u = j * lat.delta
+        v = k * lat.dual_spacing
+        O += c * np.exp(0.5j * u * v) * (lat.exp_P(v)[:, None] * lat.shift(u))
+    return O
+
+
+@pytest.mark.parametrize("m", tuple(SKEWED))
+def test_lattice_shift_paths_match_dense_shift_formulas(m):
+    lat = skewed_lattice(m)
+    for j in (0, 1, -3, m - 1, m + 2):
+        t = j * lat.delta
+        for s in (0.37, 3 * lat.dual_spacing):
+            assert np.array_equal(weyl_defect(lat, s, t),
+                                  dense_weyl_defect(lat, s, t)), (j, s)
+    nyq = m // 2
+    coeffs = {}
+    for j in (0, 1, -3, nyq, -nyq):
+        for k in (0, 2, -nyq):      # repeated j: terms share a diagonal
+            coeffs[(j, k)] = complex(*rng.standard_normal(2))
+    a = SymbolRep(coeffs=coeffs)
+    assert np.array_equal(quantize(lat, a), dense_quantize(lat, a))
+    for j in (m - 1, m + 2):        # beyond the Nyquist bound
+        with pytest.raises(ValueError, match="Nyquist"):
+            quantize(lat, SymbolRep(coeffs={(j, 1): 1.0}))
+
+
+@pytest.mark.parametrize("m", [16, 34])
+def test_compressed_indicator_is_the_positive_site_block(m):
+    delta = 0.45
+    for u_min in (0.0, -delta * m / 2, -3 * delta):
+        lat = MellinLattice(m, delta, u_min)
+        pos = lat.positive_sites
+        assert np.array_equal(pos, np.arange(m - len(pos), m))
+        q0, dq = lat.q[0], lat.dual_spacing
+        regions = equal_partition(lat.q_region([]), 4) + [
+            lat.q_region([(q0 + 3 * dq, q0 + 9 * dq)]),
+            lat.q_region([(q0 + (m - 2) * dq, q0 + (m + 3) * dq)]),  # wraps
+            lat.q_region([(q0 + 0.4 * dq, q0 + 5.3 * dq)]),          # misaligned
+        ]
+        for B in regions:
+            assert np.array_equal(_compressed_indicator(lat, B),
+                                  indicator_Q(lat, B)[np.ix_(pos, pos)])
+
+
+def test_positive_sites_reject_a_lattice_below_zero():
+    lat = MellinLattice(16, 0.45, -20 * 0.45)
+    with pytest.raises(ValueError, match="no site with u >= 0"):
+        lat.positive_sites
 
 
 def test_shift_rejects_misaligned():
