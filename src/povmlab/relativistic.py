@@ -7,7 +7,8 @@ by grid multiples are exact index shifts.  On this grid: the Hardy
 projection onto nonnegative frequencies (zero mode included), the
 modulus-of-momentum multiplier |xi|, the Poisson semigroup e^{-y|xi|}, the
 position-band effects compressed to the Hardy subspace (circulant in the
-Fourier basis), and the weighted trace tr(. e^{-beta |D|}).
+Fourier basis, so applied to a vector by two FFTs), and the weighted trace
+tr(. e^{-beta |D|}).
 
 Multiplier commutation and shift covariance are exact under periodisation
 and are tested tightly; kernel shapes carry discretisation error and are
@@ -99,7 +100,7 @@ class HardyModel:
     """Nonnegative-frequency subspace of a CircleGrid.
 
     The Hardy basis is the first n/2 FFT modes (frequencies 0..(n/2-1) *
-    2 pi / L); ``modes`` maps Hardy coefficients to grid samples.
+    2 pi / L); ``synthesize`` maps Hardy coefficients to grid samples.
     """
 
     grid: CircleGrid
@@ -112,11 +113,19 @@ class HardyModel:
     def xi(self) -> np.ndarray:
         return self.grid.xi[: self.dim]
 
-    @cached_property
-    def modes(self) -> np.ndarray:
-        """Columns e^{i xi_k x_j} / sqrt(n), one per Hardy mode."""
-        return (np.exp(1j * np.outer(self.grid.x, self.xi))
-                / np.sqrt(self.grid.n))
+    def _padded_ifft(self, coef) -> np.ndarray:
+        """ifft of the Hardy coefficients padded with zeros to n; the shape
+        is checked, since ifft would silently cut or pad a wrong one."""
+        coef = np.asarray(coef)
+        if coef.shape != (self.dim,):
+            raise ValueError(f"Hardy coefficient vector of shape ({self.dim},) "
+                             f"required, got {coef.shape}")
+        return np.fft.ifft(coef, self.grid.n)
+
+    def synthesize(self, coef) -> np.ndarray:
+        """Grid samples sum_k coef_k e^{i xi_k x_j} / sqrt(n): the unitary
+        inverse DFT of the coefficients padded with zeros to n."""
+        return self._padded_ifft(coef) * np.sqrt(self.grid.n)
 
 
 def boundary_isometry_check(model: HardyModel, f, ys) -> dict:
@@ -159,6 +168,25 @@ def _sampled_effect(model: HardyModel, B: RegionSet) -> np.ndarray:
     return circulant(c, model.dim)
 
 
+def _sampled_apply(model: HardyModel, B: RegionSet, v) -> np.ndarray:
+    """``_sampled_effect(model, B) @ v`` in O(n log n) without the matrix:
+    synthesize v on the grid, multiply by the sampled indicator and keep
+    the Hardy coefficients, fft(1_B(x) * ifft(pad(v)))[:n/2]; the sqrt(n)
+    factors of the unitary DFT cancel."""
+    return np.fft.fft(B.indicator(model.grid.x)
+                      * model._padded_ifft(v))[: model.dim]
+
+
+def _aligned(model: HardyModel, B: RegionSet) -> RegionSet:
+    """B, once checked to lie on the grid's circle, aligned to its cells."""
+    grid = model.grid
+    if B.domain != "line" or abs(B.period - grid.L) > 1e-9:
+        raise ValueError("region must live on the grid's circle")
+    if not B.is_aligned(grid.h):
+        raise ValueError("region is not aligned to grid cells")
+    return B
+
+
 def rel_effect(model: HardyModel, B: RegionSet) -> np.ndarray:
     """Position-band effect P_+ 1_B(X) P_+ compressed to the Hardy basis.
 
@@ -166,12 +194,13 @@ def rel_effect(model: HardyModel, B: RegionSet) -> np.ndarray:
     sets are refused (the interpolation path is only taken by the
     covariance checker, which reports its error).
     """
-    grid = model.grid
-    if B.domain != "line" or abs(B.period - grid.L) > 1e-9:
-        raise ValueError("region must live on the grid's circle")
-    if not B.is_aligned(grid.h):
-        raise ValueError("region is not aligned to grid cells")
-    return _sampled_effect(model, B)
+    return _sampled_effect(model, _aligned(model, B))
+
+
+def rel_effect_apply(model: HardyModel, B: RegionSet, v) -> np.ndarray:
+    """``rel_effect(model, B) @ v`` by two FFTs, in O(n log n) time and
+    O(n) memory, with the same region checks as ``rel_effect``."""
+    return _sampled_apply(model, _aligned(model, B), v)
 
 
 def rel_covariance_residual(model: HardyModel, beta: float, t: float,

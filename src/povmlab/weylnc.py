@@ -7,7 +7,8 @@ original frequency splits the space into two channels carrying the same
 operator, so operators live on one channel (every operator norm is the
 same) while symbols keep a principal part per channel.  e^{isP} is kept
 as its diagonal, the shift S(t) for t in delta*Z as the columns of its
-permutation, and functions of Q, diagonal in the dual (DFT) basis, are
+permutation (so the Weyl defect on the lattice is kept as its m
+nonzeros), and functions of Q, diagonal in the dual (DFT) basis, are
 circulants.  On aligned data the Weyl relation e^{isP} S(t) = e^{-ist}
 S(t) e^{isP}, the conjugation-shift identity for quantized symbols, and
 the covariance of the half-line effects are exact; misaligned inputs
@@ -125,28 +126,30 @@ class MellinLattice:
                               base=-np.pi / self.delta)
 
 
-def weyl_defect(lat: MellinLattice, s: float, t: float) -> np.ndarray:
-    """e^{isP} S(t) - e^{-ist} S(t) e^{isP}, with S(t) the exact shift for
-    t in delta*Z and e^{itQ} otherwise.  The shift is a permutation, so its
-    defect is nonzero only at the m entries (l, col_l) of S(t)."""
-    Es = lat.exp_P(s)
-    j = t / lat.delta
-    if abs(j - round(j)) >= 1e-9:
-        St = lat.exp_Q(t)
-        return Es[:, None] * St - np.exp(-1j * s * t) * St * Es[None, :]
+def weyl_defect(lat: MellinLattice, s: float, t: float) -> tuple:
+    """e^{isP} S(t) - e^{-ist} S(t) e^{isP} for t in delta*Z, as its m
+    nonzeros: the pair (cols, vals) with the entry vals[l] at (l, cols[l]).
+    The shift is a permutation, so the defect has no other entries."""
     cols = lat.shift_columns(t)
-    D = np.zeros((lat.m, lat.m), dtype=complex)
-    D[np.arange(lat.m), cols] = Es - np.exp(-1j * s * t) * Es[cols]
-    return D
+    Es = lat.exp_P(s)
+    return cols, Es - np.exp(-1j * s * t) * Es[cols]
 
 
 def weyl_relation_residual(lat: MellinLattice, s: float, t: float) -> float:
-    """|| e^{isP} S(t) - e^{-ist} S(t) e^{isP} ||.
+    """|| e^{isP} S(t) - e^{-ist} S(t) e^{isP} ||, with S(t) the exact
+    shift for t in delta*Z and e^{itQ} otherwise.
 
     Exact (rounding-level) for t in delta*Z and s on the dual grid;
-    generic s reports the wrap-around boundary defect.
+    generic s reports the wrap-around boundary defect.  On the lattice the
+    defect has one nonzero per row and column, so its norm is the largest
+    modulus among them; a generic t forms the dense defect.
     """
-    return opnorm(weyl_defect(lat, s, t))
+    j = t / lat.delta
+    if abs(j - round(j)) < 1e-9:
+        return float(np.abs(weyl_defect(lat, s, t)[1]).max())
+    Es = lat.exp_P(s)
+    St = lat.exp_Q(t)
+    return opnorm(Es[:, None] * St - np.exp(-1j * s * t) * St * Es[None, :])
 
 
 @dataclass

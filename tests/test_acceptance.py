@@ -177,7 +177,7 @@ def test_criterion_09_relativistic():
     C /= opnorm(C)
     tau = tau_unitarity_residual(grid, 1.0, 0.7, A, C)
     coef = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
-    rep = boundary_isometry_check(model, model.modes @ coef,
+    rep = boundary_isometry_check(model, model.synthesize(coef),
                                   np.logspace(-3, 1, 20))
     parts = equal_partition(RegionSet.line([], length=grid.L), 4)
     effects = [rel_effect(model, Bi) for Bi in parts]

@@ -1,6 +1,7 @@
 import inspect
 import json
 import sys
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -10,8 +11,9 @@ from povmlab import (modular, operators, oscillator, povm, regions,
                      relativistic, weylnc)
 from povmlab.cli import main
 from povmlab.harness import (REQUIRED_ANCHORS, STUDY_KINDS, SuiteConfig,
-                             convergence_study, report_body, report_to_csv,
-                             run_suite)
+                             _circulant_idempotency_defect, convergence_study,
+                             report_body, report_to_csv, run_suite)
+from povmlab.operators import covariance_defect, opnorm
 
 
 def test_full_suite_passes():
@@ -97,6 +99,78 @@ def test_study_covariance_interp_decreasing():
 def test_study_weyl_wrap_decreasing():
     out = convergence_study("weyl-wrap", [16, 32, 64, 128])
     assert out["monotone"] == "decreasing"
+
+
+def dense_covariance_interp_error(n):
+    """Reference: the study's matrix element read off the dense n/2 x n/2
+    defect diag(phase) E_B diag(phase)* - E_{B+s}."""
+    grid = relativistic.CircleGrid(n, 8 * np.pi)
+    model = relativistic.HardyModel(grid)
+    s = 2.5 * grid.h
+    B = grid.region([(0.0, grid.L / 4)])
+    defect, exact = covariance_defect(
+        np.exp(-1j * s * model.xi), relativistic.rel_effect(model, B),
+        lambda R: relativistic._sampled_effect(model, R), B, s, grid.h)
+    assert not exact
+    f = np.exp(-0.2 * model.xi)
+    g = np.exp(-0.3 * model.xi) * np.exp(1.3j * model.xi)
+    return abs(np.vdot(g, defect @ f))
+
+
+def dense_weyl_wrap_error(m):
+    """Reference: the dense m x m Weyl defect, S(t) a permutation matrix,
+    applied to the study's Gaussian."""
+    delta = float(np.sqrt(2 * np.pi / m))
+    lat = weylnc.MellinLattice(m, delta, -delta * (m // 2))
+    St = lat.shift(lat.delta)
+    Es = lat.exp_P(0.37)
+    defect = Es[:, None] * St - np.exp(-0.37j * lat.delta) * St * Es[None, :]
+    g = np.exp(-lat.u ** 2 / 8.0)
+    g /= np.linalg.norm(g)
+    return np.linalg.norm(defect @ g)
+
+
+@pytest.mark.parametrize("kind, dense", [
+    ("covariance-interp", dense_covariance_interp_error),
+    ("weyl-wrap", dense_weyl_wrap_error),
+])
+def test_matrix_free_studies_match_dense_formulas(kind, dense):
+    sizes = [16, 32, 64, 128, 256, 512, 1024]
+    rows = convergence_study(kind, sizes)["rows"]
+    for size, row in zip(sizes, rows):
+        assert row["error"] == pytest.approx(dense(size), rel=1e-12), size
+
+
+def test_studies_are_matrix_free():
+    # the dense path needs a 4096 x 4096 complex defect (268 MB) for
+    # weyl-wrap and two 2048 x 2048 effects for covariance-interp
+    tracemalloc.start()
+    try:
+        for kind in STUDY_KINDS:
+            convergence_study(kind, [4096])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_study_covariance_interp_decreasing_at_large_sizes():
+    out = convergence_study("covariance-interp", [4096, 16384, 65536])
+    assert out["monotone"] == "decreasing"
+
+
+def test_circulant_idempotency_defect_matches_dense_norm():
+    m = 48
+    lat = weylnc.MellinLattice(m, 0.4, -0.4 * (m // 2))
+    rng = np.random.default_rng(67)
+    q0, dq = lat.q[0], lat.dual_spacing
+    for C in (weylnc.indicator_Q(lat, lat.q_region([(q0, q0 + 11 * dq)])),
+              operators.circulant(rng.standard_normal(m)
+                                  + 1j * rng.standard_normal(m)),
+              operators.circulant(np.fft.ifft(rng.uniform(0, 1, m)))):
+        dense = opnorm(C @ C - C)
+        assert _circulant_idempotency_defect(C) == pytest.approx(
+            dense, rel=1e-12, abs=1e-15)
 
 
 def test_study_single_size():
@@ -221,14 +295,15 @@ def test_weyl_suite_passes_where_the_seam_point_rounds_below_base():
 UNREACHED = {
     # the length of a region, through which tests check the cell arithmetic
     "regions.RegionSet.measure",
-    # the generic-t branch of weyl_defect; every run shifts by delta*Z
+    # the generic-t branch of weyl_relation_residual; every run shifts by
+    # delta*Z, where the defect is kept as its m nonzeros
     "weylnc.MellinLattice.exp_Q",
     # the dense circulant form of a Fourier multiplier: tau_unitarity_residual
     # applies its multipliers by FFT, and test_relativistic's
     # test_tau_unitarity_fft_matches_dense_multiplier_products keeps this as
     # the reference; kept because perfbench/layers.py traces it by name
     "relativistic.CircleGrid.multiplier_matrix",
-    # the dense permutation S(t): weyl_defect and quantize place its m
+    # the dense permutation S(t): weyl_defect and quantize find its m
     # nonzeros by index, and test_weylnc keeps this as their reference;
     # kept because perfbench/layers.py traces it by name
     "weylnc.MellinLattice.shift",

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from povmlab.operators import EFFECT, PROJECTION, adjoint, is_effect, opnorm
-from povmlab.relativistic import (CircleGrid, HardyModel,
-                                  boundary_isometry_check, hardy_project,
-                                  poisson_apply, poisson_kernel,
-                                  poisson_kernel_error,
+from povmlab.regions import RegionSet
+from povmlab.relativistic import (CircleGrid, HardyModel, _sampled_apply,
+                                  _sampled_effect, boundary_isometry_check,
+                                  hardy_project, poisson_apply,
+                                  poisson_kernel, poisson_kernel_error,
                                   rel_covariance_residual, rel_effect,
-                                  tau_unitarity_residual)
+                                  rel_effect_apply, tau_unitarity_residual)
 
 rng = np.random.default_rng(53)
 
@@ -139,7 +140,7 @@ def test_boundary_isometry():
     grid = CircleGrid(128, 8 * np.pi)
     model = HardyModel(grid)
     coef = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
-    f = model.modes @ coef
+    f = model.synthesize(coef)
     rep = boundary_isometry_check(model, f, np.logspace(-3, 1, 15))
     assert rep["boundary_residual"] < 1e-12
     assert rep["monotonicity_violations"] == 0
@@ -163,6 +164,60 @@ def test_rel_effects_form_povm():
     effects = [rel_effect(model, B) for B in parts]
     assert opnorm(sum(effects) - np.eye(model.dim)) < 1e-12
     assert all(is_effect(E, 1e-10) in (EFFECT, PROJECTION) for E in effects)
+
+
+@pytest.mark.parametrize("n", [8, 12, 64, 256, 384])
+def test_synthesis_matches_dense_hardy_exponentials(n):
+    # reference: the n x n/2 matrix of columns e^{i xi_k x_j} / sqrt(n)
+    model = HardyModel(CircleGrid(n, 8 * np.pi))
+    modes = (np.exp(1j * np.outer(model.grid.x, model.xi))
+             / np.sqrt(model.grid.n))
+    coef = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    assert np.allclose(model.synthesize(coef), modes @ coef,
+                       rtol=0, atol=1e-12 * np.linalg.norm(coef))
+
+
+@pytest.mark.parametrize("n", [8, 12, 64, 256])
+def test_effect_action_matches_dense_effect(n):
+    grid = CircleGrid(n, 8 * np.pi)
+    model = HardyModel(grid)
+    aligned = [grid.region([(0.0, grid.L / 4)]),
+               grid.region([(3 * grid.h, grid.L - grid.h)]),
+               grid.region([(grid.L - 2 * grid.h, grid.L + 3 * grid.h)])]
+    for B in aligned:
+        shifted = B.shifted(2.5 * grid.h)
+        for _ in range(3):
+            v = (rng.standard_normal(model.dim)
+                 + 1j * rng.standard_normal(model.dim))
+            scale = np.linalg.norm(v)
+            assert np.allclose(rel_effect_apply(model, B, v),
+                               rel_effect(model, B) @ v,
+                               rtol=0, atol=1e-12 * scale)
+            assert np.allclose(_sampled_apply(model, shifted, v),
+                               _sampled_effect(model, shifted) @ v,
+                               rtol=0, atol=1e-12 * scale)
+        with pytest.raises(ValueError, match="not aligned"):
+            rel_effect_apply(model, shifted, v)
+
+
+def test_effect_action_rejects_what_rel_effect_rejects():
+    grid = CircleGrid(32, 8.0)
+    model = HardyModel(grid)
+    v = np.ones(model.dim)
+    for B, msg in ((grid.region([(0.0, 0.3 * grid.h)]), "not aligned"),
+                   (RegionSet.line([(0.0, 1.0)], length=9.0), "grid's circle"),
+                   (RegionSet.circle([(0.0, 1.0)]), "grid's circle")):
+        for build in (lambda: rel_effect(model, B),
+                      lambda: rel_effect_apply(model, B, v)):
+            with pytest.raises(ValueError, match=msg):
+                build()
+    B = grid.region([(0.0, grid.L / 4)])
+    for bad in (np.ones(grid.n), np.ones(model.dim - 1),
+                np.ones((model.dim, 1))):
+        for apply in (lambda: rel_effect_apply(model, B, bad),
+                      lambda: model.synthesize(bad)):
+            with pytest.raises(ValueError, match="Hardy coefficient vector"):
+                apply()
 
 
 def test_rel_effect_rejects_misaligned():

@@ -63,17 +63,32 @@ def test_indicator_q_matches_dense_reference(m, data):
     assert opnorm(indicator_Q(lat, B) - dense_multiplier_Q(lat, ind)) < 1e-12
 
 
+def from_nonzeros(lat, cols, vals):
+    """The m x m matrix with the entry vals[l] at (l, cols[l])."""
+    D = np.zeros((lat.m, lat.m), dtype=complex)
+    D[np.arange(lat.m), cols] = vals
+    return D
+
+
 def test_weyl_defect_matches_dense_reference():
-    for m in SKEWED:
-        lat = skewed_lattice(m)
-        s = 0.37
-        Es = np.diag(np.exp(1j * s * lat.u))
-        on = 2 * lat.delta       # S(t) is the exact shift
-        off = 0.6 * lat.delta    # S(t) is e^{itQ}
-        for t, St in ((on, lat.shift(on)),
-                      (off, dense_multiplier_Q(lat, np.exp(1j * off * lat.q)))):
-            dense = Es @ St - np.exp(-1j * s * t) * St @ Es
-            assert opnorm(weyl_defect(lat, s, t) - dense) < 1e-12
+    for lat in [skewed_lattice(m) for m in SKEWED] + [selfdual_lattice(192)]:
+        on = (2 * lat.delta, -3 * lat.delta)    # S(t) is the exact shift
+        off = 0.6 * lat.delta                   # S(t) is e^{itQ}
+        shifts = [(t, lat.shift(t)) for t in on] + [
+            (off, dense_multiplier_Q(lat, np.exp(1j * off * lat.q)))]
+        for s in (0.37, lat.dual_spacing):
+            Es = np.diag(np.exp(1j * s * lat.u))
+            for t, St in shifts:
+                dense = Es @ St - np.exp(-1j * s * t) * St @ Es
+                # on the lattice the norm is the largest nonzero modulus,
+                # which the SVD of the dense defect must reproduce
+                assert weyl_relation_residual(lat, s, t) == pytest.approx(
+                    opnorm(dense), rel=1e-12, abs=1e-15), (lat.m, s, t)
+                if t in on:
+                    D = from_nonzeros(lat, *weyl_defect(lat, s, t))
+                    assert opnorm(D - dense) < 1e-12
+        with pytest.raises(ValueError, match="lattice multiple"):
+            weyl_defect(lat, 0.37, off)
 
 
 def dense_weyl_defect(lat, s, t):
@@ -99,7 +114,7 @@ def test_lattice_shift_paths_match_dense_shift_formulas(m):
     for j in (0, 1, -3, m - 1, m + 2):
         t = j * lat.delta
         for s in (0.37, 3 * lat.dual_spacing):
-            assert np.array_equal(weyl_defect(lat, s, t),
+            assert np.array_equal(from_nonzeros(lat, *weyl_defect(lat, s, t)),
                                   dense_weyl_defect(lat, s, t)), (j, s)
     nyq = m // 2
     coeffs = {}
