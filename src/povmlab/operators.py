@@ -3,14 +3,20 @@
 Operators are plain numpy arrays of complex128.  This module provides the
 pieces everything else is built from: Hermitian eigendecomposition,
 functional calculus f(H) = V f(lam) V*, and the effect/projection
-classification.
+classification.  The one structured operator is ``ToeplitzBlock``, a
+leading block of a circulant kept as its generator, whose norm and
+spectrum are bounded from one FFT.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 # Default tolerance of the predicates: relative to max(1, ||A||) in
 # is_hermitian (so in herm_spectrum), absolute in is_effect's spectrum and
-# projection tests.
+# projection tests.  Also the tol of the covariance residuals when their
+# caller gives none: a residual at most this is reported as the certified
+# bound of ToeplitzBlock.norm_bound, a larger one by the dense SVD.
 DEFAULT_TOL = 1e-10
 # Tolerance for checks on operators built numerically (square roots, dilations,
 # densities), whose rounding error sits well above DEFAULT_TOL.
@@ -163,20 +169,98 @@ def circulant(c, k: int = None) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(v, k)[::-1].copy()
 
 
-def covariance_defect(phase, E, sampled, B, shift, h):
-    """Defect diag(phase) E diag(phase)* - E_{B + shift} of a covariance
-    identity for the effect E = E_B, and whether the exact path was taken.
+@dataclass(frozen=True, eq=False)
+class ToeplitzBlock:
+    """The leading k x k block of circulant(c), kept as its generator c.
 
-    ``sampled`` builds the target from the indicator of B + shift sampled
-    at the grid points.  The path is exact when ``shift`` is a multiple of
-    the grid step ``h`` and the shifted region is aligned to the grid, where
-    the sampled indicator is the effect itself; otherwise the interpolation
-    error shows in the defect.
+    The block compresses the circulant C(c), which is normal with
+    eigenvalues lam = fft(c).  So ||block|| <= max|lam| (Gray, *Toeplitz
+    and Circulant Matrices: A Review*, 2006), and by Cauchy interlacing
+    (Horn-Johnson, Thm 4.3.28) the Hermitian part (block + block*)/2 has
+    its spectrum in [min Re lam, max Re lam] and ||block - block*|| <=
+    2 max|Im lam|.  Each bound is widened by 5 log2(n) eps sqrt(n) ||c||_2,
+    which bounds the rounding of every computed FFT value (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Ch. 24), so it holds
+    for the exact block of the stored generator.  It leaves out the
+    rounding of forming the dense block, and can sit below the SVD norm of
+    ``dense()``.
+    """
+
+    c: np.ndarray
+    k: int
+
+    def dense(self) -> np.ndarray:
+        return circulant(self.c, self.k)
+
+    def _spectrum(self):
+        """fft(c) and the rounding allowance of each of its values."""
+        n = len(self.c)
+        slack = (5 * max(1.0, np.log2(n)) * np.finfo(float).eps * np.sqrt(n)
+                 * np.linalg.norm(self.c))
+        return np.fft.fft(self.c), slack
+
+    def norm_bound(self) -> float:
+        lam, slack = self._spectrum()
+        return float(np.abs(lam).max() + slack)
+
+    def spectrum_bounds(self) -> tuple:
+        """(lo, hi, skew): the spectrum of the Hermitian part lies in
+        [lo, hi], and ||block - block*|| <= skew."""
+        lam, slack = self._spectrum()
+        return (float(lam.real.min() - slack), float(lam.real.max() + slack),
+                float(2 * (np.abs(lam.imag).max() + slack)))
+
+    def certified_norm(self, tol: float, dense=None) -> tuple:
+        """(``norm_bound()``, True) when the bound is at most tol; else
+        (the SVD norm of the dense block, or of ``dense()`` for a caller
+        that forms the operator its own way, False), so a failure always
+        shows the dense value."""
+        bound = self.norm_bound()
+        if bound <= tol:
+            return bound, True
+        return opnorm(self.dense() if dense is None else dense()), False
+
+    def conjugation_defect(self, phase, other) -> "ToeplitzBlock":
+        """diag(phase) B diag(phase)* - other for this block B, ``other`` a
+        block of the same size and phase_j = e^{i(a j + b)}.
+
+        Entry (j, l) is e^{ia(j-l)} c_{j-l} - c'_{j-l}, so the defect is
+        Toeplitz.  Its generator holds that value at each signed offset
+        |r| < k, read off the first column and row as the dense formula
+        rounds them, in a circulant of length max(n, 2k) where no two
+        offsets share an entry; the entries no offset uses (the one at n/2
+        when k = n/2) are 0.
+        """
+        k, n = self.k, len(self.c)
+        r = np.arange(k)
+        g = np.zeros(max(n, 2 * k), dtype=complex)
+        g[-r % len(g)] = (phase[0] * self.c[-r % n] * np.conj(phase[:k])
+                          - other.c[-r % n])
+        g[r] = phase[:k] * self.c[r] * np.conj(phase[0]) - other.c[r]
+        return ToeplitzBlock(g, k)
+
+
+def shift_covariance(phase, E: ToeplitzBlock, sampled, B, shift, h,
+                     tol: float) -> dict:
+    """|| diag(phase) E diag(phase)* - E_{B + shift} || for the Toeplitz-block
+    effect E = E_B, whether it is a certified bound, and whether the exact
+    path was taken.
+
+    ``sampled`` builds the target block from the indicator of B + shift
+    sampled at the grid points.  The residual is the bound of the defect's
+    generator when that is at most tol, and the SVD norm of the dense
+    defect otherwise.  The path is exact when ``shift`` is a multiple of
+    the grid step ``h`` and the shifted region is aligned to the grid;
+    otherwise the interpolation error shows in the defect.
     """
     shifted = B.shifted(shift)
+    target = sampled(shifted)
+    residual, bound = E.conjugation_defect(phase, target).certified_norm(
+        tol, lambda: diag_conjugate(phase, E.dense()) - target.dense())
     steps = shift / h
-    exact = abs(steps - round(steps)) < 1e-9 and shifted.is_aligned(h)
-    return diag_conjugate(phase, E) - sampled(shifted), exact
+    return {"residual": residual, "upper_bound": bound,
+            "exact_path": (abs(steps - round(steps)) < 1e-9
+                           and shifted.is_aligned(h))}
 
 
 def sqrtm_psd(A) -> np.ndarray:

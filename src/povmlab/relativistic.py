@@ -6,8 +6,9 @@ diagonal in frequency (circulant matrices on the grid), and translations
 by grid multiples are exact index shifts.  On this grid: the Hardy
 projection onto nonnegative frequencies (zero mode included), the
 modulus-of-momentum multiplier |xi|, the Poisson semigroup e^{-y|xi|}, the
-position-band effects compressed to the Hardy subspace (circulant in the
-Fourier basis, so applied to a vector by two FFTs), and the weighted trace
+position-band effects compressed to the Hardy subspace (Toeplitz blocks
+of circulants in the Fourier basis, kept as their generators, so bounded
+from one FFT and applied to a vector by two), and the weighted trace
 tr(. e^{-beta |D|}).
 
 Multiplier commutation and shift covariance are exact under periodisation
@@ -20,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import NUMERIC_TOL, circulant, covariance_defect, opnorm
+from .operators import (DEFAULT_TOL, NUMERIC_TOL, ToeplitzBlock, circulant,
+                        shift_covariance)
 from .regions import RegionSet
 
 
@@ -158,14 +160,14 @@ def boundary_isometry_check(model: HardyModel, f, ys) -> dict:
     }
 
 
-def _sampled_effect(model: HardyModel, B: RegionSet) -> np.ndarray:
+def _sampled_effect(model: HardyModel, B: RegionSet) -> ToeplitzBlock:
     """P_+ 1_B(X) P_+ on the Hardy basis with the indicator of B sampled at
     the grid points; agrees with ``rel_effect`` on aligned regions.  In the
     Fourier basis 1_B(X) is a circulant and the Hardy modes are its first
-    n/2 basis vectors, so the effect is its leading n/2 x n/2 block, built
-    alone."""
+    n/2 basis vectors, so the effect is its leading n/2 x n/2 block, kept
+    as the circulant's generator."""
     c = np.fft.fft(B.indicator(model.grid.x)) / model.grid.n
-    return circulant(c, model.dim)
+    return ToeplitzBlock(c, model.dim)
 
 
 def _sampled_apply(model: HardyModel, B: RegionSet, v) -> np.ndarray:
@@ -187,8 +189,12 @@ def _aligned(model: HardyModel, B: RegionSet) -> RegionSet:
     return B
 
 
-def rel_effect(model: HardyModel, B: RegionSet) -> np.ndarray:
-    """Position-band effect P_+ 1_B(X) P_+ compressed to the Hardy basis.
+def rel_effect(model: HardyModel, B: RegionSet) -> ToeplitzBlock:
+    """Position-band effect P_+ 1_B(X) P_+ compressed to the Hardy basis,
+    as a ``ToeplitzBlock``: the circulant's spectrum is the sampled
+    indicator, so its norm and spectrum bounds certify a sum of effects or
+    an effect's range from one FFT, and ``dense()`` forms the matrix for
+    the SVD or ``is_effect`` when a bound does not settle a check.
 
     B must be a union of grid-aligned cells [x_j, x_j + h); non-aligned
     sets are refused (the interpolation path is only taken by the
@@ -204,7 +210,7 @@ def rel_effect_apply(model: HardyModel, B: RegionSet, v) -> np.ndarray:
 
 
 def rel_covariance_residual(model: HardyModel, beta: float, t: float,
-                            B: RegionSet) -> dict:
+                            B: RegionSet, tol: float = DEFAULT_TOL) -> dict:
     """|| e^{-i beta t |D|} E_B e^{i beta t |D|} - E_{B + beta t} || on the
     Hardy subspace.
 
@@ -212,13 +218,15 @@ def rel_covariance_residual(model: HardyModel, beta: float, t: float,
     translates by +beta*t (direction frozen by a regression test).  When
     beta*t is a grid multiple and B is aligned the identity is exact;
     otherwise the shifted set is sampled pointwise and the interpolation
-    error is reported, never silently accepted.
+    error is reported, never silently accepted.  The Hardy frequencies are
+    equispaced, so the defect is a Toeplitz block; its generator's bound is
+    reported when it is at most tol (``upper_bound`` True), and the SVD of
+    the dense defect otherwise (see ``operators.shift_covariance``).
     """
     s = beta * t
-    defect, exact = covariance_defect(
-        np.exp(-1j * s * model.xi), rel_effect(model, B),
-        lambda R: _sampled_effect(model, R), B, s, model.grid.h)
-    return {"residual": opnorm(defect), "exact_path": exact}
+    return shift_covariance(np.exp(-1j * s * model.xi), rel_effect(model, B),
+                            lambda R: _sampled_effect(model, R), B, s,
+                            model.grid.h, tol)
 
 
 def tau_unitarity_residual(grid: CircleGrid, beta: float, t: float,

@@ -9,7 +9,7 @@ same) while symbols keep a principal part per channel.  e^{isP} is kept
 as its diagonal, the shift S(t) for t in delta*Z as the columns of its
 permutation (so the Weyl defect on the lattice is kept as its m
 nonzeros), and functions of Q, diagonal in the dual (DFT) basis, are
-circulants.  On aligned data the Weyl relation e^{isP} S(t) = e^{-ist}
+circulants kept as their generators.  On aligned data the Weyl relation e^{isP} S(t) = e^{-ist}
 S(t) e^{isP}, the conjugation-shift identity for quantized symbols, and
 the covariance of the half-line effects are exact; misaligned inputs
 report the wrap-around defect.
@@ -30,7 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import circulant, covariance_defect, diag_conjugate, opnorm
+from .operators import (DEFAULT_TOL, ToeplitzBlock, diag_conjugate, opnorm,
+                        shift_covariance)
 from .regions import RegionSet
 
 
@@ -91,13 +92,14 @@ class MellinLattice:
 
     def exp_Q(self, t: float) -> np.ndarray:
         """e^{itQ}; coincides with shift(t) for t in delta*Z."""
-        return self.spectral_multiplier_Q(np.exp(1j * t * self.q))
+        return self.spectral_multiplier_Q(np.exp(1j * t * self.q)).dense()
 
-    def spectral_multiplier_Q(self, values, k: int = None) -> np.ndarray:
+    def spectral_multiplier_Q(self, values, k: int = None) -> ToeplitzBlock:
         """f(Q) = Phi diag(f(q)) Phi* with Phi[l, k] = e^{i q_k u_l} /
-        sqrt(m), as a circulant, or its leading k x k block; ifftshift
-        moves q = 0 (mid-array) first."""
-        return circulant(np.fft.ifft(np.fft.ifftshift(values)), k)
+        sqrt(m), a circulant kept as its generator, or its leading k x k
+        block; ifftshift moves q = 0 (mid-array) first."""
+        return ToeplitzBlock(np.fft.ifft(np.fft.ifftshift(values)),
+                             self.m if k is None else k)
 
     @cached_property
     def positive_sites(self) -> np.ndarray:
@@ -220,26 +222,32 @@ def htau_norm(a: SymbolRep, x_length: float) -> float:
                                      + np.sum(np.abs(a.a0_neg) ** 2))))
 
 
-def indicator_Q(lat: MellinLattice, B: RegionSet, k: int = None) -> np.ndarray:
-    """1_B(Q) on one channel: a projection, finitely additive in B; or
-    its leading k x k block."""
+def indicator_Q(lat: MellinLattice, B: RegionSet) -> np.ndarray:
+    """1_B(Q) on one channel: a projection, finitely additive in B."""
+    return _indicator_block(lat, B, lat.m).dense()
+
+
+def _indicator_block(lat: MellinLattice, B: RegionSet, k: int) -> ToeplitzBlock:
+    """The leading k x k block of 1_B(Q), kept as its generator."""
     if abs(B.period - lat.x_length) > 1e-9:
         raise ValueError("region must live on the Q-spectral circle")
     return lat.spectral_multiplier_Q(B.indicator(lat.q), k)
 
 
-def _compressed_indicator(lat: MellinLattice, B: RegionSet) -> np.ndarray:
+def _compressed_indicator(lat: MellinLattice, B: RegionSet) -> ToeplitzBlock:
     """1_B(Q) compressed to the sites with u >= 0.  They are a suffix of
     the lattice, and every diagonal block of a circulant on consecutive
-    sites is its leading block of that size, which alone is built."""
-    return indicator_Q(lat, B, len(lat.positive_sites))
+    sites is its leading block of that size."""
+    return _indicator_block(lat, B, len(lat.positive_sites))
 
 
-def nc_effect(lat: MellinLattice, B: RegionSet) -> np.ndarray:
+def nc_effect(lat: MellinLattice, B: RegionSet) -> ToeplitzBlock:
     """Effect 1_{R+}(P) 1_B(Q) 1_{R+}(P) compressed to the range of the
     half-line projection, on one channel (both carry the same effect).
     It is the leading block of the circulant 1_B(Q) on the sites u >= 0,
-    built without forming the m x m circulant.
+    kept as a ``ToeplitzBlock``: its norm and spectrum bounds certify a
+    sum of effects from one FFT, and ``dense()`` forms the matrix for the
+    SVD when a bound does not settle a check.
 
     B must be aligned to the Q-spectral cells [q_k, q_k + dual_spacing).
     """
@@ -248,16 +256,21 @@ def nc_effect(lat: MellinLattice, B: RegionSet) -> np.ndarray:
     return _compressed_indicator(lat, B)
 
 
-def nc_covariance_residual(lat: MellinLattice, t: float, B: RegionSet) -> dict:
+def nc_covariance_residual(lat: MellinLattice, t: float, B: RegionSet,
+                           tol: float = DEFAULT_TOL) -> dict:
     """|| e^{itP} E_B e^{-itP} - E_{B+t} || on the compressed range.
 
     Exact for t on the Q-dual lattice; misaligned t is routed to the
-    sampled-indicator interpolation path and its error reported.
+    sampled-indicator interpolation path and its error reported.  The
+    positive sites are equispaced, so the defect is a Toeplitz block; its
+    generator's bound is reported when it is at most tol (``upper_bound``
+    True), and the SVD of the dense defect otherwise (see
+    ``operators.shift_covariance``).
     """
-    defect, exact = covariance_defect(
-        np.exp(1j * t * lat.u[lat.positive_sites]), nc_effect(lat, B),
-        lambda R: _compressed_indicator(lat, R), B, t, lat.dual_spacing)
-    return {"residual": opnorm(defect), "exact_path": exact}
+    return shift_covariance(np.exp(1j * t * lat.u[lat.positive_sites]),
+                            nc_effect(lat, B),
+                            lambda R: _compressed_indicator(lat, R), B, t,
+                            lat.dual_spacing, tol)
 
 
 def conjugation_residual(lat: MellinLattice, t: float, a: SymbolRep) -> float:

@@ -180,7 +180,7 @@ def test_criterion_09_relativistic():
     rep = boundary_isometry_check(model, model.synthesize(coef),
                                   np.logspace(-3, 1, 20))
     parts = equal_partition(RegionSet.line([], length=grid.L), 4)
-    effects = [rel_effect(model, Bi) for Bi in parts]
+    effects = [rel_effect(model, Bi).dense() for Bi in parts]
     axioms = opnorm(sum(effects) - np.eye(model.dim))
     effects_ok = all(is_effect(E, 1e-10) in (EFFECT, PROJECTION)
                      for E in effects)

@@ -7,13 +7,14 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from povmlab import (modular, operators, oscillator, povm, regions,
+from povmlab import (harness, modular, operators, oscillator, povm, regions,
                      relativistic, weylnc)
 from povmlab.cli import main
 from povmlab.harness import (REQUIRED_ANCHORS, STUDY_KINDS, SuiteConfig,
-                             _circulant_idempotency_defect, convergence_study,
+                             _circulant_idempotency_defect, _identity_defect,
+                             convergence_study,
                              report_body, report_to_csv, run_suite)
-from povmlab.operators import covariance_defect, opnorm
+from povmlab.operators import diag_conjugate, opnorm
 
 
 def test_full_suite_passes():
@@ -101,6 +102,31 @@ def test_study_weyl_wrap_decreasing():
     assert out["monotone"] == "decreasing"
 
 
+def covariance_defect(phase, E, sampled, B, shift, h):
+    """Reference: the dense defect diag(phase) E diag(phase)* - E_{B + shift}
+    of a covariance identity for the effect E = E_B, and whether the exact
+    path applies (shift a multiple of h, B + shift aligned to the grid)."""
+    shifted = B.shifted(shift)
+    steps = shift / h
+    exact = abs(steps - round(steps)) < 1e-9 and shifted.is_aligned(h)
+    return diag_conjugate(phase, E) - sampled(shifted), exact
+
+
+def dense_rel_covariance_defect(model, s, B):
+    return covariance_defect(
+        np.exp(-1j * s * model.xi), relativistic.rel_effect(model, B).dense(),
+        lambda R: relativistic._sampled_effect(model, R).dense(), B, s,
+        model.grid.h)
+
+
+def dense_nc_covariance_defect(lat, t, B):
+    return covariance_defect(
+        np.exp(1j * t * lat.u[lat.positive_sites]),
+        weylnc.nc_effect(lat, B).dense(),
+        lambda R: weylnc._compressed_indicator(lat, R).dense(), B, t,
+        lat.dual_spacing)
+
+
 def dense_covariance_interp_error(n):
     """Reference: the study's matrix element read off the dense n/2 x n/2
     defect diag(phase) E_B diag(phase)* - E_{B+s}."""
@@ -108,9 +134,7 @@ def dense_covariance_interp_error(n):
     model = relativistic.HardyModel(grid)
     s = 2.5 * grid.h
     B = grid.region([(0.0, grid.L / 4)])
-    defect, exact = covariance_defect(
-        np.exp(-1j * s * model.xi), relativistic.rel_effect(model, B),
-        lambda R: relativistic._sampled_effect(model, R), B, s, grid.h)
+    defect, exact = dense_rel_covariance_defect(model, s, B)
     assert not exact
     f = np.exp(-0.2 * model.xi)
     g = np.exp(-0.3 * model.xi) * np.exp(1.3j * model.xi)
@@ -171,6 +195,255 @@ def test_circulant_idempotency_defect_matches_dense_norm():
         dense = opnorm(C @ C - C)
         assert _circulant_idempotency_defect(C) == pytest.approx(
             dense, rel=1e-12, abs=1e-15)
+
+
+# --------------------------------------------------------------------------
+# certified residuals: Toeplitz-block bounds against the dense formulas
+
+EPS = np.finfo(float).eps
+
+
+def rel_covariance_cases():
+    """(n, model, B): grids with n/2 even and odd, B aligned at every n."""
+    for n in (8, 10, 16, 34, 384):
+        grid = relativistic.CircleGrid(n, 8 * np.pi)
+        yield n, relativistic.HardyModel(grid), grid.region(
+            [(grid.h, 4 * grid.h)])
+
+
+def nc_covariance_cases():
+    """(lattice, B): the self-dual lattice of the harness (k = m/2) and
+    lattices with u_min != -delta m/2, with k < m/2 (m=34) and k > m/2
+    (m=10, 16)."""
+    for m, delta, j0 in ((8, None, None), (384, None, None), (10, 0.7, -3),
+                         (16, 0.45, 2), (34, 0.3, -20)):
+        if delta is None:
+            delta, j0 = float(np.sqrt(2 * np.pi / m)), -(m // 2)
+        lat = weylnc.MellinLattice(m, delta, j0 * delta)
+        q0, dq = lat.q[0], lat.dual_spacing
+        yield lat, lat.q_region([(q0 + 2 * dq, q0 + 5 * dq)])
+
+
+def covariance_paths():
+    """(label, residual(shift, tol), dense defect and exactness(shift),
+    defect block(shift), grid step) for every grid and lattice above."""
+    for n, model, B in rel_covariance_cases():
+        yield (f"rel n={n}",
+               lambda s, tol, model=model, B=B: relativistic.
+               rel_covariance_residual(model, 1.0, s, B, tol),
+               lambda s, model=model, B=B: dense_rel_covariance_defect(
+                   model, s, B),
+               lambda s, model=model, B=B: relativistic.rel_effect(
+                   model, B).conjugation_defect(
+                   np.exp(-1j * s * model.xi),
+                   relativistic._sampled_effect(model, B.shifted(s))),
+               model.grid.h)
+    for lat, B in nc_covariance_cases():
+        yield (f"nc m={lat.m} k={len(lat.positive_sites)}",
+               lambda t, tol, lat=lat, B=B: weylnc.nc_covariance_residual(
+                   lat, t, B, tol),
+               lambda t, lat=lat, B=B: dense_nc_covariance_defect(lat, t, B),
+               lambda t, lat=lat, B=B: weylnc.nc_effect(
+                   lat, B).conjugation_defect(
+                   np.exp(1j * t * lat.u[lat.positive_sites]),
+                   weylnc._compressed_indicator(lat, B.shifted(t))),
+               lat.dual_spacing)
+
+
+@pytest.mark.parametrize("path", list(covariance_paths()),
+                         ids=lambda p: p[0])
+def test_covariance_generator_matches_the_dense_defect(path):
+    _, residual, dense_defect, block, h = path
+    for steps in (1, 3, 2.5):
+        dense, exact = dense_defect(steps * h)
+        assert exact == (steps != 2.5)
+        D = block(steps * h).dense()
+        # the first column and row are the dense formula's, bit for bit;
+        # the rest differs by the rounding of the phase products
+        assert np.array_equal(D[:, 0], dense[:, 0])
+        assert np.array_equal(D[0], dense[0])
+        assert np.abs(D - dense).max() <= 8 * EPS
+        out = residual(steps * h, 1e-12)
+        assert out["exact_path"] == exact
+        if exact:
+            # ||dense|| <= ||D|| + ||dense - D||, and the bound covers ||D||
+            assert out["upper_bound"] and out["residual"] <= 1e-12
+            assert (out["residual"] + np.linalg.norm(dense - D)
+                    >= opnorm(dense))
+        else:
+            # misaligned: the bound exceeds tol, and the dense SVD of the
+            # dense formula is reported unchanged
+            assert block(steps * h).norm_bound() > 1e-12
+            assert not out["upper_bound"]
+            assert out["residual"] == opnorm(dense)
+
+
+def test_identity_defect_is_the_dense_sum_minus_identity():
+    model = relativistic.HardyModel(relativistic.CircleGrid(384, 8 * np.pi))
+    lat = weylnc.MellinLattice(36, 0.3, -6.0)    # k = 16 < m/2
+    for effects in (
+            [relativistic.rel_effect(model, B) for B in regions.equal_partition(
+                regions.RegionSet.line([], length=model.grid.L), 4)],
+            [weylnc.nc_effect(lat, B)
+             for B in regions.equal_partition(lat.q_region([]), 4)]):
+        dim = effects[0].k
+        dense = sum(E.dense() for E in effects) - np.eye(dim)
+        assert np.array_equal(_identity_defect(effects).dense(), dense)
+
+
+def _case(report, name):
+    (case,) = [c for c in report["cases"] if c["case"] == name]
+    return case
+
+
+def _perturbed(E, entry=1, by=1e-11):
+    c = E.c.copy()
+    c[entry] += by
+    return operators.ToeplitzBlock(c, E.k)
+
+
+@pytest.mark.parametrize("suite, module, make, case", [
+    ("relativistic", relativistic, "rel_effect", "rel.povm.sum"),
+    ("weyl", weylnc, "nc_effect", "nc.povm.sum"),
+])
+def test_perturbed_sum_fails_through_the_dense_fallback(monkeypatch, suite,
+                                                        module, make,
+                                                        case):
+    # one off-diagonal generator entry of the second effect moved by 1e-11
+    real, built = getattr(module, make), []
+
+    def perturbed(*args):
+        E = real(*args)
+        built.append(_perturbed(E) if len(built) == 1 else E)
+        return built[-1]
+
+    monkeypatch.setattr(module, make, perturbed)
+    record = _case(run_suite(SuiteConfig(suite=suite)), case)
+    effects = built[:4]
+    assert not record["pass"] and "upper_bound" not in record
+    assert record["residual"] == opnorm(sum(E.dense() for E in effects)
+                                        - np.eye(effects[0].k))
+    assert record["residual"] > 0.5e-11
+
+
+def _harness_rel_model(n=256):
+    grid = relativistic.CircleGrid(n, 2 * np.pi * 4)
+    return relativistic.HardyModel(grid), grid.region([(0.0, grid.L / 4)])
+
+
+def _harness_lattice(m=64):
+    delta = float(np.sqrt(2 * np.pi / m))
+    lat = weylnc.MellinLattice(m, delta, -delta * (m // 2))
+    return lat, regions.equal_partition(lat.q_region([]), 4)[0]
+
+
+@pytest.mark.parametrize("model", ["rel", "nc"])
+def test_perturbed_covariance_target_fails_through_the_dense_fallback(
+        monkeypatch, model):
+    # the target effect E_{B+s} of the first case moved by 1e-11 in one
+    # off-diagonal generator entry; the second case is left intact
+    if model == "rel":
+        md, B = _harness_rel_model()
+        s, module, name, suite = 8 * md.grid.h, relativistic, \
+            "_sampled_effect", "relativistic"
+        cases = ("rel.covariance", "rel.covariance.def")
+        dense = lambda: dense_rel_covariance_defect(md, s, B)[0]
+    else:
+        md, B = _harness_lattice()
+        s, module, name, suite = 3 * md.dual_spacing, weylnc, \
+            "_compressed_indicator", "weyl"
+        cases = ("nc.covariance", "nc.covariance.def")
+        dense = lambda: dense_nc_covariance_defect(md, s, B)[0]
+    real, target = getattr(module, name), B.shifted(s)
+    monkeypatch.setattr(module, name, lambda lat_or_model, R: _perturbed(
+        real(lat_or_model, R)) if R == target else real(lat_or_model, R))
+    report = run_suite(SuiteConfig(suite=suite))
+    broken, intact = (_case(report, c) for c in cases)
+    assert not broken["pass"] and "upper_bound" not in broken
+    assert broken["residual"] == opnorm(dense())
+    assert intact["pass"] and intact["upper_bound"]
+
+
+def test_wrong_twist_sign_fails_through_the_dense_fallback(monkeypatch):
+    # conjugating by e^{+is|D|} in place of e^{-is|D|}
+    monkeypatch.setattr(relativistic.HardyModel, "xi", property(
+        lambda self: -self.grid.xi[: self.dim]))
+    report = run_suite(SuiteConfig(suite="relativistic"))
+    model, B = _harness_rel_model()
+    for name, steps in (("rel.covariance", 8), ("rel.covariance.def", 4)):
+        record = _case(report, name)
+        assert not record["pass"] and "upper_bound" not in record
+        dense = dense_rel_covariance_defect(model, steps * model.grid.h, B)[0]
+        assert record["residual"] == opnorm(dense) > 0.1
+
+
+@pytest.mark.parametrize("mutation", ["scaled", "skewed"])
+def test_effect_outside_the_unit_interval_fails_through_is_effect(
+        monkeypatch, mutation):
+    # one effect scaled so that its enclosure reaches 1 + 1e-9, or given
+    # the anti-Hermitian part 1e-9 i I, which leaves the enclosure alone
+    real, seen = relativistic.rel_effect, []
+
+    def scaled(model, B):
+        E = real(model, B)
+        if B.cells[0][0] != 0.0:
+            return E
+        if mutation == "skewed":
+            return _perturbed(E, 0, 1e-9j)
+        return operators.ToeplitzBlock((1 + 1e-9) * E.c, E.k)
+
+    def spy(A, tol=operators.DEFAULT_TOL):
+        seen.append(A.shape)
+        return operators.is_effect(A, tol)
+
+    monkeypatch.setattr(relativistic, "rel_effect", scaled)
+    monkeypatch.setattr(harness, "is_effect", spy)
+    model, B = _harness_rel_model()
+    lo, hi, skew = scaled(model, B).spectrum_bounds()
+    assert hi > 1 + 0.5e-9 if mutation == "scaled" else skew > 1e-9
+    report = run_suite(SuiteConfig(suite="relativistic"))
+    assert not _case(report, "rel.povm.effects")["pass"]
+    assert seen == [(model.dim, model.dim)]
+    monkeypatch.setattr(relativistic, "rel_effect", real)
+    report = run_suite(SuiteConfig(suite="relativistic"))
+    assert _case(report, "rel.povm.effects")["pass"] and len(seen) == 1
+
+
+def test_tolerance_below_every_bound_reports_the_dense_values():
+    report = run_suite(SuiteConfig(suite="all", tol=1e-30))
+    assert not any("upper_bound" in r for r in report["cases"])
+    model, B = _harness_rel_model()
+    lat, half = _harness_lattice()
+    rel = [relativistic.rel_effect(model, R) for R in regions.equal_partition(
+        regions.RegionSet.line([], length=model.grid.L), 4)]
+    nc = [weylnc.nc_effect(lat, R)
+          for R in regions.equal_partition(lat.q_region([]), 4)]
+    expected = {
+        "rel.povm.sum": sum(E.dense() for E in rel) - np.eye(model.dim),
+        "nc.povm.sum": sum(E.dense() for E in nc) - np.eye(nc[0].k),
+        "rel.covariance": dense_rel_covariance_defect(
+            model, 8 * model.grid.h, B)[0],
+        "rel.covariance.def": dense_rel_covariance_defect(
+            model, 4 * model.grid.h, B)[0],
+        "nc.covariance": dense_nc_covariance_defect(
+            lat, 3 * lat.dual_spacing, half)[0],
+        "nc.covariance.def": dense_nc_covariance_defect(
+            lat, lat.dual_spacing, half)[0],
+    }
+    for name, dense in expected.items():
+        record = _case(report, name)
+        assert record["residual"] == opnorm(dense), name
+        assert not record["pass"]
+
+
+def test_certified_residuals_are_marked_and_within_tol():
+    report = run_suite(SuiteConfig(suite="all"))
+    marked = {r["case"] for r in report["cases"] if r.get("upper_bound")}
+    assert marked == {"rel.povm.sum", "rel.covariance", "rel.covariance.def",
+                      "nc.povm.sum", "nc.covariance", "nc.covariance.def"}
+    for r in report["cases"]:
+        if r.get("upper_bound"):
+            assert r["upper_bound"] is True and r["residual"] <= r["tol"]
 
 
 def test_study_single_size():

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from povmlab.operators import (DEFAULT_TOL, EFFECT, NOT_EFFECT, PROJECTION,
-                               adjoint, circulant, funcalc, herm_spectrum,
-                               imag_power, is_effect, is_hermitian, opnorm,
-                               sqrtm_psd)
+                               ToeplitzBlock, adjoint, circulant, funcalc,
+                               herm_spectrum, imag_power, is_effect,
+                               is_hermitian, opnorm, sqrtm_psd)
 
 rng = np.random.default_rng(11)
 
@@ -92,6 +92,67 @@ def test_circulant_block_matches_gathered_circulant(n):
 def test_circulant_rejects_a_bad_block_size_naming_k(k):
     with pytest.raises(ValueError, match=f"block size k .* got {k}"):
         circulant(np.ones(8), k)
+
+
+# --------------------------------------------------------------------------
+# ToeplitzBlock's FFT bounds hold for the dense block they certify
+
+# n/2 odd (10, 34) and even (8, 16, 384)
+BLOCK_SIZES = (8, 10, 16, 34, 384)
+
+
+def _generator(kind, n, rng):
+    if kind == "complex":
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "hermitian":     # real spectrum
+        return np.fft.ifft(rng.uniform(-1.0, 2.0, n))
+    # an effect's generator: the circulant's spectrum is 0 or 1, and the
+    # block's extreme eigenvalues come within rounding of the bounds
+    return np.fft.ifft((rng.uniform(size=n) < 0.5).astype(float))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.sampled_from(BLOCK_SIZES), data=st.data(),
+       kind=st.sampled_from(["complex", "hermitian", "indicator"]),
+       scale=st.sampled_from([1.0, 1e-16]), seed=st.integers(0, 2 ** 32 - 1))
+def test_toeplitz_block_bounds_enclose_the_dense_block(n, data, kind, scale,
+                                                       seed):
+    k = data.draw(st.sampled_from(sorted({1, 2, n // 2 - 1, n // 2,
+                                          n // 2 + 1, n - 1, n})), label="k")
+    E = ToeplitzBlock(scale * _generator(kind, n, np.random.default_rng(seed)),
+                      k)
+    A = E.dense()
+    assert np.array_equal(A, circulant(E.c, k))
+    lo, hi, skew = E.spectrum_bounds()
+    lam = np.linalg.eigvalsh((A + adjoint(A)) / 2)
+    assert E.norm_bound() >= opnorm(A)
+    assert lo <= lam.min() and lam.max() <= hi
+    assert skew >= opnorm(A - adjoint(A))
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES + (4 * 1009,))
+def test_rounding_allowance_covers_the_computed_fft(n):
+    # against an extended-precision FFT, where the platform has one; the
+    # prime factor 1009 sends numpy's FFT through Bluestein's algorithm
+    rng = np.random.default_rng(n)
+    for kind in ("complex", "indicator"):
+        c = _generator(kind, n, rng)
+        lam = np.fft.fft(c)
+        slack = ToeplitzBlock(c, n).norm_bound() - np.abs(lam).max()
+        exact = np.fft.fft(c.astype(np.clongdouble))
+        assert np.abs(lam - exact).max() <= 0.1 * slack
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_toeplitz_block_certifies_only_within_tol(n):
+    c = np.fft.ifft((np.arange(n) < n // 3).astype(float))
+    E = ToeplitzBlock(c, n // 2)
+    bound = E.norm_bound()
+    assert E.certified_norm(bound) == (bound, True)
+    value, certified = E.certified_norm(0.5 * bound)
+    assert not certified and value == opnorm(E.dense())
+    assert E.certified_norm(0.5 * bound, lambda: 2 * E.dense()) == (
+        opnorm(2 * E.dense()), False)
 
 
 # --------------------------------------------------------------------------

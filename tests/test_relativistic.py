@@ -67,7 +67,7 @@ def test_rel_effect_matches_dense_reference(n, data):
     grid = CircleGrid(n, 5.0)
     B = grid.region([(start * grid.h, (start + length) * grid.h)])
     dense = dense_rel_effect(grid, band_indicator(n, start, length))
-    assert opnorm(rel_effect(HardyModel(grid), B) - dense) < 1e-12
+    assert opnorm(rel_effect(HardyModel(grid), B).dense() - dense) < 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -78,7 +78,7 @@ def test_aligned_partition_sums_to_identity(n, data):
     grid = CircleGrid(n, 5.0)
     model = HardyModel(grid)
     ends = cuts[1:] + [cuts[0] + n]
-    total = sum(rel_effect(model, grid.region([(a * grid.h, b * grid.h)]))
+    total = sum(rel_effect(model, grid.region([(a * grid.h, b * grid.h)])).dense()
                 for a, b in zip(cuts, ends))
     assert opnorm(total - np.eye(model.dim)) < 1e-12
 
@@ -161,7 +161,7 @@ def test_rel_effects_form_povm():
     model = HardyModel(grid)
     from povmlab.regions import RegionSet, equal_partition
     parts = equal_partition(RegionSet.line([], length=grid.L), 4)
-    effects = [rel_effect(model, B) for B in parts]
+    effects = [rel_effect(model, B).dense() for B in parts]
     assert opnorm(sum(effects) - np.eye(model.dim)) < 1e-12
     assert all(is_effect(E, 1e-10) in (EFFECT, PROJECTION) for E in effects)
 
@@ -191,10 +191,10 @@ def test_effect_action_matches_dense_effect(n):
                  + 1j * rng.standard_normal(model.dim))
             scale = np.linalg.norm(v)
             assert np.allclose(rel_effect_apply(model, B, v),
-                               rel_effect(model, B) @ v,
+                               rel_effect(model, B).dense() @ v,
                                rtol=0, atol=1e-12 * scale)
             assert np.allclose(_sampled_apply(model, shifted, v),
-                               _sampled_effect(model, shifted) @ v,
+                               _sampled_effect(model, shifted).dense() @ v,
                                rtol=0, atol=1e-12 * scale)
         with pytest.raises(ValueError, match="not aligned"):
             rel_effect_apply(model, shifted, v)

@@ -45,7 +45,7 @@ def test_spectral_multiplier_q_matches_dense_reference():
     for m in SKEWED:
         lat = skewed_lattice(m)
         vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        assert opnorm(lat.spectral_multiplier_Q(vals)
+        assert opnorm(lat.spectral_multiplier_Q(vals).dense()
                       - dense_multiplier_Q(lat, vals)) < 1e-12
         assert opnorm(lat.exp_Q(0.37)
                       - dense_multiplier_Q(lat, np.exp(0.37j * lat.q))) < 1e-12
@@ -142,7 +142,7 @@ def test_compressed_indicator_is_the_positive_site_block(m):
             lat.q_region([(q0 + 0.4 * dq, q0 + 5.3 * dq)]),          # misaligned
         ]
         for B in regions:
-            assert np.array_equal(_compressed_indicator(lat, B),
+            assert np.array_equal(_compressed_indicator(lat, B).dense(),
                                   indicator_Q(lat, B)[np.ix_(pos, pos)])
 
 
@@ -234,7 +234,7 @@ def test_indicator_q_is_projection_and_additive():
 def test_nc_effects_form_povm():
     lat = selfdual_lattice(32)
     parts = equal_partition(lat.q_region([]), 4)
-    effects = [nc_effect(lat, B) for B in parts]
+    effects = [nc_effect(lat, B).dense() for B in parts]
     dim = len(lat.positive_sites)
     assert opnorm(sum(effects) - np.eye(dim)) < 1e-12
 
