@@ -209,18 +209,17 @@ def _suite_povm(c: _Cases):
 
 
 def _poisson_cell_masses(report, r):
-    """Worst cell-mass deviation from the Poisson density of radius r."""
-    cells = len(report.cell_masses)
-    edges = np.linspace(-np.pi, np.pi, cells + 1)
-    worst = 0.0
-    for i in range(cells):
-        # midpoint rule on a fine subgrid of the cell
-        sub = np.linspace(edges[i], edges[i + 1], 2001)
-        mids = 0.5 * (sub[:-1] + sub[1:])
-        dens = (1 - r * r) / (1 - 2 * r * np.cos(mids) + r * r) / (2 * np.pi)
-        exact = float(dens.sum() * (sub[1] - sub[0]))
-        worst = max(worst, abs(report.cell_masses[i] - exact))
-    return worst
+    """Worst cell-mass deviation from the Poisson density of radius r < 1.
+
+    Each cell's exact mass is the difference at its edges of
+    F(theta) = atan2((1 + r) sin(theta/2), (1 - r) cos(theta/2)) / pi, an
+    antiderivative of (1 - r^2) / (2 pi (1 - 2 r cos theta + r^2)) that is
+    continuous on [-pi, pi], where it runs from -1/2 to 1/2.
+    """
+    edges = np.linspace(-np.pi, np.pi, len(report.cell_masses) + 1)
+    F = np.arctan2((1 + r) * np.sin(edges / 2),
+                   (1 - r) * np.cos(edges / 2)) / np.pi
+    return float(np.abs(report.cell_masses - np.diff(F)).max())
 
 
 def _suite_gns_modular(c: _Cases):
@@ -375,7 +374,7 @@ def _suite_weyl(c: _Cases):
                _identity_defect(effs), 1e-12)
     half = parts[0]
     c.add("nc.indicator.projection", "Thm thermal-Dixmier(1)", f"m={m}",
-          _circulant_idempotency_defect(weylnc.indicator_Q(lat, half)), 1e-12)
+          _circulant_idempotency_defect(weylnc.indicator_Q(lat, half).c), 1e-12)
 
     a = _random_symbol(lat, rng)
     t = 2 * lat.dual_spacing
@@ -419,10 +418,11 @@ def _is_effect_block(E, tol) -> bool:
     return is_effect(E.dense(), tol) in (EFFECT, PROJECTION)
 
 
-def _circulant_idempotency_defect(C) -> float:
-    """||C^2 - C|| for a circulant C.  C is normal, so this is the largest
-    |lam^2 - lam| over its spectrum, the FFT of its first column."""
-    lam = np.fft.fft(C[:, 0])
+def _circulant_idempotency_defect(c) -> float:
+    """||C^2 - C|| for the circulant C of generator c (its first column).
+    C is normal, so this is the largest |lam^2 - lam| over its spectrum,
+    lam = fft(c)."""
+    lam = np.fft.fft(c)
     return float(np.abs(lam * lam - lam).max())
 
 

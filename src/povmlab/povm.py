@@ -5,7 +5,11 @@ of effects summing to the identity.  On top of that sit the
 state-to-probability map tr(E_i T), the bounded functional calculus
 Psi(f) = sum f(mid_i) E_i, the Naimark dilation by stacked square roots,
 and the moment POVM of a contraction obtained from a circular unitary
-dilation.
+dilation.  The dilation is diagonalised by ``eigh`` of a Hermitian Cayley
+transform i (z - U)^{-1} (z + U), at a point z = e^{i alpha} of a fixed
+candidate set chosen at least pi / (4N) from the spectrum (N the size of
+U), and the eigendecomposition is accepted only after every eigenvector
+residual is checked; the module needs numpy alone.
 """
 
 from dataclasses import dataclass
@@ -55,7 +59,8 @@ class PovmReport:
 def povm_validate(p: DiscretePOVM, tol: float = DEFAULT_TOL) -> PovmReport:
     """Check the POVM axioms: each effect is an effect, the effects sum to
     the identity, and detect the PVM case ||E_i E_j - delta_ij E_i|| <= tol
-    for every pair i, j."""
+    for every pair i, j.  A pair whose defect has Frobenius norm at most
+    tol is certified by it; the others are decided by their SVD norm."""
     d = p.dim
     classes = [is_effect(E, tol) for E in p.effects]
     sum_residual = opnorm(p.total() - np.eye(d))
@@ -63,7 +68,10 @@ def povm_validate(p: DiscretePOVM, tol: float = DEFAULT_TOL) -> PovmReport:
     defects = E[:, None] @ E[None, :]
     diag = np.arange(len(E))
     defects[diag, diag] -= E
-    multiplicative = bool((np.linalg.norm(defects, 2, axis=(-2, -1)) <= tol).all())
+    # the Frobenius norm bounds the operator norm from above, so it
+    # certifies a pair; the SVD decides every pair it does not certify
+    loose = defects[np.linalg.norm(defects, axis=(-2, -1)) > tol]
+    multiplicative = bool((np.linalg.norm(loose, 2, axis=(-2, -1)) <= tol).all())
     ok = sum_residual <= tol and all(c in (EFFECT, PROJECTION) for c in classes)
     return PovmReport(sum_residual=sum_residual, classifications=classes,
                       multiplicative=multiplicative, ok=ok)
@@ -178,28 +186,66 @@ def _circular_dilation(T: np.ndarray, M: int) -> np.ndarray:
     return U
 
 
+def _unitary_eigh(U: np.ndarray):
+    """Eigenphases in (-pi, pi] and orthonormal eigenvectors (columns) of
+    the unitary U, from the Hermitian eigendecomposition of a Cayley
+    transform; no nonsymmetric eigensolver runs.
+
+    For z = e^{i alpha} off the spectrum, A = i (z - U)^{-1} (z + U) is
+    Hermitian, with eigenvalue cot((alpha - theta)/2) on each eigenvector
+    of e^{i theta}.  So ``eigh`` of A returns an orthonormal eigenbasis of
+    U, also across degenerate clusters, and the phases are read off
+    diag(V* U V).  alpha is the first of the 2N candidates
+    pi (2k + 1) / (2N), N the size of U, whose distance to the spectrum is
+    at least pi / (4N); that distance has cosine the top eigenvalue of the
+    Hermitian part of e^{-i alpha} U.  The candidates lie pi / N apart, so
+    each eigenvalue comes that close to at most one of them, rounding
+    included, and at least N of them qualify.  (At the wider distance
+    pi / (2N) an eigenvalue midway between two candidates, as every
+    eigenvalue of the dilation of T = 0 is, ties with both, and rounding
+    decides.)  The result is accepted only when every column residual
+    ||U v_j - e^{i theta_j} v_j|| is at most NUMERIC_TOL.
+    """
+    N = U.shape[0]
+    Us = adjoint(U)
+    far = np.cos(np.pi / (4 * N))
+    for k in range(2 * N):
+        z = np.exp(1j * np.pi * (2 * k + 1) / (2 * N))
+        # conj(z) U + z U* is Hermitian entry for entry
+        if np.linalg.eigvalsh((np.conj(z) * U + z * Us) / 2)[-1] <= far:
+            break
+    else:
+        raise ValueError("no Cayley point off the spectrum: U is not unitary")
+    I = np.eye(N)
+    _, V = _sym_eigh(1j * np.linalg.solve(z * I - U, z * I + U))
+    UV = U @ V
+    thetas = np.angle(np.einsum("ij,ij->j", V.conj(), UV))
+    residual = np.linalg.norm(UV - V * np.exp(1j * thetas), axis=0).max()
+    if residual > NUMERIC_TOL:
+        raise ValueError(f"Cayley eigendecomposition residual {residual:.3e} "
+                         f"exceeds {NUMERIC_TOL:.0e}")
+    return thetas, V
+
+
 def contraction_moment_povm(T, M: int, cells: int):
     """Moment POVM of a contraction: T^n = int e^{i n theta} dE(theta).
 
-    Builds the circular unitary dilation of depth M, takes the spectral
-    measure of the dilation compressed back to the original space, and bins
-    it into ``cells`` equal arcs of [-pi, pi).  Returns the binned
-    DiscretePOVM together with a MomentReport; the unbinned moments are
-    certified for n = 0..M-1.
+    Builds the circular unitary dilation U of depth M, takes its spectral
+    measure by ``_unitary_eigh`` (``eigh`` of a Cayley transform of U at a
+    point z = e^{i alpha} chosen off the spectrum, accepted only after
+    checking every eigenvector residual against NUMERIC_TOL), compresses it
+    back to the original space, and bins it into ``cells`` equal arcs of
+    [-pi, pi).  Returns the binned DiscretePOVM together with a
+    MomentReport; the unbinned moments are certified for n = 0..M-1, all M
+    residuals from one stack of powers and one batched SVD.
     """
-    import scipy.linalg     # its only user; importing it costs most of a cold start
     T = as_operator(T)
     if T.shape[0] != T.shape[1]:
         raise ValueError("square contraction required")
     if opnorm(T) > 1.0 + NUMERIC_TOL:
         raise ValueError(f"not a contraction: ||T|| = {opnorm(T):.6f}")
     d = T.shape[0]
-    U = _circular_dilation(T, M)
-    # U is unitary hence normal; the complex Schur form is then diagonal
-    # with orthonormal eigenvectors even across degenerate clusters.
-    S, V = scipy.linalg.schur(U, output="complex")
-    eigs = np.diag(S)
-    thetas = np.angle(eigs)          # in (-pi, pi]
+    thetas, V = _unitary_eigh(_circular_dilation(T, M))
     thetas[thetas >= np.pi - 1e-15] = -np.pi
     P0V = V[:d, :]                   # compression of eigenvectors to block 0
 
@@ -207,24 +253,27 @@ def contraction_moment_povm(T, M: int, cells: int):
     thetas = thetas[order]
     P0V = P0V[:, order]
 
-    # unbinned compressed point masses F_j = P0 v_j v_j* P0
-    moments = []
-    for n in range(M):
-        Mn = (P0V * np.exp(1j * n * thetas)) @ adjoint(P0V)
-        moments.append(opnorm(Mn - np.linalg.matrix_power(T, n)))
+    # moment n of the unbinned compressed point masses F_j = P0 v_j v_j* P0
+    # against T^n, for every n at once
+    phases = np.exp(1j * np.outer(np.arange(M), thetas))
+    moments = np.einsum("in,kn,jn->kij", P0V, phases, P0V.conj())
+    powers = np.empty((M, d, d), dtype=complex)
+    powers[0] = np.eye(d)
+    for n in range(1, M):
+        powers[n] = powers[n - 1] @ T
+    residuals = np.linalg.norm(moments - powers, 2, axis=(-2, -1))
 
     regions = equal_partition(RegionSet.circle([(-np.pi, np.pi)]), cells)
-    effects = []
-    for region in regions:
-        a, b = region.cells[0]
-        # eigenvalues on a cell boundary go with the cell whose left
-        # endpoint they equal (half-open convention)
-        sel = (thetas >= a - 1e-12) & (thetas < b - 1e-12)
-        W = P0V[:, sel]
-        effects.append(W @ adjoint(W))
+    # the phases are sorted, so each cell [a, b) holds a contiguous run of
+    # them; eigenvalues on a cell boundary go with the cell whose left
+    # endpoint they equal (half-open convention)
+    a, b = np.array([region.cells[0] for region in regions]).T - 1e-12
+    effects = [P0V[:, i:j] @ adjoint(P0V[:, i:j])
+               for i, j in zip(np.searchsorted(thetas, a),
+                               np.searchsorted(thetas, b))]
     povm = DiscretePOVM(regions=regions, effects=effects)
 
     cell_masses = np.array([E.trace().real / max(d, 1) for E in effects])
-    report = MomentReport(moment_residuals=np.array(moments),
+    report = MomentReport(moment_residuals=residuals,
                           cell_masses=cell_masses)
     return povm, report

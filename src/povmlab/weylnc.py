@@ -222,13 +222,9 @@ def htau_norm(a: SymbolRep, x_length: float) -> float:
                                      + np.sum(np.abs(a.a0_neg) ** 2))))
 
 
-def indicator_Q(lat: MellinLattice, B: RegionSet) -> np.ndarray:
-    """1_B(Q) on one channel: a projection, finitely additive in B."""
-    return _indicator_block(lat, B, lat.m).dense()
-
-
-def _indicator_block(lat: MellinLattice, B: RegionSet, k: int) -> ToeplitzBlock:
-    """The leading k x k block of 1_B(Q), kept as its generator."""
+def indicator_Q(lat: MellinLattice, B: RegionSet, k: int = None) -> ToeplitzBlock:
+    """1_B(Q) on one channel, a projection finitely additive in B, or its
+    leading k x k block, kept as its generator."""
     if abs(B.period - lat.x_length) > 1e-9:
         raise ValueError("region must live on the Q-spectral circle")
     return lat.spectral_multiplier_Q(B.indicator(lat.q), k)
@@ -238,7 +234,7 @@ def _compressed_indicator(lat: MellinLattice, B: RegionSet) -> ToeplitzBlock:
     """1_B(Q) compressed to the sites with u >= 0.  They are a suffix of
     the lattice, and every diagonal block of a circulant on consecutive
     sites is its leading block of that size."""
-    return _indicator_block(lat, B, len(lat.positive_sites))
+    return indicator_Q(lat, B, len(lat.positive_sites))
 
 
 def nc_effect(lat: MellinLattice, B: RegionSet) -> ToeplitzBlock:

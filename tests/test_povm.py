@@ -7,9 +7,10 @@ import pytest
 
 import povmlab
 from povmlab.operators import EFFECT, NUMERIC_TOL, PROJECTION, adjoint, opnorm
-from povmlab.povm import (DiscretePOVM, contraction_moment_povm,
-                          naimark_dilate, povm_integrate, povm_validate,
-                          random_povm, state_to_measure)
+from povmlab.povm import (DiscretePOVM, _circular_dilation, _unitary_eigh,
+                          contraction_moment_povm, naimark_dilate,
+                          povm_integrate, povm_validate, random_povm,
+                          state_to_measure)
 from povmlab.regions import RegionSet, circle_full, equal_partition
 
 rng = np.random.default_rng(23)
@@ -96,6 +97,14 @@ def test_unitary_input_is_point_mass():
     assert sum(masses) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_phase_on_a_cell_edge_goes_to_the_cell_it_starts():
+    # half-open cells: a phase on an edge, up to rounding, belongs to the
+    # cell whose left endpoint it equals
+    edge = -np.pi + 2 * np.pi * 5 / 16
+    _, rep = contraction_moment_povm(np.array([[np.exp(1j * edge)]]), 8, 16)
+    assert rep.cell_masses[5] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_poisson_masses_for_half_contraction():
     r = 0.5
     _, rep = contraction_moment_povm(np.array([[r]]), 32, 64)
@@ -140,23 +149,99 @@ def test_pvm_check_matches_pair_loop():
     coordinate = DiscretePOVM(regions=equal_partition(circle_full(), 8),
                               effects=coords)
     unsharp = random_povm(6, 4, rng)
+    # E_0^2 - E_0 = 0.6e-8 on four coordinates: operator norm 0.6e-8 but
+    # Frobenius norm 1.2e-8, so at tol 1e-8 only the SVD certifies the pair
+    wide = [np.diag(np.r_[np.full(4, 1 + 0.6e-8), np.zeros(4)]).astype(complex),
+            np.diag(np.r_[np.zeros(4), np.ones(4)]).astype(complex)]
+    assert np.linalg.norm(wide[0] @ wide[0] - wide[0]) > 1e-8
+    spread = DiscretePOVM(regions=equal_partition(circle_full(), 2),
+                          effects=wide)
     cases = [
         (unitary, 1e-8, True),
         (unsharp, 1e-8, False),
         (unsharp, 1e-10, False),
         (coordinate, 1e-8, True),
         (coordinate, 1e-10, False),
+        (spread, 1e-8, True),
+        (spread, 0.5e-8, False),
     ]
     for p, tol, expected in cases:
         assert pair_loop_multiplicative(p, tol) is expected
         assert povm_validate(p, tol).multiplicative is expected
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy.linalg is most of a cold start; only the contraction POVM uses it
+def test_verify_all_leaves_scipy_unloaded():
+    # the runtime needs numpy alone; scipy is a test-only reference
     src = str(Path(povmlab.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import povmlab; "
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from povmlab import harness; "
+            "harness.run_suite(harness.SuiteConfig(suite='all')); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                         text=True, check=True, timeout=120)
+                         text=True, check=True, timeout=300)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_norm_one_contraction_moments_are_certified(seed):
+    # a non-normal T with ||T|| = 1, so both defect operators are singular
+    r = np.random.default_rng(seed)
+    T = r.standard_normal((3, 3)) + 1j * r.standard_normal((3, 3))
+    _, rep = contraction_moment_povm(T / opnorm(T), 32, 64)
+    assert rep.moment_residuals.max() <= 1e-10
+
+
+def test_eigenphases_on_the_first_cayley_candidates():
+    d, M = 4, 8
+    N = 2 * M * d                        # size of the dilation
+    alphas = np.pi * (2 * np.arange(d) + 1) / (2 * N)
+    T = np.diag(np.exp(1j * alphas))
+    U = _circular_dilation(T, M)
+    for alpha in alphas:                 # each of these candidates is blocked
+        H = (np.exp(-1j * alpha) * U + np.exp(1j * alpha) * adjoint(U)) / 2
+        assert np.linalg.eigvalsh(H)[-1] > np.cos(np.pi / (4 * N))
+    thetas, V = _unitary_eigh(U)
+    assert opnorm(adjoint(V) @ V - np.eye(N)) < 1e-12
+    assert opnorm(U @ V - V * np.exp(1j * thetas)) < 1e-12
+    p, rep = contraction_moment_povm(T, M, 2 * M)
+    assert rep.moment_residuals.max() < 1e-12
+    assert povm_validate(p, NUMERIC_TOL).multiplicative
+
+
+def test_non_normal_input_fails_the_residual_check():
+    # spectrum {1, -1} on the circle, but not unitary: the Cayley point
+    # z = e^{i pi/4} is accepted and only the residual check can object
+    with pytest.raises(ValueError, match="residual"):
+        _unitary_eigh(np.array([[1.0, 1e-3], [0.0, -1.0]], dtype=complex))
+
+
+def schur_moment_povm(T, M, cells):
+    """Reference spectral measure from the complex Schur form of the
+    dilation: sorted phases and binned effects."""
+    linalg = pytest.importorskip("scipy.linalg")
+    d = T.shape[0]
+    S, V = linalg.schur(_circular_dilation(T, M), output="complex")
+    thetas = np.angle(np.diag(S))
+    thetas[thetas >= np.pi - 1e-15] = -np.pi
+    edges = np.linspace(-np.pi, np.pi, cells + 1)
+    effects = []
+    for a, b in zip(edges, edges[1:]):
+        W = V[:d, (thetas >= a - 1e-12) & (thetas < b - 1e-12)]
+        effects.append(W @ adjoint(W))
+    return np.sort(thetas), effects
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["0.9", "0.5", "unitary"])
+def test_cayley_matches_schur_reference(d, kind):
+    r = np.random.default_rng(d)
+    A = r.standard_normal((d, d)) + 1j * r.standard_normal((d, d))
+    T = np.linalg.qr(A)[0] if kind == "unitary" else float(kind) * A / opnorm(A)
+    M, cells = 32, 64
+    ref_thetas, ref_effects = schur_moment_povm(T, M, cells)
+    thetas, _ = _unitary_eigh(_circular_dilation(T, M))
+    thetas[thetas >= np.pi - 1e-15] = -np.pi
+    assert np.abs(np.sort(thetas) - ref_thetas).max() < 1e-10
+    p, _ = contraction_moment_povm(T, M, cells)
+    for E, ref in zip(p.effects, ref_effects, strict=True):
+        assert opnorm(E - ref) < 1e-10

@@ -60,7 +60,7 @@ def test_indicator_q_matches_dense_reference(m, data):
     q0, dq = lat.q[0], lat.dual_spacing
     B = lat.q_region([(q0 + start * dq, q0 + (start + length) * dq)])
     ind = ((np.arange(m) - start) % m < length).astype(float)
-    assert opnorm(indicator_Q(lat, B) - dense_multiplier_Q(lat, ind)) < 1e-12
+    assert opnorm(indicator_Q(lat, B).dense() - dense_multiplier_Q(lat, ind)) < 1e-12
 
 
 def from_nonzeros(lat, cols, vals):
@@ -143,7 +143,7 @@ def test_compressed_indicator_is_the_positive_site_block(m):
         ]
         for B in regions:
             assert np.array_equal(_compressed_indicator(lat, B).dense(),
-                                  indicator_Q(lat, B)[np.ix_(pos, pos)])
+                                  indicator_Q(lat, B).dense()[np.ix_(pos, pos)])
 
 
 def test_positive_sites_reject_a_lattice_below_zero():
@@ -225,9 +225,9 @@ def test_channel_cancellation_is_exact_zero():
 def test_indicator_q_is_projection_and_additive():
     lat = selfdual_lattice(32)
     parts = equal_partition(lat.q_region([]), 4)
-    P = indicator_Q(lat, parts[0])
+    P = indicator_Q(lat, parts[0]).dense()
     assert opnorm(P @ P - P) < 1e-12
-    total = sum(indicator_Q(lat, B) for B in parts)
+    total = sum(indicator_Q(lat, B).dense() for B in parts)
     assert opnorm(total - np.eye(32)) < 1e-12
 
 
