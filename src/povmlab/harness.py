@@ -155,6 +155,12 @@ def _rand_complex(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
+def _rand_factor(rng, n, r, norm):
+    """n x r complex Gaussian matrix scaled to Frobenius norm ``norm``."""
+    f = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    return f * (norm / np.linalg.norm(f))
+
+
 # --------------------------------------------------------------------------
 # suites
 
@@ -324,15 +330,14 @@ def _suite_relativistic(c: _Cases):
     c.add_flag("rel.povm.effects", "Thm thermal-D(1)", f"n={n}",
                all(_is_effect_block(E, 1e-10) for E in effects))
 
-    # scaled to ||.||_F = sqrt(n), an O(n^2) step, so the operator norms
-    # stay O(1) as n grows; ||.||_F = 1 would shrink the defect of a
-    # non-unitary U below the tolerance
-    A = _rand_complex(rng, n)
-    B2 = _rand_complex(rng, n)
-    A *= np.sqrt(n) / np.linalg.norm(A)
-    B2 *= np.sqrt(n) / np.linalg.norm(B2)
+    # rank-4 operators a_L a_R* and b_L b_R*; the left factors have
+    # ||.||_F = n^(1/4) and the right ones n^(1/2), so that |<A, B>_tau|
+    # stays O(1) at every n (see tau_unitarity_residual)
+    a_L, a_R, b_L, b_R = (_rand_factor(rng, n, 4, n ** p)
+                          for p in (0.25, 0.5, 0.25, 0.5))
     c.add("rel.tau-unitarity", "Thm thermal-D(2)", f"n={n} beta=1 t=0.7",
-          relativistic.tau_unitarity_residual(grid, 1.0, 0.7, A, B2), 1e-12)
+          relativistic.tau_unitarity_residual(grid, 1.0, 0.7, (a_L, a_R),
+                                              (b_L, b_R)), 1e-12)
 
     Bq = grid.region([(0.0, grid.L / 4)])
     for case, anchor, param, steps in (

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (DEFAULT_TOL, EFFECT, NUMERIC_TOL, PROJECTION,
-                        _sym_eigh, _sym_eigvalsh, adjoint, as_operator,
-                        is_effect, opnorm, sqrtm_psd)
+from .operators import (DEFAULT_TOL, EFFECT, NOT_EFFECT, NUMERIC_TOL,
+                        PROJECTION, _sym_eigh, _sym_eigvalsh, adjoint,
+                        as_operator, is_effect, opnorm, sqrtm_psd)
 from .regions import RegionSet, circle_full, equal_partition
 
 
@@ -60,14 +60,16 @@ def povm_validate(p: DiscretePOVM, tol: float = DEFAULT_TOL) -> PovmReport:
     """Check the POVM axioms: each effect is an effect, the effects sum to
     the identity, and detect the PVM case ||E_i E_j - delta_ij E_i|| <= tol
     for every pair i, j.  A pair whose defect has Frobenius norm at most
-    tol is certified by it; the others are decided by their SVD norm."""
+    tol is certified by it; the others are decided by their SVD norm.  The
+    effects are classified together by ``_classify_effects``, which reads
+    each E_i^2 - E_i off the diagonal of the pair-defect stack."""
     d = p.dim
-    classes = [is_effect(E, tol) for E in p.effects]
     sum_residual = opnorm(p.total() - np.eye(d))
     E = np.stack(p.effects)
     defects = E[:, None] @ E[None, :]
     diag = np.arange(len(E))
     defects[diag, diag] -= E
+    classes = _classify_effects(E, defects[diag, diag], tol)
     # the Frobenius norm bounds the operator norm from above, so it
     # certifies a pair; the SVD decides every pair it does not certify
     loose = defects[np.linalg.norm(defects, axis=(-2, -1)) > tol]
@@ -75,6 +77,48 @@ def povm_validate(p: DiscretePOVM, tol: float = DEFAULT_TOL) -> PovmReport:
     ok = sum_residual <= tol and all(c in (EFFECT, PROJECTION) for c in classes)
     return PovmReport(sum_residual=sum_residual, classifications=classes,
                       multiplicative=multiplicative, ok=ok)
+
+
+def _classify_effects(E, R, tol: float) -> list:
+    """``is_effect(E[i], tol)`` for each effect of the stack E, given the
+    stack R[i] = E[i]^2 - E[i], from the certificates ``is_hermitian`` and
+    ``is_effect`` use, taken over the whole stack at once.
+
+    With D = E - E*, ||D||_F <= tol/2 max(1, largest column norm of E)
+    certifies Hermitian, and a column of D longer than tol max(1, ||E||_F)
+    refutes it, as ||E|| <= ||E||_F.  One stacked ``eigvalsh`` of the
+    Hermitian parts tests the spectra against [-tol, 1 + tol], and
+    ||R||_F <= tol/2 (projection) or a column of R longer than 2 tol
+    (effect) settles the projection test.  ``is_effect`` runs only on the
+    effects these leave undecided, so every verdict is the one it gives.
+    """
+    def colmax(X):
+        return np.linalg.norm(X, axis=-2).max(axis=-1)
+
+    Es = E.conj().swapaxes(-1, -2)
+    D = E - Es
+    fro_D = np.linalg.norm(D, axis=(-2, -1))
+    herm = fro_D <= 0.5 * tol * np.maximum(1.0, colmax(E))
+    skew = colmax(D) > tol * np.maximum(1.0, np.linalg.norm(E, axis=(-2, -1)))
+    lam = np.linalg.eigvalsh((E[herm] + Es[herm]) / 2.0)
+    spectrum_ok = np.zeros(len(E), dtype=bool)
+    spectrum_ok[herm] = (lam[:, 0] >= -tol) & (lam[:, -1] <= 1.0 + tol)
+    sharp = np.linalg.norm(R, axis=(-2, -1)) <= 0.5 * tol
+    unsharp = colmax(R) > 2.0 * tol
+
+    def decide(i):
+        if herm[i]:
+            if not spectrum_ok[i]:
+                return NOT_EFFECT
+            if sharp[i]:
+                return PROJECTION
+            if unsharp[i]:
+                return EFFECT
+        elif skew[i]:
+            return NOT_EFFECT
+        return is_effect(E[i], tol)
+
+    return [decide(i) for i in range(len(E))]
 
 
 def state_to_measure(p: DiscretePOVM, T) -> np.ndarray:
@@ -166,12 +210,22 @@ def _circular_dilation(T: np.ndarray, M: int) -> np.ndarray:
     That freedom is used to negate the feedback column, which rotates the
     defect part of the spectrum half a root-of-unity spacing and keeps the
     eigenphases away from the equal-arc cell edges used for binning.
+
+    Both defect operators come from one SVD T = W S X*:
+    (I - T* T)^{1/2} = X (I - S^2)^{1/2} X* and
+    (I - T T*)^{1/2} = W (I - S^2)^{1/2} W*, so they share their singular
+    values and the intertwining T (I - T* T)^{1/2} = (I - T T*)^{1/2} T
+    holds to rounding.  Two separate square roots would each turn a
+    rounding-level eigenvalue of I - T* T at ||T|| = 1 into ~1e-8 and
+    leave U unitary only to ~1e-8.
     """
     d = T.shape[0]
     K = 2 * M
     I = np.eye(d)
-    DT = sqrtm_psd(I - adjoint(T) @ T)
-    DTs = sqrtm_psd(I - T @ adjoint(T))
+    W, S, Xs = np.linalg.svd(T)
+    C = np.sqrt(np.clip(1.0 - S * S, 0.0, None))
+    DT = (adjoint(Xs) * C) @ Xs
+    DTs = (W * C) @ adjoint(W)
     U = np.zeros((K * d, K * d), dtype=complex)
 
     def put(r, c, block):

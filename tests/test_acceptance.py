@@ -171,11 +171,13 @@ def test_criterion_09_relativistic():
     model = HardyModel(grid)
     B = grid.region([(0.0, grid.L / 4)])
     cov = rel_covariance_residual(model, 1.0, 8 * grid.h, B)["residual"]
-    A = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
-    C = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
-    A /= opnorm(A)
-    C /= opnorm(C)
-    tau = tau_unitarity_residual(grid, 1.0, 0.7, A, C)
+    # rank-4 operators a_L a_R* and c_L c_R* from unit-variance factors,
+    # the left ones scaled by n^(-1/4) so that |<A, C>_tau| does not grow
+    # with n (see tau_unitarity_residual)
+    a_L, a_R, c_L, c_R = (rng.standard_normal((256, 4))
+                          + 1j * rng.standard_normal((256, 4))
+                          for _ in range(4))
+    tau = tau_unitarity_residual(grid, 1.0, 0.7, (a_L / 4, a_R), (c_L / 4, c_R))
     coef = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
     rep = boundary_isometry_check(model, model.synthesize(coef),
                                   np.logspace(-3, 1, 20))

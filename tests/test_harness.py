@@ -558,22 +558,45 @@ def test_cli_study(tmp_path):
 
 
 def test_tau_unitarity_inputs_detect_a_symbol_off_the_unit_circle(monkeypatch):
-    # the harness scales A and B to ||.||_F = sqrt(n); at that scale the
-    # case's tolerance must catch a symbol u scaled by 1 + 1e-10, which
-    # ||.||_F = 1 would hide below it
+    # the harness scales its factors so |<A, B>_tau| stays O(1): at every
+    # size the rounding must stay far below the case's tolerance while a
+    # symbol u scaled by 1 + 1e-10 exceeds it; unit-variance factors fail
+    # the first at n = 2048, unit-norm columns the second
     seen = []
-    defect = relativistic._multiplier_isometry_defect
+    defect = relativistic._factored_isometry_defect
 
-    def capture(u, w, A, B):
-        seen.append((u, w, A, B))
-        return defect(u, w, A, B)
+    def capture(grid, u, w, A, B):
+        seen.append((grid, u, w, A, B))
+        return defect(grid, u, w, A, B)
 
-    monkeypatch.setattr(relativistic, "_multiplier_isometry_defect", capture)
-    report = run_suite(SuiteConfig(suite="relativistic", n=256))
-    (case,) = [c for c in report["cases"] if c["case"] == "rel.tau-unitarity"]
-    (u, w, A, B), = seen
-    assert case["pass"]
-    assert defect(u * (1 + 1e-10), w, A, B) > case["tol"]
+    monkeypatch.setattr(relativistic, "_factored_isometry_defect", capture)
+    for n in (256, 384, 2048, 8192):
+        report = run_suite(SuiteConfig(suite="relativistic", n=n))
+        (case,) = [c for c in report["cases"]
+                   if c["case"] == "rel.tau-unitarity"]
+        (grid, u, w, A, B), = seen
+        seen.clear()
+        assert grid.n == n
+        assert case["residual"] <= case["tol"] / 100
+        assert defect(grid, u * (1 + 1e-10), w, A, B) > case["tol"]
+
+
+def test_tau_unitarity_case_memory_is_linear_in_n():
+    # rank-4 factors at n = 65536 hold 16 columns of 1 MB each; one n x n
+    # input would take 64 GB
+    n = 65536
+    rng = np.random.default_rng(0)
+    grid = relativistic.CircleGrid(n, 2 * np.pi * 4)
+    A, B = ((harness._rand_factor(rng, n, 4, n ** 0.25),
+             harness._rand_factor(rng, n, 4, n ** 0.5)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        residual = relativistic.tau_unitarity_residual(grid, 1.0, 0.7, A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual < 1e-14
+    assert peak < 6 * 16 * n * 16           # a few copies of the 16 columns
 
 
 def test_weyl_suite_passes_where_the_seam_point_rounds_below_base():
@@ -589,7 +612,7 @@ UNREACHED = {
     # delta*Z, where the defect is kept as its m nonzeros
     "weylnc.MellinLattice.exp_Q",
     # the dense circulant form of a Fourier multiplier: tau_unitarity_residual
-    # applies its multipliers by FFT, and test_relativistic's
+    # applies its multipliers to factor columns by FFT, and test_relativistic's
     # test_tau_unitarity_fft_matches_dense_multiplier_products keeps this as
     # the reference; kept because perfbench/layers.py traces it by name
     "relativistic.CircleGrid.multiplier_matrix",
@@ -603,6 +626,12 @@ UNREACHED = {
     # *_fails_through_the_dense_fallback tests exercise
     "operators.ToeplitzBlock.dense",
     "operators.circulant",
+    # the effect test of a single operator: povm_validate classifies its
+    # effects from stacked certificates and the Toeplitz-block effects are
+    # certified from their generators, and both call it only on an effect
+    # their bounds leave undecided, which test_povm's planted effects and
+    # test_effect_outside_the_unit_interval_fails_through_is_effect exercise
+    "operators.is_effect",
 }
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import povmlab
-from povmlab.operators import EFFECT, NUMERIC_TOL, PROJECTION, adjoint, opnorm
+from povmlab.operators import (EFFECT, NOT_EFFECT, NUMERIC_TOL, PROJECTION,
+                               adjoint, is_effect, opnorm)
 from povmlab.povm import (DiscretePOVM, _circular_dilation, _unitary_eigh,
                           contraction_moment_povm, naimark_dilate,
                           povm_integrate, povm_validate, random_povm,
@@ -245,3 +246,68 @@ def test_cayley_matches_schur_reference(d, kind):
     p, _ = contraction_moment_povm(T, M, cells)
     for E, ref in zip(p.effects, ref_effects, strict=True):
         assert opnorm(E - ref) < 1e-10
+
+
+def planted_effects(tol):
+    """Effects on the edges of ``is_effect``'s certificates at tol."""
+    P = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    skew = 0.5 * np.eye(4, dtype=complex)
+    skew[0, 1] += 1e-9j                   # not Hermitian at tol 1e-10
+    edge = P.copy()
+    edge[0, 0] = 1 + 2 * tol              # eigenvalue just outside [0, 1]
+    # R = E^2 - E = 0.6 tol on four coordinates: Frobenius norm 1.2 tol, no
+    # column above 2 tol, so only the SVD decides the projection test
+    near = np.diag(np.r_[np.full(4, 1 + 0.6 * tol), 0.0]).astype(complex)
+    # skew 0.8 tol: Hermitian by the SVD only
+    leaky = np.pad(P, ((0, 1), (0, 1)))
+    leaky[0, 1] += 0.8j * tol
+    return [skew, edge, near, leaky]
+
+
+@pytest.mark.parametrize("tol", [1e-10, NUMERIC_TOL])
+def test_batched_classification_matches_is_effect(tol):
+    unitary, _ = contraction_moment_povm(np.array([[np.exp(0.7j)]]), 32, 64)
+    povms = [random_povm(d, k, rng) for d, k in [(1, 3), (4, 2), (6, 4),
+                                                 (8, 8)]]
+    povms.append(unitary)
+    povms += [DiscretePOVM(regions=equal_partition(circle_full(), 1),
+                           effects=[E]) for E in planted_effects(tol)]
+    seen = set()
+    for p in povms:
+        classes = povm_validate(p, tol).classifications
+        assert classes == [is_effect(E, tol) for E in p.effects]
+        seen.update(classes)
+    assert seen == {NOT_EFFECT, EFFECT, PROJECTION}
+    assert [povm_validate(p, tol).classifications[0] for p in povms[-4:]] == [
+        NOT_EFFECT if tol < 1e-9 else EFFECT, NOT_EFFECT, PROJECTION,
+        PROJECTION]
+
+
+def test_batched_classification_calls_is_effect_only_when_undecided(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(povmlab.povm, "is_effect",
+                        lambda E, tol: calls.append(E) or is_effect(E, tol))
+    unitary, _ = contraction_moment_povm(np.array([[np.exp(0.7j)]]), 32, 64)
+    povm_validate(unitary, NUMERIC_TOL)
+    povm_validate(random_povm(6, 4, rng))
+    assert calls == []
+    for E in planted_effects(1e-10):
+        povm_validate(DiscretePOVM(regions=equal_partition(circle_full(), 1),
+                                   effects=[E]), 1e-10)
+    assert len(calls) == 2                  # the SVD-only two
+
+
+@pytest.mark.parametrize("d", [3, 4, 6, 8])
+def test_norm_one_dilation_is_unitary_to_rounding(d):
+    # ||T|| = 1 and T not normal: I - T*T and I - TT* are singular, and the
+    # dilation stays unitary to rounding only if their square roots share
+    # one SVD of T
+    for seed in range(8):
+        r = np.random.default_rng(seed)
+        T = r.standard_normal((d, d)) + 1j * r.standard_normal((d, d))
+        T /= opnorm(T)
+        U = _circular_dilation(T, 8)
+        assert opnorm(adjoint(U) @ U - np.eye(len(U))) < 1e-13
+        _, rep = contraction_moment_povm(T, 8, 16)
+        assert rep.moment_residuals.max() <= 1e-12

@@ -245,35 +245,69 @@ def test_covariance_interpolation_path_reports():
     assert out["residual"] > 1e-6                # honest nonzero error
 
 
+def rand_factor(n, r):
+    return rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+
+
+def dense_isometry_defect(u, w, A, B):
+    """Reference for dense A and B: |<U A U*, U B U*>_W - <A, B>_W| for the
+    Fourier multipliers U and W with symbols u and w, <A, B>_W = tr(B* A W).
+
+    FFTs along the columns and rows take A and B to F A F* for the unitary
+    DFT F, in O(n^2 log n); there U, U* and W act diagonally, and the
+    trace of a product is the entrywise inner product.
+    """
+    Ah, Bh = (np.fft.ifft(np.fft.fft(X, axis=0), axis=1) for X in (A, B))
+    uu = np.outer(u, np.conj(u))
+    lhs = np.vdot(uu * Bh, uu * Ah * w)
+    rhs = np.vdot(Bh, Ah * w)
+    return float(abs(lhs - rhs))
+
+
 def test_tau_unitarity():
     grid = CircleGrid(64, 6.0)
-    A = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    B = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    A /= opnorm(A)
-    B /= opnorm(B)
+    A = (rand_factor(64, 4) / 64 ** 0.25, rand_factor(64, 4) / 8)
+    B = (rand_factor(64, 4) / 64 ** 0.25, rand_factor(64, 4) / 8)
     assert tau_unitarity_residual(grid, 1.0, 0.7, A, B) < 1e-12
+
+
+def test_tau_unitarity_rejects_inputs_that_are_not_factor_pairs():
+    grid = CircleGrid(16, 6.0)
+    f = rand_factor(16, 2)
+    with pytest.raises(ValueError, match="factor pairs"):
+        tau_unitarity_residual(grid, 1.0, 0.7, f @ adjoint(f), (f, f))
+    for bad in (rand_factor(16, 3), rand_factor(8, 2), f[:, 0]):
+        with pytest.raises(ValueError, match="arrays of one shape"):
+            tau_unitarity_residual(grid, 1.0, 0.7, (f, bad), (f, f))
 
 
 @pytest.mark.parametrize("n", [8, 10, 16, 34])
 def test_tau_unitarity_fft_matches_dense_multiplier_products(n):
-    # reference: U, U* and W formed as n x n circulants and multiplied out.
-    # A complex t makes U non-unitary, so the defect is far from rounding
-    # and the two formulas must agree on its value
+    # references on the dense operators A = a_L a_R* and B = b_L b_R*: U,
+    # U* and W formed as n x n circulants and multiplied out, and the
+    # Fourier-frame formula.  A complex t makes U non-unitary, so the
+    # defect is far from rounding and the formulas must agree on its value
     grid = CircleGrid(n, 6.0)
     xi = np.abs(grid.xi)
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    for beta, t in [(1.0, 0.7), (0.3, -2.0), (1.0, 0.7 + 0.05j),
-                    (2.0, 1.3 - 0.1j)]:
-        W = grid.multiplier_matrix(np.exp(-beta * xi))
-        U = grid.multiplier_matrix(np.exp(1j * t * xi))
-        UA = U @ A @ adjoint(U)
-        UB = U @ B @ adjoint(U)
-        dense = abs(np.trace(adjoint(UB) @ UA @ W)
-                    - np.trace(adjoint(B) @ A @ W))
-        fft = tau_unitarity_residual(grid, beta, t, A, B)
-        assert fft == pytest.approx(dense, rel=1e-12, abs=1e-13)
-        if np.isreal(t):
-            assert fft < 1e-12
-        else:
-            assert fft > 1e-3
+    for r in (1, 4):
+        a_L, a_R, b_L, b_R = (rand_factor(n, r) for _ in range(4))
+        A, B = a_L @ adjoint(a_R), b_L @ adjoint(b_R)
+        for beta, t in [(1.0, 0.7), (0.3, -2.0), (1.0, 0.7 + 0.05j),
+                        (2.0, 1.3 - 0.1j)]:
+            u, w = np.exp(1j * t * xi), np.exp(-beta * xi)
+            W = grid.multiplier_matrix(w)
+            U = grid.multiplier_matrix(u)
+            UA = U @ A @ adjoint(U)
+            UB = U @ B @ adjoint(U)
+            dense = abs(np.trace(adjoint(UB) @ UA @ W)
+                        - np.trace(adjoint(B) @ A @ W))
+            fft = tau_unitarity_residual(grid, beta, t, (a_L, a_R),
+                                         (b_L, b_R))
+            if np.isreal(t):
+                assert fft < 1e-12
+                assert dense < 1e-12
+            else:
+                assert fft > 1e-3
+                assert fft == pytest.approx(dense, rel=1e-12)
+                assert fft == pytest.approx(dense_isometry_defect(u, w, A, B),
+                                            rel=1e-12)
