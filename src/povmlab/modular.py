@@ -57,7 +57,7 @@ class TraceWeight:
 
     def __post_init__(self):
         self.W = require_square(self.W)
-        lam = _sym_eigvalsh(self.W)
+        lam = herm_spectrum(self.W)[0]
         if lam.min() < -1e-10 * max(1.0, lam.max()):
             raise ValueError(f"weight not positive (min eigenvalue {lam.min():.3e})")
 

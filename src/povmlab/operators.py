@@ -3,9 +3,9 @@
 Operators are plain numpy arrays of complex128.  This module provides the
 pieces everything else is built from: Hermitian eigendecomposition,
 functional calculus f(H) = V f(lam) V*, and the effect/projection
-classification.  The one structured operator is ``ToeplitzBlock``, a
-leading block of a circulant kept as its generator, whose norm and
-spectrum are bounded from one FFT.
+classification by one stacked norm test, ``_norm_within``.  The one
+structured operator is ``ToeplitzBlock``, a leading block of a circulant
+kept as its generator, whose norm and spectrum are bounded from one FFT.
 """
 
 from dataclasses import dataclass
@@ -14,9 +14,11 @@ import numpy as np
 
 # Default tolerance of the predicates: relative to max(1, ||A||) in
 # is_hermitian (so in herm_spectrum), absolute in is_effect's spectrum and
-# projection tests.  Also the tol of the covariance residuals when their
-# caller gives none: a residual at most this is reported as the certified
-# bound of ToeplitzBlock.norm_bound, a larger one by the dense SVD.
+# projection tests.  ``_norm_within`` decides each of them with a margin of
+# 2: ||X||_F <= threshold/2 certifies, a column norm > 2 threshold refutes.
+# Also the tol of the covariance residuals when their caller gives none: a
+# residual at most this is reported as the certified bound of
+# ToeplitzBlock.norm_bound, a larger one by the dense SVD.
 DEFAULT_TOL = 1e-10
 # Tolerance for checks on operators built numerically (square roots, dilations,
 # densities), whose rounding error sits well above DEFAULT_TOL.
@@ -53,24 +55,49 @@ def opnorm(A) -> float:
 
 
 def adjoint(A) -> np.ndarray:
-    return np.conj(np.asarray(A)).T
+    return np.conj(np.asarray(A)).swapaxes(-1, -2)
 
 
-def _maxcol(A) -> float:
-    """Largest column norm, a lower bound on the operator norm."""
-    return float(np.linalg.norm(A, axis=0).max(initial=0.0))
+def _square_stack(A):
+    """(A as a checked stack (k, d, d), whether A was one square matrix)."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        return require_square(A)[None], True
+    if not np.isfinite(A).all():
+        raise ValueError("operator stack has non-finite entries")
+    return A, False
 
 
-def is_hermitian(A, tol: float = DEFAULT_TOL) -> bool:
-    """||A - A*|| <= tol * max(1, ||A||).  A pass is certified without an
-    SVD when ||A - A*||_F <= tol/2 * max(1, largest column norm of A), as
-    those bound the two operator norms from above and below; otherwise both
-    operator norms are computed by SVD."""
-    A = require_square(A)
-    D = A - adjoint(A)
-    if np.linalg.norm(D) <= 0.5 * tol * max(1.0, _maxcol(A)):
-        return True
-    return opnorm(D) <= tol * max(1.0, opnorm(A))
+def _norm_within(X, tol: float, scale=None) -> np.ndarray:
+    """Whether ||X[i]|| <= tol * max(1, ||scale[i]||), or <= tol without a
+    scale, for each matrix of the stack X.  The Frobenius norm bounds each
+    operator norm from above, the largest column norm from below: a
+    Frobenius norm at most half the threshold certifies, a column norm
+    above twice it refutes, and the SVD decides only the rest."""
+    def colmax(Y):
+        return np.linalg.norm(Y, axis=-2).max(axis=-1, initial=0.0)
+
+    lo = tol if scale is None else tol * np.maximum(1.0, colmax(scale))
+    ok = np.linalg.norm(X, axis=(-2, -1)) <= 0.5 * lo
+    if ok.all():
+        return ok
+    hi = tol if scale is None else tol * np.maximum(
+        1.0, np.linalg.norm(scale, axis=(-2, -1)))
+    open_ = ~ok & (colmax(X) <= 2.0 * hi)
+    if open_.any():
+        if scale is not None:
+            tol = tol * np.maximum(1.0, np.linalg.svd(
+                scale[open_], compute_uv=False)[:, 0])
+        ok[open_] = np.linalg.svd(X[open_], compute_uv=False)[:, 0] <= tol
+    return ok
+
+
+def is_hermitian(A, tol: float = DEFAULT_TOL):
+    """||A - A*|| <= tol * max(1, ||A||) by ``_norm_within``: a bool for one
+    matrix, a bool array for a stack (k, d, d)."""
+    A, one = _square_stack(A)
+    ok = _norm_within(A - adjoint(A), tol, A)
+    return bool(ok[0]) if one else ok
 
 
 def herm_spectrum(H, tol: float = DEFAULT_TOL):
@@ -121,27 +148,21 @@ def funcalc(H, f) -> np.ndarray:
     return (V * vals) @ adjoint(V)
 
 
-def is_effect(A, tol: float = DEFAULT_TOL) -> str:
-    """Classify A as not_effect / effect / projection.
+def is_effect(A, tol: float = DEFAULT_TOL):
+    """Classify A as not_effect / effect / projection: a class for one
+    matrix, the list of classes for a stack (k, d, d).
 
     Effect: Hermitian (``is_hermitian``) with spectrum in [-tol, 1+tol].
-    Projection: additionally ||A^2 - A|| <= tol in the operator norm, which
-    is decided by its Frobenius norm (an upper bound) when that is at most
-    tol/2, by its largest column norm (a lower bound) when that exceeds
-    2*tol, and by an SVD only in between.
+    Projection: additionally ||A^2 - A|| <= tol, by ``_norm_within``.
     """
-    A = require_square(A)
-    if not is_hermitian(A, tol):
-        return NOT_EFFECT
-    lam = _sym_eigvalsh(A)
-    if lam.min() < -tol or lam.max() > 1.0 + tol:
-        return NOT_EFFECT
-    R = A @ A - A
-    if np.linalg.norm(R) <= 0.5 * tol:
-        return PROJECTION
-    if _maxcol(R) > 2.0 * tol or opnorm(R) > tol:
-        return EFFECT
-    return PROJECTION
+    A, one = _square_stack(A)
+    effect = is_hermitian(A, tol)
+    lam = _sym_eigvalsh(A[effect])
+    effect[effect] = (lam[:, 0] >= -tol) & (lam[:, -1] <= 1.0 + tol)
+    sharp, E = effect.copy(), A[effect]
+    sharp[effect] = _norm_within(E @ E - E, tol)
+    classes = np.where(sharp, PROJECTION, np.where(effect, EFFECT, NOT_EFFECT))
+    return str(classes[0]) if one else classes.tolist()
 
 
 def diag_conjugate(phase, A) -> np.ndarray:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (DEFAULT_TOL, EFFECT, NOT_EFFECT, NUMERIC_TOL,
-                        PROJECTION, _sym_eigh, _sym_eigvalsh, adjoint,
-                        as_operator, is_effect, opnorm, sqrtm_psd)
+from .operators import (DEFAULT_TOL, EFFECT, NUMERIC_TOL, PROJECTION,
+                        _norm_within, _sym_eigh, adjoint, as_operator,
+                        herm_spectrum, is_effect, opnorm, sqrtm_psd)
 from .regions import RegionSet, circle_full, equal_partition
 
 
@@ -59,66 +59,18 @@ class PovmReport:
 def povm_validate(p: DiscretePOVM, tol: float = DEFAULT_TOL) -> PovmReport:
     """Check the POVM axioms: each effect is an effect, the effects sum to
     the identity, and detect the PVM case ||E_i E_j - delta_ij E_i|| <= tol
-    for every pair i, j.  A pair whose defect has Frobenius norm at most
-    tol is certified by it; the others are decided by their SVD norm.  The
-    effects are classified together by ``_classify_effects``, which reads
-    each E_i^2 - E_i off the diagonal of the pair-defect stack."""
+    for every pair i, j.  One ``is_effect`` call classifies the stack of
+    effects, and its norm test ``_norm_within``, with the same margins,
+    decides the stack of pair defects."""
     d = p.dim
     sum_residual = opnorm(p.total() - np.eye(d))
     E = np.stack(p.effects)
-    defects = E[:, None] @ E[None, :]
-    diag = np.arange(len(E))
-    defects[diag, diag] -= E
-    classes = _classify_effects(E, defects[diag, diag], tol)
-    # the Frobenius norm bounds the operator norm from above, so it
-    # certifies a pair; the SVD decides every pair it does not certify
-    loose = defects[np.linalg.norm(defects, axis=(-2, -1)) > tol]
-    multiplicative = bool((np.linalg.norm(loose, 2, axis=(-2, -1)) <= tol).all())
+    classes = is_effect(E, tol)
+    defects = E[:, None] @ E[None, :] - np.eye(len(E))[:, :, None, None] * E
+    multiplicative = bool(_norm_within(defects.reshape(-1, d, d), tol).all())
     ok = sum_residual <= tol and all(c in (EFFECT, PROJECTION) for c in classes)
     return PovmReport(sum_residual=sum_residual, classifications=classes,
                       multiplicative=multiplicative, ok=ok)
-
-
-def _classify_effects(E, R, tol: float) -> list:
-    """``is_effect(E[i], tol)`` for each effect of the stack E, given the
-    stack R[i] = E[i]^2 - E[i], from the certificates ``is_hermitian`` and
-    ``is_effect`` use, taken over the whole stack at once.
-
-    With D = E - E*, ||D||_F <= tol/2 max(1, largest column norm of E)
-    certifies Hermitian, and a column of D longer than tol max(1, ||E||_F)
-    refutes it, as ||E|| <= ||E||_F.  One stacked ``eigvalsh`` of the
-    Hermitian parts tests the spectra against [-tol, 1 + tol], and
-    ||R||_F <= tol/2 (projection) or a column of R longer than 2 tol
-    (effect) settles the projection test.  ``is_effect`` runs only on the
-    effects these leave undecided, so every verdict is the one it gives.
-    """
-    def colmax(X):
-        return np.linalg.norm(X, axis=-2).max(axis=-1)
-
-    Es = E.conj().swapaxes(-1, -2)
-    D = E - Es
-    fro_D = np.linalg.norm(D, axis=(-2, -1))
-    herm = fro_D <= 0.5 * tol * np.maximum(1.0, colmax(E))
-    skew = colmax(D) > tol * np.maximum(1.0, np.linalg.norm(E, axis=(-2, -1)))
-    lam = np.linalg.eigvalsh((E[herm] + Es[herm]) / 2.0)
-    spectrum_ok = np.zeros(len(E), dtype=bool)
-    spectrum_ok[herm] = (lam[:, 0] >= -tol) & (lam[:, -1] <= 1.0 + tol)
-    sharp = np.linalg.norm(R, axis=(-2, -1)) <= 0.5 * tol
-    unsharp = colmax(R) > 2.0 * tol
-
-    def decide(i):
-        if herm[i]:
-            if not spectrum_ok[i]:
-                return NOT_EFFECT
-            if sharp[i]:
-                return PROJECTION
-            if unsharp[i]:
-                return EFFECT
-        elif skew[i]:
-            return NOT_EFFECT
-        return is_effect(E[i], tol)
-
-    return [decide(i) for i in range(len(E))]
 
 
 def state_to_measure(p: DiscretePOVM, T) -> np.ndarray:
@@ -128,11 +80,10 @@ def state_to_measure(p: DiscretePOVM, T) -> np.ndarray:
         raise ValueError("density has wrong shape")
     if abs(np.trace(T) - 1.0) > NUMERIC_TOL:
         raise ValueError(f"not unit trace: tr T = {np.trace(T)}")
-    lam = _sym_eigvalsh(T)
+    lam = herm_spectrum(T, NUMERIC_TOL)[0]
     if lam.min() < -NUMERIC_TOL:
         raise ValueError(f"not positive: min eigenvalue {lam.min():.3e}")
-    probs = np.array([np.trace(E @ T).real for E in p.effects])
-    return probs
+    return np.array([np.trace(E @ T).real for E in p.effects])
 
 
 def povm_integrate(p: DiscretePOVM, f) -> np.ndarray:

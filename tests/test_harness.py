@@ -626,12 +626,6 @@ UNREACHED = {
     # *_fails_through_the_dense_fallback tests exercise
     "operators.ToeplitzBlock.dense",
     "operators.circulant",
-    # the effect test of a single operator: povm_validate classifies its
-    # effects from stacked certificates and the Toeplitz-block effects are
-    # certified from their generators, and both call it only on an effect
-    # their bounds leave undecided, which test_povm's planted effects and
-    # test_effect_outside_the_unit_interval_fails_through_is_effect exercise
-    "operators.is_effect",
 }
 
 

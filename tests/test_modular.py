@@ -26,6 +26,12 @@ def test_trace_weight_rejects_nonpositive():
         TraceWeight(np.diag([1.0, -0.5]))
 
 
+def test_trace_weight_rejects_non_hermitian():
+    # (W + W*)/2 = [[1, 1], [1, 1]] is positive, W itself is not Hermitian
+    with pytest.raises(ValueError, match="not Hermitian"):
+        TraceWeight(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
 def test_gns_state_identity_and_dims():
     units = [np.eye(2)[:, [i]] @ np.eye(2)[[j], :]
              for i in range(2) for j in range(2)]

@@ -199,18 +199,9 @@ def _defect(shape, n, rng):
     return P
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
-       tol=st.sampled_from([1e-10, 1e-8]),
-       f_herm=st.sampled_from((0.0,) + TOL_FACTORS),
-       f_proj=st.sampled_from((0.0,) + TOL_FACTORS),
-       shape=st.sampled_from(["dense", "flat-rank-one", "entry"]),
-       standard_basis=st.booleans(), scale=st.sampled_from([1.0, 100.0]))
-def test_predicates_match_svd_reference(n, seed, tol, f_herm, f_proj, shape,
-                                        standard_basis, scale):
-    # H = scale * (a projection moved to projection defect f_proj * tol),
-    # plus a perturbation with Hermiticity defect f_herm * tol * max(1, ||H||)
-    rng = np.random.default_rng(seed)
+def _planted(n, rng, tol, f_herm, f_proj, shape, standard_basis, scale):
+    """scale * (a projection moved to projection defect f_proj * tol), plus
+    a perturbation with Hermiticity defect f_herm * tol * max(1, ||H||)."""
     lam = (np.arange(n) < rng.integers(0, n + 1)).astype(float)
     moved = rng.permutation(n)[:rng.integers(1, n + 1)]
     shift = _inward_shift(f_proj, tol)
@@ -221,7 +212,23 @@ def test_predicates_match_svd_reference(n, seed, tol, f_herm, f_proj, shape,
         V = np.linalg.qr(rng.standard_normal((n, n))
                          + 1j * rng.standard_normal((n, n)))[0]
     H = scale * (V * lam) @ adjoint(V)
-    A = H + f_herm * tol * max(1.0, opnorm(H)) * _defect(shape, n, rng)
+    return H + f_herm * tol * max(1.0, opnorm(H)) * _defect(shape, n, rng)
+
+
+SHAPES = ("dense", "flat-rank-one", "entry")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       tol=st.sampled_from([1e-10, 1e-8]),
+       f_herm=st.sampled_from((0.0,) + TOL_FACTORS),
+       f_proj=st.sampled_from((0.0,) + TOL_FACTORS),
+       shape=st.sampled_from(SHAPES),
+       standard_basis=st.booleans(), scale=st.sampled_from([1.0, 100.0]))
+def test_predicates_match_svd_reference(n, seed, tol, f_herm, f_proj, shape,
+                                        standard_basis, scale):
+    A = _planted(n, np.random.default_rng(seed), tol, f_herm, f_proj, shape,
+                 standard_basis, scale)
     _assert_predicates_match_reference(A, tol)
     assert _is_hermitian_ref(A, tol) == (f_herm < 1)
     if f_herm == 0 and scale == 1:
@@ -244,3 +251,70 @@ def test_predicates_on_adversarial_shapes(shape, defect, f):
     assert is_hermitian(A, tol) == (defect == "projection" or f < 1)
     if defect == "projection":
         assert is_effect(A, tol) == (PROJECTION if f < 1 else EFFECT)
+
+
+def planted_effects(tol):
+    """Effects on the edges of ``is_effect``'s certificates at tol."""
+    P = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    skew = 0.5 * np.eye(4, dtype=complex)
+    skew[0, 1] += 1e-9j                   # not Hermitian at tol 1e-10
+    edge = P.copy()
+    edge[0, 0] = 1 + 2 * tol              # eigenvalue just outside [0, 1]
+    # R = E^2 - E = 0.6 tol on four coordinates: Frobenius norm 1.2 tol, no
+    # column above 2 tol, so only the SVD decides the projection test
+    near = np.diag(np.r_[np.full(4, 1 + 0.6 * tol), 0.0]).astype(complex)
+    # skew 0.8 tol: Hermitian by the SVD only
+    leaky = np.pad(P, ((0, 1), (0, 1)))
+    leaky[0, 1] += 0.8j * tol
+    return [skew, edge, near, leaky]
+
+
+def _assert_stack_matches_reference(A, tol):
+    assert is_hermitian(A, tol).tolist() == [_is_hermitian_ref(X, tol)
+                                             for X in A]
+    assert is_effect(A, tol) == [_is_effect_ref(X, tol) for X in A]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       tol=st.sampled_from([1e-10, 1e-8]), scale=st.sampled_from([1.0, 100.0]))
+def test_stacked_predicates_match_svd_reference(n, seed, tol, scale):
+    # one stack of every defect size and shape: matrices the Frobenius bound
+    # certifies, the column bound refutes and only the SVD decides, side by
+    # side, each given the verdict the reference gives it alone
+    rng = np.random.default_rng(seed)
+    A = np.stack([_planted(n, rng, tol, f_herm, f_proj, shape,
+                           rng.random() < 0.5, scale)
+                  for f_herm in (0.0,) + TOL_FACTORS
+                  for f_proj in (0.0,) + TOL_FACTORS for shape in SHAPES])
+    _assert_stack_matches_reference(A, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+def test_stacked_predicates_on_planted_and_adversarial_effects(tol,
+                                                               monkeypatch):
+    n = 40
+    planted = [np.pad(E, ((0, n - len(E)), (0, n - len(E))))
+               for E in planted_effects(tol)]
+    hermitian = [np.eye(n) + f * tol * _defect(shape, n,
+                                               np.random.default_rng(0))
+                 for f in TOL_FACTORS for shape in SHAPES]
+    projection = [np.eye(n) - _inward_shift(f, tol) * np.outer(u, u)
+                  for f in TOL_FACTORS
+                  for u in (np.ones(n) / np.sqrt(n), np.eye(n)[0])]
+    A = np.stack(planted + hermitian + projection)
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda X, *a, **k: seen.append(len(X)) or svd(X, *a, **k))
+    classes = is_effect(A, tol)
+    monkeypatch.undo()
+    # the Hermiticity test takes the SVD of its open defects and of their
+    # matrices, the projection test of its open defects, and neither of all
+    herm_open, scale_open, proj_open = seen
+    assert herm_open == scale_open and 0 < herm_open < len(A)
+    assert 0 < proj_open < len(A)
+    assert set(classes) == {NOT_EFFECT, EFFECT, PROJECTION}
+    _assert_stack_matches_reference(A, tol)
+    assert type(is_hermitian(A[0], tol)) is bool
+    assert is_effect(A[0], tol) == classes[0]

@@ -13,6 +13,7 @@ from povmlab.povm import (DiscretePOVM, _circular_dilation, _unitary_eigh,
                           povm_integrate, povm_validate, random_povm,
                           state_to_measure)
 from povmlab.regions import RegionSet, circle_full, equal_partition
+from test_operators import planted_effects
 
 rng = np.random.default_rng(23)
 
@@ -46,6 +47,14 @@ def test_state_to_measure_rejects_bad_density():
     p = random_povm(4, 2, rng)
     with pytest.raises(ValueError):
         state_to_measure(p, np.eye(4))           # trace 4
+
+
+def test_state_to_measure_rejects_non_hermitian_density():
+    # unit trace with a positive symmetrised spectrum, but tr(E_i T) has
+    # imaginary parts that taking the real part would drop
+    p = random_povm(2, 4, rng)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        state_to_measure(p, [[0.5, 1.0], [0.0, 0.5]])
 
 
 def test_psi_contraction_bound():
@@ -248,22 +257,6 @@ def test_cayley_matches_schur_reference(d, kind):
         assert opnorm(E - ref) < 1e-10
 
 
-def planted_effects(tol):
-    """Effects on the edges of ``is_effect``'s certificates at tol."""
-    P = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    skew = 0.5 * np.eye(4, dtype=complex)
-    skew[0, 1] += 1e-9j                   # not Hermitian at tol 1e-10
-    edge = P.copy()
-    edge[0, 0] = 1 + 2 * tol              # eigenvalue just outside [0, 1]
-    # R = E^2 - E = 0.6 tol on four coordinates: Frobenius norm 1.2 tol, no
-    # column above 2 tol, so only the SVD decides the projection test
-    near = np.diag(np.r_[np.full(4, 1 + 0.6 * tol), 0.0]).astype(complex)
-    # skew 0.8 tol: Hermitian by the SVD only
-    leaky = np.pad(P, ((0, 1), (0, 1)))
-    leaky[0, 1] += 0.8j * tol
-    return [skew, edge, near, leaky]
-
-
 @pytest.mark.parametrize("tol", [1e-10, NUMERIC_TOL])
 def test_batched_classification_matches_is_effect(tol):
     unitary, _ = contraction_moment_povm(np.array([[np.exp(0.7j)]]), 32, 64)
@@ -276,6 +269,9 @@ def test_batched_classification_matches_is_effect(tol):
     for p in povms:
         classes = povm_validate(p, tol).classifications
         assert classes == [is_effect(E, tol) for E in p.effects]
+        assert povm_validate(p, tol).multiplicative == all(
+            opnorm(E @ F - (E if i == j else 0)) <= tol
+            for i, E in enumerate(p.effects) for j, F in enumerate(p.effects))
         seen.update(classes)
     assert seen == {NOT_EFFECT, EFFECT, PROJECTION}
     assert [povm_validate(p, tol).classifications[0] for p in povms[-4:]] == [
@@ -283,19 +279,30 @@ def test_batched_classification_matches_is_effect(tol):
         PROJECTION]
 
 
-def test_batched_classification_calls_is_effect_only_when_undecided(
+def test_batched_classification_takes_svds_only_of_open_matrices(
         monkeypatch):
-    calls = []
-    monkeypatch.setattr(povmlab.povm, "is_effect",
-                        lambda E, tol: calls.append(E) or is_effect(E, tol))
+    # the Frobenius and column-norm bounds decide every effect and pair
+    # defect of these POVMs; of the planted effects the SVD sees near's
+    # E^2 - E, once in is_effect and once as its own pair defect, and
+    # leaky itself, which scales the bound, with its Hermiticity defect
     unitary, _ = contraction_moment_povm(np.array([[np.exp(0.7j)]]), 32, 64)
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda X, *a, **k: seen.append(X) or svd(X, *a, **k))
     povm_validate(unitary, NUMERIC_TOL)
     povm_validate(random_povm(6, 4, rng))
-    assert calls == []
-    for E in planted_effects(1e-10):
+    assert seen == []
+    _, _, near, leaky = planted = planted_effects(1e-10)
+    for E in planted:
         povm_validate(DiscretePOVM(regions=equal_partition(circle_full(), 1),
                                    effects=[E]), 1e-10)
-    assert len(calls) == 2                  # the SVD-only two
+    R = near @ near - near
+    expected = [R, R, leaky, leaky - adjoint(leaky)]
+    assert len(seen) == len(expected)
+    for X, Y in zip(seen, expected):
+        assert X.shape == (1,) + Y.shape and np.allclose(X[0], Y, rtol=0,
+                                                         atol=1e-20)
 
 
 @pytest.mark.parametrize("d", [3, 4, 6, 8])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from povmlab import relativistic
 from povmlab.operators import EFFECT, PROJECTION, adjoint, is_effect, opnorm
 from povmlab.regions import RegionSet
 from povmlab.relativistic import (CircleGrid, HardyModel, _sampled_apply,
@@ -146,6 +147,20 @@ def test_boundary_isometry():
     assert rep["monotonicity_violations"] == 0
     assert rep["sup_at_smallest"]
     assert rep["convergence"][0] < rep["convergence"][-1]
+
+
+def test_boundary_residual_sees_a_wrong_semigroup(monkeypatch):
+    # P(y) applied as e^{-2y|xi|}: the sweep's norms leave their closed form
+    grid = CircleGrid(256, 8 * np.pi)
+    model = HardyModel(grid)
+    coef = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    f = model.synthesize(coef)
+    ys = np.logspace(-3, 1, 20)
+    assert boundary_isometry_check(model, f, ys)["boundary_residual"] < 1e-12
+    apply = relativistic.poisson_apply
+    monkeypatch.setattr(relativistic, "poisson_apply",
+                        lambda grid, y, g: apply(grid, 2 * y, g))
+    assert boundary_isometry_check(model, f, ys)["boundary_residual"] > 0.1
 
 
 def test_boundary_check_rejects_non_hardy():
