@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .operators import (DEFAULT_TOL, NUMERIC_TOL, _sym_eigvalsh, adjoint,
-                        as_operator, herm_spectrum, imag_power, opnorm,
+                        as_operator, herm_spectrum, opnorm,
                         require_square, spectral_imag_power, sqrtm_psd)
 
 
@@ -234,8 +234,7 @@ def kms_residual(T, A, B) -> float:
     T = require_square(T)
     A = require_square(A)
     B = require_square(B)
-    lam = _sym_eigvalsh(T)
-    if lam.min() <= 0:
+    if herm_spectrum(T)[0].min() <= 0:
         raise ValueError("density must be invertible")
     lhs = np.trace(T @ A @ B)
     rhs = np.trace(T @ B @ (T @ A @ np.linalg.inv(T)))
@@ -249,13 +248,12 @@ def modtime_unitarity(weight: TraceWeight, T, ts, samples) -> dict:
     |<U_t A, U_t B>_tau - <A, B>_tau| and group-law residuals for
     consecutive times.
     """
-    T = require_square(T)
-    lam = _sym_eigvalsh(T)
-    if lam.min() <= 0:
+    spectrum = herm_spectrum(T)
+    if spectrum[0].min() <= 0:
         raise ValueError("positive operator required for imaginary powers")
 
     def U(t, A):
-        P = imag_power(T, t)
+        P = spectral_imag_power(spectrum, t)
         return P @ A @ adjoint(P)
 
     iso = []

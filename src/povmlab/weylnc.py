@@ -8,8 +8,10 @@ operator, so operators live on one channel (every operator norm is the
 same) while symbols keep a principal part per channel.  e^{isP} is kept
 as its diagonal, the shift S(t) for t in delta*Z as the columns of its
 permutation (so the Weyl defect on the lattice is kept as its m
-nonzeros), and functions of Q, diagonal in the dual (DFT) basis, are
-circulants kept as their generators.  On aligned data the Weyl relation e^{isP} S(t) = e^{-ist}
+nonzeros), a quantized symbol as its shift diagonals (so the
+conjugation defect is bounded without an m x m operator), and functions
+of Q, diagonal in the dual (DFT) basis, are circulants kept as their
+generators.  On aligned data the Weyl relation e^{isP} S(t) = e^{-ist}
 S(t) e^{isP}, the conjugation-shift identity for quantized symbols, and
 the covariance of the half-line effects are exact; misaligned inputs
 report the wrap-around defect.
@@ -183,12 +185,12 @@ class SymbolRep:
                          a0_neg=roll(self.a0_neg))
 
 
-def quantize(lat: MellinLattice, a: SymbolRep) -> np.ndarray:
-    """Weyl quantization on the lattice: the m x m operator of one channel
-    (both channels carry the same one).  Each term e^{ivP} S(u) is a
-    weighted permutation, added entry by entry along the shifted diagonal."""
-    O = np.zeros((lat.m, lat.m), dtype=complex)
-    rows = np.arange(lat.m)
+def _shift_diagonals(lat: MellinLattice, a: SymbolRep) -> dict:
+    """Weyl quantization of one channel kept as its shift diagonals: a map
+    from offset j mod m to the vector whose entry l sits at (l, (l + j) mod
+    m).  Each term e^{ivP} S(u) is a weighted permutation on one diagonal,
+    added in coefficient order (j = +/- m/2 share one)."""
+    diags = {}
     nyq = lat.m // 2
     for (j, k), c in a.coeffs.items():
         if abs(j) > nyq or abs(k) > nyq:
@@ -196,7 +198,19 @@ def quantize(lat: MellinLattice, a: SymbolRep) -> np.ndarray:
                              "Nyquist bounds")
         u = j * lat.delta
         v = k * lat.dual_spacing
-        O[rows, lat.shift_columns(u)] += c * np.exp(0.5j * u * v) * lat.exp_P(v)
+        d = diags.setdefault(j % lat.m, np.zeros(lat.m, dtype=complex))
+        d += c * np.exp(0.5j * u * v) * lat.exp_P(v)
+    return diags
+
+
+def quantize(lat: MellinLattice, a: SymbolRep) -> np.ndarray:
+    """Weyl quantization on the lattice: the m x m operator of one channel
+    (both channels carry the same one), the dense scatter of its shift
+    diagonals."""
+    O = np.zeros((lat.m, lat.m), dtype=complex)
+    rows = np.arange(lat.m)
+    for j, d in _shift_diagonals(lat, a).items():
+        O[rows, (rows + j) % lat.m] = d
     return O
 
 
@@ -269,12 +283,33 @@ def nc_covariance_residual(lat: MellinLattice, t: float, B: RegionSet,
                             lat.dual_spacing, tol)
 
 
-def conjugation_residual(lat: MellinLattice, t: float, a: SymbolRep) -> float:
+def conjugation_residual(lat: MellinLattice, t: float, a: SymbolRep,
+                         tol: float = DEFAULT_TOL) -> dict:
     """|| e^{itP} a(Q,P) e^{-itP} - a_t(Q,P) || with a_t: (x, xi) ->
-    a(x + t, xi); exact for t on the x-grid (= Q-dual lattice)."""
+    a(x + t, xi); exact for t on the x-grid (= Q-dual lattice), and whether
+    the residual is a certified bound.
+
+    Conjugation by the diagonal e^{itP} keeps each shift diagonal, so the
+    defect is a sum of weighted permutations, one per offset, and by the
+    triangle inequality its norm is at most the sum over offsets of the
+    largest modulus on each.  That sum, widened by the rounding of its own
+    moduli and additions, is reported when it is at most tol
+    (``upper_bound`` True); otherwise the SVD norm of the dense defect
+    diag_conjugate(e^{itP}, quantize(a)) - quantize(a_t), whose entries
+    the diagonals equal bit for bit.
+    """
     dx = lat.x_length / lat.m
     r = t / dx
     if abs(r - round(r)) > 1e-9:
         raise ValueError("translation must lie on the x-grid for the exact path")
-    conj = diag_conjugate(np.exp(1j * t * lat.u), quantize(lat, a))
-    return opnorm(conj - quantize(lat, a.translated(lat, t)))
+    phase = np.exp(1j * t * lat.u)
+    at = a.translated(lat, t)
+    target = _shift_diagonals(lat, at)      # same offsets as a's
+    rows, back = np.arange(lat.m), np.conj(phase)
+    moduli = [np.abs((phase * d) * back[(rows + j) % lat.m] - target[j]).max()
+              for j, d in _shift_diagonals(lat, a).items()]
+    bound = float(sum(moduli)) * (1 + (len(moduli) + 2) * np.finfo(float).eps)
+    if bound <= tol:
+        return {"residual": bound, "upper_bound": True}
+    conj = diag_conjugate(phase, quantize(lat, a))
+    return {"residual": opnorm(conj - quantize(lat, at)), "upper_bound": False}

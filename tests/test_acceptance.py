@@ -215,7 +215,7 @@ def test_criterion_10_weyl_mellin():
         a0 += amp * np.cos(j * lat.delta * lat.x_grid)
     a = SymbolRep(coeffs=coeffs, a0_pos=a0.copy(), a0_neg=a0.copy())
     t = 2 * lat.dual_spacing
-    conj = conjugation_residual(lat, t, a)
+    conj = conjugation_residual(lat, t, a)["residual"]
     at = a.translated(lat, t)
     inv = abs(nc_integral(at, lat.x_length) - nc_integral(a, lat.x_length))
     iso = abs(htau_norm(at, lat.x_length) - htau_norm(a, lat.x_length))

@@ -354,6 +354,53 @@ def _harness_lattice(m=64):
     return lat, regions.equal_partition(lat.q_region([]), 4)[0]
 
 
+def dense_conjugation_defect(lat):
+    """The dense defect diag(e^{itu}) a(Q,P) diag(e^{itu})* - a_t(Q,P) of
+    the harness's nc.conjugation case at seed 7, t = 2 * dual."""
+    a = harness._random_symbol(lat, np.random.default_rng(7 + 4))
+    t = 2 * lat.dual_spacing
+    return (diag_conjugate(np.exp(1j * t * lat.u), weylnc.quantize(lat, a))
+            - weylnc.quantize(lat, a.translated(lat, t)))
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("m", [64, 192])
+def test_random_symbol_samples_match_its_coefficients(seed, m):
+    # a0(x) = Re sum c_jk e^{-i j delta x}, for the symbol and for its
+    # translate a_t(x) = a(x + t); seed 8 draws one (j, k) twice
+    lat, _ = _harness_lattice(m)
+    a = harness._random_symbol(lat, np.random.default_rng(seed + 4))
+
+    def principal(sym):
+        return sum(c * np.exp(-1j * j * lat.delta * lat.x_grid)
+                   for (j, _), c in sym.coeffs.items()).real
+
+    for sym in (a, a.translated(lat, 2 * lat.dual_spacing)):
+        assert np.abs(sym.a0_pos - principal(sym)).max() < 1e-12
+        assert np.array_equal(sym.a0_neg, sym.a0_pos)
+
+
+@pytest.mark.parametrize("mutation", ["direction", "twist"])
+def test_wrong_translation_fails_nc_conjugation_through_the_dense_fallback(
+        monkeypatch, mutation):
+    # a_t built for -t, or with the coefficient twist e^{+i u_j t}
+    real = weylnc.SymbolRep.translated
+
+    def wrong(self, lat, t):
+        if mutation == "direction":
+            return real(self, lat, -t)
+        out = real(self, lat, t)
+        out.coeffs = {(j, k): c * np.exp(1j * j * lat.delta * t)
+                      for (j, k), c in self.coeffs.items()}
+        return out
+
+    monkeypatch.setattr(weylnc.SymbolRep, "translated", wrong)
+    record = _case(run_suite(SuiteConfig(suite="weyl")), "nc.conjugation")
+    assert not record["pass"] and "upper_bound" not in record
+    lat, _ = _harness_lattice()
+    assert record["residual"] == opnorm(dense_conjugation_defect(lat)) > 0.1
+
+
 @pytest.mark.parametrize("model", ["rel", "nc"])
 def test_perturbed_covariance_target_fails_through_the_dense_fallback(
         monkeypatch, model):
@@ -446,6 +493,7 @@ def test_tolerance_below_every_bound_reports_the_dense_values():
             lat, 3 * lat.dual_spacing, half)[0],
         "nc.covariance.def": dense_nc_covariance_defect(
             lat, lat.dual_spacing, half)[0],
+        "nc.conjugation": dense_conjugation_defect(lat),
     }
     for name, dense in expected.items():
         record = _case(report, name)
@@ -457,7 +505,8 @@ def test_certified_residuals_are_marked_and_within_tol():
     report = run_suite(SuiteConfig(suite="all"))
     marked = {r["case"] for r in report["cases"] if r.get("upper_bound")}
     assert marked == {"rel.povm.sum", "rel.covariance", "rel.covariance.def",
-                      "nc.povm.sum", "nc.covariance", "nc.covariance.def"}
+                      "nc.povm.sum", "nc.conjugation", "nc.covariance",
+                      "nc.covariance.def"}
     for r in report["cases"]:
         if r.get("upper_bound"):
             assert r["upper_bound"] is True and r["residual"] <= r["tol"]
@@ -620,6 +669,17 @@ UNREACHED = {
     # nonzeros by index, and test_weylnc keeps this as their reference;
     # kept because perfbench/layers.py traces it by name
     "weylnc.MellinLattice.shift",
+    # the dense quantization: conjugation_residual certifies its defect from
+    # the shift diagonals and forms the two m x m operators only in the
+    # fallback taken when the bound exceeds tol, which
+    # test_wrong_translation_fails_nc_conjugation_through_the_dense_fallback
+    # exercises; kept because perfbench/layers.py traces it by name
+    "weylnc.quantize",
+    # A^{it} from a fresh eigendecomposition: modtime_unitarity and the
+    # modular flow raise one spectrum of T to many powers with
+    # spectral_imag_power; test_modular keeps this as their reference;
+    # kept because perfbench/layers.py traces it by name
+    "operators.imag_power",
     # the dense form of a Toeplitz block: every run certifies its block
     # residuals from generators and forms the dense block only in the
     # fallback taken when a bound exceeds tol, which the

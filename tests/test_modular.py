@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from povmlab import modular
+from povmlab import modular, operators
 from povmlab.modular import (TraceWeight, build_gns, build_modular,
                              kms_residual, left_mult, lemma_modular_residual,
                              modtime_unitarity, unvec, vec)
@@ -173,6 +173,48 @@ def test_kms_residual_gibbs_and_tracial():
     for _ in range(10):
         assert kms_residual(T, rand_c(6), rand_c(6)) < 1e-12
     assert kms_residual(np.eye(6) / 6, rand_c(6), rand_c(6)) < 1e-12
+
+
+def test_kms_residual_rejects_non_hermitian_density():
+    # (T + T*)/2 has spectrum {0.25, 0.75} and trace cyclicity holds for any
+    # invertible T, so only the Hermiticity test can refuse this input
+    T = np.array([[0.5, 0.5], [0.0, 0.5]])
+    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        kms_residual(T, A, A.T)
+
+
+def test_modtime_unitarity_decomposes_t_once(monkeypatch):
+    # one herm_spectrum of T serves every flow application, and the report
+    # equals the one built from imag_power per application bit for bit
+    T = gibbs(0.7, 5)
+    w = TraceWeight(T)
+    ts = [0.0, 0.4, 1.1]
+    samples = [(rand_c(5), rand_c(5))]
+
+    def U(t, A):
+        P = imag_power(T, t)
+        return P @ A @ adjoint(P)
+
+    A, B = samples[0]
+    iso = [float(abs(w.inner(U(t, A), U(t, B)) - w.inner(A, B))) for t in ts]
+    group = [opnorm(U(t1, U(t2, A)) - U(t1 + t2, A))
+             for t1, t2 in zip(ts, ts[1:])]
+    calls = []
+    counted = modular.herm_spectrum
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    # imag_power reaches it through the operators module
+    monkeypatch.setattr(modular, "herm_spectrum", counting)
+    monkeypatch.setattr(operators, "herm_spectrum", counting)
+    rep = modtime_unitarity(w, T, ts, samples)
+    assert len(calls) == 1
+    assert [c["residual"] for c in rep["isometry"]] == iso
+    assert [g["residual"] for g in rep["group_law"]] == group
+    assert rep["max_isometry_residual"] == max(iso)
 
 
 def test_modtime_unitarity_commuting_weight():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from povmlab.operators import adjoint, opnorm
+from povmlab.operators import adjoint, diag_conjugate, opnorm
 from povmlab.weylnc import (MellinLattice, SymbolRep, _compressed_indicator,
+                            _shift_diagonals,
                             conjugation_residual, htau_norm, indicator_Q,
                             nc_covariance_residual, nc_effect, nc_integral,
                             quantize, weyl_defect, weyl_relation_residual)
@@ -198,12 +199,56 @@ def test_quantize_rejects_beyond_nyquist():
         quantize(lat, SymbolRep(coeffs={(9, 0): 1.0}))
 
 
+def scatter(lat, diags):
+    """Dense reference: each shift diagonal written to its entries."""
+    O = np.zeros((lat.m, lat.m), dtype=complex)
+    for j, d in diags.items():
+        for l in range(lat.m):
+            O[l, (l + j) % lat.m] = d[l]
+    return O
+
+
+CONJUGATION_LATTICES = {8: MellinLattice(8, 0.55, -0.55), **{
+    m: skewed_lattice(m) for m in SKEWED}}
+
+
+@pytest.mark.parametrize("m", tuple(CONJUGATION_LATTICES))
+def test_conjugation_bound_covers_the_dense_defect(m, monkeypatch):
+    lat = CONJUGATION_LATTICES[m]
+    nyq = m // 2
+    # repeated j; j = +/- m/2 share one diagonal; k = -m/2
+    keys = [(0, 0), (1, 0), (1, 2), (-1, -nyq), (nyq, 1), (-nyq, -nyq),
+            (3, -nyq), (2 - nyq, nyq)]
+    a = SymbolRep(coeffs={key: complex(*rng.standard_normal(2))
+                          for key in keys})
+    diags = _shift_diagonals(lat, a)
+    assert sorted(diags) == sorted({j % m for j, _ in keys})
+    assert np.array_equal(scatter(lat, diags), quantize(lat, a))
+    assert np.array_equal(quantize(lat, a), dense_quantize(lat, a))
+    # the bound at rounding level, then for an O(1) defect: a_t built for -t
+    real = SymbolRep.translated
+    for wrong_direction in (False, True):
+        if wrong_direction:
+            monkeypatch.setattr(SymbolRep, "translated",
+                                lambda self, lat, t: real(self, lat, -t))
+        for steps in (1, 3, -2):
+            t = steps * lat.dual_spacing
+            dense = (diag_conjugate(np.exp(1j * t * lat.u), quantize(lat, a))
+                     - quantize(lat, a.translated(lat, t)))
+            out = conjugation_residual(lat, t, a, np.inf)
+            assert out["upper_bound"] and out["residual"] >= opnorm(dense)
+            # below the bound the dense SVD is reported unchanged
+            tol = 0.5 * out["residual"]
+            assert conjugation_residual(lat, t, a, tol) == {
+                "residual": opnorm(dense), "upper_bound": False}
+
+
 def test_conjugation_shift_identity():
     lat = selfdual_lattice(32)
     a = make_real_symbol(lat)
     for steps in (1, 3):
         t = steps * lat.dual_spacing
-        assert conjugation_residual(lat, t, a) < 1e-10
+        assert conjugation_residual(lat, t, a)["residual"] < 1e-10
 
 
 def test_translation_invariance_of_integral_and_norm():
