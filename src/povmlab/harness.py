@@ -206,7 +206,7 @@ def _suite_povm(c: _Cases):
     _, repr_ = povm.contraction_moment_povm(np.array([[0.5]]), 32, 64)
     pk = _poisson_cell_masses(repr_, 0.5)
     c.add("contraction.poisson.masses", "Thm contraction-POVM", "T=0.5 M=32",
-          pk, 1e-2)
+          pk, 3e-3)
     phi = 0.7
     pu, _ = povm.contraction_moment_povm(np.array([[np.exp(1j * phi)]]), 32, 64)
     pvm = povm.povm_validate(pu, NUMERIC_TOL).multiplicative

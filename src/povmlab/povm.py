@@ -5,21 +5,23 @@ of effects summing to the identity.  On top of that sit the
 state-to-probability map tr(E_i T), the bounded functional calculus
 Psi(f) = sum f(mid_i) E_i, the Naimark dilation by stacked square roots,
 and the moment POVM of a contraction obtained from a circular unitary
-dilation.  The dilation is diagonalised by ``eigh`` of a Hermitian Cayley
-transform i (z - U)^{-1} (z + U), at a point z = e^{i alpha} of a fixed
-candidate set chosen at least pi / (4N) from the spectrum (N the size of
-U), and the eigendecomposition is accepted only after every eigenvector
-residual is checked; the module needs numpy alone.
+dilation.  The dilation is diagonalised by one solve and one ``eigh`` of a
+Hermitian Cayley transform i (z - U)^{-1} (z + U), at the first point
+z = e^{i alpha} of a fixed candidate set whose Cayley eigenvalues place it
+at least pi / (4N) from the spectrum (N the size of U); the decomposition
+is accepted only after every eigenvector residual is checked, and its
+spectral measure is binned in one pass.  The module needs numpy alone.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .operators import (DEFAULT_TOL, EFFECT, NUMERIC_TOL, PROJECTION,
                         _norm_within, _sym_eigh, adjoint, as_operator,
                         herm_spectrum, is_effect, opnorm, sqrtm_psd)
-from .regions import RegionSet, circle_full, equal_partition
+from .regions import _EPS, circle_full, equal_partition
 
 
 @dataclass
@@ -34,11 +36,19 @@ class DiscretePOVM:
             raise ValueError("empty partition")
         if len(self.regions) != len(self.effects):
             raise ValueError("regions and effects must have equal length")
-        self.effects = [as_operator(E) for E in self.effects]
-        d = self.effects[0].shape[0]
-        for E in self.effects:
-            if E.shape != (d, d):
-                raise ValueError("effects must be square and equal-shaped")
+        try:
+            E = np.asarray(self.effects, dtype=complex)
+        except ValueError:
+            if len({np.shape(E) for E in self.effects}) > 1:
+                raise ValueError("effects must be square and equal-shaped") from None
+            raise
+        if E.ndim != 3:
+            raise ValueError(f"operator must be a 2-d array, got shape {E.shape[1:]}")
+        if not np.isfinite(E).all():
+            raise ValueError("operator has non-finite entries")
+        if E.shape[1] != E.shape[2]:
+            raise ValueError("effects must be square and equal-shaped")
+        self.effects = list(E)
 
     @property
     def dim(self) -> int:
@@ -172,23 +182,16 @@ def _circular_dilation(T: np.ndarray, M: int) -> np.ndarray:
     """
     d = T.shape[0]
     K = 2 * M
-    I = np.eye(d)
     W, S, Xs = np.linalg.svd(T)
     C = np.sqrt(np.clip(1.0 - S * S, 0.0, None))
-    DT = (adjoint(Xs) * C) @ Xs
-    DTs = (W * C) @ adjoint(W)
-    U = np.zeros((K * d, K * d), dtype=complex)
-
-    def put(r, c, block):
-        U[r * d:(r + 1) * d, c * d:(c + 1) * d] = block
-
-    put(0, 0, T)
-    put(1, 0, DT)
-    put(0, K - 1, -DTs)
-    put(1, K - 1, adjoint(T))
-    for c in range(1, K - 1):
-        put(c + 1, c, I)
-    return U
+    U = np.zeros((K, d, K, d), dtype=complex)     # U[r, :, c] is block (r, c)
+    c = np.arange(1, K - 1)
+    U[c + 1, :, c] = np.eye(d)
+    U[0, :, 0] = T
+    U[1, :, 0] = (adjoint(Xs) * C) @ Xs
+    U[0, :, K - 1] = -((W * C) @ adjoint(W))
+    U[1, :, K - 1] = adjoint(T)
+    return U.reshape(K * d, K * d)
 
 
 def _unitary_eigh(U: np.ndarray):
@@ -197,32 +200,36 @@ def _unitary_eigh(U: np.ndarray):
     transform; no nonsymmetric eigensolver runs.
 
     For z = e^{i alpha} off the spectrum, A = i (z - U)^{-1} (z + U) is
-    Hermitian, with eigenvalue cot((alpha - theta)/2) on each eigenvector
-    of e^{i theta}.  So ``eigh`` of A returns an orthonormal eigenbasis of
-    U, also across degenerate clusters, and the phases are read off
-    diag(V* U V).  alpha is the first of the 2N candidates
-    pi (2k + 1) / (2N), N the size of U, whose distance to the spectrum is
-    at least pi / (4N); that distance has cosine the top eigenvalue of the
-    Hermitian part of e^{-i alpha} U.  The candidates lie pi / N apart, so
-    each eigenvalue comes that close to at most one of them, rounding
-    included, and at least N of them qualify.  (At the wider distance
-    pi / (2N) an eigenvalue midway between two candidates, as every
-    eigenvalue of the dilation of T = 0 is, ties with both, and rounding
-    decides.)  The result is accepted only when every column residual
-    ||U v_j - e^{i theta_j} v_j|| is at most NUMERIC_TOL.
+    Hermitian, with eigenvalue mu = cot((alpha - theta)/2) on each
+    eigenvector of e^{i theta}.  So ``eigh`` of A returns an orthonormal
+    eigenbasis of U, also across degenerate clusters, and the phases are
+    read off diag(V* U V).  alpha is the first of the 2N candidates
+    pi (2k + 1) / (2N), N the size of U, at distance at least pi / (4N)
+    from the spectrum, that is, with max |mu| <= cot(pi / (8N)) in the
+    same ``eigh``; a candidate whose solve fails or is non-finite is
+    passed over.  The candidates lie pi / N apart, so each eigenvalue comes
+    that close to at most one of them, rounding included, and at least N
+    of them qualify.  (At the wider distance pi / (2N) an eigenvalue midway
+    between two candidates, as every eigenvalue of the dilation of T = 0
+    is, ties with both, and rounding decides.)  The result is accepted
+    only when every column residual ||U v_j - e^{i theta_j} v_j|| is at
+    most NUMERIC_TOL.
     """
     N = U.shape[0]
-    Us = adjoint(U)
-    far = np.cos(np.pi / (4 * N))
+    I = np.eye(N)
+    far = 1.0 / np.tan(np.pi / (8 * N))
     for k in range(2 * N):
         z = np.exp(1j * np.pi * (2 * k + 1) / (2 * N))
-        # conj(z) U + z U* is Hermitian entry for entry
-        if np.linalg.eigvalsh((np.conj(z) * U + z * Us) / 2)[-1] <= far:
-            break
+        try:
+            A = 1j * np.linalg.solve(z * I - U, z * I + U)
+        except np.linalg.LinAlgError:
+            continue
+        if np.isfinite(A).all():
+            mu, V = _sym_eigh(A)
+            if max(-mu[0], mu[-1]) <= far:
+                break
     else:
         raise ValueError("no Cayley point off the spectrum: U is not unitary")
-    I = np.eye(N)
-    _, V = _sym_eigh(1j * np.linalg.solve(z * I - U, z * I + U))
     UV = U @ V
     thetas = np.angle(np.einsum("ij,ij->j", V.conj(), UV))
     residual = np.linalg.norm(UV - V * np.exp(1j * thetas), axis=0).max()
@@ -232,31 +239,39 @@ def _unitary_eigh(U: np.ndarray):
     return thetas, V
 
 
+@lru_cache
+def _equal_arcs(cells: int) -> tuple:
+    """The ``cells`` equal arcs of [-pi, pi), built once per count."""
+    return tuple(equal_partition(circle_full(), cells))
+
+
 def contraction_moment_povm(T, M: int, cells: int):
     """Moment POVM of a contraction: T^n = int e^{i n theta} dE(theta).
 
     Builds the circular unitary dilation U of depth M, takes its spectral
-    measure by ``_unitary_eigh`` (``eigh`` of a Cayley transform of U at a
-    point z = e^{i alpha} chosen off the spectrum, accepted only after
-    checking every eigenvector residual against NUMERIC_TOL), compresses it
-    back to the original space, and bins it into ``cells`` equal arcs of
-    [-pi, pi).  Returns the binned DiscretePOVM together with a
+    measure by ``_unitary_eigh`` (one solve and one ``eigh`` of a Cayley
+    transform of U, accepted only after checking every eigenvector residual
+    against NUMERIC_TOL), compresses it back to the original space, and
+    bins it into ``cells`` equal arcs of [-pi, pi) in one pass: one
+    ``searchsorted`` gives every phase its cell, one batched product forms
+    every effect.  Returns the binned DiscretePOVM together with a
     MomentReport; the unbinned moments are certified for n = 0..M-1, all M
     residuals from one stack of powers and one batched SVD.
     """
     T = as_operator(T)
-    if T.shape[0] != T.shape[1]:
-        raise ValueError("square contraction required")
+    if T.shape[0] != T.shape[1] or T.size == 0:
+        raise ValueError(f"square non-empty contraction required, got shape {T.shape}")
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 1:
+        raise ValueError(f"moment depth M must be an integer >= 1, got {M!r}")
     if opnorm(T) > 1.0 + NUMERIC_TOL:
         raise ValueError(f"not a contraction: ||T|| = {opnorm(T):.6f}")
     d = T.shape[0]
     thetas, V = _unitary_eigh(_circular_dilation(T, M))
-    thetas[thetas >= np.pi - 1e-15] = -np.pi
-    P0V = V[:d, :]                   # compression of eigenvectors to block 0
-
+    # as in RegionSet.indicator, a phase within _EPS below pi is -pi
+    thetas[thetas >= np.pi - _EPS] = -np.pi
     order = np.argsort(thetas, kind="stable")
     thetas = thetas[order]
-    P0V = P0V[:, order]
+    P0V = V[:d, order]               # compression of eigenvectors to block 0
 
     # moment n of the unbinned compressed point masses F_j = P0 v_j v_j* P0
     # against T^n, for every n at once
@@ -268,17 +283,15 @@ def contraction_moment_povm(T, M: int, cells: int):
         powers[n] = powers[n - 1] @ T
     residuals = np.linalg.norm(moments - powers, 2, axis=(-2, -1))
 
-    regions = equal_partition(RegionSet.circle([(-np.pi, np.pi)]), cells)
-    # the phases are sorted, so each cell [a, b) holds a contiguous run of
-    # them; eigenvalues on a cell boundary go with the cell whose left
-    # endpoint they equal (half-open convention)
-    a, b = np.array([region.cells[0] for region in regions]).T - 1e-12
-    effects = [P0V[:, i:j] @ adjoint(P0V[:, i:j])
-               for i, j in zip(np.searchsorted(thetas, a),
-                               np.searchsorted(thetas, b))]
-    povm = DiscretePOVM(regions=regions, effects=effects)
-
-    cell_masses = np.array([E.trace().real / max(d, 1) for E in effects])
+    # half-open cells with ends moved down by _EPS, as in RegionSet.indicator:
+    # a phase on an edge, up to rounding, goes with the cell it starts
+    regions = _equal_arcs(cells)
+    edges = np.array([region.cells[0][0] for region in regions]) - _EPS
+    cell = np.searchsorted(edges, thetas, side="right") - 1
+    B = np.zeros((cells, d, len(cell)), dtype=complex)  # P0V split by cell
+    B[cell, :, np.arange(len(cell))] = P0V.T
+    effects = B @ adjoint(P0V)
+    povm = DiscretePOVM(regions=list(regions), effects=effects)
     report = MomentReport(moment_residuals=residuals,
-                          cell_masses=cell_masses)
+                          cell_masses=np.einsum("cii->c", effects).real / d)
     return povm, report

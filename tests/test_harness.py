@@ -731,3 +731,23 @@ def test_verify_and_studies_reach_every_library_function():
     functions = _library_functions()
     unreached = {name for key, name in functions.items() if key not in called}
     assert unreached == UNREACHED
+
+
+def test_rolled_cell_masses_fail_the_poisson_case(monkeypatch):
+    # the 64 masses of T = 0.5 rolled by one cell: a binning rotated by
+    # 2 pi / 64 reads 4.3e-3, above the tol, while the discretisation
+    # error of the unrolled masses at M=32 is 1.3e-3
+    record = _case(run_suite(SuiteConfig(suite="povm")),
+                   "contraction.poisson.masses")
+    assert record["pass"] and 1e-3 < record["residual"] < record["tol"]
+    real = povm.contraction_moment_povm
+
+    def rolled(*args):
+        p, report = real(*args)
+        report.cell_masses = np.roll(report.cell_masses, 1)
+        return p, report
+
+    monkeypatch.setattr(povm, "contraction_moment_povm", rolled)
+    record = _case(run_suite(SuiteConfig(suite="povm")),
+                   "contraction.poisson.masses")
+    assert not record["pass"] and record["residual"] > 4e-3

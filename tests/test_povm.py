@@ -318,3 +318,193 @@ def test_norm_one_dilation_is_unitary_to_rounding(d):
         assert opnorm(adjoint(U) @ U - np.eye(len(U))) < 1e-13
         _, rep = contraction_moment_povm(T, 8, 16)
         assert rep.moment_residuals.max() <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# the one-pass moment POVM against the per-block, per-cell construction it
+# replaced, kept here as the reference
+
+
+def put_loop_dilation(T, M):
+    """Reference circular dilation, filled block by block."""
+    d = T.shape[0]
+    K = 2 * M
+    W, S, Xs = np.linalg.svd(T)
+    C = np.sqrt(np.clip(1.0 - S * S, 0.0, None))
+    U = np.zeros((K * d, K * d), dtype=complex)
+
+    def put(r, c, block):
+        U[r * d:(r + 1) * d, c * d:(c + 1) * d] = block
+
+    put(0, 0, T)
+    put(1, 0, (adjoint(Xs) * C) @ Xs)
+    put(0, K - 1, -((W * C) @ adjoint(W)))
+    put(1, K - 1, adjoint(T))
+    for c in range(1, K - 1):
+        put(c + 1, c, np.eye(d))
+    return U
+
+
+def hermitian_part_candidate(U):
+    """Reference Cayley point rule: the first candidate pi (2k + 1) / (2N)
+    at which the Hermitian part of e^{-i alpha} U has top eigenvalue at most
+    cos(pi / (4N)), that is, whose distance to the spectrum is at least
+    pi / (4N)."""
+    N = len(U)
+    for k in range(2 * N):
+        z = np.exp(1j * np.pi * (2 * k + 1) / (2 * N))
+        H = (np.conj(z) * U + z * adjoint(U)) / 2
+        if np.linalg.eigvalsh(H)[-1] <= np.cos(np.pi / (4 * N)):
+            return k
+    raise AssertionError("no candidate off the spectrum")
+
+
+def cayley_candidate(U, monkeypatch):
+    """Index of the candidate ``_unitary_eigh`` accepts: it makes one solve
+    per candidate tried and stops at the one it accepts."""
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *a: solves.append(1) or solve(*a))
+    _unitary_eigh(U)
+    monkeypatch.undo()
+    return len(solves) - 1
+
+
+def per_cell_binning(T, M, cells):
+    """Reference binning: sorted phases, one slice, one product and one
+    trace per cell."""
+    d = T.shape[0]
+    thetas, V = _unitary_eigh(_circular_dilation(T, M))
+    thetas[thetas >= np.pi - 1e-15] = -np.pi
+    order = np.argsort(thetas, kind="stable")
+    thetas, P0V = thetas[order], V[:d, order]
+    regions = equal_partition(RegionSet.circle([(-np.pi, np.pi)]), cells)
+    a, b = np.array([region.cells[0] for region in regions]).T - 1e-12
+    effects = [P0V[:, i:j] @ adjoint(P0V[:, i:j])
+               for i, j in zip(np.searchsorted(thetas, a),
+                               np.searchsorted(thetas, b))]
+    return effects, np.array([E.trace().real / d for E in effects])
+
+
+def blocked_candidates(d, M):
+    """Diagonal unitary T whose eigenphases sit on the first d Cayley
+    candidates of its dilation, so each of them is blocked."""
+    N = 2 * M * d
+    return np.diag(np.exp(1j * np.pi * (2 * np.arange(d) + 1) / (2 * N)))
+
+
+def differential_inputs(d):
+    r = np.random.default_rng(100 + d)
+    A = r.standard_normal((d, d)) + 1j * r.standard_normal((d, d))
+    return {"random": 0.7 * A / opnorm(A), "norm-one": A / opnorm(A),
+            "unitary": np.linalg.qr(A)[0], "blocked": blocked_candidates(d, 8)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_circular_dilation_matches_the_put_loop_bit_for_bit(d):
+    for T in differential_inputs(d).values():
+        for M in (1, 2, 8):
+            assert np.array_equal(_circular_dilation(T, M),
+                                  put_loop_dilation(T, M))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("kind", ["random", "norm-one", "unitary", "blocked"])
+def test_cayley_eigenvalue_rule_picks_the_hermitian_part_candidate(
+        d, kind, monkeypatch):
+    T = differential_inputs(d)[kind]
+    for M in ((8, 32) if d < 8 else (8,)):
+        U = _circular_dilation(T, M)
+        k = hermitian_part_candidate(U)
+        assert cayley_candidate(U, monkeypatch) == k
+        if kind == "blocked" and M == 8:
+            assert k == d
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("kind", ["random", "norm-one", "unitary", "blocked"])
+@pytest.mark.parametrize("cells", [1, 7, 64])
+def test_one_pass_binning_matches_the_per_cell_reference(d, kind, cells):
+    T = differential_inputs(d)[kind]
+    M = 8 if d == 8 else 32
+    p, rep = contraction_moment_povm(T, M, cells)
+    effects, masses = per_cell_binning(T, M, cells)
+    assert len(p.effects) == len(effects) == cells
+    if d == 1 and cells != 7:
+        # at most two phases share a cell at cells=64, and at cells=1 the
+        # one product is the same; at cells=7 the batched product sums a
+        # cell's terms in another grouping than the slice
+        assert all(np.array_equal(E, ref) for E, ref in zip(p.effects, effects))
+        assert np.array_equal(rep.cell_masses, masses)
+    for E, ref in zip(p.effects, effects):
+        assert opnorm(E - ref) <= 1e-13
+    assert np.abs(rep.cell_masses - masses).max() <= 1e-13
+
+
+def test_one_pass_binning_with_empty_cells_and_a_phase_on_an_edge():
+    # 16 phases in 64 cells leave most cells empty; the phase of T sits
+    # exactly on the left edge of cell 21
+    edge = equal_partition(circle_full(), 64)[21].cells[0][0]
+    T = np.array([[np.exp(1j * edge)]])
+    p, rep = contraction_moment_povm(T, 8, 64)
+    effects, masses = per_cell_binning(T, 8, 64)
+    assert sum(not E.any() for E in effects) > 40
+    assert all(np.array_equal(E, ref) for E, ref in zip(p.effects, effects))
+    assert np.array_equal(rep.cell_masses, masses)
+    assert rep.cell_masses[21] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("delta", [5e-13, 2e-12, 1e-16])
+def test_phase_just_below_pi_lands_in_a_cell(delta):
+    # the binning edges sit 1e-12 below the arc edges, so a phase in
+    # [pi - 1e-12, pi) is -pi up to rounding and goes to cell 0
+    p, rep = contraction_moment_povm(np.array([[np.exp(1j * (np.pi - delta))]]),
+                                     8, 16)
+    assert povm_validate(p, NUMERIC_TOL).ok
+    assert rep.cell_masses.sum() == pytest.approx(1.0, abs=1e-12)
+    assert rep.cell_masses[0 if delta < 1e-12 else 15] == pytest.approx(
+        1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("M", [0, -1, 2.5, 2.0, True])
+def test_moment_depth_must_be_a_positive_integer(M):
+    with pytest.raises(ValueError, match="moment depth M"):
+        contraction_moment_povm(np.array([[0.5]]), M, 16)
+
+
+def test_empty_contraction_rejected_naming_its_shape():
+    with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
+        contraction_moment_povm(np.zeros((0, 0)), 8, 16)
+
+
+def test_numpy_integer_moment_depth_accepted():
+    _, rep = contraction_moment_povm(np.array([[0.5]]), np.int64(8), 16)
+    assert rep.moment_residuals.max() <= 1e-10
+
+
+@pytest.mark.parametrize("regions, effects, message", [
+    ([], [], "empty partition"),
+    (equal_partition(circle_full(), 2), [np.eye(2)],
+     "regions and effects must have equal length"),
+    (equal_partition(circle_full(), 2), [np.eye(2), np.eye(3)],
+     "effects must be square and equal-shaped"),
+    (equal_partition(circle_full(), 2), [np.ones((2, 3))] * 2,
+     "effects must be square and equal-shaped"),
+    (equal_partition(circle_full(), 2), [np.ones(2)] * 2,
+     r"operator must be a 2-d array, got shape \(2,\)"),
+    (equal_partition(circle_full(), 2), [np.eye(2), np.full((2, 2), np.nan)],
+     "operator has non-finite entries"),
+    (equal_partition(circle_full(), 2), [np.eye(2), np.diag([1.0, np.inf])],
+     "operator has non-finite entries"),
+])
+def test_discrete_povm_error_messages(regions, effects, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DiscretePOVM(regions=regions, effects=effects)
+
+
+def test_discrete_povm_keeps_a_list_of_complex_effects():
+    p = DiscretePOVM(regions=equal_partition(circle_full(), 2),
+                     effects=[np.eye(2), np.zeros((2, 2), dtype=int)])
+    assert isinstance(p.effects, list) and len(p.effects) == 2
+    assert all(E.dtype == complex and E.shape == (2, 2) for E in p.effects)
