@@ -4,7 +4,11 @@ Everything lives on the monomial basis z^0..z^{d-1}, where the number
 operator is diag(0..d-1).  Arc effects and the angle Toeplitz operator
 have closed-form entries, and because N is diagonal while the effects are
 Toeplitz, all covariance identities of this module are entrywise exact
-under truncation; residuals below are pure rounding.
+under truncation; residuals below are pure rounding.  An arc effect is
+kept as a ``ToeplitzBlock``, as the relativistic and lattice effects are,
+so its covariance defect and a partition sum are certified from one FFT
+of a generator of length 2d; ``dense()`` forms the matrix for the modular
+flow, the Naimark dilation and the SVD fallback.
 
 Arc convention: angles in [-pi, pi), half-open arcs, arg valued in
 [-pi, pi).
@@ -12,7 +16,8 @@ Arc convention: angles in [-pi, pi), half-open arcs, arg valued in
 
 import numpy as np
 
-from .operators import diag_conjugate, funcalc, opnorm
+from .operators import (DEFAULT_TOL, ToeplitzBlock, diag_conjugate, funcalc,
+                        opnorm)
 from .modular import build_modular
 from .regions import RegionSet
 
@@ -37,29 +42,43 @@ def gibbs(beta: float, d: int) -> np.ndarray:
     return np.diag(w / w.sum()).astype(complex)
 
 
-def phase_effect(B: RegionSet, d: int) -> np.ndarray:
-    """Arc effect with entries (E_B)_{mn} = (1/2pi) int_B e^{i(n-m)theta}.
+def phase_effect(B: RegionSet, d: int) -> ToeplitzBlock:
+    """Arc effect with entries (E_B)_{mn} = c_B(n-m), where c_B(k) =
+    (1/2pi) int_B e^{ik theta}, kept as a ``ToeplitzBlock`` of size d.
 
-    Closed form per arc [a, b): diagonal (b-a)/2pi, off-diagonal
-    (e^{ik b} - e^{ik a}) / (2 pi i k) with k = n - m, summed over arcs.
+    Closed form per arc [a, b): c_B(0) = (b-a)/2pi and c_B(k) =
+    (e^{ik b} - e^{ik a}) / (2 pi i k), summed over arcs.  The generator
+    has length 2d and holds c_B(-r) at r mod 2d for |r| < d; entry d is 0.
     """
     if B.domain != "circle":
         raise ValueError("phase effects are defined on the circle")
-    idx = np.arange(d)
-    k = idx[None, :] - idx[:, None]          # k = n - m
-    E = np.zeros((d, d), dtype=complex)
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
+    k = np.arange(1 - d, d)
+    c = np.zeros(2 * d, dtype=complex)
     for a, b in B.cells:
         with np.errstate(divide="ignore", invalid="ignore"):
-            off = (np.exp(1j * k * b) - np.exp(1j * k * a)) / (2j * np.pi * k)
-        np.fill_diagonal(off, (b - a) / (2 * np.pi))
-        E += off
-    return E
+            coef = (np.exp(1j * k * b) - np.exp(1j * k * a)) / (2j * np.pi * k)
+        coef[d - 1] = (b - a) / (2 * np.pi)          # k = 0
+        c[-k % (2 * d)] += coef
+    return ToeplitzBlock(c, d)
 
 
-def covariance_residual(d: int, t: float, B: RegionSet) -> float:
-    """|| e^{-itN} E_B e^{itN} - E_{rot_t B} ||, both sides in closed form."""
-    conj = diag_conjugate(np.exp(-1j * t * np.arange(d)), phase_effect(B, d))
-    return opnorm(conj - phase_effect(B.shifted(t), d))
+def covariance_residual(d: int, t: float, B: RegionSet,
+                        tol: float = DEFAULT_TOL) -> dict:
+    """|| e^{-itN} E_B e^{itN} - E_{rot_t B} ||, both sides in closed form,
+    and whether it is a certified bound.
+
+    N is diagonal and E_B Toeplitz, so the defect is the Toeplitz block
+    ``conjugation_defect`` with phase e^{-itn}; its generator's bound is
+    reported when it is at most tol (``upper_bound`` True), and the SVD of
+    the dense defect otherwise.  Every rotation of the circle is exact.
+    """
+    phase = np.exp(-1j * t * np.arange(d))
+    E, target = phase_effect(B, d), phase_effect(B.shifted(t), d)
+    residual, bound = E.conjugation_defect(phase, target).certified_norm(
+        tol, lambda: diag_conjugate(phase, E.dense()) - target.dense())
+    return {"residual": residual, "upper_bound": bound}
 
 
 def toeplitz_arg(d: int) -> np.ndarray:
@@ -133,6 +152,6 @@ def thermal_covariance_residual(beta: float, d: int, samples) -> float:
     if beta * d > 20:
         raise ValueError("conditioning guard: beta*d must be <= 20")
     triple = build_modular(gibbs(beta, d))
-    return max(opnorm(triple.flow(t, phase_effect(B, d))
-                      - phase_effect(B.shifted(-beta * t), d))
+    return max(opnorm(triple.flow(t, phase_effect(B, d).dense())
+                      - phase_effect(B.shifted(-beta * t), d).dense())
                for t, B in samples)

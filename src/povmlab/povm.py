@@ -261,8 +261,10 @@ def contraction_moment_povm(T, M: int, cells: int):
     T = as_operator(T)
     if T.shape[0] != T.shape[1] or T.size == 0:
         raise ValueError(f"square non-empty contraction required, got shape {T.shape}")
-    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 1:
-        raise ValueError(f"moment depth M must be an integer >= 1, got {M!r}")
+    for name, value in (("moment depth M", M), ("cell count cells", cells)):
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if opnorm(T) > 1.0 + NUMERIC_TOL:
         raise ValueError(f"not a contraction: ||T|| = {opnorm(T):.6f}")
     d = T.shape[0]

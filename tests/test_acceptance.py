@@ -44,7 +44,7 @@ def test_criterion_01_phase_covariance():
         a2 = a + w1 + float(rng.uniform(0.1, 1.0))
         w2 = float(rng.uniform(0.1, 1.0))
         B = RegionSet.circle([(a, a + w1), (a2, a2 + w2)])
-        worst = max(worst, covariance_residual(d, t, B))
+        worst = max(worst, covariance_residual(d, t, B)["residual"])
     verdict(1, "phase covariance d=64", worst <= 1e-10, f"residual {worst:.3e}")
 
 
@@ -133,7 +133,7 @@ def test_criterion_07_naimark():
             worst = max(worst, opnorm(dil.compress(i) - p.effects[i]))
     arcs = equal_partition(circle_full(), 8)
     phase = DiscretePOVM(regions=arcs,
-                         effects=[phase_effect(B, 16) for B in arcs])
+                         effects=[phase_effect(B, 16).dense() for B in arcs])
     dil = naimark_dilate(phase)
     worst = max(worst, opnorm(adjoint(dil.isometry) @ dil.isometry - np.eye(16)))
     for i in range(8):

@@ -1,4 +1,6 @@
+import csv
 import inspect
+import io
 import json
 import sys
 import tracemalloc
@@ -15,6 +17,7 @@ from povmlab.harness import (REQUIRED_ANCHORS, STUDY_KINDS, SuiteConfig,
                              convergence_study,
                              report_body, report_to_csv, run_suite)
 from povmlab.operators import diag_conjugate, opnorm
+from test_oscillator import closed_form_phase_effect
 
 
 def test_full_suite_passes():
@@ -78,8 +81,20 @@ def test_oscillator_suite_builds_one_triple_per_executed_beta(monkeypatch):
 def test_csv_header_and_shape():
     report = run_suite(SuiteConfig(suite="weyl"))
     lines = report_to_csv(report).strip().splitlines()
-    assert lines[0] == "case,anchor,param,residual,tol,pass"
+    assert lines[0] == ("case,anchor,param,residual,tol,pass,upper_bound,"
+                        "skipped")
     assert len(lines) == len(report["cases"]) + 1
+
+
+def test_csv_marks_certified_bounds_and_skips():
+    report = run_suite(SuiteConfig(suite="oscillator", d=48))
+    rows = {(r["case"], r["param"]): r for r in csv.DictReader(
+        io.StringIO(report_to_csv(report)))}
+    assert rows[("osc.povm.sum", "d=48 6 arcs")]["upper_bound"] == "True"
+    assert rows[("osc.defect.rank1", "d=32")]["upper_bound"] == "False"
+    skipped = rows[("osc.thermal", "beta=1.0 d=48")]
+    assert skipped["skipped"] == "conditioning guard beta*d <= 20"
+    assert skipped["residual"] == "" and skipped["pass"] == "True"
 
 
 def test_invalid_suite_rejected():
@@ -302,7 +317,9 @@ def test_identity_defect_is_the_dense_sum_minus_identity():
             [relativistic.rel_effect(model, B) for B in regions.equal_partition(
                 regions.RegionSet.line([], length=model.grid.L), 4)],
             [weylnc.nc_effect(lat, B)
-             for B in regions.equal_partition(lat.q_region([]), 4)]):
+             for B in regions.equal_partition(lat.q_region([]), 4)],
+            [oscillator.phase_effect(B, 12) for B in regions.equal_partition(
+                regions.circle_full(), 6)]):
         dim = effects[0].k
         dense = sum(E.dense() for E in effects) - np.eye(dim)
         assert np.array_equal(_identity_defect(effects).dense(), dense)
@@ -504,7 +521,8 @@ def test_tolerance_below_every_bound_reports_the_dense_values():
 def test_certified_residuals_are_marked_and_within_tol():
     report = run_suite(SuiteConfig(suite="all"))
     marked = {r["case"] for r in report["cases"] if r.get("upper_bound")}
-    assert marked == {"rel.povm.sum", "rel.covariance", "rel.covariance.def",
+    assert marked == {"osc.covariance", "osc.povm.sum",
+                      "rel.povm.sum", "rel.covariance", "rel.covariance.def",
                       "nc.povm.sum", "nc.conjugation", "nc.covariance",
                       "nc.covariance.def"}
     for r in report["cases"]:
@@ -680,12 +698,11 @@ UNREACHED = {
     # spectral_imag_power; test_modular keeps this as their reference;
     # kept because perfbench/layers.py traces it by name
     "operators.imag_power",
-    # the dense form of a Toeplitz block: every run certifies its block
-    # residuals from generators and forms the dense block only in the
-    # fallback taken when a bound exceeds tol, which the
-    # *_fails_through_the_dense_fallback tests exercise
-    "operators.ToeplitzBlock.dense",
-    "operators.circulant",
+    # the dense conjugation diag(phase) A diag(phase)*: every run certifies
+    # its conjugation defects from generators or shift diagonals and forms
+    # the dense defect only in the fallback taken when a bound exceeds tol,
+    # which the *_fails_through_the_dense_fallback tests exercise
+    "operators.diag_conjugate",
 }
 
 
@@ -731,6 +748,27 @@ def test_verify_and_studies_reach_every_library_function():
     functions = _library_functions()
     unreached = {name for key, name in functions.items() if key not in called}
     assert unreached == UNREACHED
+
+
+def test_wrong_rotation_fails_osc_covariance_through_the_dense_fallback(
+        monkeypatch):
+    # every arc rotated by -t: E_B conjugated by e^{-itN} against E_{B-t}
+    real = regions.RegionSet.shifted
+    monkeypatch.setattr(regions.RegionSet, "shifted",
+                        lambda self, t: real(self, -t))
+    record = _case(run_suite(SuiteConfig(suite="oscillator")),
+                   "osc.covariance")
+    assert not record["pass"] and "upper_bound" not in record
+    rng, d, worst = np.random.default_rng(7 + 2), 12, 0.0
+    for _ in range(10):
+        t, a, w = (float(rng.uniform(lo, hi)) for lo, hi in
+                   ((-np.pi, np.pi), (-np.pi, np.pi), (0.1, 2.0)))
+        B = regions.RegionSet.circle([(a, a + w)])
+        dense = (diag_conjugate(np.exp(-1j * t * np.arange(d)),
+                                closed_form_phase_effect(B, d))
+                 - closed_form_phase_effect(real(B, -t), d))
+        worst = max(worst, opnorm(dense))
+    assert record["residual"] == worst > 0.5
 
 
 def test_rolled_cell_masses_fail_the_poisson_case(monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from povmlab.operators import adjoint, opnorm
+from povmlab.operators import adjoint, diag_conjugate, opnorm
 from povmlab.oscillator import (commutator_defect, covariance_residual,
                                 gibbs, number_operator, phase_effect,
                                 thermal_covariance_residual, toeplitz_arg,
@@ -9,18 +9,52 @@ from povmlab.oscillator import (commutator_defect, covariance_residual,
 from povmlab.regions import RegionSet, circle_full, equal_partition
 
 rng = np.random.default_rng(41)
+EPS = np.finfo(float).eps
+
+
+def closed_form_phase_effect(B, d):
+    """The dense arc effect (E_B)_{mn} = (1/2pi) int_B e^{i(n-m)theta}:
+    per arc [a, b), diagonal (b-a)/2pi and off-diagonal
+    (e^{ik b} - e^{ik a}) / (2 pi i k) with k = n - m, summed over arcs."""
+    idx = np.arange(d)
+    k = idx[None, :] - idx[:, None]          # k = n - m
+    E = np.zeros((d, d), dtype=complex)
+    for a, b in B.cells:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            off = (np.exp(1j * k * b) - np.exp(1j * k * a)) / (2j * np.pi * k)
+        np.fill_diagonal(off, (b - a) / (2 * np.pi))
+        E += off
+    return E
+
+
+REGIONS = [
+    RegionSet.circle([(0.0, np.pi)]),
+    RegionSet.circle([(-0.4, 1.3)]),
+    RegionSet.circle([(2.5, 4.0)]),                  # wraps past pi
+    RegionSet.circle([(-3.0, -2.0), (0.1, 2.9)]),
+    RegionSet.circle([(-2.8, -2.1), (-0.5, 0.2), (1.0, 2.6)]),
+]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 12, 34])
+@pytest.mark.parametrize("B", REGIONS, ids=range(len(REGIONS)))
+def test_phase_effect_block_is_the_closed_form_bit_for_bit(d, B):
+    E = phase_effect(B, d)
+    assert E.k == d and len(E.c) == 2 * d and E.c[d] == 0
+    assert np.array_equal(E.dense(), closed_form_phase_effect(B, d))
 
 
 def test_phase_effect_closed_entries_d2():
     B = RegionSet.circle([(0.0, np.pi)])
-    E = phase_effect(B, 2)
+    E = phase_effect(B, 2).dense()
     expected = np.array([[0.5, 1j / np.pi], [-1j / np.pi, 0.5]])
     assert opnorm(E - expected) < 1e-14
 
 
 def test_phase_effects_sum_to_identity():
     for k in (2, 5, 8):
-        total = sum(phase_effect(B, 10) for B in equal_partition(circle_full(), k))
+        total = sum(phase_effect(B, 10).dense()
+                    for B in equal_partition(circle_full(), k))
         assert opnorm(total - np.eye(10)) < 1e-12
 
 
@@ -28,8 +62,18 @@ def test_phase_effect_additive_in_region():
     B1 = RegionSet.circle([(0.0, 1.0)])
     B2 = RegionSet.circle([(1.0, 2.5)])
     B = RegionSet.circle([(0.0, 2.5)])
-    assert opnorm(phase_effect(B1, 6) + phase_effect(B2, 6)
-                  - phase_effect(B, 6)) < 1e-13
+    assert opnorm(phase_effect(B1, 6).dense() + phase_effect(B2, 6).dense()
+                  - phase_effect(B, 6).dense()) < 1e-13
+
+
+@pytest.mark.parametrize("call", [
+    lambda: phase_effect(RegionSet.circle([(0.0, 1.0)]), 0),
+    lambda: phase_effect(RegionSet.circle([(0.0, 1.0)]), -3),
+    lambda: covariance_residual(0, 0.3, RegionSet.circle([(0.0, 1.0)])),
+])
+def test_empty_dimension_rejected_naming_d(call):
+    with pytest.raises(ValueError, match="d must be at least 1"):
+        call()
 
 
 def test_covariance_closed_form():
@@ -37,7 +81,28 @@ def test_covariance_closed_form():
         t = float(rng.uniform(-4, 4))
         a = float(rng.uniform(-np.pi, np.pi))
         B = RegionSet.circle([(a, a + float(rng.uniform(0.1, 2.0)))])
-        assert covariance_residual(16, t, B) < 1e-12
+        out = covariance_residual(16, t, B)
+        assert out["upper_bound"] and out["residual"] < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 12, 64, 256])
+def test_certified_covariance_bound_covers_the_dense_defect(d):
+    # ||dense|| <= ||D|| + ||dense - D|| for the defect block D, whose
+    # norm the certified bound covers; dense - D is the rounding of the
+    # phase products along each diagonal
+    draw = np.random.default_rng(d)
+    for B in REGIONS[1:]:
+        t = float(draw.uniform(-np.pi, np.pi))
+        phase = np.exp(-1j * t * np.arange(d))
+        dense = (diag_conjugate(phase, closed_form_phase_effect(B, d))
+                 - closed_form_phase_effect(B.shifted(t), d))
+        D = phase_effect(B, d).conjugation_defect(
+            phase, phase_effect(B.shifted(t), d)).dense()
+        assert np.array_equal(D[:, 0], dense[:, 0])
+        assert np.array_equal(D[0], dense[0])
+        out = covariance_residual(d, t, B)
+        assert out["upper_bound"] and out["residual"] <= 1e-10
+        assert out["residual"] + np.linalg.norm(dense - D) >= opnorm(dense)
 
 
 def test_toeplitz_arg_entries():
@@ -105,9 +170,9 @@ def test_thermal_rotation_direction_frozen():
     beta, d, t = 1.0, 8, 0.7
     B = RegionSet.circle([(0.2, 1.2)])
     triple = build_modular(gibbs(beta, d))
-    flowed = triple.flow(t, left_mult(phase_effect(B, d)))
-    good = left_mult(phase_effect(B.shifted(-beta * t), d))
-    bad = left_mult(phase_effect(B.shifted(beta * t), d))
+    flowed = triple.flow(t, left_mult(phase_effect(B, d).dense()))
+    good = left_mult(phase_effect(B.shifted(-beta * t), d).dense())
+    bad = left_mult(phase_effect(B.shifted(beta * t), d).dense())
     assert opnorm(flowed - good) < 1e-8
     assert opnorm(flowed - bad) > 1e-2
 
@@ -121,7 +186,7 @@ def test_carrier_flow_of_a_phase_effect_is_its_algebra_flow(d, beta):
     from povmlab.modular import build_modular, left_mult
     triple = build_modular(gibbs(beta, d))
     for t, a in [(0.3, -1.0), (-0.8, 2.0), (1.0, 0.0)]:
-        E = phase_effect(RegionSet.circle([(a, a + 1.0)]), d)
+        E = phase_effect(RegionSet.circle([(a, a + 1.0)]), d).dense()
         assert opnorm(triple.flow(t, left_mult(E))
                       - left_mult(triple.flow(t, E))) < 1e-12
 

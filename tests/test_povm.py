@@ -473,6 +473,18 @@ def test_moment_depth_must_be_a_positive_integer(M):
         contraction_moment_povm(np.array([[0.5]]), M, 16)
 
 
+@pytest.mark.parametrize("cells", [0, -1, 2.5, np.float64(4.0), True])
+def test_cell_count_must_be_a_positive_integer(cells):
+    with pytest.raises(ValueError, match="cell count cells"):
+        contraction_moment_povm(np.array([[0.5]]), 8, cells)
+
+
+def test_numpy_integer_cell_count_accepted():
+    p, rep = contraction_moment_povm(np.array([[0.5]]), 8, np.int64(4))
+    assert len(p.effects) == 4
+    assert rep.cell_masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_empty_contraction_rejected_naming_its_shape():
     with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
         contraction_moment_povm(np.zeros((0, 0)), 8, 16)
