@@ -79,9 +79,16 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITES}")
-        if self.seed is None or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         reads = _fields_read(self.suite)
+        for name in ("seed", "d", "n", "m"):
+            value = getattr(self, name)
+            if name in reads:
+                if (isinstance(value, bool)
+                        or not isinstance(value, (int, np.integer))):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                setattr(self, name, int(value))
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if "d" in reads and self.d < 1:
             raise ValueError(f"d must be at least 1, got {self.d}")
         for name in ("n", "m"):     # each is split into 4 aligned cells
@@ -91,7 +98,8 @@ class SuiteConfig:
         self.betas = tuple(float(b) for b in self.betas)
         if "betas" in reads and not all(0 <= b < np.inf for b in self.betas):
             raise ValueError(f"betas must be finite and >= 0, got {self.betas}")
-        if self.tol is not None and not 0 < self.tol < np.inf:
+        if self.tol is not None and (isinstance(self.tol, bool)
+                                     or not 0 < self.tol < np.inf):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
@@ -151,8 +159,11 @@ class _Cases:
         })
 
 
-def _rand_complex(rng, d):
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def _rand_complex(rng, d, shape=()):
+    """A complex Gaussian d x d matrix, or an array ``shape`` of them, each
+    drawn as its real part and then its imaginary part."""
+    g = rng.standard_normal(shape + (2, d, d))
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
 def _rand_factor(rng, n, r, norm):
@@ -187,12 +198,15 @@ def _suite_povm(c: _Cases):
                               effects=[oscillator.phase_effect(B, d).dense()
                                        for B in arcs])
     dil = povm.naimark_dilate(phase)
-    rec = max(opnorm(dil.compress(i) - phase.effects[i]) for i in range(4))
+    dil2 = povm.naimark_dilate(p)
+    # J_i* J_i - E_i for both dilations, as one stack under one norm call
+    rec, rec2 = opnorm(np.stack(
+        [dil.compress(i) - phase.effects[i] for i in range(4)]
+        + [dil2.compress(i) - p.effects[i] for i in range(4)])).reshape(
+            2, 4).max(axis=1)
     iso = opnorm(adjoint(dil.isometry) @ dil.isometry - np.eye(d))
     c.add("naimark.phase.reconstruction", "Thm Naimark", f"d={d} k=4", rec, 1e-12)
     c.add("naimark.phase.isometry", "Thm Naimark", f"d={d} k=4", iso, 1e-12)
-    dil2 = povm.naimark_dilate(p)
-    rec2 = max(opnorm(dil2.compress(i) - p.effects[i]) for i in range(4))
     c.add("naimark.random.reconstruction", "Thm Naimark", f"d={d} k=4", rec2, 1e-12)
 
     fvals = rng.standard_normal(4)
@@ -246,10 +260,10 @@ def _suite_gns_modular(c: _Cases):
     c.add_flag("gns.m2.pure.dim", "GNS", f"dim={gp.dim}",
                gp.dim == 2 and not gp.faithful)
 
-    T = oscillator.gibbs(1.0, d)
-    worst = max(modular.kms_residual(T, _rand_complex(rng, d), _rand_complex(rng, d))
-                for _ in range(10))
-    c.add("kms.gibbs", "KMS", f"beta=1 d={d}", worst, 1e-12)
+    pairs = _rand_complex(rng, d, (10, 2))
+    c.add("kms.gibbs", "KMS", f"beta=1 d={d}",
+          modular.kms_residual(oscillator.gibbs(1.0, d), pairs[:, 0],
+                               pairs[:, 1]), 1e-12)
     c.add("kms.tracial", "KMS", f"beta=0 d={d}",
           modular.kms_residual(np.eye(d) / d, _rand_complex(rng, d),
                                _rand_complex(rng, d)), 1e-12)
@@ -259,9 +273,9 @@ def _suite_gns_modular(c: _Cases):
           triple.closed_form_residuals["delta_conjugation"], 1e-8)
     c.add("modular.j.closed-form", "Lemma modular", f"d={triple.d}",
           triple.closed_form_residuals["j_adjoint"], 1e-8)
-    worst = max(modular.lemma_modular_residual(triple, _rand_complex(rng, triple.d))
-                for _ in range(5))
-    c.add("modular.lemma", "Lemma modular", f"d={triple.d}", worst, 1e-8)
+    c.add("modular.lemma", "Lemma modular", f"d={triple.d}",
+          modular.lemma_modular_residual(
+              triple, _rand_complex(rng, triple.d, (5,))), 1e-8)
 
     Tc = np.diag(np.exp(rng.standard_normal(d))).astype(complex)
     U = np.linalg.qr(_rand_complex(rng, d))[0]
@@ -303,9 +317,11 @@ def _suite_oscillator(c: _Cases):
             continue
         pairs = [(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-np.pi, np.pi)))
                  for _ in range(5)]
-        worst = oscillator.thermal_covariance_residual(
-            beta, d, [(t, RegionSet.circle([(a, a + 1.0)])) for t, a in pairs])
-        c.add("osc.thermal", "Thm thermal-L", f"beta={beta} d={d}", worst, 1e-8)
+        out = oscillator.thermal_covariance_residual(
+            beta, d, [(t, RegionSet.circle([(a, a + 1.0)])) for t, a in pairs],
+            c.tol(1e-8))
+        c.add("osc.thermal", "Thm thermal-L", f"beta={beta} d={d}",
+              out["residual"], 1e-8, out["upper_bound"])
 
     info = oscillator.commutator_defect(min(d, 32))
     c.add("osc.defect.rank1", "Thm quantum-phase", f"d={min(d, 32)}",

@@ -11,9 +11,13 @@ Delta: X -> T X T^{-1} and J: X -> X*.  The modular flow is
 sigma_t(A) = Delta^{-it} A Delta^{it}, which on algebra elements is
 conjugation A -> T^{-it} A T^{it}: Delta^{it} = T^{it} (x) (T^{-it})^T
 factors, so the flow of a left multiplication is the left multiplication
-of the d x d flow.  A triple therefore stores only T and Omega; its
-d^2 x d^2 carrier data (S, Delta, its spectrum and J) is computed on
-first read, by the checks that compare it with the closed forms.
+of the d x d flow.  For a diagonal T, T^{-it} is the diagonal phase
+``flow_phase`` read off T itself.  A triple therefore stores only T and
+Omega; its d^2 x d^2 carrier data (S, Delta, its spectrum and J) is
+computed on first read, by the checks that compare it with the closed
+forms.  ``vec``, ``unvec`` and ``apply_J`` also take stacks, one row per
+matrix or vector, and the closed-form, KMS and Lemma-modular checks run
+over stacks of draws at once.
 """
 
 from dataclasses import dataclass
@@ -21,17 +25,33 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import (DEFAULT_TOL, NUMERIC_TOL, _sym_eigvalsh, adjoint,
-                        as_operator, herm_spectrum, opnorm,
+from .operators import (DEFAULT_TOL, NUMERIC_TOL, _square_stack, _sym_eigvalsh,
+                        adjoint, as_operator, herm_spectrum, opnorm,
                         require_square, spectral_imag_power, sqrtm_psd)
 
 
 def vec(X) -> np.ndarray:
-    return np.asarray(X, dtype=complex).reshape(-1)
+    """Row-major flattening of a d x d matrix, or of each matrix of a
+    stack (k, d, d) to the rows of (k, d^2)."""
+    X = np.asarray(X, dtype=complex)
+    return X.reshape(X.shape[:-2] + (-1,))
 
 
 def unvec(x, d: int) -> np.ndarray:
-    return np.asarray(x, dtype=complex).reshape(d, d)
+    """Inverse of ``vec``, for one vector or a stack of rows."""
+    x = np.asarray(x, dtype=complex)
+    return x.reshape(x.shape[:-1] + (d, d))
+
+
+def _worst_norm(rows) -> float:
+    """Largest Euclidean norm over the rows, each taken as one vector."""
+    return float(max(np.linalg.norm(r) for r in rows))
+
+
+def _apply(M, x) -> np.ndarray:
+    """M x for one vector, or for each row of a stack (k, n) as a batch of
+    matrix-vector products, which round as the one-vector product does."""
+    return (M @ x[..., None])[..., 0]
 
 
 def left_mult(A) -> np.ndarray:
@@ -165,26 +185,34 @@ class ModularTriple:
     def closed_form_residuals(self) -> dict:
         """Residuals of the closed forms Delta: X -> T X T^{-1} and
         J: X -> X*, of J being an involution and of S(X Omega) = X* Omega,
-        the last two on 8 seeded random X.  Computed on first read."""
+        the last two on one seeded stack of 8 random X.  Computed on first
+        read."""
         d = self.d
-        rng = np.random.default_rng(0)
-        worst_j = worst_s = 0.0
-        for _ in range(8):
-            X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            y = self.J_mat @ np.conj(vec(X))
-            worst_j = max(worst_j, float(np.linalg.norm(y - vec(adjoint(X)))))
-            s = self.S_mat @ np.conj(vec(X @ self.omega)) - vec(adjoint(X) @ self.omega)
-            worst_s = max(worst_s, float(np.linalg.norm(s)))
+        g = np.random.default_rng(0).standard_normal((8, 2, d, d))
+        X = g[:, 0] + 1j * g[:, 1]
+        j = self.apply_J(vec(X)) - vec(adjoint(X))
+        s = (_apply(self.S_mat, np.conj(vec(X @ self.omega)))
+             - vec(adjoint(X) @ self.omega))
         return {
             "delta_conjugation":
                 opnorm(self.Delta - _conj_action(self.T, np.linalg.inv(self.T))),
-            "j_adjoint": worst_j,
+            "j_adjoint": _worst_norm(j),
             "j_involution": opnorm(self.J_mat @ np.conj(self.J_mat) - np.eye(d * d)),
-            "s_defining": worst_s,
+            "s_defining": _worst_norm(s),
         }
 
     def apply_J(self, x) -> np.ndarray:
-        return self.J_mat @ np.conj(np.asarray(x, dtype=complex))
+        """J applied to a carrier vector, or to each row of a stack (k, d^2)."""
+        return _apply(self.J_mat, np.conj(np.asarray(x, dtype=complex)))
+
+    def flow_phase(self, t: float):
+        """The diagonal of T^{-it} = e^{-it log T} for a diagonal T, read
+        off T's own diagonal, so that sigma_t(A) = diag(phase) A
+        diag(phase)*; a ValueError for a T that is not diagonal."""
+        w = np.diagonal(self.T)
+        if np.count_nonzero(self.T - np.diag(w)):
+            raise ValueError("flow_phase needs a diagonal density")
+        return np.exp(-1j * t * np.log(w.real))
 
     def delta_power(self, p: complex) -> np.ndarray:
         lam, V = self.delta_spectrum
@@ -230,15 +258,17 @@ def build_modular(T) -> ModularTriple:
 
 def kms_residual(T, A, B) -> float:
     """|tr(T A B) - tr(T B . T A T^{-1})|; zero up to rounding by trace
-    cyclicity, the finite-dimensional KMS identity."""
+    cyclicity, the finite-dimensional KMS identity.  A and B may be stacks
+    (k, d, d) of pairs: T is then decomposed and inverted once, and the
+    worst pair's residual is returned."""
     T = require_square(T)
-    A = require_square(A)
-    B = require_square(B)
+    A = _square_stack(A)[0]
+    B = _square_stack(B)[0]
     if herm_spectrum(T)[0].min() <= 0:
         raise ValueError("density must be invertible")
-    lhs = np.trace(T @ A @ B)
-    rhs = np.trace(T @ B @ (T @ A @ np.linalg.inv(T)))
-    return float(abs(lhs - rhs))
+    lhs = np.trace(T @ A @ B, axis1=-2, axis2=-1)
+    rhs = np.trace(T @ B @ (T @ A @ np.linalg.inv(T)), axis1=-2, axis2=-1)
+    return float(abs(lhs - rhs).max())
 
 
 def modtime_unitarity(weight: TraceWeight, T, ts, samples) -> dict:
@@ -274,8 +304,11 @@ def modtime_unitarity(weight: TraceWeight, T, ts, samples) -> dict:
 def lemma_modular_residual(triple: ModularTriple, A) -> float:
     """|| J Delta^{1/2} (A Omega) - A* Omega ||: the Lemma-modular identity
     S = J Delta^{1/2} applied to A Omega, with J, Delta and Omega = T^{1/2}
-    read from a triple already built by ``build_modular``."""
-    x = vec(require_square(A) @ triple.omega)
-    y = triple.apply_J(triple.delta_power(0.5) @ x)
+    read from a triple already built by ``build_modular``.  For a stack A
+    (k, d, d), Delta^{1/2} is formed once and the worst residual is
+    returned."""
+    A = _square_stack(A)[0]
+    x = vec(A @ triple.omega)
+    y = triple.apply_J(_apply(triple.delta_power(0.5), x))
     target = vec(adjoint(A) @ triple.omega)
-    return opnorm(unvec(y - target, triple.d))
+    return float(opnorm(unvec(y - target, triple.d)).max())

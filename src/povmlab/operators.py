@@ -3,11 +3,18 @@
 Operators are plain numpy arrays of complex128.  This module provides the
 pieces everything else is built from: Hermitian eigendecomposition,
 functional calculus f(H) = V f(lam) V*, and the effect/projection
-classification by one stacked norm test, ``_norm_within``.  The one
-structured operator is ``ToeplitzBlock``, a leading block of a circulant
-kept as its generator, whose norm and spectrum are bounded from one FFT.
+classification by one stacked norm test, ``_norm_within``.  ``opnorm``,
+``herm_spectrum``, ``sqrtm_psd``, ``is_hermitian`` and ``is_effect`` take
+one matrix or a stack (k, d, d): a value for one matrix, an array of
+values for a stack, from one batched LAPACK call that treats each member
+as it treats one matrix alone; an error names the first bad member.  The
+one structured operator is ``ToeplitzBlock``, a leading block of a
+circulant kept as its generator, whose norm and spectrum are bounded from
+one FFT; its conjugation defect needs a geometric phase, which
+``geometric_deviation`` checks.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +53,18 @@ def require_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def opnorm(A) -> float:
-    """Operator norm (largest singular value)."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.norm(A, 2))
+def opnorm(A):
+    """Operator norm (largest singular value): a float for one matrix (a
+    vector reads as one row), an array of norms for a stack (k, m, n),
+    from one batched SVD."""
+    A = np.asarray(A, dtype=complex)
+    one = A.ndim < 3
+    A = np.atleast_2d(A)
+    if A.shape[-1] * A.shape[-2] == 0:
+        norms = np.zeros(A.shape[:-2])
+    else:
+        norms = np.linalg.norm(A, 2, axis=(-2, -1))
+    return float(norms) if one else norms
 
 
 def adjoint(A) -> np.ndarray:
@@ -106,13 +119,19 @@ def herm_spectrum(H, tol: float = DEFAULT_TOL):
     Returns the pair (eigenvalues, eigenvectors) as ``np.linalg.eigh``
     does: real eigenvalues in ascending order, and the orthonormal
     eigenbasis as the columns of the second.  H is symmetrised to
-    (H + H*)/2 before decomposition so the spectrum is exactly real.
+    (H + H*)/2 before decomposition so the spectrum is exactly real.  For
+    a stack (k, d, d), as in ``is_hermitian``, both come stacked from one
+    batched ``eigh``, and the error names the first non-Hermitian member.
     """
-    H = require_square(H)
-    if not is_hermitian(H, tol):
-        raise ValueError("operator is not Hermitian within tolerance "
-                         f"(defect {opnorm(H - adjoint(H)):.3e})")
-    return _sym_eigh(H)
+    H, one = _square_stack(H)
+    ok = is_hermitian(H, tol)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        where = "" if one else f" {i} of the stack"
+        raise ValueError(f"operator{where} is not Hermitian within tolerance "
+                         f"(defect {opnorm(H[i] - adjoint(H[i])):.3e})")
+    lam, V = _sym_eigh(H)
+    return (lam[0], V[0]) if one else (lam, V)
 
 
 def _sym_eigh(H):
@@ -202,23 +221,26 @@ class ToeplitzBlock:
     2 max|Im lam|.  Each bound is widened by 5 log2(n) eps sqrt(n) ||c||_2,
     which bounds the rounding of every computed FFT value (Higham,
     *Accuracy and Stability of Numerical Algorithms*, Ch. 24), so it holds
-    for the exact block of the stored generator.  It leaves out the
+    for the exact block of the stored generator, and by ``slack``, the
+    norm of an operator the bounds also cover (``conjugation_defect``
+    sets it to what the generator does not carry).  It leaves out the
     rounding of forming the dense block, and can sit below the SVD norm of
     ``dense()``.
     """
 
     c: np.ndarray
     k: int
+    slack: float = 0.0
 
     def dense(self) -> np.ndarray:
         return circulant(self.c, self.k)
 
     def _spectrum(self):
-        """fft(c) and the rounding allowance of each of its values."""
+        """fft(c) and the allowance of each of its values."""
         n = len(self.c)
-        slack = (5 * max(1.0, np.log2(n)) * np.finfo(float).eps * np.sqrt(n)
-                 * np.linalg.norm(self.c))
-        return np.fft.fft(self.c), slack
+        rounding = (5 * max(1.0, np.log2(n)) * np.finfo(float).eps
+                    * np.sqrt(n) * np.linalg.norm(self.c))
+        return np.fft.fft(self.c), rounding + self.slack
 
     def norm_bound(self) -> float:
         lam, slack = self._spectrum()
@@ -251,14 +273,71 @@ class ToeplitzBlock:
         rounds them, in a circulant of length max(n, 2k) where no two
         offsets share an entry; the entries no offset uses (the one at n/2
         when k = n/2) are 0.
+
+        A phase whose first k entries are not geometric within rounding
+        (``geometric_deviation``) is refused with a ``NotGeometric``
+        ValueError: its defect is not Toeplitz.  One that is admitted lies
+        within delta of some geometric q_j = phase_0 e^{iaj}; entry (j, l)
+        of the dense defect then differs from the generator's value by c_r
+        (phase_j phase_l* - phase_r phase_0*), r = j - l, which q makes 0,
+        so by at most 3 delta (1 + delta) |c_r|.  By the Schur test that
+        difference has norm at most 3 delta (1 + delta) sum_{|r| < k}
+        |c_r|, and each entry of c serves at most ceil((2k - 1) / n) of the
+        offsets; the defect carries the resulting bound as its ``slack``,
+        so its bounds cover the dense defect of the phase as given, not
+        only of q.
         """
         k, n = self.k, len(self.c)
+        deviation, allowance = geometric_deviation(phase[:k])
+        if not deviation <= allowance:      # a NaN deviation is refused too
+            raise NotGeometric(f"phase is not geometric: max_j |phase_j - "
+                               f"phase_0 e^(iaj)| <= {deviation:.3e} exceeds "
+                               f"the rounding allowance {allowance:.3e}")
         r = np.arange(k)
         g = np.zeros(max(n, 2 * k), dtype=complex)
         g[-r % len(g)] = (phase[0] * self.c[-r % n] * np.conj(phase[:k])
                           - other.c[-r % n])
         g[r] = phase[:k] * self.c[r] * np.conj(phase[0]) - other.c[r]
-        return ToeplitzBlock(g, k)
+        hidden = (3 * deviation * (1 + deviation) * -(-(2 * k - 1) // n)
+                  * float(np.abs(self.c).sum()))
+        return ToeplitzBlock(g, k, hidden)
+
+
+class NotGeometric(ValueError):
+    """The refusal of ``ToeplitzBlock.conjugation_defect``: the phase is
+    not geometric within rounding, so the conjugation defect is not a
+    Toeplitz block and only the dense defect decides."""
+
+
+def geometric_deviation(phase) -> tuple:
+    """(deviation, allowance) of a phase vector from the geometric
+    sequence q_j = phase_0 e^{iaj} and from modulus 1.
+
+    The step a is the angle of phase_1 phase_0*, refined over the whole
+    vector by the angle of phase_{k-1} phase_0* e^{-ia(k-1)} / (k - 1), so
+    that the rounding of a does not grow along j.  The deviation bounds
+    max_j |phase_j - q_j| and max_j ||phase_j| - 1| for that a: the
+    computed gap to q, plus eps (|a| (k - 1) / 2 + 4) for the rounding of
+    computing q, plus ||phase_0| - 1| (|q_j| = |phase_0|).  The allowance
+    is 64 k eps for k entries.  The phases the three models compute as
+    e^{i(a j + b)} with |a| <= pi, as each of them reduces its periodic
+    angle, deviate by at most about 3 k eps; the rounding of an angle a j
+    grows with |a|: a step of 100 deviates by about 40 k eps, and one
+    beyond about 200 is refused.  A phase flipped in sign at one site
+    deviates by 2.
+    """
+    phase = np.asarray(phase, dtype=complex)
+    k = len(phase)
+    eps = np.finfo(float).eps
+    p0 = complex(phase[0]) if k else 1.0
+    deviation = abs(abs(p0) - 1.0)
+    if k > 1:
+        a = cmath.phase(complex(phase[1]) * p0.conjugate())
+        a += cmath.phase(complex(phase[-1]) * p0.conjugate()
+                         * cmath.exp(-1j * a * (k - 1))) / (k - 1)
+        gap = float(np.abs(phase - p0 * np.exp(1j * a * np.arange(k))).max())
+        deviation += gap + eps * (abs(a) * (k - 1) / 2 + 4)
+    return deviation, 64 * k * eps
 
 
 def shift_covariance(phase, E: ToeplitzBlock, sampled, B, shift, h,
@@ -285,16 +364,23 @@ def shift_covariance(phase, E: ToeplitzBlock, sampled, B, shift, h,
 
 
 def sqrtm_psd(A) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite operator.
+    """Hermitian square root of a positive semidefinite operator, or the
+    stack of roots of a stack (k, d, d) from one ``herm_spectrum``.
 
     Eigenvalues in [-NUMERIC_TOL, 0) (relative) are clipped to zero;
-    anything below is a genuine negativity and is rejected.
+    anything below is a genuine negativity and is rejected, naming the
+    first such member of a stack.
     """
     lam, V = herm_spectrum(A, NUMERIC_TOL)
-    scale = max(1.0, abs(lam).max())
-    if lam.min() < -NUMERIC_TOL * scale:
-        raise ValueError(f"operator not positive (min eigenvalue {lam.min():.3e})")
-    return (V * np.sqrt(np.clip(lam, 0.0, None))) @ adjoint(V)
+    one = lam.ndim == 1
+    low = lam[..., 0] < -NUMERIC_TOL * np.maximum(1.0, abs(lam).max(axis=-1))
+    if low.any():
+        i = int(np.argmax(low))
+        where = "" if one else f" {i} of the stack"
+        raise ValueError(f"operator{where} not positive (min eigenvalue "
+                         f"{np.atleast_2d(lam)[i, 0]:.3e})")
+    root = np.sqrt(np.clip(lam, 0.0, None))
+    return (V * root[..., None, :]) @ adjoint(V)
 
 
 def imag_power(A, t: float) -> np.ndarray:

@@ -6,18 +6,23 @@ have closed-form entries, and because N is diagonal while the effects are
 Toeplitz, all covariance identities of this module are entrywise exact
 under truncation; residuals below are pure rounding.  An arc effect is
 kept as a ``ToeplitzBlock``, as the relativistic and lattice effects are,
-so its covariance defect and a partition sum are certified from one FFT
-of a generator of length 2d; ``dense()`` forms the matrix for the modular
-flow, the Naimark dilation and the SVD fallback.
+so its covariance defect, a partition sum and its thermal covariance
+defect are certified from one FFT of a generator of length 2d.  The
+thermal check reads the modular flow of the Gibbs state as the diagonal
+phase of the triple's own density; ``dense()`` forms the matrix for the
+Naimark dilation and the dense fallbacks (the SVD, and the dense modular
+flow).
 
 Arc convention: angles in [-pi, pi), half-open arcs, arg valued in
 [-pi, pi).
 """
 
+import math
+
 import numpy as np
 
-from .operators import (DEFAULT_TOL, ToeplitzBlock, diag_conjugate, funcalc,
-                        opnorm)
+from .operators import (DEFAULT_TOL, NotGeometric, ToeplitzBlock,
+                        diag_conjugate, funcalc, opnorm)
 from .modular import build_modular
 from .regions import RegionSet
 
@@ -73,8 +78,13 @@ def covariance_residual(d: int, t: float, B: RegionSet,
     ``conjugation_defect`` with phase e^{-itn}; its generator's bound is
     reported when it is at most tol (``upper_bound`` True), and the SVD of
     the dense defect otherwise.  Every rotation of the circle is exact.
+    e^{-itn} is 2 pi-periodic in t, so t enters the phase reduced to
+    [-pi, pi]: the rounding of an angle t n grows with |t|, and beyond
+    |t| ~ 200 it would exceed the rounding allowance of
+    ``conjugation_defect``'s geometric check.  The reduction is exact and
+    leaves a t in [-pi, pi] unchanged.
     """
-    phase = np.exp(-1j * t * np.arange(d))
+    phase = np.exp(-1j * math.remainder(t, 2 * np.pi) * np.arange(d))
     E, target = phase_effect(B, d), phase_effect(B.shifted(t), d)
     residual, bound = E.conjugation_defect(phase, target).certified_norm(
         tol, lambda: diag_conjugate(phase, E.dense()) - target.dense())
@@ -135,10 +145,12 @@ def weyl_failure_check(d: int, s: float, t: float) -> float:
     return opnorm(Es @ Et - np.exp(-1j * s * t) * Et @ Es)
 
 
-def thermal_covariance_residual(beta: float, d: int, samples) -> float:
+def thermal_covariance_residual(beta: float, d: int, samples,
+                                tol: float = DEFAULT_TOL) -> dict:
     """Largest residual of the thermal covariance of the phase POVM over
-    the (t, B) pairs in ``samples``: the Connes-Rovelli thermal time as a
-    POVM covariant under the modular flow of gibbs(beta, d).
+    the (t, B) pairs in ``samples``, and whether it is a certified bound:
+    the Connes-Rovelli thermal time as a POVM covariant under the modular
+    flow of gibbs(beta, d).
 
     Builds the modular triple of gibbs(beta, d) once and compares the flow
     of E_B against the rotated arc effect.  The flow of E_B acting on the
@@ -148,10 +160,29 @@ def thermal_covariance_residual(beta: float, d: int, samples) -> float:
     sigma_t = Delta^{-it} . Delta^{it} the exact rotation is by -beta*t;
     that direction is frozen here (and by a regression test), making the
     identity entrywise exact.
+
+    T^{-it} is read as a diagonal phase from the triple's own density
+    (``ModularTriple.flow_phase``), never from N and beta, so the defect
+    is the Toeplitz block ``conjugation_defect``; its bound is reported
+    when it is at most tol (``upper_bound`` True), else the SVD norm of the
+    dense ``triple.flow`` defect.  A phase that ``conjugation_defect``
+    refuses as not geometric within rounding (``NotGeometric``), as a
+    non-Gibbs density's is, takes the dense path directly.
     """
     if beta * d > 20:
         raise ValueError("conditioning guard: beta*d must be <= 20")
     triple = build_modular(gibbs(beta, d))
-    return max(opnorm(triple.flow(t, phase_effect(B, d).dense())
-                      - phase_effect(B.shifted(-beta * t), d).dense())
-               for t, B in samples)
+    outs = []
+    for t, B in samples:
+        E, target = phase_effect(B, d), phase_effect(B.shifted(-beta * t), d)
+
+        def dense(t=t, E=E, target=target):
+            return triple.flow(t, E.dense()) - target.dense()
+
+        try:
+            residual, bound = E.conjugation_defect(
+                triple.flow_phase(t), target).certified_norm(tol, dense)
+        except NotGeometric:
+            residual, bound = opnorm(dense()), False
+        outs.append({"residual": residual, "upper_bound": bound})
+    return max(outs, key=lambda out: out["residual"])

@@ -121,13 +121,13 @@ class NaimarkDilation:
 
 
 def naimark_dilate(p: DiscretePOVM) -> NaimarkDilation:
-    """Dilate a validated POVM by stacking the square roots E_i^{1/2}."""
+    """Dilate a validated POVM by stacking the square roots E_i^{1/2}, all
+    taken by one stacked ``sqrtm_psd``."""
     report = povm_validate(p, NUMERIC_TOL)
     if not report.ok:
         raise ValueError(f"POVM does not validate: sum residual "
                          f"{report.sum_residual:.3e}, classes {report.classifications}")
-    roots = [sqrtm_psd(E) for E in p.effects]
-    J = np.vstack(roots)
+    J = sqrtm_psd(np.stack(p.effects)).reshape(-1, p.dim)
     dil = NaimarkDilation(isometry=J, dim=p.dim)
     iso_res = opnorm(adjoint(J) @ J - np.eye(p.dim))
     if iso_res > NUMERIC_TOL:

@@ -18,6 +18,7 @@ and are tested tightly; kernel shapes carry discretisation error and are
 probed through convergence sweeps instead.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,11 +84,22 @@ def hardy_project(grid: CircleGrid, g) -> np.ndarray:
     return grid.ifft(gh)
 
 
-def poisson_apply(grid: CircleGrid, y: float, g) -> np.ndarray:
-    """Poisson semigroup e^{-y |D|} as the multiplier e^{-y |xi|}."""
-    if y < 0:
+def poisson_apply(grid: CircleGrid, y, g) -> np.ndarray:
+    """Poisson semigroup e^{-y |D|} as the multiplier e^{-y |xi|}, applied
+    to a grid vector g.
+
+    For a vector of y the result has one column per y, from one FFT of g
+    and one batched inverse FFT; a scalar y gives one grid vector.
+    """
+    y1 = np.atleast_1d(np.asarray(y, dtype=float))
+    if (y1 < 0).any():
         raise ValueError("semigroup parameter must be nonnegative")
-    return grid.multiplier_apply(np.exp(-y * np.abs(grid.xi)), g)
+    if np.shape(g) != (grid.n,):
+        raise ValueError(f"g must be a grid vector of shape ({grid.n},), "
+                         f"got {np.shape(g)}")
+    out = grid.ifft(np.exp(-np.outer(np.abs(grid.xi), y1))
+                    * grid.fft(g)[:, None])
+    return out[:, 0] if np.ndim(y) == 0 else out
 
 
 def poisson_kernel(grid: CircleGrid, y: float) -> np.ndarray:
@@ -150,16 +162,13 @@ def boundary_isometry_check(model: HardyModel, f, ys) -> dict:
     if res > NUMERIC_TOL * max(1.0, float(np.linalg.norm(f))):
         raise ValueError(f"input is not in the Hardy range (residual {res:.3e})")
     ys = sorted(float(y) for y in ys)
-    norms = []
-    gaps = []
-    for y in ys:
-        Pf = poisson_apply(model.grid, y, f)
-        norms.append(float(np.linalg.norm(Pf)))
-        gaps.append(float(np.linalg.norm(Pf - f)))
+    # y = 0 and the sweep as the columns of one poisson_apply
+    Pf = poisson_apply(model.grid, np.array([0.0] + ys), f)
+    at_zero, *norms = np.linalg.norm(Pf, axis=0).tolist()
+    gaps = np.linalg.norm(Pf[:, 1:] - f[:, None], axis=0).tolist()
     violations = sum(1 for a, b in zip(norms, norms[1:]) if b > a + 1e-13)
     exact = np.sqrt(np.exp(-2 * np.outer([0.0] + ys, np.abs(model.grid.xi)))
                     @ np.abs(model.grid.fft(f)) ** 2)
-    at_zero = float(np.linalg.norm(poisson_apply(model.grid, 0.0, f)))
     return {
         "ys": ys,
         "norms": norms,
@@ -231,10 +240,15 @@ def rel_covariance_residual(model: HardyModel, beta: float, t: float,
     error is reported, never silently accepted.  The Hardy frequencies are
     equispaced, so the defect is a Toeplitz block; its generator's bound is
     reported when it is at most tol (``upper_bound`` True), and the SVD of
-    the dense defect otherwise (see ``operators.shift_covariance``).
+    the dense defect otherwise (see ``operators.shift_covariance``).  The
+    phase e^{-is xi} is L-periodic in s = beta*t, so s enters it reduced to
+    [-L/2, L/2] by ``math.remainder``, which leaves such an s unchanged:
+    the rounding of an unreduced angle s xi would grow past the rounding
+    allowance of ``conjugation_defect``'s geometric check.
     """
     s = beta * t
-    return shift_covariance(np.exp(-1j * s * model.xi), rel_effect(model, B),
+    phase = np.exp(-1j * math.remainder(s, model.grid.L) * model.xi)
+    return shift_covariance(phase, rel_effect(model, B),
                             lambda R: _sampled_effect(model, R), B, s,
                             model.grid.h, tol)
 

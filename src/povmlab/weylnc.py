@@ -27,6 +27,7 @@ Conjugation by e^{itP} twists the coefficients by e^{-i t u_j}, i.e.
 translates the symbol to a_t(x, xi) = a(x + t, xi).
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -275,9 +276,16 @@ def nc_covariance_residual(lat: MellinLattice, t: float, B: RegionSet,
     positive sites are equispaced, so the defect is a Toeplitz block; its
     generator's bound is reported when it is at most tol (``upper_bound``
     True), and the SVD of the dense defect otherwise (see
-    ``operators.shift_covariance``).
+    ``operators.shift_covariance``).  The sites are multiples of delta, so
+    the phase e^{itu} is periodic in t with period 2 pi / delta, and t
+    enters it reduced to [-pi/delta, pi/delta] by ``math.remainder``, which
+    leaves such a t unchanged: the rounding of an unreduced angle t u would
+    grow past the rounding allowance of ``conjugation_defect``'s geometric
+    check.
     """
-    return shift_covariance(np.exp(1j * t * lat.u[lat.positive_sites]),
+    period = 2 * np.pi / lat.delta
+    return shift_covariance(np.exp(1j * math.remainder(t, period)
+                                   * lat.u[lat.positive_sites]),
                             nc_effect(lat, B),
                             lambda R: _compressed_indicator(lat, R), B, t,
                             lat.dual_spacing, tol)

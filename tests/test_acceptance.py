@@ -56,7 +56,8 @@ def test_criterion_02_thermal_covariance():
             t = float(rng.uniform(-1.0, 1.0))
             a = float(rng.uniform(-np.pi, np.pi))
             B = RegionSet.circle([(a, a + float(rng.uniform(0.3, 1.5)))])
-            worst = max(worst, thermal_covariance_residual(beta, 12, [(t, B)]))
+            worst = max(worst, thermal_covariance_residual(
+                beta, 12, [(t, B)])["residual"])
     verdict(2, "thermal covariance beta in {0.5,1} d=12", worst <= 1e-8,
             f"residual {worst:.3e}")
 

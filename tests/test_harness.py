@@ -16,7 +16,7 @@ from povmlab.harness import (REQUIRED_ANCHORS, STUDY_KINDS, SuiteConfig,
                              _circulant_idempotency_defect, _identity_defect,
                              convergence_study,
                              report_body, report_to_csv, run_suite)
-from povmlab.operators import diag_conjugate, opnorm
+from povmlab.operators import adjoint, diag_conjugate, opnorm
 from test_oscillator import closed_form_phase_effect
 
 
@@ -521,7 +521,7 @@ def test_tolerance_below_every_bound_reports_the_dense_values():
 def test_certified_residuals_are_marked_and_within_tol():
     report = run_suite(SuiteConfig(suite="all"))
     marked = {r["case"] for r in report["cases"] if r.get("upper_bound")}
-    assert marked == {"osc.covariance", "osc.povm.sum",
+    assert marked == {"osc.covariance", "osc.thermal", "osc.povm.sum",
                       "rel.povm.sum", "rel.covariance", "rel.covariance.def",
                       "nc.povm.sum", "nc.conjugation", "nc.covariance",
                       "nc.covariance.def"}
@@ -703,6 +703,13 @@ UNREACHED = {
     # the dense defect only in the fallback taken when a bound exceeds tol,
     # which the *_fails_through_the_dense_fallback tests exercise
     "operators.diag_conjugate",
+    # the dense d x d modular flow and the eigendecomposition of T it
+    # reads: osc.thermal certifies the Gibbs flow from the phase of T's
+    # diagonal and flows E_B densely only in the fallback taken when the
+    # phase is not geometric or the bound exceeds tol, which the osc.thermal
+    # witness tests exercise
+    "modular.ModularTriple.flow",
+    "modular.ModularTriple.T_spectrum",
 }
 
 
@@ -789,3 +796,157 @@ def test_rolled_cell_masses_fail_the_poisson_case(monkeypatch):
     record = _case(run_suite(SuiteConfig(suite="povm")),
                    "contraction.poisson.masses")
     assert not record["pass"] and record["residual"] > 4e-3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d", 5.5), ("d", True), ("d", 12.0), ("seed", 1.5), ("seed", None),
+    ("seed", False), ("m", 64.0), ("n", np.float64(256.0)), ("n", True),
+])
+def test_non_integer_sizes_and_seed_rejected_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        SuiteConfig(suite="all", **{field: value})
+
+
+@pytest.mark.parametrize("tol", [True, 0.0, -1e-9, np.inf, np.nan])
+def test_tol_must_be_a_finite_positive_number(tol):
+    # a bool would pass 0 < tol < inf and reach every record as a JSON bool
+    with pytest.raises(ValueError, match="^tol must be finite and > 0, got "):
+        SuiteConfig(suite="weyl", tol=tol)
+
+
+def test_integer_fields_validated_only_where_read_and_coerced():
+    SuiteConfig(suite="weyl", d=5.5, n=True)
+    SuiteConfig(suite="povm", m=64.0)
+    cfg = SuiteConfig(suite="all", d=np.int64(12), seed=np.uint8(7))
+    assert type(cfg.d) is int and type(cfg.seed) is int
+    assert report_body(run_suite(SuiteConfig(suite="povm", d=np.int64(5)))) \
+        == report_body(run_suite(SuiteConfig(suite="povm", d=5)))
+
+
+def _thermal_draws(seed, beta_index):
+    """The five (t, B) draws of the oscillator suite's osc.thermal case for
+    its beta_index-th beta, as the suite draws them."""
+    rng = np.random.default_rng(seed + 2)
+    rng.uniform(size=30)            # the ten (t, a, w) draws of osc.covariance
+    rng.uniform(size=10 * beta_index)
+    return [(t, regions.RegionSet.circle([(a, a + 1.0)]))
+            for t, a in ((float(rng.uniform(-1.0, 1.0)),
+                          float(rng.uniform(-np.pi, np.pi)))
+                         for _ in range(5))]
+
+
+def _dense_thermal_worst(beta, d, samples):
+    """Reference: the largest dense defect ||T^{-it} E_B T^{it} -
+    E_{B - beta t}||, flowed by ``ModularTriple.flow`` of the triple of
+    ``oscillator.gibbs``, as the module sees them at call time."""
+    triple = oscillator.build_modular(oscillator.gibbs(beta, d))
+    return max(opnorm(triple.flow(t, oscillator.phase_effect(B, d).dense())
+                      - oscillator.phase_effect(B.shifted(-beta * t),
+                                                d).dense())
+               for t, B in samples)
+
+
+def _thermal_records(report):
+    return [r for r in report["cases"] if r["case"] == "osc.thermal"]
+
+
+def test_osc_thermal_is_certified_and_below_its_dense_defect_by_rounding():
+    report = run_suite(SuiteConfig(suite="oscillator"))
+    dense = run_suite(SuiteConfig(suite="oscillator", tol=1e-30))
+    for i, beta in enumerate((0.5, 1.0)):
+        record, fallback = _thermal_records(report)[i], \
+            _thermal_records(dense)[i]
+        assert record["pass"] and record["upper_bound"] is True
+        assert record["residual"] < 1e-13
+        # below every bound, the record is the dense triple.flow value
+        worst = _dense_thermal_worst(beta, 12, _thermal_draws(7, i))
+        assert "upper_bound" not in fallback
+        assert fallback["residual"] == worst < 1e-13
+
+
+@pytest.mark.parametrize("witness", ["backward flow", "non-Gibbs density"])
+def test_osc_thermal_witnesses_fail_through_the_dense_flow(monkeypatch,
+                                                           witness):
+    if witness == "backward flow":
+        # sigma_t read as Delta^{it} . Delta^{-it}: the phase and the dense
+        # flow of the triple both run at -t
+        flow, phase = modular.ModularTriple.flow, modular.ModularTriple.flow_phase
+        monkeypatch.setattr(modular.ModularTriple, "flow",
+                            lambda self, t, A: flow(self, -t, A))
+        monkeypatch.setattr(modular.ModularTriple, "flow_phase",
+                            lambda self, t: phase(self, -t))
+    else:
+        # the weight of one interior level moved: log T is no longer affine
+        # in n, so the phase is not geometric and the dense flow is taken
+        gibbs = oscillator.gibbs
+
+        def moved(beta, d):
+            T = gibbs(beta, d).copy()
+            T[d // 2, d // 2] *= 1.1
+            return T / np.trace(T).real
+
+        monkeypatch.setattr(oscillator, "gibbs", moved)
+    report = run_suite(SuiteConfig(suite="oscillator"))
+    for i, beta in enumerate((0.5, 1.0)):
+        record = _thermal_records(report)[i]
+        assert not record["pass"] and "upper_bound" not in record
+        worst = _dense_thermal_worst(beta, 12, _thermal_draws(7, i))
+        assert record["residual"] == worst > 1e-4
+
+
+@pytest.mark.parametrize("suite, size", [("oscillator", {"d": 4096}),
+                                         ("relativistic", {"n": 8192}),
+                                         ("weyl", {"m": 8192})])
+def test_covariance_phases_are_geometric_at_the_ci_sizes(monkeypatch, suite,
+                                                         size):
+    # every phase conjugation_defect reads passes its geometric check with
+    # a margin of ten, and the covariance cases stay certified
+    seen = []
+    real = operators.geometric_deviation
+
+    def spy(phase):
+        deviation, allowance = real(phase)
+        seen.append(deviation / allowance)
+        return deviation, allowance
+
+    monkeypatch.setattr(operators, "geometric_deviation", spy)
+    report = run_suite(SuiteConfig(suite=suite, **size))
+    assert seen and max(seen) < 0.1
+    covariance = [r for r in report["cases"] if ".covariance" in r["case"]]
+    assert covariance and all(r["pass"] and r.get("upper_bound")
+                              for r in covariance)
+
+
+def test_stacked_harness_draws_equal_the_per_draw_reference():
+    # the per-draw loops the gns-modular and povm suites ran before they
+    # took their draws as stacks: the same random numbers, the same
+    # per-matrix arithmetic, so every residual is equal bit for bit
+    def rand_complex(rng, d):
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    report = run_suite(SuiteConfig(suite="all"))
+    rng = np.random.default_rng(7 + 1)
+    d = 6
+    T = oscillator.gibbs(1.0, d)
+    kms = max(modular.kms_residual(T, rand_complex(rng, d),
+                                   rand_complex(rng, d)) for _ in range(10))
+    tracial = modular.kms_residual(np.eye(d) / d, rand_complex(rng, d),
+                                   rand_complex(rng, d))
+    triple = modular.build_modular(oscillator.gibbs(1.0, d))
+    lemma = max(modular.lemma_modular_residual(triple, rand_complex(rng, d))
+                for _ in range(5))
+    assert _case(report, "kms.gibbs")["residual"] == kms
+    assert _case(report, "kms.tracial")["residual"] == tracial
+    assert _case(report, "modular.lemma")["residual"] == lemma
+
+    rng = np.random.default_rng(7)
+    p = povm.random_povm(8, 4, rng)
+    phase = povm.DiscretePOVM(
+        regions=regions.equal_partition(regions.circle_full(), 4),
+        effects=[oscillator.phase_effect(B, 8).dense()
+                 for B in regions.equal_partition(regions.circle_full(), 4)])
+    for name, q in (("naimark.phase.reconstruction", phase),
+                    ("naimark.random.reconstruction", p)):
+        roots = [operators.sqrtm_psd(E) for E in q.effects]
+        rec = max(opnorm(adjoint(R) @ R - E) for R, E in zip(roots, q.effects))
+        assert _case(report, name)["residual"] == rec

@@ -250,3 +250,69 @@ def test_imag_power_flow_direction():
     out = triple.flow(t, A)
     expected = np.exp(-1j * t * np.log(0.75 / 0.25))
     assert abs(out[0, 1] - expected) < 1e-12
+
+
+def per_draw_closed_form_residuals(triple):
+    """Reference: the closed-form residuals as a loop over the 8 seeded X,
+    one matrix-vector product and one vector norm per draw."""
+    d = triple.d
+    draw = np.random.default_rng(0)
+    worst_j = worst_s = 0.0
+    for _ in range(8):
+        X = draw.standard_normal((d, d)) + 1j * draw.standard_normal((d, d))
+        y = triple.J_mat @ np.conj(vec(X))
+        worst_j = max(worst_j, float(np.linalg.norm(y - vec(adjoint(X)))))
+        s = (triple.S_mat @ np.conj(vec(X @ triple.omega))
+             - vec(adjoint(X) @ triple.omega))
+        worst_s = max(worst_s, float(np.linalg.norm(s)))
+    return worst_j, worst_s
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_stacked_closed_forms_equal_the_per_draw_loop(d):
+    # the batched matrix-vector products round as the single ones do
+    T = rand_c(d)
+    T = T @ adjoint(T) + np.eye(d)
+    triple = build_modular(T / np.trace(T).real)
+    out = triple.closed_form_residuals
+    assert (out["j_adjoint"], out["s_defining"]) == \
+        per_draw_closed_form_residuals(triple)
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_stacked_kms_and_lemma_equal_the_worst_single_draw(d):
+    T = rand_c(d)
+    T = T @ adjoint(T) + np.eye(d)
+    T = T / np.trace(T).real
+    A, B = np.stack([rand_c(d) for _ in range(7)]), np.stack(
+        [rand_c(d) for _ in range(7)])
+    assert kms_residual(T, A, B) == max(kms_residual(T, a, b)
+                                        for a, b in zip(A, B))
+    assert type(kms_residual(T, A[0], B[0])) is float
+    triple = build_modular(T)
+    assert lemma_modular_residual(triple, A) == max(
+        lemma_modular_residual(triple, a) for a in A)
+    assert np.array_equal(unvec(vec(A), d), A)
+    assert np.array_equal(triple.apply_J(vec(A)),
+                          np.stack([triple.apply_J(x) for x in vec(A)]))
+
+
+@pytest.mark.parametrize("d", [1, 4, 12, 20])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_flow_phase_conjugation_is_the_eigh_flow(d, beta):
+    # the phase read off the diagonal density against the flow through the
+    # eigendecomposition of T, within a rounding bound of 64 d eps ||A||
+    triple = build_modular(gibbs(beta, d))
+    for t in (-1.0, 0.37, 1.0):
+        A = rand_c(d)
+        phase = triple.flow_phase(t)
+        assert np.allclose(np.abs(phase), 1.0, rtol=0, atol=1e-15)
+        defect = operators.diag_conjugate(phase, A) - triple.flow(t, A)
+        assert opnorm(defect) <= 64 * d * np.finfo(float).eps * opnorm(A)
+
+
+def test_flow_phase_needs_a_diagonal_density():
+    U = np.linalg.qr(rand_c(4))[0]
+    T = U @ gibbs(1.0, 4) @ adjoint(U)
+    with pytest.raises(ValueError, match="needs a diagonal density"):
+        build_modular(T).flow_phase(0.5)

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from povmlab.operators import (DEFAULT_TOL, EFFECT, NOT_EFFECT, PROJECTION,
-                               ToeplitzBlock, adjoint, circulant, funcalc,
+                               NotGeometric, ToeplitzBlock, adjoint, circulant,
+                               diag_conjugate, funcalc, geometric_deviation,
                                herm_spectrum, imag_power, is_effect,
                                is_hermitian, opnorm, sqrtm_psd)
+from povmlab.oscillator import phase_effect
+from povmlab.regions import RegionSet
 
 rng = np.random.default_rng(11)
 
@@ -318,3 +321,108 @@ def test_stacked_predicates_on_planted_and_adversarial_effects(tol,
     _assert_stack_matches_reference(A, tol)
     assert type(is_hermitian(A[0], tol)) is bool
     assert is_effect(A[0], tol) == classes[0]
+
+
+def _psd_stack(k, d, draw):
+    """k random positive semidefinite d x d matrices, one of rank 1."""
+    X = draw.standard_normal((k, d, d)) + 1j * draw.standard_normal((k, d, d))
+    X[0, 1:] = 0.0
+    return X @ adjoint(X)
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 12])
+def test_stacked_primitives_equal_their_per_matrix_calls(d):
+    # every member goes through the same LAPACK call as it does alone, so
+    # the stacked results are bit for bit the per-matrix ones
+    draw = np.random.default_rng(d)
+    P = _psd_stack(5, d, draw)
+    A = draw.standard_normal((5, d, d + 2)) + 0j
+    norms = opnorm(A)
+    assert norms.shape == (5,)
+    assert np.array_equal(norms, [opnorm(X) for X in A])
+    assert all(type(opnorm(X)) is float for X in A)
+    lam, V = herm_spectrum(P)
+    for i, H in enumerate(P):
+        lam_i, V_i = herm_spectrum(H)
+        assert np.array_equal(lam[i], lam_i) and np.array_equal(V[i], V_i)
+    roots = sqrtm_psd(P)
+    assert np.array_equal(roots, np.stack([sqrtm_psd(H) for H in P]))
+    assert opnorm(roots @ roots - P).max() < 1e-12 * max(1.0, opnorm(P).max())
+    assert np.array_equal(opnorm(np.zeros((3, 0, 0))), np.zeros(3))
+
+
+def test_stack_with_a_bad_member_is_refused_naming_it():
+    P = _psd_stack(4, 5, np.random.default_rng(0))
+    skew = P.copy()
+    skew[2, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="operator 2 of the stack is not "
+                                         "Hermitian"):
+        herm_spectrum(skew)
+    with pytest.raises(ValueError, match="operator 2 of the stack is not "
+                                         "Hermitian"):
+        sqrtm_psd(skew)
+    indefinite = P.copy()
+    indefinite[3] -= 2 * opnorm(P[3]) * np.eye(5)
+    with pytest.raises(ValueError, match="operator 3 of the stack not "
+                                         "positive"):
+        sqrtm_psd(indefinite)
+    # one matrix keeps the messages that name no member
+    with pytest.raises(ValueError, match="^operator is not Hermitian"):
+        herm_spectrum(skew[2])
+    with pytest.raises(ValueError, match="^operator not positive"):
+        sqrtm_psd(indefinite[3])
+
+
+def _arc_and_flipped_phase(d=12, t=0.9, site=5):
+    B = RegionSet.circle([(0.3, 1.8)])
+    phase = np.exp(-1j * t * np.arange(d))
+    flipped = phase.copy()
+    flipped[site] *= -1
+    return phase_effect(B, d), phase_effect(B.shifted(t), d), phase, flipped
+
+
+def test_conjugation_defect_refuses_a_phase_that_is_not_geometric():
+    # a sign flip at one site: the Toeplitz generator, read off the first
+    # row and column, would see none of it, while the dense defect is O(1)
+    E, target, phase, flipped = _arc_and_flipped_phase()
+    dense = diag_conjugate(flipped, E.dense()) - target.dense()
+    assert opnorm(dense) > 0.5
+    deviation, allowance = geometric_deviation(flipped)
+    assert deviation == pytest.approx(2.0)
+    with pytest.raises(NotGeometric, match="phase is not geometric: .* <= "
+                                         "2.000e\\+00 exceeds"):
+        E.conjugation_defect(flipped, target)
+    assert E.conjugation_defect(phase, target).norm_bound() < 1e-13
+    # a phase off the unit circle is no phase either
+    with pytest.raises(ValueError, match="not geometric"):
+        E.conjugation_defect(1.01 ** np.arange(12) * phase, target)
+
+
+def test_an_admitted_phase_off_its_geometric_sequence_widens_the_bound():
+    # a phase turned off its geometric sequence by 5e-12 at one interior
+    # site, inside the allowance of 64 k eps = 7.3e-12: the generator, read
+    # off the first row and column, sees it only at offset k/2, where c is
+    # small, while the dense defect carries it along a whole row and
+    # column; the slack of 3 delta (1 + delta) sum |c_r| covers that
+    k, t = 512, 0.9
+    B = RegionSet.circle([(0.3, 1.8)])
+    E, target = phase_effect(B, k), phase_effect(B.shifted(t), k)
+    phase = np.exp(-1j * t * np.arange(k))
+    bent = phase.copy()
+    bent[k // 2] *= np.exp(5e-12j)
+    deviation, allowance = geometric_deviation(bent)
+    assert 5e-12 < deviation < allowance
+    D = E.conjugation_defect(bent, target)
+    dense = opnorm(diag_conjugate(bent, E.dense()) - target.dense())
+    assert D.norm_bound() - D.slack < 1e-12 < dense <= D.norm_bound()
+    assert D.slack > 10 * E.conjugation_defect(phase, target).slack
+
+
+@pytest.mark.parametrize("k", [1, 2, 12, 4096])
+def test_geometric_deviation_of_exact_phases_sits_inside_the_allowance(k):
+    draw = np.random.default_rng(k)
+    for a, b in draw.uniform(-np.pi, np.pi, (8, 2)):
+        deviation, allowance = geometric_deviation(
+            np.exp(1j * (a * np.arange(k) + b)))
+        assert allowance == 64 * k * np.finfo(float).eps
+        assert deviation <= allowance / 10

@@ -150,7 +150,8 @@ def test_thermal_covariance():
             t = float(rng.uniform(-1, 1))
             a = float(rng.uniform(-np.pi, np.pi))
             B = RegionSet.circle([(a, a + 1.0)])
-            assert thermal_covariance_residual(beta, 12, [(t, B)]) < 1e-8
+            assert thermal_covariance_residual(
+                beta, 12, [(t, B)])["residual"] < 1e-8
 
 
 def test_worst_thermal_residual_is_max_over_single_samples():
@@ -160,7 +161,8 @@ def test_worst_thermal_residual_is_max_over_single_samples():
                for t, a in zip(draw.uniform(-1, 1, 4),
                                draw.uniform(-np.pi, np.pi, 4))]
     singles = [thermal_covariance_residual(0.7, 10, [s]) for s in samples]
-    assert thermal_covariance_residual(0.7, 10, samples) == max(singles)
+    worst = max(singles, key=lambda out: out["residual"])
+    assert thermal_covariance_residual(0.7, 10, samples) == worst
 
 
 def test_thermal_rotation_direction_frozen():
@@ -194,3 +196,55 @@ def test_carrier_flow_of_a_phase_effect_is_its_algebra_flow(d, beta):
 def test_thermal_guard():
     with pytest.raises(ValueError):
         thermal_covariance_residual(2.0, 16, [(0.5, RegionSet.circle([(0.0, 1.0)]))])
+
+
+@pytest.mark.parametrize("beta, d", [(0.0, 12), (0.5, 12), (1.0, 12),
+                                     (1.0, 20), (0.5, 40)])
+def test_certified_thermal_bound_covers_the_dense_flow_defect(beta, d):
+    # the block path reads T^{-it} off the Gibbs density's diagonal; the
+    # bound plus the rounding of forming the dense block covers the dense
+    # triple.flow defect, and at beta*d = 20, the guard's edge, it holds
+    from povmlab.modular import build_modular
+    triple = build_modular(gibbs(beta, d))
+    draw = np.random.default_rng(d)
+    for t, a in zip(draw.uniform(-1, 1, 4), draw.uniform(-np.pi, np.pi, 4)):
+        B = RegionSet.circle([(a, a + 1.0)])
+        E, target = phase_effect(B, d), phase_effect(B.shifted(-beta * t), d)
+        out = thermal_covariance_residual(beta, d, [(t, B)])
+        assert out["upper_bound"] and out["residual"] <= 1e-12
+        dense = triple.flow(t, E.dense()) - target.dense()
+        block = E.conjugation_defect(triple.flow_phase(t), target).dense()
+        assert out["residual"] + np.linalg.norm(dense - block) >= opnorm(dense)
+        # below the bound the dense flow decides, and reads the same value
+        low = thermal_covariance_residual(beta, d, [(t, B)], tol=1e-30)
+        assert low == {"residual": opnorm(dense), "upper_bound": False}
+
+
+def test_thermal_takes_the_dense_flow_only_when_the_phase_is_refused(
+        monkeypatch):
+    # a density that is not diagonal has no flow phase: its ValueError
+    # propagates, where only conjugation_defect's NotGeometric refusal
+    # sends a draw to the dense flow
+    from povmlab import oscillator
+    gibbs = oscillator.gibbs
+    U = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0]
+    monkeypatch.setattr(oscillator, "gibbs",
+                        lambda beta, d: U @ gibbs(beta, d) @ adjoint(U))
+    B = RegionSet.circle([(0.3, 1.3)])
+    with pytest.raises(ValueError, match="needs a diagonal density"):
+        thermal_covariance_residual(1.0, 6, [(0.4, B)])
+
+
+@pytest.mark.parametrize("d", [12, 4096])
+def test_covariance_at_a_large_rotation_is_certified(d):
+    # t = 1000.3 rounds its angles t n by ~|t| n eps, far beyond the
+    # geometric check's allowance; the phase is formed from t reduced
+    # modulo 2 pi, the same rotation (the arc ends of B.shifted(t) still
+    # carry the rounding of a + t, which shows in the residual)
+    B = RegionSet.circle([(0.3, 1.8)])
+    t = 1000.3
+    with pytest.raises(ValueError, match="not geometric"):
+        phase_effect(B, d).conjugation_defect(
+            np.exp(-1j * t * np.arange(d)), phase_effect(B.shifted(t), d))
+    out = covariance_residual(d, t, B)
+    assert out["upper_bound"] and out["residual"] <= 1e-10

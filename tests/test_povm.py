@@ -7,7 +7,7 @@ import pytest
 
 import povmlab
 from povmlab.operators import (EFFECT, NOT_EFFECT, NUMERIC_TOL, PROJECTION,
-                               adjoint, is_effect, opnorm)
+                               adjoint, is_effect, opnorm, sqrtm_psd)
 from povmlab.povm import (DiscretePOVM, _circular_dilation, _unitary_eigh,
                           contraction_moment_povm, naimark_dilate,
                           povm_integrate, povm_validate, random_povm,
@@ -520,3 +520,17 @@ def test_discrete_povm_keeps_a_list_of_complex_effects():
                      effects=[np.eye(2), np.zeros((2, 2), dtype=int)])
     assert isinstance(p.effects, list) and len(p.effects) == 2
     assert all(E.dtype == complex and E.shape == (2, 2) for E in p.effects)
+
+
+@pytest.mark.parametrize("d, k", [(1, 3), (4, 2), (8, 4), (16, 8)])
+def test_naimark_roots_are_the_per_effect_roots_bit_for_bit(d, k):
+    # one stacked sqrtm_psd takes every root through the same LAPACK call
+    # as one sqrtm_psd per effect
+    p = random_povm(d, k, np.random.default_rng(d * k))
+    dil = naimark_dilate(p)
+    assert np.array_equal(dil.isometry,
+                          np.vstack([sqrtm_psd(E) for E in p.effects]))
+    defects = np.stack([dil.compress(i) - p.effects[i] for i in range(k)])
+    assert np.array_equal(opnorm(defects),
+                          [opnorm(dil.compress(i) - p.effects[i])
+                           for i in range(k)])

@@ -251,6 +251,24 @@ def test_covariance_exact_on_aligned_shift():
     assert out["residual"] < 1e-10
 
 
+def test_covariance_at_a_large_shift_is_certified():
+    # a shift of 100 circumferences rounds the angles s xi by ~|s| xi eps,
+    # beyond the geometric check's allowance; the phase is L-periodic in s
+    # and is formed from s reduced modulo L, the same translation (the
+    # region's ends still carry the rounding of s, which shows in the
+    # residual)
+    grid = CircleGrid(256, 8 * np.pi)
+    model = HardyModel(grid)
+    B = grid.region([(0.0, grid.L / 4)])
+    s = 8 * grid.h + 100 * grid.L
+    with pytest.raises(ValueError, match="not geometric"):
+        rel_effect(model, B).conjugation_defect(
+            np.exp(-1j * s * model.xi), rel_effect(model, B.shifted(s)))
+    out = rel_covariance_residual(model, 1.0, s, B)
+    assert out["exact_path"] and out["upper_bound"]
+    assert out["residual"] <= 1e-11
+
+
 def test_covariance_interpolation_path_reports():
     grid = CircleGrid(64, 8.0)
     model = HardyModel(grid)
@@ -326,3 +344,60 @@ def test_tau_unitarity_fft_matches_dense_multiplier_products(n):
                 assert fft == pytest.approx(dense, rel=1e-12)
                 assert fft == pytest.approx(dense_isometry_defect(u, w, A, B),
                                             rel=1e-12)
+
+
+def per_y_poisson(grid, y, f):
+    """Reference: e^{-y|D|} f for one y, as the Fourier multiplier."""
+    return grid.multiplier_apply(np.exp(-y * np.abs(grid.xi)), f)
+
+
+def per_y_boundary_sweep(model, f, ys):
+    """Reference: the sweep as one multiplier per y, with the vector norms
+    of each column; returns (norms, gaps, ||P(0) f||)."""
+    ys = sorted(float(y) for y in ys)
+    Pf = [per_y_poisson(model.grid, y, f) for y in ys]
+    return ([float(np.linalg.norm(P)) for P in Pf],
+            [float(np.linalg.norm(P - f)) for P in Pf],
+            float(np.linalg.norm(per_y_poisson(model.grid, 0.0, f))))
+
+
+@pytest.mark.parametrize("n", [16, 256, 2048])
+def test_vector_y_sweep_equals_the_per_y_calls(n):
+    grid = CircleGrid(n, 8 * np.pi)
+    model = HardyModel(grid)
+    draw = np.random.default_rng(n)
+    f = model.synthesize(draw.standard_normal(model.dim)
+                         + 1j * draw.standard_normal(model.dim))
+    ys = np.logspace(-3, 1, 20)[::-1]
+    # each column is the same multiplier on the same FFT, and the batched
+    # inverse FFT rounds each column as the single one does
+    P = poisson_apply(grid, np.concatenate([[0.0], ys]), f)
+    assert P.shape == (n, 21)
+    assert np.array_equal(P[:, 1:], np.stack(
+        [per_y_poisson(grid, y, f) for y in ys], axis=1))
+    assert np.array_equal(poisson_apply(grid, ys[3], f),
+                          per_y_poisson(grid, ys[3], f))
+    # the column norms sum the squares in another order than the vector
+    # norm: a rounding bound of n eps ||f||
+    out = boundary_isometry_check(model, f, ys)
+    norms, gaps, at_zero = per_y_boundary_sweep(model, f, ys)
+    bound = n * np.finfo(float).eps * np.linalg.norm(f)
+    assert out["ys"] == sorted(ys.tolist())
+    assert np.abs(np.subtract(out["norms"], norms)).max() <= bound
+    assert np.abs(np.subtract(out["convergence"], gaps)).max() <= bound
+    exact = np.sqrt(np.exp(-2 * np.outer([0.0] + out["ys"], np.abs(grid.xi)))
+                    @ np.abs(grid.fft(f)) ** 2)
+    reference = np.abs([at_zero] + norms - exact).max()
+    assert abs(out["boundary_residual"] - reference) <= bound
+    assert out["boundary_residual"] < 1e-12 * np.linalg.norm(f)
+    with pytest.raises(ValueError, match="nonnegative"):
+        poisson_apply(grid, np.array([0.5, -1e-3]), f)
+
+
+@pytest.mark.parametrize("g_shape", [(16, 1), (16, 3), (8,), ()])
+@pytest.mark.parametrize("y", [0.5, [0.0, 0.5]])
+def test_poisson_apply_rejects_what_is_not_a_grid_vector(g_shape, y):
+    # an (n, 1) column with a vector y would broadcast to (n, n, Y)
+    grid = CircleGrid(16, 8.0)
+    with pytest.raises(ValueError, match="grid vector of shape \\(16,\\)"):
+        poisson_apply(grid, y, np.ones(g_shape))

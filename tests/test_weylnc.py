@@ -300,6 +300,22 @@ def test_nc_covariance_exact_path():
         assert out["residual"] < 1e-12
 
 
+def test_nc_covariance_at_a_large_translation_is_certified():
+    # 100 periods 2 pi / delta of the phase e^{itu} beyond t = 3 dual
+    # steps: the unreduced angles t u round beyond the geometric check's
+    # allowance, and the phase is formed from t reduced modulo the period
+    lat = selfdual_lattice(64)
+    B = equal_partition(lat.q_region([]), 4)[0]
+    t = 3 * lat.dual_spacing + 100 * 2 * np.pi / lat.delta
+    with pytest.raises(ValueError, match="not geometric"):
+        nc_effect(lat, B).conjugation_defect(
+            np.exp(1j * t * lat.u[lat.positive_sites]),
+            _compressed_indicator(lat, B.shifted(t)))
+    out = nc_covariance_residual(lat, t, B, tol=1e-12)
+    assert out["exact_path"] and out["upper_bound"]
+    assert out["residual"] <= 1e-12
+
+
 def test_nc_covariance_interpolation_path_reports():
     lat = selfdual_lattice(16)
     B = equal_partition(lat.q_region([]), 4)[0]
