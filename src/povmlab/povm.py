@@ -5,12 +5,20 @@ of effects summing to the identity.  On top of that sit the
 state-to-probability map tr(E_i T), the bounded functional calculus
 Psi(f) = sum f(mid_i) E_i, the Naimark dilation by stacked square roots,
 and the moment POVM of a contraction obtained from a circular unitary
-dilation.  The dilation is diagonalised by one solve and one ``eigh`` of a
-Hermitian Cayley transform i (z - U)^{-1} (z + U), at the first point
-z = e^{i alpha} of a fixed candidate set whose Cayley eigenvalues place it
-at least pi / (4N) from the spectrum (N the size of U); the decomposition
-is accepted only after every eigenvector residual is checked, and its
-spectral measure is binned in one pass.  The module needs numpy alone.
+dilation U of 2M blocks.  For a scalar t the spectrum of U is in closed
+form: its eigenvalues are the 2M roots of
+lambda^{2M} - t lambda^{2M-1} - conj(t) lambda + 1, one in each of 2M
+equal arcs when |t| < 1, found all at once by bracketed Newton steps, and
+the block-0 weight of a root is s^2 / (s^2 + (2M - 1) |lambda - t|^2) with
+s^2 = 1 - |t|^2; a unitary t keeps weight 1 on itself.  Every root and
+weight is certified by the residual of an explicit eigenvector, and when
+the certificate fails, as for any T of size d >= 2, U is diagonalised
+densely by one solve and one ``eigh`` of a Hermitian Cayley transform
+i (z - U)^{-1} (z + U), at the first point z = e^{i alpha} of a fixed
+candidate set whose Cayley eigenvalues place it at least pi / (4N) from
+the spectrum (N the size of U), accepted only after every eigenvector
+residual is checked.  Either spectral measure is binned in one pass.  The
+module needs numpy alone.
 """
 
 from dataclasses import dataclass
@@ -159,6 +167,12 @@ class MomentReport:
     cell_masses: np.ndarray
 
 
+def _defect_svd(T: np.ndarray):
+    """(W, C, X*) for T = W S X*, with C = (1 - S^2)^{1/2} clipped at 0."""
+    W, S, Xs = np.linalg.svd(T)
+    return W, np.sqrt(np.clip(1.0 - S * S, 0.0, None)), Xs
+
+
 def _circular_dilation(T: np.ndarray, M: int) -> np.ndarray:
     """Circular Schaeffer-type unitary dilation on 2M blocks.
 
@@ -182,8 +196,7 @@ def _circular_dilation(T: np.ndarray, M: int) -> np.ndarray:
     """
     d = T.shape[0]
     K = 2 * M
-    W, S, Xs = np.linalg.svd(T)
-    C = np.sqrt(np.clip(1.0 - S * S, 0.0, None))
+    W, C, Xs = _defect_svd(T)
     U = np.zeros((K, d, K, d), dtype=complex)     # U[r, :, c] is block (r, c)
     c = np.arange(1, K - 1)
     U[c + 1, :, c] = np.eye(d)
@@ -239,6 +252,128 @@ def _unitary_eigh(U: np.ndarray):
     return thetas, V
 
 
+def _arc_roots(f, lo, hi, sign_lo, x):
+    """One root of f in each bracket [lo_j, hi_j], where f(lo_j) has the
+    strict sign sign_lo_j and f(hi_j) the opposite one: Newton steps from
+    x (the midpoint where x is outside its bracket), all brackets at once,
+    each step narrowing its bracket and replaced by bisection when it
+    leaves it, until every step is within rounding.  f(x) returns
+    (f, f')."""
+    x = np.where((x >= lo) & (x <= hi), x, (lo + hi) / 2)
+    for _ in range(100):
+        y, dy = f(x)
+        below = sign_lo * y > 0                 # the root lies above x
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        new = x - y / dy
+        new = np.where((new >= lo) & (new <= hi), new, (lo + hi) / 2)
+        done = np.abs(new - x).max() <= 4 * np.pi * np.finfo(float).eps
+        x = new
+        if done:
+            break
+    return x
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # non-finite values fail below
+def _scalar_spectrum(t: complex, s: float, M: int):
+    """Eigenphases and block-0 weights |<e_0, v_j>|^2 of the circular
+    dilation of the scalar contraction t, whose defect s = (1 - |t|^2)^{1/2}
+    is the one ``_circular_dilation`` puts in U, in closed form; None when
+    they cannot be certified.
+
+    With K = 2M, rows 2..K-1 of U v = lambda v give v_j = lambda^{K-1-j}
+    (j >= 1), and rows 0 and 1 give v_0 = -s / (lambda - t) and
+    v_0 = (lambda^{K-1} - conj t) / s.  So the eigenvalues are the K roots
+    of p(lambda) = lambda^K - t lambda^{K-1} - conj(t) lambda + 1, and
+    |p(e^{i theta})| = 2 |g(theta)| with
+    g(theta) = cos(M theta) - |t| cos((M - 1) theta + arg t).
+    - s > 0: g has the strict sign (-1)^{M+j} at each arc end
+      -pi + pi j / M, so each of the K arcs holds exactly one simple root,
+      which ``_arc_roots`` finds.  Each v_0 above makes one row exact and
+      leaves the residual |p(lambda)| / sqrt(D) in the other, with
+      D = s^2 + (K-1) |lambda - t|^2 or |lambda^{K-1} - conj t|^2 + (K-1) s^2;
+      the larger D is taken, and the weight is |v_0|^2 / |v|^2, that is,
+      s^2 / D or |lambda^{K-1} - conj t|^2 / D.  At a root close to t with
+      s small only the second D stays away from 0.
+    - s = 0: U e_0 = t e_0 with weight 1, and the other K - 1 eigenphases
+      are the roots of lambda^{K-1} = conj t, with weight 0 and residual
+      |lambda^{K-1} - conj t| / sqrt(K - 1).
+    Every residual is bounded with g's rounding allowance (and with
+    |s^2 + |t|^2 - 1|, by which p may differ from U's characteristic
+    polynomial) and must be at most NUMERIC_TOL, as ``_unitary_eigh``
+    requires of its eigenvectors.  None is returned when an arc-end value
+    of g is not signed beyond that allowance, a residual bound exceeds
+    NUMERIC_TOL or a weight is non-finite.
+    """
+    K = 2 * M
+    r, phi = abs(t), float(np.angle(t))
+    allowance = 8 * (M + 1) * np.finfo(float).eps   # of g, and of lambda^{K-1}
+
+    # g as (1 - |t|) cos(a) - 2 |t| sin(a - v) sin(v), a = M x and
+    # v = (x - arg t) / 2, with 1 - |t| = s^2 / (1 + |t|): no cancellation
+    # at a root close to t when |t| is close to 1
+    c = s * s / (1 + r)
+
+    def g(x):
+        a, v = M * x, (x - phi) / 2
+        sin_u, cos_u, sin_v, cos_v = (np.sin(a - v), np.cos(a - v),
+                                      np.sin(v), np.cos(v))
+        return (c * np.cos(a) - 2 * r * sin_u * sin_v,
+                -M * c * np.sin(a)
+                - r * ((2 * M - 1) * cos_u * sin_v + sin_u * cos_v))
+
+    if s == 0.0:
+        shift = np.angle(np.exp(1j * (2 * np.pi * np.arange(K - 1) - phi)
+                                / (K - 1)))
+        thetas = np.append(phi, shift)
+        weights = np.append(1.0, np.zeros(K - 1))
+        residual = ((np.abs(np.exp(1j * (K - 1) * shift) - np.conj(t))
+                     + allowance) / np.sqrt(K - 1))
+    else:
+        ends = -np.pi + np.pi * np.arange(K + 1) / M
+        sign = 1.0 - 2.0 * ((M + np.arange(K + 1)) % 2)
+        if not (sign * g(ends)[0] > allowance).all():
+            return None
+        lo = ends[:-1]
+        # start from one Newton step, from the midpoint or, in its own arc,
+        # from arg t, on the increasing phase
+        # Phi(x) = K x + 2 atan2(|t| sin(x - arg t), 1 - |t| cos(x - arg t)),
+        # which is pi + K lo_j at the root in arc j and has the slope
+        # (K - 1) + s^2 / |e^{ix} - t|^2
+        x = lo + np.pi / K
+        x[min(int((phi + np.pi) * M / np.pi), K - 1)] = phi
+        h = np.arctan2(r * np.sin(x - phi), 1 - r * np.cos(x - phi))
+        x -= ((K * (x - lo) - np.pi + 2 * h)
+              / ((K - 1) + s * s / np.abs(np.exp(1j * x) - t) ** 2))
+        thetas = _arc_roots(g, lo, ends[1:], sign[:-1], x)
+        # |v_0|^2 and |v|^2 of the two explicit eigenvectors, scaled
+        top_a = s * s
+        norm_a = top_a + (K - 1) * np.abs(np.exp(1j * thetas) - t) ** 2
+        top_b = np.abs(np.exp(1j * (K - 1) * thetas) - np.conj(t)) ** 2
+        norm_b = top_b + (K - 1) * s * s
+        weights = np.where(norm_a >= norm_b, top_a / norm_a, top_b / norm_b)
+        slack = allowance + abs(r * r + s * s - 1)
+        residual = (2 * (np.abs(g(thetas)[0]) + slack)
+                    / np.sqrt(np.maximum(norm_a, norm_b)))
+    if not (residual.max() <= NUMERIC_TOL and np.isfinite(weights).all()):
+        return None
+    return thetas, weights
+
+
+def _block0_spectrum(T: np.ndarray, M: int):
+    """Eigenphases of the circular dilation U of T and the block-0 rows of
+    its eigenvectors: in closed form by ``_scalar_spectrum`` when T is a
+    scalar and its certificate holds (the square roots of the weights stand
+    for the rows), else by ``_unitary_eigh`` of the dense U."""
+    d = T.shape[0]
+    if d == 1:
+        s = float(_defect_svd(T)[1][0])
+        found = _scalar_spectrum(complex(T[0, 0]), s, M)
+        if found is not None:
+            return found[0], np.sqrt(found[1]).astype(complex)[None]
+    thetas, V = _unitary_eigh(_circular_dilation(T, M))
+    return thetas, V[:d]
+
+
 @lru_cache
 def _equal_arcs(cells: int) -> tuple:
     """The ``cells`` equal arcs of [-pi, pi), built once per count."""
@@ -248,13 +383,24 @@ def _equal_arcs(cells: int) -> tuple:
 def contraction_moment_povm(T, M: int, cells: int):
     """Moment POVM of a contraction: T^n = int e^{i n theta} dE(theta).
 
-    Builds the circular unitary dilation U of depth M, takes its spectral
-    measure by ``_unitary_eigh`` (one solve and one ``eigh`` of a Cayley
-    transform of U, accepted only after checking every eigenvector residual
-    against NUMERIC_TOL), compresses it back to the original space, and
-    bins it into ``cells`` equal arcs of [-pi, pi) in one pass: one
-    ``searchsorted`` gives every phase its cell, one batched product forms
-    every effect.  Returns the binned DiscretePOVM together with a
+    Takes the spectral measure of the circular unitary dilation U of depth
+    M, compressed to the original space, from ``_block0_spectrum``.  For a
+    1 x 1 T = [[t]] it is in closed form (``_scalar_spectrum``): with
+    K = 2M, the eigenvalues are the roots of
+    lambda^K - t lambda^{K-1} - conj(t) lambda + 1, one per arc of 2 pi / K
+    when |t| < 1, found by bracketed Newton steps, and the block-0 weight
+    of a root is s^2 / (s^2 + (K-1) |lambda - t|^2) with s^2 = 1 - |t|^2; a
+    unitary t keeps weight 1 on itself.  Each eigenpair is certified by the
+    residual of its explicit eigenvector, at most NUMERIC_TOL.  When that
+    certificate fails (an arc end does not bracket a root beyond rounding,
+    a residual is too large or a weight is not finite), and for every T of
+    size d >= 2, U is built densely and diagonalised by ``_unitary_eigh``
+    (one solve and one ``eigh`` of a Cayley transform of U, accepted only
+    after checking every eigenvector residual against NUMERIC_TOL).  The
+    measure is binned into ``cells`` equal arcs of [-pi, pi) in one pass:
+    one ``searchsorted`` gives every phase its cell, one batched product
+    forms every effect; a phase within _EPS below pi is binned as -pi, and
+    the moments keep the phase itself.  Returns the binned DiscretePOVM together with a
     MomentReport; the unbinned moments are certified for n = 0..M-1, all M
     residuals from one stack of powers and one batched SVD.
     """
@@ -268,12 +414,13 @@ def contraction_moment_povm(T, M: int, cells: int):
     if opnorm(T) > 1.0 + NUMERIC_TOL:
         raise ValueError(f"not a contraction: ||T|| = {opnorm(T):.6f}")
     d = T.shape[0]
-    thetas, V = _unitary_eigh(_circular_dilation(T, M))
-    # as in RegionSet.indicator, a phase within _EPS below pi is -pi
-    thetas[thetas >= np.pi - _EPS] = -np.pi
-    order = np.argsort(thetas, kind="stable")
-    thetas = thetas[order]
-    P0V = V[:d, order]               # compression of eigenvectors to block 0
+    thetas, P0V = _block0_spectrum(T, M)
+    # as in RegionSet.indicator, a phase within _EPS below pi is binned as
+    # -pi; the moments keep the phase itself
+    binned = np.where(thetas >= np.pi - _EPS, -np.pi, thetas)
+    order = np.argsort(binned, kind="stable")
+    thetas, binned = thetas[order], binned[order]
+    P0V = P0V[:, order]              # compression of eigenvectors to block 0
 
     # moment n of the unbinned compressed point masses F_j = P0 v_j v_j* P0
     # against T^n, for every n at once
@@ -289,7 +436,7 @@ def contraction_moment_povm(T, M: int, cells: int):
     # a phase on an edge, up to rounding, goes with the cell it starts
     regions = _equal_arcs(cells)
     edges = np.array([region.cells[0][0] for region in regions]) - _EPS
-    cell = np.searchsorted(edges, thetas, side="right") - 1
+    cell = np.searchsorted(edges, binned, side="right") - 1
     B = np.zeros((cells, d, len(cell)), dtype=complex)  # P0V split by cell
     B[cell, :, np.arange(len(cell))] = P0V.T
     effects = B @ adjoint(P0V)

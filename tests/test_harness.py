@@ -710,6 +710,15 @@ UNREACHED = {
     # witness tests exercise
     "modular.ModularTriple.flow",
     "modular.ModularTriple.T_spectrum",
+    # the dense circular dilation and its Cayley eigensolver: every run
+    # passes a scalar T, whose dilation is diagonalised in closed form by
+    # povm._scalar_spectrum; they are the solver for d >= 2, which
+    # test_povm exercises, and the fallback taken when the closed form's
+    # certificate fails, which
+    # test_failing_scalar_certificate_falls_back_with_the_same_verdicts
+    # exercises
+    "povm._unitary_eigh",
+    "povm._circular_dilation",
 }
 
 
@@ -796,6 +805,86 @@ def test_rolled_cell_masses_fail_the_poisson_case(monkeypatch):
     record = _case(run_suite(SuiteConfig(suite="povm")),
                    "contraction.poisson.masses")
     assert not record["pass"] and record["residual"] > 4e-3
+
+
+CONTRACTION_CASES = ("contraction.zero.moments", "contraction.poisson.masses",
+                     "contraction.unitary.pvm")
+
+
+def _contraction_records(monkeypatch=None, change=None):
+    """The three contraction records of a povm run, with ``change(t, s, M,
+    thetas, weights)`` applied to every spectrum ``_scalar_spectrum``
+    certifies when one is given."""
+    if change is not None:
+        real = povm._scalar_spectrum
+        monkeypatch.setattr(povm, "_scalar_spectrum",
+                            lambda t, s, M: change(t, s, M, *real(t, s, M)))
+    report = run_suite(SuiteConfig(suite="povm"))
+    return {case: _case(report, case) for case in CONTRACTION_CASES}
+
+
+def _passes(records):
+    return {case: record["pass"] for case, record in records.items()}
+
+
+def test_failing_scalar_certificate_falls_back_with_the_same_verdicts(
+        monkeypatch):
+    def verdicts():
+        return [(c["case"], c["param"], c["pass"])
+                for c in run_suite(SuiteConfig(suite="povm"))["cases"]]
+
+    calls, real_eigh = [], povm._unitary_eigh
+    monkeypatch.setattr(povm, "_unitary_eigh",
+                        lambda U: calls.append(len(U)) or real_eigh(U))
+    unpatched = verdicts()
+    assert calls == [] and all(passed for *_, passed in unpatched)
+    # roots moved by 1e-6 fail the residual certificate of all three scalar
+    # inputs, so each dilation goes through the dense Cayley path
+    real_roots = povm._arc_roots
+    monkeypatch.setattr(povm, "_arc_roots", lambda *a: real_roots(*a) + 1e-6)
+    assert verdicts() == unpatched
+    assert calls == [64, 64, 64]
+
+
+def test_weights_without_the_depth_factor_fail_contraction_zero_moments(
+        monkeypatch):
+    # s^2 / (s^2 + |e^{i theta} - t|^2) gives T = 0 the weight 1/2 per
+    # phase, so moment 0 reads K/2 - 1 = 31
+    def no_depth(t, s, M, thetas, weights):
+        return thetas, s * s / (s * s + np.abs(np.exp(1j * thetas) - t) ** 2)
+
+    assert all(_passes(_contraction_records()).values())
+    record = _contraction_records(monkeypatch, no_depth)[
+        "contraction.zero.moments"]
+    assert not record["pass"]
+    assert record["residual"] == pytest.approx(31, rel=1e-12)
+
+
+def test_phases_rotated_by_half_an_arc_fail_contraction_poisson_masses(
+        monkeypatch):
+    # the K equal weights of T = 0 on any rotation of the K-gon reproduce
+    # T^n = 0 for 0 < n < K, so no moment case can see this rotation; it
+    # moves half the phases of T = 0.5 across a cell edge instead
+    def rotated(t, s, M, thetas, weights):
+        return thetas + np.pi / (2 * M), weights
+
+    assert _passes(_contraction_records(monkeypatch, rotated)) == {
+        "contraction.zero.moments": True,
+        "contraction.poisson.masses": False,
+        "contraction.unitary.pvm": True}
+
+
+def test_spread_unitary_mass_fails_contraction_unitary_pvm(monkeypatch):
+    # weight 1/K on every phase of e^{0.7i}: each cell holds a fraction of
+    # the identity, which is no projection
+    def spread(t, s, M, thetas, weights):
+        return thetas, (np.full(2 * M, 1 / (2 * M)) if abs(t) > 0.99
+                        else weights)
+
+    assert _passes(_contraction_records(monkeypatch, spread)) == {
+        "contraction.zero.moments": True,
+        "contraction.poisson.masses": True,
+        "contraction.unitary.pvm": False}
 
 
 @pytest.mark.parametrize("field, value", [

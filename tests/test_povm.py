@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import povmlab
+from povmlab import povm
 from povmlab.operators import (EFFECT, NOT_EFFECT, NUMERIC_TOL, PROJECTION,
                                adjoint, is_effect, opnorm, sqrtm_psd)
-from povmlab.povm import (DiscretePOVM, _circular_dilation, _unitary_eigh,
+from povmlab.povm import (DiscretePOVM, _block0_spectrum, _circular_dilation,
+                          _defect_svd, _scalar_spectrum, _unitary_eigh,
                           contraction_moment_povm, naimark_dilate,
                           povm_integrate, povm_validate, random_povm,
                           state_to_measure)
@@ -372,13 +374,13 @@ def cayley_candidate(U, monkeypatch):
 
 
 def per_cell_binning(T, M, cells):
-    """Reference binning: sorted phases, one slice, one product and one
-    trace per cell."""
+    """Reference binning of the spectrum the function bins: sorted phases,
+    one slice, one product and one trace per cell."""
     d = T.shape[0]
-    thetas, V = _unitary_eigh(_circular_dilation(T, M))
+    thetas, P0V = _block0_spectrum(T, M)
     thetas[thetas >= np.pi - 1e-15] = -np.pi
     order = np.argsort(thetas, kind="stable")
-    thetas, P0V = thetas[order], V[:d, order]
+    thetas, P0V = thetas[order], P0V[:, order]
     regions = equal_partition(RegionSet.circle([(-np.pi, np.pi)]), cells)
     a, b = np.array([region.cells[0] for region in regions]).T - 1e-12
     effects = [P0V[:, i:j] @ adjoint(P0V[:, i:j])
@@ -534,3 +536,106 @@ def test_naimark_roots_are_the_per_effect_roots_bit_for_bit(d, k):
     assert np.array_equal(opnorm(defects),
                           [opnorm(dil.compress(i) - p.effects[i])
                            for i in range(k)])
+
+
+# --------------------------------------------------------------------------
+# the closed-form spectrum of a scalar dilation against the dense Cayley
+# path and the Schur reference
+
+SCALARS = {
+    "0": 0.0, "0.5": 0.5, "-0.9": -0.9, "0.3+0.4i": 0.3 + 0.4j,
+    # a pair of roots split by 2 s / sqrt(K - 1) on either side of phase 0
+    "1-1e-9": 1 - 1e-9,
+    # the SVD gives |t| = 1 + 2e-16, so s is clipped to 0
+    "norm-one above": np.exp(0.1j),
+    # the SVD gives |t| = 1 - 1e-16, so s = 1.5e-8
+    "norm-one below": np.exp(3j),
+    "e^0.7i": np.exp(0.7j),
+    "e^i(pi-1e-13)": np.exp(1j * (np.pi - 1e-13)),
+    # the left edge of cell 5 of 16; at M = 8 also a double root
+    "cell edge": np.exp(1j * (-np.pi + 2 * np.pi * 5 / 16)),
+    # t^K = 1: t is also a root of lambda^{K-1} = conj t
+    "double root": 1.0,
+}
+
+
+def grouped_spectrum(thetas, weights):
+    """Phases mapped and sorted as contraction_moment_povm does, and the
+    weights summed over phases closer than 1e-9: a double eigenvalue's
+    weight splits arbitrarily between the eigenvectors a solver returns."""
+    thetas = thetas.copy()
+    thetas[thetas >= np.pi - 1e-12] = -np.pi
+    order = np.argsort(thetas, kind="stable")
+    thetas, weights = thetas[order], weights[order]
+    starts = np.flatnonzero(np.diff(thetas, prepend=-np.inf) > 1e-9)
+    return thetas, starts, np.add.reduceat(weights, starts)
+
+
+@pytest.mark.parametrize("M", [1, 2, 8, 32, 256])
+@pytest.mark.parametrize("name", list(SCALARS))
+def test_scalar_spectrum_matches_the_dense_and_schur_references(name, M):
+    T = np.array([[SCALARS[name]]], dtype=complex)
+    found = _scalar_spectrum(complex(T[0, 0]), _defect_svd(T)[1][0], M)
+    assert found is not None
+    thetas, starts, weights = grouped_spectrum(*found)
+    assert np.abs(weights.sum() - 1) <= 1e-12
+    U = _circular_dilation(T, M)
+    dense_thetas, V = _unitary_eigh(U)
+    refs = [(grouped_spectrum(dense_thetas, np.abs(V[0]) ** 2), 1e-12)]
+    if M <= 32:         # the Schur form of the 512 x 512 U takes 2 s
+        linalg = pytest.importorskip("scipy.linalg")
+        S, Q = linalg.schur(U, output="complex")
+        # the Schur vectors of the pair of "1-1e-9" are accurate only to
+        # about eps / split, 2e-11 at M = 32, where the closed form agrees
+        # with a 50-digit refinement of its roots to 2e-16 (at M = 256)
+        refs.append((grouped_spectrum(np.angle(np.diag(S)), np.abs(Q[0]) ** 2),
+                     1e-10 if name == "1-1e-9" else 1e-12))
+    for ref, tol in refs:
+        assert np.abs(thetas - ref[0]).max() <= 1e-12
+        assert np.array_equal(starts, ref[1])
+        assert np.abs(weights - ref[2]).max() <= tol
+    _, rep = contraction_moment_povm(T, M, 2 * M)
+    assert rep.moment_residuals.max() <= 1e-12
+
+
+def test_scalar_moment_povm_takes_no_dense_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(povm, "_unitary_eigh", refuse)
+    monkeypatch.setattr(povm, "_circular_dilation", refuse)
+    for t in SCALARS.values():
+        _, rep = contraction_moment_povm(np.array([[t]]), 32, 64)
+        assert rep.moment_residuals.max() <= 1e-12
+
+
+def dense_calls(monkeypatch):
+    """A list that grows by one on every call of ``_unitary_eigh``."""
+    calls, real = [], povm._unitary_eigh
+    monkeypatch.setattr(povm, "_unitary_eigh",
+                        lambda U: calls.append(len(U)) or real(U))
+    return calls
+
+
+def test_unsigned_arc_end_falls_back_to_the_dense_path(monkeypatch):
+    # |t| = 1 - 2^-53 > 0 leaves s = 1.5e-8, but g(0) = 1 - |t| at the arc
+    # end 0 is below its rounding allowance, so no bracket is certified
+    T = np.array([[1 - 2.0 ** -53]])
+    s = _defect_svd(T)[1][0]
+    assert s > 0 and _scalar_spectrum(T[0, 0], s, 8) is None
+    calls = dense_calls(monkeypatch)
+    p, rep = contraction_moment_povm(T, 8, 16)
+    assert calls == [16]
+    assert rep.moment_residuals.max() <= 1e-12 and povm_validate(p).ok
+
+
+def test_wrong_roots_fail_the_residual_certificate(monkeypatch):
+    # roots moved by 1e-6 leave |g| ~ M 1e-6 in every arc: the residual
+    # bound exceeds NUMERIC_TOL, and the dense path diagonalises U
+    real = povm._arc_roots
+    monkeypatch.setattr(povm, "_arc_roots", lambda *a: real(*a) + 1e-6)
+    T = np.array([[0.5]])
+    assert _scalar_spectrum(0.5, _defect_svd(T)[1][0], 32) is None
+    calls = dense_calls(monkeypatch)
+    _, rep = contraction_moment_povm(T, 32, 64)
+    assert calls == [64] and rep.moment_residuals.max() <= 1e-12
