@@ -195,8 +195,7 @@ def _suite_povm(c: _Cases):
 
     arcs = equal_partition(circle_full(), 4)
     phase = povm.DiscretePOVM(regions=arcs,
-                              effects=[oscillator.phase_effect(B, d).dense()
-                                       for B in arcs])
+                              effects=oscillator.phase_effect(arcs, d).dense())
     dil = povm.naimark_dilate(phase)
     dil2 = povm.naimark_dilate(p)
     # J_i* J_i - E_i for both dilations, as one stack under one norm call
@@ -299,14 +298,13 @@ def _suite_oscillator(c: _Cases):
     rng = np.random.default_rng(cfg.seed + 2)
     d = max(cfg.d, 12)
 
-    outs = []
-    for _ in range(10):
-        t = float(rng.uniform(-np.pi, np.pi))
-        a = float(rng.uniform(-np.pi, np.pi))
-        w = float(rng.uniform(0.1, 2.0))
-        outs.append(oscillator.covariance_residual(
-            d, t, RegionSet.circle([(a, a + w)]), c.tol(1e-10)))
-    worst = max(outs, key=lambda out: out["residual"])
+    # ten (t, a, w) draws, each drawn in that order
+    draws = [[float(rng.uniform(lo, hi)) for lo, hi in
+              ((-np.pi, np.pi), (-np.pi, np.pi), (0.1, 2.0))]
+             for _ in range(10)]
+    worst = oscillator.covariance_residual(
+        d, [t for t, _, _ in draws],
+        [RegionSet.circle([(a, a + w)]) for _, a, w in draws], c.tol(1e-10))
     c.add("osc.covariance", "Thm quantum-phase", f"d={d} 10 cases",
           worst["residual"], 1e-10, worst["upper_bound"])
 
@@ -331,8 +329,7 @@ def _suite_oscillator(c: _Cases):
 
     arcs = equal_partition(circle_full(), 6)
     c.add_norm("osc.povm.sum", "Thm unsharp-observables", f"d={d} 6 arcs",
-               _identity_defect([oscillator.phase_effect(B, d) for B in arcs]),
-               1e-12)
+               _identity_defect(oscillator.phase_effect(arcs, d)), 1e-12)
 
 
 def _suite_relativistic(c: _Cases):
@@ -343,11 +340,11 @@ def _suite_relativistic(c: _Cases):
     model = relativistic.HardyModel(grid)
 
     parts = equal_partition(RegionSet.line([], length=grid.L), 4)
-    effects = [relativistic.rel_effect(model, B) for B in parts]
+    effects = relativistic.rel_effect(model, parts)
     c.add_norm("rel.povm.sum", "Thm thermal-D(1)", f"n={n} 4 blocks",
                _identity_defect(effects), 1e-12)
     c.add_flag("rel.povm.effects", "Thm thermal-D(1)", f"n={n}",
-               all(_is_effect_block(E, 1e-10) for E in effects))
+               _is_effect_block(effects, 1e-10))
 
     # rank-4 operators a_L a_R* and b_L b_R*; the left factors have
     # ||.||_F = n^(1/4) and the right ones n^(1/2), so that |<A, B>_tau|
@@ -393,9 +390,8 @@ def _suite_weyl(c: _Cases):
           weylnc.weyl_relation_residual(lat, lat.dual_spacing, lat.delta), 1e-12)
 
     parts = equal_partition(lat.q_region([]), 4)
-    effs = [weylnc.nc_effect(lat, B) for B in parts]
     c.add_norm("nc.povm.sum", "Thm thermal-Dixmier(1)", f"m={m} 4 cells",
-               _identity_defect(effs), 1e-12)
+               _identity_defect(weylnc.nc_effect(lat, parts)), 1e-12)
     half = parts[0]
     c.add("nc.indicator.projection", "Thm thermal-Dixmier(1)", f"m={m}",
           _circulant_idempotency_defect(weylnc.indicator_Q(lat, half).c), 1e-12)
@@ -422,25 +418,27 @@ def _suite_weyl(c: _Cases):
     c.add("modtime.weighted", "Def modular-time", f"m={m}", htau, 1e-13)
 
 
-def _identity_defect(blocks) -> ToeplitzBlock:
-    """sum(blocks) - I for Toeplitz blocks of one size, as one block: the
-    generators add, and I is the block of the unit generator.  Its dense
-    form equals the dense sum minus I entry for entry."""
-    g = sum(E.c for E in blocks)
+def _identity_defect(blocks: ToeplitzBlock) -> ToeplitzBlock:
+    """The sum of a stack of Toeplitz blocks minus I, as one block: the
+    generators add, member after member, and I is the block of the unit
+    generator.  Its dense form equals the dense sum minus I entry for
+    entry."""
+    g = blocks.c.sum(axis=0)
     g[0] -= 1.0
-    return ToeplitzBlock(g, blocks[0].k)
+    return ToeplitzBlock(g, blocks.k)
 
 
-def _is_effect_block(E, tol) -> bool:
-    """Whether the ToeplitzBlock E is an effect within tol, as
-    ``is_effect`` decides it.  The spectrum bounds certify it without a
-    matrix when the Hermitian part lies in [-tol, 1 + tol] and the
-    Hermiticity defect is at most tol; otherwise ``is_effect`` runs on the
-    dense block."""
+def _is_effect_block(E: ToeplitzBlock, tol) -> bool:
+    """Whether every member of the stack E is an effect within tol, as
+    ``is_effect`` decides it.  The spectrum bounds certify a member
+    without a matrix when its Hermitian part lies in [-tol, 1 + tol] and
+    its Hermiticity defect is at most tol; ``is_effect`` runs on the dense
+    blocks of the other members, as one stack."""
     lo, hi, skew = E.spectrum_bounds()
-    if skew <= tol and lo >= -tol and hi <= 1.0 + tol:
-        return True
-    return is_effect(E.dense(), tol) in (EFFECT, PROJECTION)
+    dense = np.flatnonzero(~((skew <= tol) & (lo >= -tol) & (hi <= 1.0 + tol)))
+    return len(dense) == 0 or all(
+        cls in (EFFECT, PROJECTION)
+        for cls in is_effect(E.take(dense).dense(), tol))
 
 
 def _circulant_idempotency_defect(c) -> float:

@@ -205,14 +205,16 @@ class ModularTriple:
         """J applied to a carrier vector, or to each row of a stack (k, d^2)."""
         return _apply(self.J_mat, np.conj(np.asarray(x, dtype=complex)))
 
-    def flow_phase(self, t: float):
+    def flow_phase(self, t):
         """The diagonal of T^{-it} = e^{-it log T} for a diagonal T, read
         off T's own diagonal, so that sigma_t(A) = diag(phase) A
-        diag(phase)*; a ValueError for a T that is not diagonal."""
+        diag(phase)*; for a vector of times, one row per time.  A
+        ValueError for a T that is not diagonal."""
         w = np.diagonal(self.T)
         if np.count_nonzero(self.T - np.diag(w)):
             raise ValueError("flow_phase needs a diagonal density")
-        return np.exp(-1j * t * np.log(w.real))
+        return np.exp(np.multiply.outer(-1j * np.asarray(t, dtype=float),
+                                        np.log(w.real)))
 
     def delta_power(self, p: complex) -> np.ndarray:
         lam, V = self.delta_spectrum

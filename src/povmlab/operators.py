@@ -11,7 +11,11 @@ as it treats one matrix alone; an error names the first bad member.  The
 one structured operator is ``ToeplitzBlock``, a leading block of a
 circulant kept as its generator, whose norm and spectrum are bounded from
 one FFT; its conjugation defect needs a geometric phase, which
-``geometric_deviation`` checks.
+``geometric_deviation`` checks.  A ToeplitzBlock takes stacks the same
+way: a generator of shape (S, n) stands for S blocks of one size, one per
+row, bounded from one FFT along the rows, and a one-row generator of shape
+(n,) is the single block, with single values; every member of a stack
+reads what it reads alone, bit for bit.
 """
 
 import cmath
@@ -185,13 +189,16 @@ def is_effect(A, tol: float = DEFAULT_TOL):
 
 
 def diag_conjugate(phase, A) -> np.ndarray:
-    """diag(phase) A diag(phase)*, without forming the diagonal matrices."""
-    return (phase[:, None] * A) * np.conj(phase)[None, :]
+    """diag(phase) A diag(phase)*, without forming the diagonal matrices;
+    for a stack of phases (S, d) and of matrices (S, d, d), member by
+    member."""
+    return (phase[..., :, None] * A) * np.conj(phase)[..., None, :]
 
 
 def circulant(c, k: int = None) -> np.ndarray:
     """Leading k x k block (the whole matrix by default) of the circulant
-    C[j, l] = c[(j - l) mod n], n = len(c).
+    C[j, l] = c[(j - l) mod n], n = len(c); for a stack of generators
+    (S, n), the stack of their blocks (S, k, k).
 
     A function of a generator diagonal in the DFT basis, with values s on
     the frequencies in FFT order, is circulant(ifft(s)); the grid and
@@ -201,17 +208,20 @@ def circulant(c, k: int = None) -> np.ndarray:
     n], copied out of one vector of 2k - 1 entries.
     """
     c = np.asarray(c)
-    n = len(c)
+    n = c.shape[-1]
     k = n if k is None else k
     if not 1 <= k <= n:
         raise ValueError(f"block size k must lie in [1, {n}], got {k}")
-    v = c[np.arange(k - 1, -k, -1) % n]
-    return np.lib.stride_tricks.sliding_window_view(v, k)[::-1].copy()
+    v = c[..., np.arange(k - 1, -k, -1) % n]
+    return np.lib.stride_tricks.sliding_window_view(
+        v, k, axis=-1)[..., ::-1, :].copy()
 
 
 @dataclass(frozen=True, eq=False)
 class ToeplitzBlock:
-    """The leading k x k block of circulant(c), kept as its generator c.
+    """The leading k x k block of circulant(c), kept as its generator c;
+    or, for a generator of shape (S, n), the stack of the S blocks of its
+    rows, with ``slack`` a float or one value per member.
 
     The block compresses the circulant C(c), which is normal with
     eigenvalues lam = fft(c).  So ||block|| <= max|lam| (Gray, *Toeplitz
@@ -226,46 +236,77 @@ class ToeplitzBlock:
     sets it to what the generator does not carry).  It leaves out the
     rounding of forming the dense block, and can sit below the SVD norm of
     ``dense()``.
+
+    A stack is bounded from one FFT along its rows: each bound is then an
+    array with one value per member, where a single block gives a float,
+    and a member reads the value it reads as a single block, bit for bit.
     """
 
     c: np.ndarray
     k: int
     slack: float = 0.0
 
+    def _values(self, x):
+        """x, one value per member, as a float for a single block."""
+        return float(x) if self.c.ndim == 1 else x
+
     def dense(self) -> np.ndarray:
+        """The matrix (k, k), or the stack of the members' (S, k, k)."""
         return circulant(self.c, self.k)
 
-    def _spectrum(self):
-        """fft(c) and the allowance of each of its values."""
-        n = len(self.c)
-        rounding = (5 * max(1.0, np.log2(n)) * np.finfo(float).eps
-                    * np.sqrt(n) * np.linalg.norm(self.c))
-        return np.fft.fft(self.c), rounding + self.slack
+    def take(self, members) -> "ToeplitzBlock":
+        """The stack of the given members, by index; a single block is a
+        stack of one."""
+        slack = np.asarray(self.slack)
+        return ToeplitzBlock(np.atleast_2d(self.c)[members], self.k,
+                             slack[members] if slack.ndim else self.slack)
 
-    def norm_bound(self) -> float:
+    def _spectrum(self):
+        """fft(c) along the rows and the allowance of each member's
+        values."""
+        n = self.c.shape[-1]
+        rounding = (5 * max(1.0, np.log2(n)) * np.finfo(float).eps
+                    * np.sqrt(n) * np.linalg.norm(self.c, axis=-1))
+        return np.fft.fft(self.c, axis=-1), rounding + self.slack
+
+    def norm_bound(self):
         lam, slack = self._spectrum()
-        return float(np.abs(lam).max() + slack)
+        return self._values(np.abs(lam).max(axis=-1) + slack)
 
     def spectrum_bounds(self) -> tuple:
         """(lo, hi, skew): the spectrum of the Hermitian part lies in
         [lo, hi], and ||block - block*|| <= skew."""
         lam, slack = self._spectrum()
-        return (float(lam.real.min() - slack), float(lam.real.max() + slack),
-                float(2 * (np.abs(lam.imag).max() + slack)))
+        return (self._values(lam.real.min(axis=-1) - slack),
+                self._values(lam.real.max(axis=-1) + slack),
+                self._values(2 * (np.abs(lam.imag).max(axis=-1) + slack)))
 
     def certified_norm(self, tol: float, dense=None) -> tuple:
         """(``norm_bound()``, True) when the bound is at most tol; else
-        (the SVD norm of the dense block, or of ``dense()`` for a caller
-        that forms the operator its own way, False), so a failure always
-        shows the dense value."""
-        bound = self.norm_bound()
-        if bound <= tol:
-            return bound, True
-        return opnorm(self.dense() if dense is None else dense()), False
+        (the SVD norm of the dense block, False), so a failure always
+        shows the dense value.  ``dense(members)``, when given, forms the
+        operators of the members (indices into the stack; [0] for a single
+        block) its own way, as a stack or, for a single block, a matrix.
+
+        For a stack, the values and flags are arrays with one entry per
+        member, and only the members whose bound exceeds tol (or is NaN)
+        form their dense operators, all of them under one SVD call.
+        """
+        value = np.atleast_1d(self.norm_bound())
+        certified = value <= tol
+        if not certified.all():
+            refused = np.flatnonzero(~certified)
+            value[refused] = opnorm(self.take(refused).dense() if dense is None
+                                    else dense(refused))
+        if self.c.ndim == 1:
+            return float(value[0]), bool(certified[0])
+        return value, certified
 
     def conjugation_defect(self, phase, other) -> "ToeplitzBlock":
         """diag(phase) B diag(phase)* - other for this block B, ``other`` a
-        block of the same size and phase_j = e^{i(a j + b)}.
+        block of the same size and phase_j = e^{i(a j + b)}; for a stack,
+        member by member, with phases of shape (S, k) and ``other`` a stack
+        of S blocks.
 
         Entry (j, l) is e^{ia(j-l)} c_{j-l} - c'_{j-l}, so the defect is
         Toeplitz.  Its generator holds that value at each signed offset
@@ -276,30 +317,38 @@ class ToeplitzBlock:
 
         A phase whose first k entries are not geometric within rounding
         (``geometric_deviation``) is refused with a ``NotGeometric``
-        ValueError: its defect is not Toeplitz.  One that is admitted lies
-        within delta of some geometric q_j = phase_0 e^{iaj}; entry (j, l)
-        of the dense defect then differs from the generator's value by c_r
-        (phase_j phase_l* - phase_r phase_0*), r = j - l, which q makes 0,
-        so by at most 3 delta (1 + delta) |c_r|.  By the Schur test that
-        difference has norm at most 3 delta (1 + delta) sum_{|r| < k}
-        |c_r|, and each entry of c serves at most ceil((2k - 1) / n) of the
-        offsets; the defect carries the resulting bound as its ``slack``,
-        so its bounds cover the dense defect of the phase as given, not
-        only of q.
+        ValueError: its defect is not Toeplitz.  A stack is refused when
+        any of its phases is, naming the first such member.  One that is
+        admitted lies within delta of some geometric q_j = phase_0 e^{iaj};
+        entry (j, l) of the dense defect then differs from the generator's
+        value by c_r (phase_j phase_l* - phase_r phase_0*), r = j - l,
+        which q makes 0, so by at most 3 delta (1 + delta) |c_r|.  By the
+        Schur test that difference has norm at most 3 delta (1 + delta)
+        sum_{|r| < k} |c_r|, and each entry of c serves at most
+        ceil((2k - 1) / n) of the offsets; the defect carries the resulting
+        bound as its ``slack``, so its bounds cover the dense defect of the
+        phase as given, not only of q.
         """
-        k, n = self.k, len(self.c)
-        deviation, allowance = geometric_deviation(phase[:k])
-        if not deviation <= allowance:      # a NaN deviation is refused too
-            raise NotGeometric(f"phase is not geometric: max_j |phase_j - "
-                               f"phase_0 e^(iaj)| <= {deviation:.3e} exceeds "
+        k, n = self.k, self.c.shape[-1]
+        phase = phase[..., :k]
+        deviation, allowance = geometric_deviation(phase)
+        if not np.all(deviation <= allowance):      # a NaN is refused too
+            i = int(np.argmin(np.atleast_1d(deviation <= allowance)))
+            where = "" if self.c.ndim == 1 else f" {i} of the stack"
+            raise NotGeometric(f"phase{where} is not geometric: max_j "
+                               f"|phase_j - phase_0 e^(iaj)| <= "
+                               f"{np.atleast_1d(deviation)[i]:.3e} exceeds "
                                f"the rounding allowance {allowance:.3e}")
-        r = np.arange(k)
-        g = np.zeros(max(n, 2 * k), dtype=complex)
-        g[-r % len(g)] = (phase[0] * self.c[-r % n] * np.conj(phase[:k])
-                          - other.c[-r % n])
-        g[r] = phase[:k] * self.c[r] * np.conj(phase[0]) - other.c[r]
+        c, m = self.c, max(n, 2 * k)
+        g = np.zeros(c.shape[:-1] + (m,), dtype=complex)
+        first = phase[..., :1]
+        g[..., :k] = phase * c[..., :k] * np.conj(first) - other.c[..., :k]
+        # the offsets -r, 0 < r < k, at m - r: r runs down along the slices
+        g[..., m - k + 1:] = (first * c[..., n - k + 1:]
+                              * np.conj(phase[..., :0:-1])
+                              - other.c[..., n - k + 1:])
         hidden = (3 * deviation * (1 + deviation) * -(-(2 * k - 1) // n)
-                  * float(np.abs(self.c).sum()))
+                  * np.abs(self.c).sum(axis=-1))
         return ToeplitzBlock(g, k, hidden)
 
 
@@ -311,7 +360,8 @@ class NotGeometric(ValueError):
 
 def geometric_deviation(phase) -> tuple:
     """(deviation, allowance) of a phase vector from the geometric
-    sequence q_j = phase_0 e^{iaj} and from modulus 1.
+    sequence q_j = phase_0 e^{iaj} and from modulus 1; for a stack of
+    phases (S, k), one deviation per row in an array.
 
     The step a is the angle of phase_1 phase_0*, refined over the whole
     vector by the angle of phase_{k-1} phase_0* e^{-ia(k-1)} / (k - 1), so
@@ -325,19 +375,31 @@ def geometric_deviation(phase) -> tuple:
     grows with |a|: a step of 100 deviates by about 40 k eps, and one
     beyond about 200 is refused.  A phase flipped in sign at one site
     deviates by 2.
+
+    Each row's step and modulus defect are taken in scalar complex
+    arithmetic (cmath), whose rounding numpy's vector angle and modulus
+    do not share, and the gaps of all rows in one pass.
     """
     phase = np.asarray(phase, dtype=complex)
-    k = len(phase)
+    k = phase.shape[-1]
+    rows = phase.reshape(1 if phase.ndim == 1 else len(phase), k)
     eps = np.finfo(float).eps
-    p0 = complex(phase[0]) if k else 1.0
-    deviation = abs(abs(p0) - 1.0)
+    firsts = rows[:, 0].tolist() if k else [1.0] * len(rows)
+    moduli = [abs(abs(p0) - 1.0) for p0 in firsts]
     if k > 1:
-        a = cmath.phase(complex(phase[1]) * p0.conjugate())
-        a += cmath.phase(complex(phase[-1]) * p0.conjugate()
-                         * cmath.exp(-1j * a * (k - 1))) / (k - 1)
-        gap = float(np.abs(phase - p0 * np.exp(1j * a * np.arange(k))).max())
-        deviation += gap + eps * (abs(a) * (k - 1) / 2 + 4)
-    return deviation, 64 * k * eps
+        steps = []
+        for p0, p1, last in zip(firsts, rows[:, 1].tolist(),
+                                rows[:, -1].tolist()):
+            a = cmath.phase(p1 * p0.conjugate())
+            steps.append(a + cmath.phase(last * p0.conjugate() * cmath.exp(
+                -1j * a * (k - 1))) / (k - 1))
+        gaps = np.abs(rows - rows[:, :1] * np.exp(
+            1j * np.array(steps)[:, None] * np.arange(k))).max(axis=-1)
+        moduli = [modulus + (gap + eps * (abs(a) * (k - 1) / 2 + 4))
+                  for modulus, gap, a in zip(moduli, gaps.tolist(), steps)]
+    deviation = moduli[0] if phase.ndim == 1 else np.array(moduli)
+    allowance = 64 * k * eps
+    return deviation, allowance
 
 
 def shift_covariance(phase, E: ToeplitzBlock, sampled, B, shift, h,
@@ -356,7 +418,7 @@ def shift_covariance(phase, E: ToeplitzBlock, sampled, B, shift, h,
     shifted = B.shifted(shift)
     target = sampled(shifted)
     residual, bound = E.conjugation_defect(phase, target).certified_norm(
-        tol, lambda: diag_conjugate(phase, E.dense()) - target.dense())
+        tol, lambda _: diag_conjugate(phase, E.dense()) - target.dense())
     steps = shift / h
     return {"residual": residual, "upper_bound": bound,
             "exact_path": (abs(steps - round(steps)) < 1e-9

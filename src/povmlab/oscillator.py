@@ -6,12 +6,14 @@ have closed-form entries, and because N is diagonal while the effects are
 Toeplitz, all covariance identities of this module are entrywise exact
 under truncation; residuals below are pure rounding.  An arc effect is
 kept as a ``ToeplitzBlock``, as the relativistic and lattice effects are,
-so its covariance defect, a partition sum and its thermal covariance
-defect are certified from one FFT of a generator of length 2d.  The
+and a sequence of regions gives the stack of their effects from one call.
+So the covariance defects of all the draws of a check, a partition sum
+and the thermal covariance defects of all the samples of one beta are
+each certified from one FFT of a stack of generators of length 2d.  The
 thermal check reads the modular flow of the Gibbs state as the diagonal
 phase of the triple's own density; ``dense()`` forms the matrix for the
 Naimark dilation and the dense fallbacks (the SVD, and the dense modular
-flow).
+flow), for the members whose bound does not settle the check.
 
 Arc convention: angles in [-pi, pi), half-open arcs, arg valued in
 [-pi, pi).
@@ -24,7 +26,7 @@ import numpy as np
 from .operators import (DEFAULT_TOL, NotGeometric, ToeplitzBlock,
                         diag_conjugate, funcalc, opnorm)
 from .modular import build_modular
-from .regions import RegionSet
+from .regions import region_list
 
 
 def number_operator(d: int) -> np.ndarray:
@@ -47,32 +49,44 @@ def gibbs(beta: float, d: int) -> np.ndarray:
     return np.diag(w / w.sum()).astype(complex)
 
 
-def phase_effect(B: RegionSet, d: int) -> ToeplitzBlock:
+def phase_effect(B, d: int) -> ToeplitzBlock:
     """Arc effect with entries (E_B)_{mn} = c_B(n-m), where c_B(k) =
-    (1/2pi) int_B e^{ik theta}, kept as a ``ToeplitzBlock`` of size d.
+    (1/2pi) int_B e^{ik theta}, kept as a ``ToeplitzBlock`` of size d; for
+    a sequence of regions, the stack of their effects, whose generators
+    are each region's own bit for bit.
 
     Closed form per arc [a, b): c_B(0) = (b-a)/2pi and c_B(k) =
     (e^{ik b} - e^{ik a}) / (2 pi i k), summed over arcs.  The generator
     has length 2d and holds c_B(-r) at r mod 2d for |r| < d; entry d is 0.
+    The coefficients of every arc of every region are computed at once,
+    in the generator's order, and each region's arcs are added into its
+    row in turn.
     """
-    if B.domain != "circle":
+    regions, one = region_list(B)
+    if any(R.domain != "circle" for R in regions):
         raise ValueError("phase effects are defined on the circle")
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
-    k = np.arange(1 - d, d)
-    c = np.zeros(2 * d, dtype=complex)
-    for a, b in B.cells:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = (np.exp(1j * k * b) - np.exp(1j * k * a)) / (2j * np.pi * k)
-        coef[d - 1] = (b - a) / (2 * np.pi)          # k = 0
-        c[-k % (2 * d)] += coef
-    return ToeplitzBlock(c, d)
+    a, b = np.array([end for R in regions for cell in R.cells for end in cell],
+                    dtype=float).reshape(-1, 2, 1).transpose(1, 0, 2)
+    entry = np.arange(2 * d)
+    k = np.where(entry < d, -entry, 2 * d - entry)    # c_B(k) sits at -k mod 2d
+    coef = np.exp(1j * k * b)
+    coef -= np.exp(1j * k * a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef /= 2j * np.pi * k
+    coef[:, 0] = (b - a)[:, 0] / (2 * np.pi)          # k = 0
+    coef[:, d] = 0.0                                  # no offset of the block
+    c = np.zeros((len(regions), 2 * d), dtype=complex)
+    np.add.at(c, np.repeat(np.arange(len(regions)),
+                           [len(R.cells) for R in regions]), coef)
+    return ToeplitzBlock(c[0] if one else c, d)
 
 
-def covariance_residual(d: int, t: float, B: RegionSet,
-                        tol: float = DEFAULT_TOL) -> dict:
+def covariance_residual(d: int, t, B, tol: float = DEFAULT_TOL) -> dict:
     """|| e^{-itN} E_B e^{itN} - E_{rot_t B} ||, both sides in closed form,
-    and whether it is a certified bound.
+    and whether it is a certified bound; for equal-length sequences t and
+    B of draws, those of the draw with the largest residual.
 
     N is diagonal and E_B Toeplitz, so the defect is the Toeplitz block
     ``conjugation_defect`` with phase e^{-itn}; its generator's bound is
@@ -83,12 +97,41 @@ def covariance_residual(d: int, t: float, B: RegionSet,
     |t| ~ 200 it would exceed the rounding allowance of
     ``conjugation_defect``'s geometric check.  The reduction is exact and
     leaves a t in [-pi, pi] unchanged.
+
+    The draws are one stack: their effects, their targets and their
+    defects are each one stacked block, bounded from one FFT, and only the
+    draws whose bound exceeds tol form their dense defect.
     """
-    phase = np.exp(-1j * math.remainder(t, 2 * np.pi) * np.arange(d))
-    E, target = phase_effect(B, d), phase_effect(B.shifted(t), d)
+    regions = region_list(B)[0]
+    ts = np.atleast_1d(t)
+    if len(ts) != len(regions):
+        raise ValueError(f"t and B need one entry per draw, got {len(ts)} "
+                         f"and {len(regions)}")
+    phase = np.exp(-1j * np.array([math.remainder(s, 2 * np.pi) for s in ts])
+                   [:, None] * np.arange(d))
+    E, target = _effects_and_targets(
+        regions, [R.shifted(s) for R, s in zip(regions, ts)], d)
+
+    def dense(members):
+        return (diag_conjugate(phase[members], E.take(members).dense())
+                - target.take(members).dense())
+
     residual, bound = E.conjugation_defect(phase, target).certified_norm(
-        tol, lambda: diag_conjugate(phase, E.dense()) - target.dense())
-    return {"residual": residual, "upper_bound": bound}
+        tol, dense)
+    return _worst(residual, bound)
+
+
+def _effects_and_targets(regions, targets, d: int) -> tuple:
+    """The stacks of the effects of ``regions`` and of ``targets``, of
+    equal length, from one ``phase_effect`` call."""
+    both = phase_effect(regions + targets, d)
+    return both.take(slice(len(regions))), both.take(slice(len(regions), None))
+
+
+def _worst(residual, bound) -> dict:
+    """The residual and flag of the first draw with the largest residual."""
+    i = int(np.argmax(residual))
+    return {"residual": float(residual[i]), "upper_bound": bool(bound[i])}
 
 
 def toeplitz_arg(d: int) -> np.ndarray:
@@ -162,27 +205,30 @@ def thermal_covariance_residual(beta: float, d: int, samples,
     identity entrywise exact.
 
     T^{-it} is read as a diagonal phase from the triple's own density
-    (``ModularTriple.flow_phase``), never from N and beta, so the defect
-    is the Toeplitz block ``conjugation_defect``; its bound is reported
-    when it is at most tol (``upper_bound`` True), else the SVD norm of the
-    dense ``triple.flow`` defect.  A phase that ``conjugation_defect``
-    refuses as not geometric within rounding (``NotGeometric``), as a
-    non-Gibbs density's is, takes the dense path directly.
+    (``ModularTriple.flow_phase``, one row per sample), never from N and
+    beta, so the defects are one stack of Toeplitz blocks
+    (``conjugation_defect``), bounded from one FFT: a sample's bound is
+    reported when it is at most tol (``upper_bound`` True), else the SVD
+    norm of its dense ``triple.flow`` defect.  When ``conjugation_defect``
+    refuses the stack because a phase is not geometric within rounding
+    (``NotGeometric``), as a non-Gibbs density's phases are, every sample
+    takes the dense path.
     """
     if beta * d > 20:
         raise ValueError("conditioning guard: beta*d must be <= 20")
     triple = build_modular(gibbs(beta, d))
-    outs = []
-    for t, B in samples:
-        E, target = phase_effect(B, d), phase_effect(B.shifted(-beta * t), d)
+    ts = np.array([t for t, _ in samples], dtype=float)
+    E, target = _effects_and_targets(
+        [B for _, B in samples], [B.shifted(-beta * t) for t, B in samples], d)
 
-        def dense(t=t, E=E, target=target):
-            return triple.flow(t, E.dense()) - target.dense()
+    def dense(members):
+        flowed = [triple.flow(ts[i], X)
+                  for i, X in zip(members, E.take(members).dense())]
+        return np.stack(flowed) - target.take(members).dense()
 
-        try:
-            residual, bound = E.conjugation_defect(
-                triple.flow_phase(t), target).certified_norm(tol, dense)
-        except NotGeometric:
-            residual, bound = opnorm(dense()), False
-        outs.append({"residual": residual, "upper_bound": bound})
-    return max(outs, key=lambda out: out["residual"])
+    try:
+        residual, bound = E.conjugation_defect(
+            triple.flow_phase(ts), target).certified_norm(tol, dense)
+    except NotGeometric:
+        residual, bound = opnorm(dense(range(len(ts)))), np.zeros(len(ts), bool)
+    return _worst(residual, bound)

@@ -8,17 +8,19 @@ and the moment POVM of a contraction obtained from a circular unitary
 dilation U of 2M blocks.  For a scalar t the spectrum of U is in closed
 form: its eigenvalues are the 2M roots of
 lambda^{2M} - t lambda^{2M-1} - conj(t) lambda + 1, one in each of 2M
-equal arcs when |t| < 1, found all at once by bracketed Newton steps, and
-the block-0 weight of a root is s^2 / (s^2 + (2M - 1) |lambda - t|^2) with
-s^2 = 1 - |t|^2; a unitary t keeps weight 1 on itself.  Every root and
+equal arcs when |t| < 1, as a monotone phase certifies, found all at once
+by bracketed Newton steps, and the block-0 weight of a root is
+s^2 / (s^2 + (2M - 1) |lambda - t|^2) with s^2 = 1 - |t|^2; a unitary t
+keeps weight 1 on itself.  Every root and
 weight is certified by the residual of an explicit eigenvector, and when
 the certificate fails, as for any T of size d >= 2, U is diagonalised
 densely by one solve and one ``eigh`` of a Hermitian Cayley transform
 i (z - U)^{-1} (z + U), at the first point z = e^{i alpha} of a fixed
 candidate set whose Cayley eigenvalues place it at least pi / (4N) from
 the spectrum (N the size of U), accepted only after every eigenvector
-residual is checked.  Either spectral measure is binned in one pass.  The
-module needs numpy alone.
+residual is checked.  Either spectral measure is binned in one pass; for
+a scalar the binned effects are one weighted count and the moments one
+matrix-vector product.  The module needs numpy alone.
 """
 
 from dataclasses import dataclass
@@ -286,10 +288,18 @@ def _scalar_spectrum(t: complex, s: float, M: int):
     of p(lambda) = lambda^K - t lambda^{K-1} - conj(t) lambda + 1, and
     |p(e^{i theta})| = 2 |g(theta)| with
     g(theta) = cos(M theta) - |t| cos((M - 1) theta + arg t).
-    - s > 0: g has the strict sign (-1)^{M+j} at each arc end
-      -pi + pi j / M, so each of the K arcs holds exactly one simple root,
-      which ``_arc_roots`` finds.  Each v_0 above makes one row exact and
-      leaves the residual |p(lambda)| / sqrt(D) in the other, with
+    - s > 0: p(e^{ix}) = 0 where the increasing phase
+      Phi(x) = K x + 2 h(x), h(x) = atan2(|t| sin(x - arg t),
+      1 - |t| cos(x - arg t)), is pi modulo 2 pi.  Over each of the K arcs
+      [lo_j, lo_j + pi / M), lo_j = -pi + pi j / M, Phi rises by 2 pi, and
+      |h| <= arcsin |t|, so Phi - pi - K lo_j runs from 2 h - pi < 0 to
+      pi + 2 h > 0 and stays at least 2 arccos |t| from 0 at both ends:
+      each arc holds exactly one simple root, at which g changes sign from
+      (-1)^{M+j}, and ``_arc_roots`` finds it from g.  The arcs are
+      certified when that margin exceeds the rounding of the arc ends, so
+      a root on an arc end, where g's own sign is lost in rounding, is
+      found too.  Each v_0 above makes one row exact and leaves the
+      residual |p(lambda)| / sqrt(D) in the other, with
       D = s^2 + (K-1) |lambda - t|^2 or |lambda^{K-1} - conj t|^2 + (K-1) s^2;
       the larger D is taken, and the weight is |v_0|^2 / |v|^2, that is,
       s^2 / D or |lambda^{K-1} - conj t|^2 / D.  At a root close to t with
@@ -297,29 +307,39 @@ def _scalar_spectrum(t: complex, s: float, M: int):
     - s = 0: U e_0 = t e_0 with weight 1, and the other K - 1 eigenphases
       are the roots of lambda^{K-1} = conj t, with weight 0 and residual
       |lambda^{K-1} - conj t| / sqrt(K - 1).
+    For s > 0 every angle is taken as y = theta - arg t, and M theta by
+    angle addition from one sine and one cosine of M arg t, so that near t
+    the roots, g and the factors |lambda - t| and |lambda^{K-1} - conj t|
+    keep their relative accuracy (a pair of roots split by ~2 s / sqrt(K)
+    about a near-unitary t, or one on an arc end when t^K = 1, is resolved).
     Every residual is bounded with g's rounding allowance (and with
     |s^2 + |t|^2 - 1|, by which p may differ from U's characteristic
     polynomial) and must be at most NUMERIC_TOL, as ``_unitary_eigh``
-    requires of its eigenvectors.  None is returned when an arc-end value
-    of g is not signed beyond that allowance, a residual bound exceeds
+    requires of its eigenvectors.  None is returned when the margin of Phi
+    at the arc ends is within their rounding, a residual bound exceeds
     NUMERIC_TOL or a weight is non-finite.
     """
     K = 2 * M
     r, phi = abs(t), float(np.angle(t))
-    allowance = 8 * (M + 1) * np.finfo(float).eps   # of g, and of lambda^{K-1}
+    eps = np.finfo(float).eps
+    allowance = 8 * (M + 1) * eps                   # of lambda^{K-1}
 
-    # g as (1 - |t|) cos(a) - 2 |t| sin(a - v) sin(v), a = M x and
-    # v = (x - arg t) / 2, with 1 - |t| = s^2 / (1 + |t|): no cancellation
-    # at a root close to t when |t| is close to 1
+    # g as (1 - |t|) cos(a) - 2 |t| sin(a - v) sin(v), a = M theta and
+    # v = y / 2, with 1 - |t| = s^2 / (1 + |t|): no cancellation at a root
+    # close to t when |t| is close to 1
     c = s * s / (1 + r)
+    sin_m, cos_m = np.sin(M * phi), np.cos(M * phi)
 
-    def g(x):
-        a, v = M * x, (x - phi) / 2
-        sin_u, cos_u, sin_v, cos_v = (np.sin(a - v), np.cos(a - v),
-                                      np.sin(v), np.cos(v))
-        return (c * np.cos(a) - 2 * r * sin_u * sin_v,
-                -M * c * np.sin(a)
-                - r * ((2 * M - 1) * cos_u * sin_v + sin_u * cos_v))
+    def g(y):
+        v, u = y / 2, M * y - y / 2         # a - v = M arg t + u
+        sin_a = sin_m * np.cos(M * y) + cos_m * np.sin(M * y)
+        cos_a = cos_m * np.cos(M * y) - sin_m * np.sin(M * y)
+        sin_u = sin_m * np.cos(u) + cos_m * np.sin(u)
+        cos_u = cos_m * np.cos(u) - sin_m * np.sin(u)
+        sin_v, cos_v = np.sin(v), np.cos(v)
+        return (c * cos_a - 2 * r * sin_u * sin_v,
+                -M * c * sin_a
+                - r * ((2 * M - 1) * cos_u * sin_v + sin_u * cos_v), sin_u)
 
     if s == 0.0:
         shift = np.angle(np.exp(1j * (2 * np.pi * np.arange(K - 1) - phi)
@@ -329,30 +349,44 @@ def _scalar_spectrum(t: complex, s: float, M: int):
         residual = ((np.abs(np.exp(1j * (K - 1) * shift) - np.conj(t))
                      + allowance) / np.sqrt(K - 1))
     else:
-        ends = -np.pi + np.pi * np.arange(K + 1) / M
-        sign = 1.0 - 2.0 * ((M + np.arange(K + 1)) % 2)
-        if not (sign * g(ends)[0] > allowance).all():
+        # g is (|t| + c) times the g of a scalar of modulus |t| / (|t| + c),
+        # so the margin of its phase at the arc ends is
+        # 2 arccos(|t| / (|t| + c)); K times an arc length rounds by at
+        # most 4 pi K eps
+        margin = 2 * np.arctan2(np.sqrt(c * (2 * r + c)), r)
+        if not margin > 4 * np.pi * (K + 4) * eps:
             return None
+        ends = -np.pi + np.pi * np.arange(K + 1) / M - phi
+        sign = 1.0 - 2.0 * ((M + np.arange(K)) % 2)
         lo = ends[:-1]
         # start from one Newton step, from the midpoint or, in its own arc,
-        # from arg t, on the increasing phase
-        # Phi(x) = K x + 2 atan2(|t| sin(x - arg t), 1 - |t| cos(x - arg t)),
+        # from y = 0, on the increasing phase
+        # Phi = K theta + 2 atan2(|t| sin y, 1 - |t| cos y),
         # which is pi + K lo_j at the root in arc j and has the slope
-        # (K - 1) + s^2 / |e^{ix} - t|^2
-        x = lo + np.pi / K
-        x[min(int((phi + np.pi) * M / np.pi), K - 1)] = phi
-        h = np.arctan2(r * np.sin(x - phi), 1 - r * np.cos(x - phi))
-        x -= ((K * (x - lo) - np.pi + 2 * h)
-              / ((K - 1) + s * s / np.abs(np.exp(1j * x) - t) ** 2))
-        thetas = _arc_roots(g, lo, ends[1:], sign[:-1], x)
-        # |v_0|^2 and |v|^2 of the two explicit eigenvectors, scaled
+        # (K - 1) + s^2 / |e^{iy} - |t||^2
+        y = lo + np.pi / K
+        y[min(int((phi + np.pi) * M / np.pi), K - 1)] = 0.0
+        h = np.arctan2(r * np.sin(y), 1 - r * np.cos(y))
+        y -= ((K * (y - lo) - np.pi + 2 * h)
+              / ((K - 1) + s * s / np.abs(np.exp(1j * y) - r) ** 2))
+        y = _arc_roots(lambda y: g(y)[:2], lo, ends[1:], sign, y)
+        thetas = y + phi
+        value, _, sin_u = g(y)
+        # |v_0|^2 and |v|^2 of the two explicit eigenvectors, scaled, from
+        # |e^{ia} - |t||^2 = (1 - |t|)^2 + 4 |t| sin(a / 2)^2 at a = y and
+        # at a = (K - 1) theta + arg t = 2 (M theta - v)
         top_a = s * s
-        norm_a = top_a + (K - 1) * np.abs(np.exp(1j * thetas) - t) ** 2
-        top_b = np.abs(np.exp(1j * (K - 1) * thetas) - np.conj(t)) ** 2
+        norm_a = top_a + (K - 1) * (c * c + 4 * r * np.sin(y / 2) ** 2)
+        top_b = c * c + 4 * r * sin_u ** 2
         norm_b = top_b + (K - 1) * s * s
         weights = np.where(norm_a >= norm_b, top_a / norm_a, top_b / norm_b)
-        slack = allowance + abs(r * r + s * s - 1)
-        residual = (2 * (np.abs(g(thetas)[0]) + slack)
+        # g's rounding scales with the angles M y and with its two terms;
+        # arg t and M arg t round by eps |arg t| / 2 each, which moves p by
+        # at most twice as much
+        slack = (8 * eps * (M * np.abs(y) + 4)
+                 * (c + 2 * r * np.abs(np.sin(y / 2)))
+                 + 2 * eps * abs(phi) + abs(r * r + s * s - 1))
+        residual = (2 * (np.abs(value) + slack)
                     / np.sqrt(np.maximum(norm_a, norm_b)))
     if not (residual.max() <= NUMERIC_TOL and np.isfinite(weights).all()):
         return None
@@ -388,12 +422,14 @@ def contraction_moment_povm(T, M: int, cells: int):
     1 x 1 T = [[t]] it is in closed form (``_scalar_spectrum``): with
     K = 2M, the eigenvalues are the roots of
     lambda^K - t lambda^{K-1} - conj(t) lambda + 1, one per arc of 2 pi / K
-    when |t| < 1, found by bracketed Newton steps, and the block-0 weight
+    when |t| < 1, bracketed by a monotone phase and found by Newton steps,
+    and the block-0 weight
     of a root is s^2 / (s^2 + (K-1) |lambda - t|^2) with s^2 = 1 - |t|^2; a
     unitary t keeps weight 1 on itself.  Each eigenpair is certified by the
     residual of its explicit eigenvector, at most NUMERIC_TOL.  When that
-    certificate fails (an arc end does not bracket a root beyond rounding,
-    a residual is too large or a weight is not finite), and for every T of
+    certificate fails (the phase's margin at the arc ends is within
+    rounding, a residual is too large or a weight is not finite), and for
+    every T of
     size d >= 2, U is built densely and diagonalised by ``_unitary_eigh``
     (one solve and one ``eigh`` of a Cayley transform of U, accepted only
     after checking every eigenvector residual against NUMERIC_TOL).  The
@@ -402,7 +438,11 @@ def contraction_moment_povm(T, M: int, cells: int):
     forms every effect; a phase within _EPS below pi is binned as -pi, and
     the moments keep the phase itself.  Returns the binned DiscretePOVM together with a
     MomentReport; the unbinned moments are certified for n = 0..M-1, all M
-    residuals from one stack of powers and one batched SVD.
+    residuals from one stack of powers and one batched SVD.  For a 1 x 1 T
+    the point masses are the weights w_j: the cell masses and 1 x 1
+    effects are one ``np.bincount`` of w over the cells, and the moments
+    one matrix-vector product e^{i n theta_j} w with residuals
+    |moment_n - t^n|.
     """
     T = as_operator(T)
     if T.shape[0] != T.shape[1] or T.size == 0:
@@ -422,24 +462,36 @@ def contraction_moment_povm(T, M: int, cells: int):
     thetas, binned = thetas[order], binned[order]
     P0V = P0V[:, order]              # compression of eigenvectors to block 0
 
-    # moment n of the unbinned compressed point masses F_j = P0 v_j v_j* P0
-    # against T^n, for every n at once
-    phases = np.exp(1j * np.outer(np.arange(M), thetas))
-    moments = np.einsum("in,kn,jn->kij", P0V, phases, P0V.conj())
-    powers = np.empty((M, d, d), dtype=complex)
-    powers[0] = np.eye(d)
-    for n in range(1, M):
-        powers[n] = powers[n - 1] @ T
-    residuals = np.linalg.norm(moments - powers, 2, axis=(-2, -1))
-
     # half-open cells with ends moved down by _EPS, as in RegionSet.indicator:
     # a phase on an edge, up to rounding, goes with the cell it starts
     regions = _equal_arcs(cells)
     edges = np.array([region.cells[0][0] for region in regions]) - _EPS
     cell = np.searchsorted(edges, binned, side="right") - 1
-    B = np.zeros((cells, d, len(cell)), dtype=complex)  # P0V split by cell
-    B[cell, :, np.arange(len(cell))] = P0V.T
-    effects = B @ adjoint(P0V)
+
+    # moment n of the unbinned compressed point masses F_j = P0 v_j v_j* P0
+    # against T^n, for every n at once
+    if d == 1:
+        # the point masses are the weights w_j = |P0 v_j|^2: the moments are
+        # one matrix-vector product of the powers e^{i n theta_j}, taken by
+        # repeated products (each rounds by at most n eps), with w, and
+        # the effects one weighted count per cell
+        w = (P0V[0] * P0V[0].conj()).real
+        phases = np.ones((M, len(thetas)), dtype=complex)
+        phases[1:] = np.exp(1j * thetas)
+        powers = np.cumprod(np.append(1.0, np.full(M - 1, T[0, 0])))
+        residuals = np.abs(np.cumprod(phases, axis=0) @ w - powers)
+        effects = np.bincount(cell, w, minlength=cells)[:, None, None]
+    else:
+        phases = np.exp(1j * np.outer(np.arange(M), thetas))
+        moments = np.einsum("in,kn,jn->kij", P0V, phases, P0V.conj())
+        powers = np.empty((M, d, d), dtype=complex)
+        powers[0] = np.eye(d)
+        for n in range(1, M):
+            powers[n] = powers[n - 1] @ T
+        residuals = np.linalg.norm(moments - powers, 2, axis=(-2, -1))
+        B = np.zeros((cells, d, len(cell)), dtype=complex)  # P0V by cell
+        B[cell, :, np.arange(len(cell))] = P0V.T
+        effects = B @ adjoint(P0V)
     povm = DiscretePOVM(regions=list(regions), effects=effects)
     report = MomentReport(moment_residuals=residuals,
                           cell_masses=np.einsum("cii->c", effects).real / d)

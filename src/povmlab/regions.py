@@ -125,3 +125,12 @@ def equal_partition(like: RegionSet, k: int):
 
 def circle_full() -> RegionSet:
     return RegionSet.circle([(-math.pi, math.pi)])
+
+
+def region_list(B) -> tuple:
+    """(the regions of B as a list, whether B is a single RegionSet): the
+    model constructors take one region, or a sequence of them for a stack
+    of effects."""
+    if isinstance(B, RegionSet):
+        return [B], True
+    return list(B), False

@@ -26,7 +26,7 @@ import numpy as np
 
 from .operators import (DEFAULT_TOL, NUMERIC_TOL, ToeplitzBlock, adjoint,
                         circulant, shift_covariance)
-from .regions import RegionSet
+from .regions import RegionSet, region_list
 
 
 @dataclass(frozen=True)
@@ -179,14 +179,17 @@ def boundary_isometry_check(model: HardyModel, f, ys) -> dict:
     }
 
 
-def _sampled_effect(model: HardyModel, B: RegionSet) -> ToeplitzBlock:
+def _sampled_effect(model: HardyModel, B) -> ToeplitzBlock:
     """P_+ 1_B(X) P_+ on the Hardy basis with the indicator of B sampled at
     the grid points; agrees with ``rel_effect`` on aligned regions.  In the
     Fourier basis 1_B(X) is a circulant and the Hardy modes are its first
     n/2 basis vectors, so the effect is its leading n/2 x n/2 block, kept
-    as the circulant's generator."""
-    c = np.fft.fft(B.indicator(model.grid.x)) / model.grid.n
-    return ToeplitzBlock(c, model.dim)
+    as the circulant's generator.  For a sequence of regions, the stack of
+    their effects from one FFT along the rows."""
+    regions, one = region_list(B)
+    c = np.fft.fft([R.indicator(model.grid.x) for R in regions],
+                   axis=-1) / model.grid.n
+    return ToeplitzBlock(c[0] if one else c, model.dim)
 
 
 def _sampled_apply(model: HardyModel, B: RegionSet, v) -> np.ndarray:
@@ -208,18 +211,22 @@ def _aligned(model: HardyModel, B: RegionSet) -> RegionSet:
     return B
 
 
-def rel_effect(model: HardyModel, B: RegionSet) -> ToeplitzBlock:
+def rel_effect(model: HardyModel, B) -> ToeplitzBlock:
     """Position-band effect P_+ 1_B(X) P_+ compressed to the Hardy basis,
     as a ``ToeplitzBlock``: the circulant's spectrum is the sampled
     indicator, so its norm and spectrum bounds certify a sum of effects or
     an effect's range from one FFT, and ``dense()`` forms the matrix for
-    the SVD or ``is_effect`` when a bound does not settle a check.
+    the SVD or ``is_effect`` when a bound does not settle a check.  For a
+    sequence of regions, the stack of their effects, each member bit for
+    bit the effect of its region alone.
 
     B must be a union of grid-aligned cells [x_j, x_j + h); non-aligned
     sets are refused (the interpolation path is only taken by the
     covariance checker, which reports its error).
     """
-    return _sampled_effect(model, _aligned(model, B))
+    for R in region_list(B)[0]:
+        _aligned(model, R)
+    return _sampled_effect(model, B)
 
 
 def rel_effect_apply(model: HardyModel, B: RegionSet, v) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .operators import (DEFAULT_TOL, ToeplitzBlock, diag_conjugate, opnorm,
                         shift_covariance)
-from .regions import RegionSet
+from .regions import RegionSet, region_list
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ class MellinLattice:
         """f(Q) = Phi diag(f(q)) Phi* with Phi[l, k] = e^{i q_k u_l} /
         sqrt(m), a circulant kept as its generator, or its leading k x k
         block; ifftshift moves q = 0 (mid-array) first."""
-        return ToeplitzBlock(np.fft.ifft(np.fft.ifftshift(values)),
-                             self.m if k is None else k)
+        return ToeplitzBlock(np.fft.ifft(np.fft.ifftshift(values, axes=-1),
+                                         axis=-1), self.m if k is None else k)
 
     @cached_property
     def positive_sites(self) -> np.ndarray:
@@ -237,32 +237,37 @@ def htau_norm(a: SymbolRep, x_length: float) -> float:
                                      + np.sum(np.abs(a.a0_neg) ** 2))))
 
 
-def indicator_Q(lat: MellinLattice, B: RegionSet, k: int = None) -> ToeplitzBlock:
+def indicator_Q(lat: MellinLattice, B, k: int = None) -> ToeplitzBlock:
     """1_B(Q) on one channel, a projection finitely additive in B, or its
-    leading k x k block, kept as its generator."""
-    if abs(B.period - lat.x_length) > 1e-9:
+    leading k x k block, kept as its generator; for a sequence of regions,
+    the stack of theirs."""
+    regions, one = region_list(B)
+    if any(abs(R.period - lat.x_length) > 1e-9 for R in regions):
         raise ValueError("region must live on the Q-spectral circle")
-    return lat.spectral_multiplier_Q(B.indicator(lat.q), k)
+    values = np.array([R.indicator(lat.q) for R in regions])
+    return lat.spectral_multiplier_Q(values[0] if one else values, k)
 
 
-def _compressed_indicator(lat: MellinLattice, B: RegionSet) -> ToeplitzBlock:
+def _compressed_indicator(lat: MellinLattice, B) -> ToeplitzBlock:
     """1_B(Q) compressed to the sites with u >= 0.  They are a suffix of
     the lattice, and every diagonal block of a circulant on consecutive
     sites is its leading block of that size."""
     return indicator_Q(lat, B, len(lat.positive_sites))
 
 
-def nc_effect(lat: MellinLattice, B: RegionSet) -> ToeplitzBlock:
+def nc_effect(lat: MellinLattice, B) -> ToeplitzBlock:
     """Effect 1_{R+}(P) 1_B(Q) 1_{R+}(P) compressed to the range of the
     half-line projection, on one channel (both carry the same effect).
     It is the leading block of the circulant 1_B(Q) on the sites u >= 0,
     kept as a ``ToeplitzBlock``: its norm and spectrum bounds certify a
     sum of effects from one FFT, and ``dense()`` forms the matrix for the
-    SVD when a bound does not settle a check.
+    SVD when a bound does not settle a check.  For a sequence of regions,
+    the stack of their effects, each member bit for bit the effect of its
+    region alone.
 
     B must be aligned to the Q-spectral cells [q_k, q_k + dual_spacing).
     """
-    if not B.is_aligned(lat.dual_spacing):
+    if not all(R.is_aligned(lat.dual_spacing) for R in region_list(B)[0]):
         raise ValueError("region is not aligned to the Q-spectral cells")
     return _compressed_indicator(lat, B)
 

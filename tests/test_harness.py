@@ -314,14 +314,12 @@ def test_identity_defect_is_the_dense_sum_minus_identity():
     model = relativistic.HardyModel(relativistic.CircleGrid(384, 8 * np.pi))
     lat = weylnc.MellinLattice(36, 0.3, -6.0)    # k = 16 < m/2
     for effects in (
-            [relativistic.rel_effect(model, B) for B in regions.equal_partition(
-                regions.RegionSet.line([], length=model.grid.L), 4)],
-            [weylnc.nc_effect(lat, B)
-             for B in regions.equal_partition(lat.q_region([]), 4)],
-            [oscillator.phase_effect(B, 12) for B in regions.equal_partition(
-                regions.circle_full(), 6)]):
-        dim = effects[0].k
-        dense = sum(E.dense() for E in effects) - np.eye(dim)
+            relativistic.rel_effect(model, regions.equal_partition(
+                regions.RegionSet.line([], length=model.grid.L), 4)),
+            weylnc.nc_effect(lat, regions.equal_partition(lat.q_region([]), 4)),
+            oscillator.phase_effect(regions.equal_partition(
+                regions.circle_full(), 6), 12)):
+        dense = sum(effects.dense()) - np.eye(effects.k)
         assert np.array_equal(_identity_defect(effects).dense(), dense)
 
 
@@ -330,9 +328,10 @@ def _case(report, name):
     return case
 
 
-def _perturbed(E, entry=1, by=1e-11):
+def _perturbed(E, entry=1, by=1e-11, member=None):
+    """E with one generator entry moved, in the given member of a stack."""
     c = E.c.copy()
-    c[entry] += by
+    c[entry if member is None else (member, entry)] += by
     return operators.ToeplitzBlock(c, E.k)
 
 
@@ -343,20 +342,21 @@ def _perturbed(E, entry=1, by=1e-11):
 def test_perturbed_sum_fails_through_the_dense_fallback(monkeypatch, suite,
                                                         module, make,
                                                         case):
-    # one off-diagonal generator entry of the second effect moved by 1e-11
+    # one off-diagonal generator entry of the second effect of the stack
+    # moved by 1e-11
     real, built = getattr(module, make), []
 
     def perturbed(*args):
         E = real(*args)
-        built.append(_perturbed(E) if len(built) == 1 else E)
+        built.append(E if E.c.ndim == 1 else _perturbed(E, member=1))
         return built[-1]
 
     monkeypatch.setattr(module, make, perturbed)
     record = _case(run_suite(SuiteConfig(suite=suite)), case)
-    effects = built[:4]
+    (effects,) = [E for E in built if E.c.ndim == 2]
     assert not record["pass"] and "upper_bound" not in record
-    assert record["residual"] == opnorm(sum(E.dense() for E in effects)
-                                        - np.eye(effects[0].k))
+    assert record["residual"] == opnorm(sum(effects.dense())
+                                        - np.eye(effects.k))
     assert record["residual"] > 0.5e-11
 
 
@@ -461,17 +461,21 @@ def test_wrong_twist_sign_fails_through_the_dense_fallback(monkeypatch):
 @pytest.mark.parametrize("mutation", ["scaled", "skewed"])
 def test_effect_outside_the_unit_interval_fails_through_is_effect(
         monkeypatch, mutation):
-    # one effect scaled so that its enclosure reaches 1 + 1e-9, or given
-    # the anti-Hermitian part 1e-9 i I, which leaves the enclosure alone
+    # the first effect of the partition's stack scaled so that its
+    # enclosure reaches 1 + 1e-9, or given the anti-Hermitian part 1e-9 i I,
+    # which leaves the enclosure alone; only that member forms its dense
+    # block for is_effect
     real, seen = relativistic.rel_effect, []
 
     def scaled(model, B):
         E = real(model, B)
-        if B.cells[0][0] != 0.0:
+        if isinstance(B, regions.RegionSet):
             return E
         if mutation == "skewed":
-            return _perturbed(E, 0, 1e-9j)
-        return operators.ToeplitzBlock((1 + 1e-9) * E.c, E.k)
+            return _perturbed(E, 0, 1e-9j, member=0)
+        c = E.c.copy()
+        c[0] *= 1 + 1e-9
+        return operators.ToeplitzBlock(c, E.k)
 
     def spy(A, tol=operators.DEFAULT_TOL):
         seen.append(A.shape)
@@ -479,12 +483,14 @@ def test_effect_outside_the_unit_interval_fails_through_is_effect(
 
     monkeypatch.setattr(relativistic, "rel_effect", scaled)
     monkeypatch.setattr(harness, "is_effect", spy)
-    model, B = _harness_rel_model()
-    lo, hi, skew = scaled(model, B).spectrum_bounds()
-    assert hi > 1 + 0.5e-9 if mutation == "scaled" else skew > 1e-9
+    model, _ = _harness_rel_model()
+    lo, hi, skew = scaled(model, regions.equal_partition(
+        regions.RegionSet.line([], length=model.grid.L), 4)).spectrum_bounds()
+    assert (hi[0] > 1 + 0.5e-9 if mutation == "scaled" else skew[0] > 1e-9)
+    assert (hi[1:] <= 1 + 1e-10).all() and (skew[1:] <= 1e-10).all()
     report = run_suite(SuiteConfig(suite="relativistic"))
     assert not _case(report, "rel.povm.effects")["pass"]
-    assert seen == [(model.dim, model.dim)]
+    assert seen == [(1, model.dim, model.dim)]
     monkeypatch.setattr(relativistic, "rel_effect", real)
     report = run_suite(SuiteConfig(suite="relativistic"))
     assert _case(report, "rel.povm.effects")["pass"] and len(seen) == 1
@@ -995,7 +1001,7 @@ def test_covariance_phases_are_geometric_at_the_ci_sizes(monkeypatch, suite,
 
     def spy(phase):
         deviation, allowance = real(phase)
-        seen.append(deviation / allowance)
+        seen.append(np.max(deviation / allowance))
         return deviation, allowance
 
     monkeypatch.setattr(operators, "geometric_deviation", spy)
@@ -1039,3 +1045,61 @@ def test_stacked_harness_draws_equal_the_per_draw_reference():
         roots = [operators.sqrtm_psd(E) for E in q.effects]
         rec = max(opnorm(adjoint(R) @ R - E) for R, E in zip(roots, q.effects))
         assert _case(report, name)["residual"] == rec
+
+
+def _covariance_draws(seed):
+    """The ten (t, B) draws of the oscillator suite's osc.covariance case."""
+    rng = np.random.default_rng(seed + 2)
+    draws = [[float(rng.uniform(lo, hi)) for lo, hi in
+              ((-np.pi, np.pi), (-np.pi, np.pi), (0.1, 2.0))]
+             for _ in range(10)]
+    return [(t, regions.RegionSet.circle([(a, a + w)])) for t, a, w in draws]
+
+
+def test_one_arc_rotated_the_wrong_way_fails_osc_covariance(monkeypatch):
+    # the target of draw 4 of the stacked call rotated by -t: that draw
+    # alone forms its dense defect, which is the case's residual
+    unpatched = run_suite(SuiteConfig(suite="oscillator"))
+    assert all(r["pass"] for r in unpatched["cases"])
+    assert _case(unpatched, "osc.covariance")["upper_bound"] is True
+    real, calls, formed = regions.RegionSet.shifted, [], []
+
+    def shifted(self, t):
+        calls.append(t)
+        return real(self, -t if len(calls) == 5 else t)
+
+    real_conjugate = oscillator.diag_conjugate
+    monkeypatch.setattr(regions.RegionSet, "shifted", shifted)
+    monkeypatch.setattr(oscillator, "diag_conjugate", lambda phase, A: (
+        formed.append(A.shape) or real_conjugate(phase, A)))
+    record = _case(run_suite(SuiteConfig(suite="oscillator")),
+                   "osc.covariance")
+    assert not record["pass"] and "upper_bound" not in record
+    assert formed == [(1, 12, 12)]
+    t, B = _covariance_draws(7)[4]
+    dense = (diag_conjugate(np.exp(-1j * t * np.arange(12)),
+                            closed_form_phase_effect(B, 12))
+             - closed_form_phase_effect(real(B, -t), 12))
+    assert record["residual"] == opnorm(dense) > 0.1
+
+
+def test_wrong_sign_flow_phase_sends_every_thermal_draw_to_the_dense_flow(
+        monkeypatch):
+    # T^{+it} read as the flow's phase: no draw's bound is within tol, so
+    # every draw of each beta takes the dense triple.flow, whose value the
+    # record carries unmarked; the flow itself is right, so the case
+    # passes, and a broken phase can never certify a residual (the
+    # backward-flow witness, which turns the dense flow too, fails it)
+    phase, formed = modular.ModularTriple.flow_phase, []
+    flow = modular.ModularTriple.flow
+    monkeypatch.setattr(modular.ModularTriple, "flow_phase",
+                        lambda self, t: phase(self, -np.asarray(t)))
+    monkeypatch.setattr(modular.ModularTriple, "flow",
+                        lambda self, t, A: formed.append(t) or flow(self, t, A))
+    report = run_suite(SuiteConfig(suite="oscillator"))
+    assert len(formed) == 10
+    for i, beta in enumerate((0.5, 1.0)):
+        record = _thermal_records(report)[i]
+        assert "upper_bound" not in record and record["pass"]
+        assert record["residual"] == _dense_thermal_worst(
+            beta, 12, _thermal_draws(7, i))

@@ -154,7 +154,7 @@ def test_toeplitz_block_certifies_only_within_tol(n):
     assert E.certified_norm(bound) == (bound, True)
     value, certified = E.certified_norm(0.5 * bound)
     assert not certified and value == opnorm(E.dense())
-    assert E.certified_norm(0.5 * bound, lambda: 2 * E.dense()) == (
+    assert E.certified_norm(0.5 * bound, lambda members: 2 * E.dense()) == (
         opnorm(2 * E.dense()), False)
 
 
@@ -426,3 +426,85 @@ def test_geometric_deviation_of_exact_phases_sits_inside_the_allowance(k):
             np.exp(1j * (a * np.arange(k) + b)))
         assert allowance == 64 * k * np.finfo(float).eps
         assert deviation <= allowance / 10
+
+
+# --------------------------------------------------------------------------
+# a ToeplitzBlock with a generator of shape (S, n) is a stack of S blocks:
+# every member reads what it reads as a block of its own row
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from(BLOCK_SIZES), data=st.data(),
+       members=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_stack_members_equal_their_one_block_calls(n, data, members, seed):
+    # the FFT along the rows, the row norms and the row maxima treat each
+    # row as the one-row call does, so every value is bit for bit equal
+    k = data.draw(st.sampled_from(sorted({1, 2, n // 2, n - 1, n})),
+                  label="k")
+    draw = np.random.default_rng(seed)
+    kinds = [data.draw(st.sampled_from(["complex", "hermitian", "indicator"]),
+                       label="kind") for _ in range(members)]
+    C = np.stack([_generator(kind, n, draw) for kind in kinds])
+    slack = draw.uniform(0.0, 1e-14, members)
+    stack = ToeplitzBlock(C, k, slack)
+    ones = [ToeplitzBlock(c, k, s) for c, s in zip(C, slack.tolist())]
+    assert np.array_equal(stack.dense(), np.stack([E.dense() for E in ones]))
+    assert np.array_equal(stack.norm_bound(), [E.norm_bound() for E in ones])
+    assert all(np.array_equal(bounds, single) for bounds, single in zip(
+        stack.spectrum_bounds(), zip(*(E.spectrum_bounds() for E in ones))))
+    # a tol between the members' bounds certifies some and refuses others
+    tol = float(np.median(stack.norm_bound()))
+    values, certified = stack.certified_norm(tol)
+    assert [(float(v), bool(b)) for v, b in zip(values, certified)] == [
+        E.certified_norm(tol) for E in ones]
+    # geometric phases e^{i(a j + b)}, one per member, and a stack of targets
+    a, b = draw.uniform(-np.pi, np.pi, (2, members, 1))
+    phase = np.exp(1j * (a * np.arange(k) + b))
+    other = ToeplitzBlock(C[::-1].copy(), k)
+    D = stack.conjugation_defect(phase, other)
+    for i, E in enumerate(ones):
+        single = E.conjugation_defect(phase[i], ToeplitzBlock(other.c[i], k))
+        assert np.array_equal(D.c[i], single.c) and D.slack[i] == single.slack
+        assert np.array_equal(D.take([i]).dense()[0], single.dense())
+    deviation, allowance = geometric_deviation(phase)
+    assert np.array_equal(deviation, [geometric_deviation(p)[0]
+                                      for p in phase])
+
+
+def test_stacked_certified_norm_forms_only_the_refused_members():
+    # members 1 and 3 carry a slack above tol: only they reach ``dense``,
+    # and only their values are the dense norms
+    draw = np.random.default_rng(5)
+    C = np.stack([_generator("indicator", 16, draw) for _ in range(5)]) * 1e-13
+    slack = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
+    stack, asked = ToeplitzBlock(C, 8, slack), []
+
+    def dense(members):
+        asked.append(list(members))
+        return stack.take(members).dense()
+
+    values, certified = stack.certified_norm(1e-10, dense)
+    assert asked == [[1, 3]]
+    assert certified.tolist() == [True, False, True, False, True]
+    for i in range(5):
+        one = ToeplitzBlock(C[i], 8, slack[i])
+        expected = (one.norm_bound() if certified[i]
+                    else opnorm(one.dense()))
+        assert values[i] == expected
+    # without a ``dense``, the members' own dense blocks decide
+    assert np.array_equal(stack.certified_norm(1e-10)[0], values)
+
+
+def test_stacked_conjugation_defect_refuses_naming_the_first_bad_member():
+    E, target, phase, flipped = _arc_and_flipped_phase()
+    stack = ToeplitzBlock(np.stack([E.c] * 4), E.k)
+    targets = ToeplitzBlock(np.stack([target.c] * 4), E.k)
+    phases = np.stack([phase, flipped, phase, flipped])
+    with pytest.raises(NotGeometric, match="^phase 1 of the stack is not "
+                                           "geometric: .* <= 2.000e\\+00"):
+        stack.conjugation_defect(phases, targets)
+    # one block keeps the message that names no member
+    with pytest.raises(NotGeometric, match="^phase is not geometric"):
+        E.conjugation_defect(flipped, target)
+    D = stack.conjugation_defect(np.stack([phase] * 4), targets)
+    assert (D.norm_bound() < 1e-13).all()

@@ -248,3 +248,63 @@ def test_covariance_at_a_large_rotation_is_certified(d):
             np.exp(-1j * t * np.arange(d)), phase_effect(B.shifted(t), d))
     out = covariance_residual(d, t, B)
     assert out["upper_bound"] and out["residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2, 12, 34])
+def test_stacked_phase_effects_are_the_one_region_generators_bit_for_bit(d):
+    # the regions include an empty one and arcs that wrap past pi
+    regions = REGIONS + [RegionSet.circle([])] + REGIONS[::-1]
+    E = phase_effect(regions, d)
+    assert E.c.shape == (len(regions), 2 * d) and E.k == d
+    for row, B in zip(E.c, regions):
+        assert np.array_equal(row, phase_effect(B, d).c)
+
+
+def _covariance_draws(count=10, seed=3):
+    draw = np.random.default_rng(seed)
+    ts = draw.uniform(-np.pi, np.pi, count).tolist()
+    regions = [RegionSet.circle([(a, a + w)]) for a, w in zip(
+        draw.uniform(-np.pi, np.pi, count), draw.uniform(0.1, 2.0, count))]
+    return ts, regions
+
+
+@pytest.mark.parametrize("d", [12, 256])
+def test_stacked_covariance_is_the_worst_one_draw_call(d):
+    ts, regions = _covariance_draws()
+    singles = [covariance_residual(d, t, B) for t, B in zip(ts, regions)]
+    assert covariance_residual(d, ts, regions) == max(
+        singles, key=lambda out: out["residual"])
+    with pytest.raises(ValueError, match="one entry per draw, got 9 and 10"):
+        covariance_residual(d, ts[:9], regions)
+
+
+def test_a_refused_draw_alone_forms_its_dense_defect(monkeypatch):
+    # the bound of draw 3 of 10 raised above tol: its dense defect, and no
+    # other, is formed, and its value is the dense SVD norm
+    from povmlab import oscillator, operators
+    d, ts, regions = 12, *_covariance_draws()
+    real_bound, formed = operators.ToeplitzBlock.norm_bound, []
+
+    def raised(self):
+        bound = real_bound(self)
+        if np.ndim(bound):
+            bound = bound.copy()
+            bound[3] = 1.0
+        return bound
+
+    def spy(phase, A):
+        formed.append(A.shape)
+        return diag_conjugate(phase, A)
+
+    monkeypatch.setattr(operators.ToeplitzBlock, "norm_bound", raised)
+    monkeypatch.setattr(oscillator, "diag_conjugate", spy)
+    out = covariance_residual(d, ts, regions)
+    assert formed == [(1, d, d)]
+    monkeypatch.undo()
+    dense = (diag_conjugate(np.exp(-1j * ts[3] * np.arange(d)),
+                            closed_form_phase_effect(regions[3], d))
+             - closed_form_phase_effect(regions[3].shifted(ts[3]), d))
+    values = [covariance_residual(d, t, B) for t, B in zip(ts, regions)]
+    assert all(out["upper_bound"] for out in values)
+    values[3] = {"residual": opnorm(dense), "upper_bound": False}
+    assert out == max(values, key=lambda out: out["residual"])
