@@ -19,7 +19,7 @@ import numpy as np
 
 from . import modular, oscillator, povm, relativistic, weylnc
 from .operators import (EFFECT, NUMERIC_TOL, PROJECTION, ToeplitzBlock,
-                        adjoint, is_effect, opnorm)
+                        _rand_complex, adjoint, is_effect, opnorm)
 from .regions import RegionSet, circle_full, equal_partition
 
 SCHEMA_VERSION = 1
@@ -159,13 +159,6 @@ class _Cases:
         })
 
 
-def _rand_complex(rng, d, shape=()):
-    """A complex Gaussian d x d matrix, or an array ``shape`` of them, each
-    drawn as its real part and then its imaginary part."""
-    g = rng.standard_normal(shape + (2, d, d))
-    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
-
-
 def _rand_factor(rng, n, r, norm):
     """n x r complex Gaussian matrix scaled to Frobenius norm ``norm``."""
     f = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
@@ -182,9 +175,9 @@ def _suite_povm(c: _Cases):
     d = min(cfg.d, 8)
 
     p = povm.random_povm(d, 4, rng)
-    rep = povm.povm_validate(p)
+    dil2 = povm.naimark_dilate(p)       # its validation of p gives the sum
     c.add("povm.random.sum", "Thm unsharp-observables", f"d={d} k=4",
-          rep.sum_residual, 1e-10)
+          dil2.report.sum_residual, 1e-10)
 
     T = _rand_complex(rng, d)
     T = T @ adjoint(T)
@@ -197,15 +190,13 @@ def _suite_povm(c: _Cases):
     phase = povm.DiscretePOVM(regions=arcs,
                               effects=oscillator.phase_effect(arcs, d).dense())
     dil = povm.naimark_dilate(phase)
-    dil2 = povm.naimark_dilate(p)
     # J_i* J_i - E_i for both dilations, as one stack under one norm call
-    rec, rec2 = opnorm(np.stack(
-        [dil.compress(i) - phase.effects[i] for i in range(4)]
-        + [dil2.compress(i) - p.effects[i] for i in range(4)])).reshape(
-            2, 4).max(axis=1)
-    iso = opnorm(adjoint(dil.isometry) @ dil.isometry - np.eye(d))
+    rec, rec2 = opnorm(np.concatenate(
+        [dil.compressions() - phase.effects,
+         dil2.compressions() - p.effects])).reshape(2, 4).max(axis=1)
     c.add("naimark.phase.reconstruction", "Thm Naimark", f"d={d} k=4", rec, 1e-12)
-    c.add("naimark.phase.isometry", "Thm Naimark", f"d={d} k=4", iso, 1e-12)
+    c.add("naimark.phase.isometry", "Thm Naimark", f"d={d} k=4",
+          dil.isometry_residual, 1e-12)
     c.add("naimark.random.reconstruction", "Thm Naimark", f"d={d} k=4", rec2, 1e-12)
 
     fvals = rng.standard_normal(4)

@@ -25,9 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import (DEFAULT_TOL, NUMERIC_TOL, _square_stack, _sym_eigvalsh,
-                        adjoint, as_operator, herm_spectrum, opnorm,
-                        require_square, spectral_imag_power, sqrtm_psd)
+from .operators import (DEFAULT_TOL, NUMERIC_TOL, _rand_complex, _square_stack,
+                        _sym_eigvalsh, adjoint, as_operator, herm_spectrum,
+                        opnorm, require_square, spectral_imag_power, sqrtm_psd)
 
 
 def vec(X) -> np.ndarray:
@@ -115,7 +115,6 @@ def build_gns(generators, T) -> GnsRep:
     quotiented by a rank-revealing SVD with threshold 1e-10 * sigma_max.
     """
     T = require_square(T)
-    d = T.shape[0]
     if abs(np.trace(T) - 1.0) > NUMERIC_TOL:
         raise ValueError(f"not unit trace: tr T = {np.trace(T)}")
     lam = _sym_eigvalsh(T)
@@ -128,8 +127,8 @@ def build_gns(generators, T) -> GnsRep:
     rank = int(np.sum(s > 1e-10 * max(s.max(), 1e-300)))
     basis = U[:, :rank]
     omega_vec = adjoint(basis) @ vec(sqrtT)
-    # faithful iff A -> A T^{1/2} is injective on the full matrix algebra
-    faithful = bool(np.linalg.matrix_rank(sqrtT, tol=1e-10) == d)
+    # faithful iff A -> A T^{1/2} is injective: iff sqrt(min lam) > 1e-10
+    faithful = bool(np.sqrt(max(lam[0], 0.0)) > 1e-10)
     return GnsRep(density=T, basis=basis, omega_vec=omega_vec, dim=rank,
                   faithful=faithful)
 
@@ -188,8 +187,7 @@ class ModularTriple:
         the last two on one seeded stack of 8 random X.  Computed on first
         read."""
         d = self.d
-        g = np.random.default_rng(0).standard_normal((8, 2, d, d))
-        X = g[:, 0] + 1j * g[:, 1]
+        X = _rand_complex(np.random.default_rng(0), d, (8,))
         j = self.apply_J(vec(X)) - vec(adjoint(X))
         s = (_apply(self.S_mat, np.conj(vec(X @ self.omega)))
              - vec(adjoint(X) @ self.omega))
@@ -284,9 +282,13 @@ def modtime_unitarity(weight: TraceWeight, T, ts, samples) -> dict:
     if spectrum[0].min() <= 0:
         raise ValueError("positive operator required for imaginary powers")
 
+    powers = {}             # t -> (T^{it}, its adjoint), formed once per t
+
     def U(t, A):
-        P = spectral_imag_power(spectrum, t)
-        return P @ A @ adjoint(P)
+        if t not in powers:
+            P = spectral_imag_power(spectrum, t)
+            powers[t] = P, adjoint(P)
+        return powers[t][0] @ A @ powers[t][1]
 
     iso = []
     for t in ts:

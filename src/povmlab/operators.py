@@ -71,6 +71,13 @@ def opnorm(A):
     return float(norms) if one else norms
 
 
+def _rand_complex(rng, d, shape=()):
+    """A complex Gaussian d x d matrix, or an array ``shape`` of them, each
+    drawn as its real part and then its imaginary part."""
+    g = rng.standard_normal(shape + (2, d, d))
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
+
+
 def adjoint(A) -> np.ndarray:
     return np.conj(np.asarray(A)).swapaxes(-1, -2)
 
@@ -151,23 +158,28 @@ def _sym_eigvalsh(H):
 def funcalc(H, f) -> np.ndarray:
     """Hermitian functional calculus: return V f(lam) V*.
 
-    ``f`` is applied eigenvalue-wise; a value that comes back non-finite
-    (or an exception from ``f``) is reported as a domain error naming the
-    offending eigenvalue.
+    ``f`` is applied once to the vector of eigenvalues; if that raises or
+    gives a non-finite value or another shape, f is applied eigenvalue by
+    eigenvalue, and a non-finite value (or an exception from ``f``) is
+    reported as a domain error naming the first offending eigenvalue.
     """
-    eigenvalues, V = herm_spectrum(H)
-    vals = np.empty(len(eigenvalues), dtype=complex)
-    for i, lam in enumerate(eigenvalues):
+    lams, V = herm_spectrum(H)
+    domain = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
         try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                v = f(lam)
-        except (ValueError, ZeroDivisionError, OverflowError,
-                FloatingPointError) as exc:
-            raise ValueError(f"function undefined at eigenvalue {lam!r}: {exc}")
-        v = complex(v)
-        if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-            raise ValueError(f"function undefined at eigenvalue {lam!r}")
-        vals[i] = v
+            vals = np.asarray(f(lams), dtype=complex)
+        except domain + (TypeError,):
+            vals = None
+        if vals is None or vals.shape != lams.shape or not np.isfinite(vals).all():
+            vals = np.empty(len(lams), dtype=complex)
+            for i, lam in enumerate(lams):
+                try:
+                    v = f(lam)
+                except domain as exc:
+                    raise ValueError(f"function undefined at eigenvalue {lam!r}: {exc}")
+                vals[i] = v = complex(v)
+                if not (np.isfinite(v.real) and np.isfinite(v.imag)):
+                    raise ValueError(f"function undefined at eigenvalue {lam!r}")
     return (V * vals) @ adjoint(V)
 
 

@@ -1,26 +1,20 @@
 """POVMs over finite partitions.
 
-A DiscretePOVM pairs a disjoint partition of a periodic domain with a list
-of effects summing to the identity.  On top of that sit the
-state-to-probability map tr(E_i T), the bounded functional calculus
-Psi(f) = sum f(mid_i) E_i, the Naimark dilation by stacked square roots,
-and the moment POVM of a contraction obtained from a circular unitary
-dilation U of 2M blocks.  For a scalar t the spectrum of U is in closed
-form: its eigenvalues are the 2M roots of
-lambda^{2M} - t lambda^{2M-1} - conj(t) lambda + 1, one in each of 2M
-equal arcs when |t| < 1, as a monotone phase certifies, found all at once
-by bracketed Newton steps, and the block-0 weight of a root is
-s^2 / (s^2 + (2M - 1) |lambda - t|^2) with s^2 = 1 - |t|^2; a unitary t
-keeps weight 1 on itself.  Every root and
-weight is certified by the residual of an explicit eigenvector, and when
-the certificate fails, as for any T of size d >= 2, U is diagonalised
-densely by one solve and one ``eigh`` of a Hermitian Cayley transform
-i (z - U)^{-1} (z + U), at the first point z = e^{i alpha} of a fixed
-candidate set whose Cayley eigenvalues place it at least pi / (4N) from
-the spectrum (N the size of U), accepted only after every eigenvector
-residual is checked.  Either spectral measure is binned in one pass; for
-a scalar the binned effects are one weighted count and the moments one
-matrix-vector product.  The module needs numpy alone.
+A DiscretePOVM pairs a disjoint partition of a periodic domain with a
+complex stack (k, d, d) of effects summing to the identity.  On top of
+that sit the state-to-probability map tr(E_i T), the bounded functional
+calculus Psi(f) = sum f(mid_i) E_i, the Naimark dilation by stacked square
+roots, which keeps the validation of its POVM, and the moment POVM of a
+contraction obtained from a circular unitary dilation U of 2M blocks,
+whose contraction check and defect operators share one SVD of T.  For a
+scalar t the spectrum of U is in closed form (``_scalar_spectrum``): one
+root of lambda^{2M} - t lambda^{2M-1} - conj(t) lambda + 1 in each of 2M
+equal arcs when |t| < 1, with its block-0 weight, certified by the
+residual of an explicit eigenvector.  When that certificate fails, and
+for any T of size d >= 2, U is diagonalised densely by one solve and one
+``eigh`` of a Hermitian Cayley transform (``_unitary_eigh``), accepted
+only after every eigenvector residual is checked.  Either spectral
+measure is binned in one pass.  The module needs numpy alone.
 """
 
 from dataclasses import dataclass
@@ -29,17 +23,25 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import (DEFAULT_TOL, EFFECT, NUMERIC_TOL, PROJECTION,
-                        _norm_within, _sym_eigh, adjoint, as_operator,
+                        _norm_within, _rand_complex, _sym_eigh, adjoint,
+                        as_operator,
                         herm_spectrum, is_effect, opnorm, sqrtm_psd)
 from .regions import _EPS, circle_full, equal_partition
 
 
+def _in_order_sum(X) -> np.ndarray:
+    """Sum of a stack over its first axis, member after member, as a Python
+    sum rounds (numpy's sum pairs up the members of a stack of 1 x 1s)."""
+    return np.add.accumulate(X, axis=0)[-1]
+
+
 @dataclass
 class DiscretePOVM:
-    """Finite partition of a periodic domain together with its effects."""
+    """Finite partition of a periodic domain together with its effects,
+    kept as one complex stack (k, d, d) whose member i belongs to cell i."""
 
     regions: list
-    effects: list
+    effects: np.ndarray
 
     def __post_init__(self):
         if len(self.regions) == 0:
@@ -58,14 +60,14 @@ class DiscretePOVM:
             raise ValueError("operator has non-finite entries")
         if E.shape[1] != E.shape[2]:
             raise ValueError("effects must be square and equal-shaped")
-        self.effects = list(E)
+        self.effects = E
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     def total(self) -> np.ndarray:
-        return sum(self.effects)
+        return _in_order_sum(self.effects)
 
 
 @dataclass
@@ -82,9 +84,8 @@ def povm_validate(p: DiscretePOVM, tol: float = DEFAULT_TOL) -> PovmReport:
     for every pair i, j.  One ``is_effect`` call classifies the stack of
     effects, and its norm test ``_norm_within``, with the same margins,
     decides the stack of pair defects."""
-    d = p.dim
+    d, E = p.dim, p.effects
     sum_residual = opnorm(p.total() - np.eye(d))
-    E = np.stack(p.effects)
     classes = is_effect(E, tol)
     defects = E[:, None] @ E[None, :] - np.eye(len(E))[:, :, None, None] * E
     multiplicative = bool(_norm_within(defects.reshape(-1, d, d), tol).all())
@@ -103,31 +104,33 @@ def state_to_measure(p: DiscretePOVM, T) -> np.ndarray:
     lam = herm_spectrum(T, NUMERIC_TOL)[0]
     if lam.min() < -NUMERIC_TOL:
         raise ValueError(f"not positive: min eigenvalue {lam.min():.3e}")
-    return np.array([np.trace(E @ T).real for E in p.effects])
+    return np.trace(p.effects @ T, axis1=-2, axis2=-1).real
 
 
 def povm_integrate(p: DiscretePOVM, f) -> np.ndarray:
     """Bounded functional calculus Psi(f) = sum_i f(mid_i) E_i, where mid_i
     is the midpoint of the first normalized interval of cell i."""
-    out = np.zeros((p.dim, p.dim), dtype=complex)
-    for region, E in zip(p.regions, p.effects):
-        a, b = region.cells[0]
-        out += complex(f(0.5 * (a + b))) * E
-    return out
+    values = np.array([complex(f(0.5 * (a + b)))
+                       for a, b in (region.cells[0] for region in p.regions)])
+    return _in_order_sum(values[:, None, None] * p.effects)
 
 
 @dataclass
 class NaimarkDilation:
     """Isometry J of shape (k*d, d); block i of J corresponds to cell i,
     and E_i = J* Ptilde_i J = J_i* J_i with Ptilde_i the block selector
-    and J_i the i-th block of rows."""
+    and J_i the i-th block of rows.  ``report`` validates the POVM, and
+    ``isometry_residual`` is ||J* J - I||."""
 
     isometry: np.ndarray
     dim: int
+    report: PovmReport
+    isometry_residual: float
 
-    def compress(self, i: int) -> np.ndarray:
-        Ji = self.isometry[i * self.dim:(i + 1) * self.dim]
-        return adjoint(Ji) @ Ji
+    def compressions(self) -> np.ndarray:
+        """The stack (k, d, d) of the compressions J_i* J_i."""
+        J = self.isometry.reshape(-1, self.dim, self.dim)
+        return adjoint(J) @ J
 
 
 def naimark_dilate(p: DiscretePOVM) -> NaimarkDilation:
@@ -137,26 +140,22 @@ def naimark_dilate(p: DiscretePOVM) -> NaimarkDilation:
     if not report.ok:
         raise ValueError(f"POVM does not validate: sum residual "
                          f"{report.sum_residual:.3e}, classes {report.classifications}")
-    J = sqrtm_psd(np.stack(p.effects)).reshape(-1, p.dim)
-    dil = NaimarkDilation(isometry=J, dim=p.dim)
+    J = sqrtm_psd(p.effects).reshape(-1, p.dim)
     iso_res = opnorm(adjoint(J) @ J - np.eye(p.dim))
     if iso_res > NUMERIC_TOL:
         raise ValueError(f"dilation is not an isometry (residual {iso_res:.3e})")
-    return dil
+    return NaimarkDilation(J, p.dim, report, iso_res)
 
 
 def random_povm(d: int, k: int, rng) -> DiscretePOVM:
     """Seeded random POVM on k equal circle arcs: E_i = S^{-1/2} A_i* A_i S^{-1/2}
-    for Gaussian A_i and S the sum of the A_i* A_i."""
-    mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            for _ in range(k)]
-    gram = [adjoint(A) @ A for A in mats]
-    S = sum(gram)
-    lam, V = _sym_eigh(S)
+    for Gaussian A_i, drawn as one stack, and S the sum of the A_i* A_i."""
+    A = _rand_complex(rng, d, (k,))
+    gram = adjoint(A) @ A
+    lam, V = _sym_eigh(_in_order_sum(gram))
     S_isqrt = (V / np.sqrt(lam)) @ adjoint(V)
-    effects = [S_isqrt @ G @ S_isqrt for G in gram]
     regions = equal_partition(circle_full(), k)
-    return DiscretePOVM(regions=regions, effects=effects)
+    return DiscretePOVM(regions=regions, effects=S_isqrt @ gram @ S_isqrt)
 
 
 @dataclass
@@ -170,12 +169,13 @@ class MomentReport:
 
 
 def _defect_svd(T: np.ndarray):
-    """(W, C, X*) for T = W S X*, with C = (1 - S^2)^{1/2} clipped at 0."""
+    """(W, C, X*, S) for T = W S X*, with C = (1 - S^2)^{1/2} clipped at 0:
+    one SVD for the norm S[0] of T and for both defect operators."""
     W, S, Xs = np.linalg.svd(T)
-    return W, np.sqrt(np.clip(1.0 - S * S, 0.0, None)), Xs
+    return W, np.sqrt(np.clip(1.0 - S * S, 0.0, None)), Xs, S
 
 
-def _circular_dilation(T: np.ndarray, M: int) -> np.ndarray:
+def _circular_dilation(T: np.ndarray, M: int, svd) -> np.ndarray:
     """Circular Schaeffer-type unitary dilation on 2M blocks.
 
     Block 0 carries the original space.  Every block column feeds the next
@@ -188,7 +188,8 @@ def _circular_dilation(T: np.ndarray, M: int) -> np.ndarray:
     defect part of the spectrum half a root-of-unity spacing and keeps the
     eigenphases away from the equal-arc cell edges used for binning.
 
-    Both defect operators come from one SVD T = W S X*:
+    Both defect operators come from one SVD T = W S X*, ``svd`` =
+    ``_defect_svd(T)``:
     (I - T* T)^{1/2} = X (I - S^2)^{1/2} X* and
     (I - T T*)^{1/2} = W (I - S^2)^{1/2} W*, so they share their singular
     values and the intertwining T (I - T* T)^{1/2} = (I - T T*)^{1/2} T
@@ -198,7 +199,7 @@ def _circular_dilation(T: np.ndarray, M: int) -> np.ndarray:
     """
     d = T.shape[0]
     K = 2 * M
-    W, C, Xs = _defect_svd(T)
+    W, C, Xs, _ = svd
     U = np.zeros((K, d, K, d), dtype=complex)     # U[r, :, c] is block (r, c)
     c = np.arange(1, K - 1)
     U[c + 1, :, c] = np.eye(d)
@@ -332,10 +333,11 @@ def _scalar_spectrum(t: complex, s: float, M: int):
 
     def g(y):
         v, u = y / 2, M * y - y / 2         # a - v = M arg t + u
-        sin_a = sin_m * np.cos(M * y) + cos_m * np.sin(M * y)
-        cos_a = cos_m * np.cos(M * y) - sin_m * np.sin(M * y)
-        sin_u = sin_m * np.cos(u) + cos_m * np.sin(u)
-        cos_u = cos_m * np.cos(u) - sin_m * np.sin(u)
+        cmy, smy, cu, su = np.cos(M * y), np.sin(M * y), np.cos(u), np.sin(u)
+        sin_a = sin_m * cmy + cos_m * smy
+        cos_a = cos_m * cmy - sin_m * smy
+        sin_u = sin_m * cu + cos_m * su
+        cos_u = cos_m * cu - sin_m * su
         sin_v, cos_v = np.sin(v), np.cos(v)
         return (c * cos_a - 2 * r * sin_u * sin_v,
                 -M * c * sin_a
@@ -393,56 +395,49 @@ def _scalar_spectrum(t: complex, s: float, M: int):
     return thetas, weights
 
 
-def _block0_spectrum(T: np.ndarray, M: int):
+def _block0_spectrum(T: np.ndarray, M: int, svd):
     """Eigenphases of the circular dilation U of T and the block-0 rows of
-    its eigenvectors: in closed form by ``_scalar_spectrum`` when T is a
-    scalar and its certificate holds (the square roots of the weights stand
-    for the rows), else by ``_unitary_eigh`` of the dense U."""
+    its eigenvectors, from ``svd`` = ``_defect_svd(T)``: in closed form by
+    ``_scalar_spectrum`` when T is a scalar and its certificate holds (the
+    square roots of the weights stand for the rows), else by
+    ``_unitary_eigh`` of the dense U."""
     d = T.shape[0]
     if d == 1:
-        s = float(_defect_svd(T)[1][0])
-        found = _scalar_spectrum(complex(T[0, 0]), s, M)
+        found = _scalar_spectrum(complex(T[0, 0]), float(svd[1][0]), M)
         if found is not None:
             return found[0], np.sqrt(found[1]).astype(complex)[None]
-    thetas, V = _unitary_eigh(_circular_dilation(T, M))
+    thetas, V = _unitary_eigh(_circular_dilation(T, M, svd))
     return thetas, V[:d]
 
 
 @lru_cache
 def _equal_arcs(cells: int) -> tuple:
-    """The ``cells`` equal arcs of [-pi, pi), built once per count."""
-    return tuple(equal_partition(circle_full(), cells))
+    """The ``cells`` equal arcs of [-pi, pi) and their binning edges, the
+    left ends moved down by _EPS, built once per count."""
+    regions = tuple(equal_partition(circle_full(), cells))
+    edges = np.array([region.cells[0][0] for region in regions]) - _EPS
+    edges.flags.writeable = False
+    return regions, edges
 
 
 def contraction_moment_povm(T, M: int, cells: int):
     """Moment POVM of a contraction: T^n = int e^{i n theta} dE(theta).
 
     Takes the spectral measure of the circular unitary dilation U of depth
-    M, compressed to the original space, from ``_block0_spectrum``.  For a
-    1 x 1 T = [[t]] it is in closed form (``_scalar_spectrum``): with
-    K = 2M, the eigenvalues are the roots of
-    lambda^K - t lambda^{K-1} - conj(t) lambda + 1, one per arc of 2 pi / K
-    when |t| < 1, bracketed by a monotone phase and found by Newton steps,
-    and the block-0 weight
-    of a root is s^2 / (s^2 + (K-1) |lambda - t|^2) with s^2 = 1 - |t|^2; a
-    unitary t keeps weight 1 on itself.  Each eigenpair is certified by the
-    residual of its explicit eigenvector, at most NUMERIC_TOL.  When that
-    certificate fails (the phase's margin at the arc ends is within
-    rounding, a residual is too large or a weight is not finite), and for
-    every T of
-    size d >= 2, U is built densely and diagonalised by ``_unitary_eigh``
-    (one solve and one ``eigh`` of a Cayley transform of U, accepted only
-    after checking every eigenvector residual against NUMERIC_TOL).  The
-    measure is binned into ``cells`` equal arcs of [-pi, pi) in one pass:
-    one ``searchsorted`` gives every phase its cell, one batched product
-    forms every effect; a phase within _EPS below pi is binned as -pi, and
-    the moments keep the phase itself.  Returns the binned DiscretePOVM together with a
-    MomentReport; the unbinned moments are certified for n = 0..M-1, all M
-    residuals from one stack of powers and one batched SVD.  For a 1 x 1 T
-    the point masses are the weights w_j: the cell masses and 1 x 1
-    effects are one ``np.bincount`` of w over the cells, and the moments
-    one matrix-vector product e^{i n theta_j} w with residuals
-    |moment_n - t^n|.
+    M, compressed to the original space, from ``_block0_spectrum``: in
+    closed form for a 1 x 1 T (``_scalar_spectrum``), else, and when that
+    certificate fails, from ``_unitary_eigh`` of the dense U.  One SVD of T
+    (``_defect_svd``) gives the norm of the contraction check and the
+    defect operators of U.  The measure is binned into ``cells`` equal arcs
+    of [-pi, pi) in one pass: one ``searchsorted`` gives every phase its
+    cell, one batched product forms every effect; a phase within _EPS below
+    pi is binned as -pi, and the moments keep the phase itself.  Returns
+    the binned DiscretePOVM together with a MomentReport; the unbinned
+    moments are certified for n = 0..M-1, all M residuals from one stack of
+    powers and one batched SVD.  For a 1 x 1 T the point masses are the
+    weights w_j: the cell masses and 1 x 1 effects are one ``np.bincount``
+    of w over the cells, and the moments one matrix-vector product
+    e^{i n theta_j} w with residuals |moment_n - t^n|.
     """
     T = as_operator(T)
     if T.shape[0] != T.shape[1] or T.size == 0:
@@ -451,10 +446,11 @@ def contraction_moment_povm(T, M: int, cells: int):
         if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
                 or value < 1):
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    if opnorm(T) > 1.0 + NUMERIC_TOL:
-        raise ValueError(f"not a contraction: ||T|| = {opnorm(T):.6f}")
+    svd = _defect_svd(T)
+    if svd[3][0] > 1.0 + NUMERIC_TOL:
+        raise ValueError(f"not a contraction: ||T|| = {svd[3][0]:.6f}")
     d = T.shape[0]
-    thetas, P0V = _block0_spectrum(T, M)
+    thetas, P0V = _block0_spectrum(T, M, svd)
     # as in RegionSet.indicator, a phase within _EPS below pi is binned as
     # -pi; the moments keep the phase itself
     binned = np.where(thetas >= np.pi - _EPS, -np.pi, thetas)
@@ -464,8 +460,7 @@ def contraction_moment_povm(T, M: int, cells: int):
 
     # half-open cells with ends moved down by _EPS, as in RegionSet.indicator:
     # a phase on an edge, up to rounding, goes with the cell it starts
-    regions = _equal_arcs(cells)
-    edges = np.array([region.cells[0][0] for region in regions]) - _EPS
+    regions, edges = _equal_arcs(cells)
     cell = np.searchsorted(edges, binned, side="right") - 1
 
     # moment n of the unbinned compressed point masses F_j = P0 v_j v_j* P0

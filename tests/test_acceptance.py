@@ -130,15 +130,13 @@ def test_criterion_07_naimark():
         p = random_povm(d, k, rng)
         dil = naimark_dilate(p)
         worst = max(worst, opnorm(adjoint(dil.isometry) @ dil.isometry - np.eye(d)))
-        for i in range(k):
-            worst = max(worst, opnorm(dil.compress(i) - p.effects[i]))
+        worst = max(worst, opnorm(dil.compressions() - p.effects).max())
     arcs = equal_partition(circle_full(), 8)
     phase = DiscretePOVM(regions=arcs,
                          effects=[phase_effect(B, 16).dense() for B in arcs])
     dil = naimark_dilate(phase)
     worst = max(worst, opnorm(adjoint(dil.isometry) @ dil.isometry - np.eye(16)))
-    for i in range(8):
-        worst = max(worst, opnorm(dil.compress(i) - phase.effects[i]))
+    worst = max(worst, opnorm(dil.compressions() - phase.effects).max())
     verdict(7, "Naimark dilation d<=16 k<=8 incl. phase POVM", worst <= 1e-12,
             f"residual {worst:.3e}")
 

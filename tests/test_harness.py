@@ -18,6 +18,7 @@ from povmlab.harness import (REQUIRED_ANCHORS, STUDY_KINDS, SuiteConfig,
                              report_body, report_to_csv, run_suite)
 from povmlab.operators import adjoint, diag_conjugate, opnorm
 from test_oscillator import closed_form_phase_effect
+from test_povm import per_effect_random_povm
 
 
 def test_full_suite_passes():
@@ -1045,6 +1046,43 @@ def test_stacked_harness_draws_equal_the_per_draw_reference():
         roots = [operators.sqrtm_psd(E) for E in q.effects]
         rec = max(opnorm(adjoint(R) @ R - E) for R, E in zip(roots, q.effects))
         assert _case(report, name)["residual"] == rec
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9, 10])
+def test_povm_suite_residuals_equal_the_per_effect_reference(seed):
+    # the povm suite's residuals against the per-effect lists it kept
+    # before its effects became one stack: the same random numbers, each
+    # effect's products and sums in the same order, so every residual is
+    # equal bit for bit; d is capped at 8 at default and scaled sizes alike
+    report = run_suite(SuiteConfig(suite="povm", seed=seed))
+    rng, d = np.random.default_rng(seed), 8
+    effects = per_effect_random_povm(d, 4, rng)
+    g = rng.standard_normal((2, d, d))
+    T = g[0] + 1j * g[1]
+    T = T @ adjoint(T)
+    T = T / np.trace(T).real
+    probs = np.array([np.trace(E @ T).real for E in effects])
+    arcs = regions.equal_partition(regions.circle_full(), 4)
+    phase = [closed_form_phase_effect(B, d) for B in arcs]
+    roots = [operators.sqrtm_psd(E) for E in phase]
+    J = np.vstack(roots)
+    fvals = rng.standard_normal(4)
+    psi = np.zeros((d, d), dtype=complex)
+    for f, E in zip(fvals, effects):
+        psi += complex(f) * E
+    expected = {
+        "povm.random.sum": opnorm(sum(effects) - np.eye(d)),
+        "povm.total-mass": abs(probs.sum() - 1.0),
+        "naimark.phase.isometry": opnorm(adjoint(J) @ J - np.eye(d)),
+        "naimark.phase.reconstruction": max(
+            opnorm(adjoint(R) @ R - E) for R, E in zip(roots, phase)),
+        "naimark.random.reconstruction": max(
+            opnorm(adjoint(R) @ R - E)
+            for R, E in zip(map(operators.sqrtm_psd, effects), effects)),
+        "psi.contraction": max(0.0, opnorm(psi) - abs(fvals).max()),
+    }
+    for name, residual in expected.items():
+        assert _case(report, name)["residual"] == residual, name
 
 
 def _covariance_draws(seed):

@@ -48,6 +48,39 @@ def test_gns_state_identity_and_dims():
                    - np.vdot(pure.omega_vec, pure.represent(A) @ pure.omega_vec)) < 1e-12
 
 
+def rotated(eigenvalues):
+    U = np.linalg.qr(rand_c(len(eigenvalues)))[0]
+    return U @ np.diag(eigenvalues) @ adjoint(U)
+
+
+@pytest.mark.parametrize("T, faithful", [
+    (np.diag([1.0, 0.0, 0.0]), False),
+    (rotated([0.5, 0.3, 0.2]), True),
+    # the root 1e-6 of the eigenvalue 1e-12 is far above the threshold 1e-10
+    (rotated([1.0 - 1e-12, 1e-12]), True),
+], ids=["pure", "faithful", "eigenvalue 1e-12"])
+def test_gns_faithful_verdict_is_the_rank_of_the_root(T, faithful):
+    # the verdict read off T's spectrum equals the rank test of T^{1/2}
+    d = len(T)
+    units = [np.eye(d)[:, [i]] @ np.eye(d)[[j], :]
+             for i in range(d) for j in range(d)]
+    g = build_gns(units, T.astype(complex))
+    assert g.faithful is faithful
+    assert faithful == (np.linalg.matrix_rank(sqrtm_psd(T), tol=1e-10) == d)
+
+
+def test_modtime_unitarity_forms_each_power_once(monkeypatch):
+    # modtime.commuting's times 0, 0.4 and 1.1 and the sums 0.4 and 1.5
+    # of the group law need four distinct powers of T
+    calls, real = [], modular.spectral_imag_power
+    monkeypatch.setattr(modular, "spectral_imag_power",
+                        lambda spectrum, t: calls.append(t) or real(spectrum, t))
+    T = gibbs(0.7, 4)
+    modtime_unitarity(TraceWeight(T), T, [0.0, 0.4, 1.1],
+                      [(rand_c(4), rand_c(4))])
+    assert sorted(calls) == [0.0, 0.4, 1.1, 1.5]
+
+
 def test_gns_representation_is_multiplicative_when_faithful():
     units = [np.eye(2)[:, [i]] @ np.eye(2)[[j], :]
              for i in range(2) for j in range(2)]

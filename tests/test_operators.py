@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,8 +48,34 @@ def test_funcalc_exponential():
 
 def test_funcalc_domain_error_names_eigenvalue():
     H = np.diag([1.0, -2.0]).astype(complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"undefined at eigenvalue .*-2\.0"):
         funcalc(H, np.sqrt)
+
+
+def test_funcalc_non_finite_value_names_the_first_bad_eigenvalue():
+    # no floating-point exception, an infinite value at 5 and at 7: the
+    # error names 5, the first in the ascending spectrum, without an
+    # exception text
+    H = np.diag([7.0, 1.0, 5.0, -2.0]).astype(complex)
+    with pytest.raises(ValueError,
+                       match=r"^function undefined at eigenvalue \S*5\.0\)?$"):
+        funcalc(H, lambda x: np.where(x > 4, np.inf, x))
+
+
+def test_funcalc_applies_f_once_to_the_spectrum():
+    # one call on the eigenvalue vector, bit for bit the per-eigenvalue
+    # values; a scalar-only f still goes eigenvalue by eigenvalue
+    A = rand_c(6)
+    H = (A + adjoint(A)) / 2
+    seen = []
+    E = funcalc(H, lambda x: seen.append(np.shape(x)) or np.exp(0.3j * x))
+    assert seen == [(6,)]
+    lam, V = herm_spectrum(H)
+    vals = np.array([np.exp(0.3j * x) for x in lam])
+    assert np.array_equal(E, (V * vals) @ adjoint(V))
+    assert np.array_equal(funcalc(H, lambda x: cmath.exp(0.3j * x)),
+                          (V * [cmath.exp(0.3j * x) for x in lam])
+                          @ adjoint(V))
 
 
 def test_effect_classification():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import povmlab
-from povmlab import povm
+from povmlab import harness, povm
 from povmlab.operators import (EFFECT, NOT_EFFECT, NUMERIC_TOL, PROJECTION,
                                adjoint, is_effect, opnorm, sqrtm_psd)
 from povmlab.povm import (DiscretePOVM, _block0_spectrum, _circular_dilation,
@@ -18,6 +18,11 @@ from povmlab.regions import RegionSet, circle_full, equal_partition
 from test_operators import planted_effects
 
 rng = np.random.default_rng(23)
+
+
+def dilation(T, M):
+    """The circular dilation of T from its own SVD."""
+    return _circular_dilation(T, M, _defect_svd(T))
 
 
 def rand_density(d):
@@ -82,8 +87,8 @@ def test_naimark_roundtrip_bounds():
         p = random_povm(d, k, rng)
         dil = naimark_dilate(p)
         assert opnorm(adjoint(dil.isometry) @ dil.isometry - np.eye(d)) < 1e-12
-        for i in range(k):
-            assert opnorm(dil.compress(i) - p.effects[i]) < 1e-12
+        assert dil.isometry_residual < 1e-12
+        assert opnorm(dil.compressions() - p.effects).max() < 1e-12
 
 
 def test_non_contraction_rejected():
@@ -208,7 +213,7 @@ def test_eigenphases_on_the_first_cayley_candidates():
     N = 2 * M * d                        # size of the dilation
     alphas = np.pi * (2 * np.arange(d) + 1) / (2 * N)
     T = np.diag(np.exp(1j * alphas))
-    U = _circular_dilation(T, M)
+    U = dilation(T, M)
     for alpha in alphas:                 # each of these candidates is blocked
         H = (np.exp(-1j * alpha) * U + np.exp(1j * alpha) * adjoint(U)) / 2
         assert np.linalg.eigvalsh(H)[-1] > np.cos(np.pi / (4 * N))
@@ -232,7 +237,7 @@ def schur_moment_povm(T, M, cells):
     dilation: sorted phases and binned effects."""
     linalg = pytest.importorskip("scipy.linalg")
     d = T.shape[0]
-    S, V = linalg.schur(_circular_dilation(T, M), output="complex")
+    S, V = linalg.schur(dilation(T, M), output="complex")
     thetas = np.angle(np.diag(S))
     thetas[thetas >= np.pi - 1e-15] = -np.pi
     edges = np.linspace(-np.pi, np.pi, cells + 1)
@@ -251,7 +256,7 @@ def test_cayley_matches_schur_reference(d, kind):
     T = np.linalg.qr(A)[0] if kind == "unitary" else float(kind) * A / opnorm(A)
     M, cells = 32, 64
     ref_thetas, ref_effects = schur_moment_povm(T, M, cells)
-    thetas, _ = _unitary_eigh(_circular_dilation(T, M))
+    thetas, _ = _unitary_eigh(dilation(T, M))
     thetas[thetas >= np.pi - 1e-15] = -np.pi
     assert np.abs(np.sort(thetas) - ref_thetas).max() < 1e-10
     p, _ = contraction_moment_povm(T, M, cells)
@@ -316,7 +321,7 @@ def test_norm_one_dilation_is_unitary_to_rounding(d):
         r = np.random.default_rng(seed)
         T = r.standard_normal((d, d)) + 1j * r.standard_normal((d, d))
         T /= opnorm(T)
-        U = _circular_dilation(T, 8)
+        U = dilation(T, 8)
         assert opnorm(adjoint(U) @ U - np.eye(len(U))) < 1e-13
         _, rep = contraction_moment_povm(T, 8, 16)
         assert rep.moment_residuals.max() <= 1e-12
@@ -377,7 +382,7 @@ def per_cell_binning(T, M, cells):
     """Reference binning of the spectrum the function bins: sorted phases,
     one slice, one product and one trace per cell."""
     d = T.shape[0]
-    thetas, P0V = _block0_spectrum(T, M)
+    thetas, P0V = _block0_spectrum(T, M, _defect_svd(T))
     thetas[thetas >= np.pi - 1e-15] = -np.pi
     order = np.argsort(thetas, kind="stable")
     thetas, P0V = thetas[order], P0V[:, order]
@@ -407,7 +412,7 @@ def differential_inputs(d):
 def test_circular_dilation_matches_the_put_loop_bit_for_bit(d):
     for T in differential_inputs(d).values():
         for M in (1, 2, 8):
-            assert np.array_equal(_circular_dilation(T, M),
+            assert np.array_equal(dilation(T, M),
                                   put_loop_dilation(T, M))
 
 
@@ -417,7 +422,7 @@ def test_cayley_eigenvalue_rule_picks_the_hermitian_part_candidate(
         d, kind, monkeypatch):
     T = differential_inputs(d)[kind]
     for M in ((8, 32) if d < 8 else (8,)):
-        U = _circular_dilation(T, M)
+        U = dilation(T, M)
         k = hermitian_part_candidate(U)
         assert cayley_candidate(U, monkeypatch) == k
         if kind == "blocked" and M == 8:
@@ -517,25 +522,82 @@ def test_discrete_povm_error_messages(regions, effects, message):
         DiscretePOVM(regions=regions, effects=effects)
 
 
-def test_discrete_povm_keeps_a_list_of_complex_effects():
+def test_discrete_povm_keeps_a_complex_stack_of_effects():
     p = DiscretePOVM(regions=equal_partition(circle_full(), 2),
                      effects=[np.eye(2), np.zeros((2, 2), dtype=int)])
-    assert isinstance(p.effects, list) and len(p.effects) == 2
-    assert all(E.dtype == complex and E.shape == (2, 2) for E in p.effects)
+    assert isinstance(p.effects, np.ndarray)
+    assert p.effects.dtype == complex and p.effects.shape == (2, 2, 2)
+    assert np.array_equal(p.effects, [np.eye(2), np.zeros((2, 2))])
+    assert p.dim == 2
 
 
-@pytest.mark.parametrize("d, k", [(1, 3), (4, 2), (8, 4), (16, 8)])
+def per_effect_random_povm(d, k, rng):
+    """Reference random POVM, one draw, one Gram matrix and one product per
+    effect, summed with Python's sum."""
+    mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for _ in range(k)]
+    gram = [adjoint(A) @ A for A in mats]
+    lam, V = np.linalg.eigh((sum(gram) + adjoint(sum(gram))) / 2.0)
+    S_isqrt = (V / np.sqrt(lam)) @ adjoint(V)
+    return [S_isqrt @ G @ S_isqrt for G in gram]
+
+
+@pytest.mark.parametrize("d, k", [(1, 3), (1, 16), (4, 2), (8, 4), (16, 8)])
 def test_naimark_roots_are_the_per_effect_roots_bit_for_bit(d, k):
-    # one stacked sqrtm_psd takes every root through the same LAPACK call
-    # as one sqrtm_psd per effect
+    # the stacked random POVM, Naimark roots and compressions, total,
+    # probabilities and functional calculus against their per-effect loops
     p = random_povm(d, k, np.random.default_rng(d * k))
+    effects = per_effect_random_povm(d, k, np.random.default_rng(d * k))
+    assert np.array_equal(p.effects, effects)
+    assert np.array_equal(p.total(), sum(effects))
     dil = naimark_dilate(p)
     assert np.array_equal(dil.isometry,
                           np.vstack([sqrtm_psd(E) for E in p.effects]))
-    defects = np.stack([dil.compress(i) - p.effects[i] for i in range(k)])
-    assert np.array_equal(opnorm(defects),
-                          [opnorm(dil.compress(i) - p.effects[i])
-                           for i in range(k)])
+    blocks = [dil.isometry[i * d:(i + 1) * d] for i in range(k)]
+    compressions = [adjoint(J) @ J for J in blocks]
+    assert np.array_equal(dil.compressions(), compressions)
+    assert np.array_equal(opnorm(dil.compressions() - p.effects),
+                          [opnorm(C - E) for C, E in zip(compressions, effects)])
+    J = dil.isometry
+    assert dil.isometry_residual == opnorm(adjoint(J) @ J - np.eye(d))
+    assert dil.report == povm_validate(p, NUMERIC_TOL)
+    T = rand_density(d)
+    assert np.array_equal(state_to_measure(p, T),
+                          [np.trace(E @ T).real for E in effects])
+    values = np.random.default_rng(k).standard_normal(k) + 0.5j
+    mids = [0.5 * sum(region.cells[0]) for region in p.regions]
+    psi = np.zeros((d, d), dtype=complex)
+    for value, E in zip(values, effects):
+        psi += value * E
+    assert np.array_equal(
+        povm_integrate(p, lambda x: values[mids.index(x)]), psi)
+
+
+def test_povm_suite_validates_three_times(monkeypatch):
+    # povm.random.sum is read from the dilation's own validation
+    calls, real = [], povm.povm_validate
+    monkeypatch.setattr(povm, "povm_validate",
+                        lambda *a: calls.append(a) or real(*a))
+    report = harness.run_suite(harness.SuiteConfig(suite="povm"))
+    assert report["summary"]["failed"] == 0
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("d", [1, 8])
+def test_moment_povm_takes_one_svd_of_t(d, monkeypatch):
+    # one SVD of T serves the contraction check and both defect operators;
+    # np.linalg.norm reaches the SVD through numpy.linalg._linalg
+    r = np.random.default_rng(d)
+    T = r.standard_normal((d, d)) + 1j * r.standard_normal((d, d))
+    T = 0.9 * T / opnorm(T)
+    seen = []
+    for module in (np.linalg, np.linalg._linalg):
+        real = module.svd
+        monkeypatch.setattr(module, "svd", lambda X, *a, real=real, **k:
+                            seen.append(np.array(X)) or real(X, *a, **k))
+    _, rep = contraction_moment_povm(T, 8, 16)
+    assert rep.moment_residuals.max() <= 1e-12
+    assert sum(X.shape == T.shape and np.array_equal(X, T) for X in seen) == 1
 
 
 # --------------------------------------------------------------------------
@@ -587,7 +649,7 @@ def test_scalar_spectrum_matches_the_dense_and_schur_references(name, M):
     split = 1e-7 if name == "arc-end pair" else 1e-9
     thetas, starts, weights = grouped_spectrum(*found, split)
     assert np.abs(weights.sum() - 1) <= 1e-12
-    U = _circular_dilation(T, M)
+    U = dilation(T, M)
     dense_thetas, V = _unitary_eigh(U)
     refs = [(grouped_spectrum(dense_thetas, np.abs(V[0]) ** 2, split), 1e-12)]
     if M <= 32:         # the Schur form of the 512 x 512 U takes 2 s
