@@ -13,8 +13,8 @@ rounding accuracy; discretization-limited quantities are probed through
 convergence studies instead.
 """
 
-from .operators import (DEFAULT_TOL, EFFECT, NOT_EFFECT, PROJECTION, adjoint,
-                        funcalc, herm_spectrum, imag_power, is_effect,
+from .operators import (DEFAULT_TOL, EFFECT, NOT_EFFECT, PROJECTION, Defect,
+                        adjoint, funcalc, herm_spectrum, imag_power, is_effect,
                         is_hermitian, opnorm, sqrtm_psd)
 from .regions import RegionSet, circle_full, equal_partition
 from .povm import (DiscretePOVM, MomentReport, NaimarkDilation, PovmReport,

@@ -18,8 +18,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import modular, oscillator, povm, relativistic, weylnc
-from .operators import (EFFECT, NUMERIC_TOL, PROJECTION, ToeplitzBlock,
-                        _rand_complex, adjoint, is_effect, opnorm)
+from .operators import (EFFECT, NUMERIC_TOL, PROJECTION, Defect,
+                        ToeplitzBlock, _rand_complex, adjoint, is_effect,
+                        opnorm)
 from .regions import RegionSet, circle_full, equal_partition
 
 SCHEMA_VERSION = 1
@@ -112,28 +113,30 @@ class _Cases:
         """The tolerance a case is judged against."""
         return self.cfg.tol if self.cfg.tol is not None else default_tol
 
-    def add(self, case, anchor, param, residual, default_tol,
-            upper_bound=False):
-        # a residual that is a certified upper bound, not the computed norm
-        # itself, is marked by the optional "upper_bound" key
+    def add(self, case, anchor, param, residual, default_tol) -> dict:
         tol = self.tol(default_tol)
-        record = {
+        self.records.append({
             "case": case,
             "anchor": anchor,
             "param": param,
             "residual": float(residual),
             "tol": tol,
             "pass": bool(residual <= tol),
-        }
-        if upper_bound:
-            record["upper_bound"] = True
-        self.records.append(record)
+        })
+        return self.records[-1]
 
-    def add_norm(self, case, anchor, param, block, default_tol):
-        """Record the norm of a ToeplitzBlock: its bound when that is
-        within the case's tol, and the dense SVD norm otherwise."""
-        value, bound = block.certified_norm(self.tol(default_tol))
-        self.add(case, anchor, param, value, default_tol, bound)
+    def add_defect(self, case, anchor, param, defect, default_tol):
+        """Record ``defect.norm`` at the case's tol.  A residual that is a
+        certified upper bound, not the computed norm itself, is marked by
+        the optional "upper_bound" key; one that fails is a bound whose
+        dense check was over the budget, and its param says so."""
+        value, bound = defect.norm(self.tol(default_tol))
+        record = self.add(case, anchor, param, value, default_tol)
+        if bound:
+            record["upper_bound"] = True
+            if not record["pass"]:
+                record["param"] += (f" [dense {defect.size}x{defect.size} "
+                                    "over budget]")
 
     def add_flag(self, case, anchor, param, ok, note=""):
         # boolean checks are recorded with residual 0/1 against tol 0.5 so
@@ -293,11 +296,11 @@ def _suite_oscillator(c: _Cases):
     draws = [[float(rng.uniform(lo, hi)) for lo, hi in
               ((-np.pi, np.pi), (-np.pi, np.pi), (0.1, 2.0))]
              for _ in range(10)]
-    worst = oscillator.covariance_residual(
-        d, [t for t, _, _ in draws],
-        [RegionSet.circle([(a, a + w)]) for _, a, w in draws], c.tol(1e-10))
-    c.add("osc.covariance", "Thm quantum-phase", f"d={d} 10 cases",
-          worst["residual"], 1e-10, worst["upper_bound"])
+    c.add_defect("osc.covariance", "Thm quantum-phase", f"d={d} 10 cases",
+                 oscillator.covariance_residual(
+                     d, [t for t, _, _ in draws],
+                     [RegionSet.circle([(a, a + w)]) for _, a, w in draws]),
+                 1e-10)
 
     for beta in cfg.betas:
         if beta * d > 20:
@@ -306,11 +309,10 @@ def _suite_oscillator(c: _Cases):
             continue
         pairs = [(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-np.pi, np.pi)))
                  for _ in range(5)]
-        out = oscillator.thermal_covariance_residual(
-            beta, d, [(t, RegionSet.circle([(a, a + 1.0)])) for t, a in pairs],
-            c.tol(1e-8))
-        c.add("osc.thermal", "Thm thermal-L", f"beta={beta} d={d}",
-              out["residual"], 1e-8, out["upper_bound"])
+        c.add_defect("osc.thermal", "Thm thermal-L", f"beta={beta} d={d}",
+                     oscillator.thermal_covariance_residual(
+                         beta, d, [(t, RegionSet.circle([(a, a + 1.0)]))
+                                   for t, a in pairs]), 1e-8)
 
     info = oscillator.commutator_defect(min(d, 32))
     c.add("osc.defect.rank1", "Thm quantum-phase", f"d={min(d, 32)}",
@@ -319,8 +321,8 @@ def _suite_oscillator(c: _Cases):
           max(0.0, 0.1 - oscillator.weyl_failure_check(8, np.pi, 1.0)), 1e-15)
 
     arcs = equal_partition(circle_full(), 6)
-    c.add_norm("osc.povm.sum", "Thm unsharp-observables", f"d={d} 6 arcs",
-               _identity_defect(oscillator.phase_effect(arcs, d)), 1e-12)
+    c.add_defect("osc.povm.sum", "Thm unsharp-observables", f"d={d} 6 arcs",
+                 _identity_defect(oscillator.phase_effect(arcs, d)), 1e-12)
 
 
 def _suite_relativistic(c: _Cases):
@@ -332,8 +334,8 @@ def _suite_relativistic(c: _Cases):
 
     parts = equal_partition(RegionSet.line([], length=grid.L), 4)
     effects = relativistic.rel_effect(model, parts)
-    c.add_norm("rel.povm.sum", "Thm thermal-D(1)", f"n={n} 4 blocks",
-               _identity_defect(effects), 1e-12)
+    c.add_defect("rel.povm.sum", "Thm thermal-D(1)", f"n={n} 4 blocks",
+                 _identity_defect(effects), 1e-12)
     c.add_flag("rel.povm.effects", "Thm thermal-D(1)", f"n={n}",
                _is_effect_block(effects, 1e-10))
 
@@ -350,9 +352,8 @@ def _suite_relativistic(c: _Cases):
     for case, anchor, param, steps in (
             ("rel.covariance", "Thm thermal-D(3)", f"n={n} shift=8h", 8),
             ("rel.covariance.def", "Def covariance", f"n={n} beta=1", 4)):
-        out = relativistic.rel_covariance_residual(model, 1.0, steps * grid.h,
-                                                   Bq, c.tol(1e-12))
-        c.add(case, anchor, param, out["residual"], 1e-12, out["upper_bound"])
+        c.add_defect(case, anchor, param, relativistic.rel_covariance_residual(
+            model, 1.0, steps * grid.h, Bq), 1e-12)
 
     coef = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
     f = model.synthesize(coef)
@@ -381,17 +382,16 @@ def _suite_weyl(c: _Cases):
           weylnc.weyl_relation_residual(lat, lat.dual_spacing, lat.delta), 1e-12)
 
     parts = equal_partition(lat.q_region([]), 4)
-    c.add_norm("nc.povm.sum", "Thm thermal-Dixmier(1)", f"m={m} 4 cells",
-               _identity_defect(weylnc.nc_effect(lat, parts)), 1e-12)
+    c.add_defect("nc.povm.sum", "Thm thermal-Dixmier(1)", f"m={m} 4 cells",
+                 _identity_defect(weylnc.nc_effect(lat, parts)), 1e-12)
     half = parts[0]
     c.add("nc.indicator.projection", "Thm thermal-Dixmier(1)", f"m={m}",
           _circulant_idempotency_defect(weylnc.indicator_Q(lat, half).c), 1e-12)
 
     a = _random_symbol(lat, rng)
     t = 2 * lat.dual_spacing
-    out = weylnc.conjugation_residual(lat, t, a, c.tol(1e-10))
-    c.add("nc.conjugation", "Thm thermal-Dixmier(2)", f"m={m} t=2*dual",
-          out["residual"], 1e-10, out["upper_bound"])
+    c.add_defect("nc.conjugation", "Thm thermal-Dixmier(2)", f"m={m} t=2*dual",
+                 weylnc.conjugation_residual(lat, t, a), 1e-10)
     at = a.translated(lat, t)
     htau = abs(weylnc.htau_norm(at, lat.x_length)
                - weylnc.htau_norm(a, lat.x_length))
@@ -403,20 +403,19 @@ def _suite_weyl(c: _Cases):
     for case, anchor, param, steps in (
             ("nc.covariance", "Thm thermal-Dixmier(3)", f"m={m} t=3*dual", 3),
             ("nc.covariance.def", "Def covariance", f"m={m}", 1)):
-        out = weylnc.nc_covariance_residual(lat, steps * lat.dual_spacing,
-                                            half, c.tol(1e-12))
-        c.add(case, anchor, param, out["residual"], 1e-12, out["upper_bound"])
+        c.add_defect(case, anchor, param, weylnc.nc_covariance_residual(
+            lat, steps * lat.dual_spacing, half), 1e-12)
     c.add("modtime.weighted", "Def modular-time", f"m={m}", htau, 1e-13)
 
 
-def _identity_defect(blocks: ToeplitzBlock) -> ToeplitzBlock:
-    """The sum of a stack of Toeplitz blocks minus I, as one block: the
-    generators add, member after member, and I is the block of the unit
-    generator.  Its dense form equals the dense sum minus I entry for
-    entry."""
+def _identity_defect(blocks: ToeplitzBlock) -> Defect:
+    """The sum of a stack of Toeplitz blocks minus I, as the ``Defect`` of
+    one block: the generators add, member after member, and I is the block
+    of the unit generator.  Its dense form equals the dense sum minus I
+    entry for entry."""
     g = blocks.c.sum(axis=0)
     g[0] -= 1.0
-    return ToeplitzBlock(g, blocks.k)
+    return ToeplitzBlock(g, blocks.k).as_defect()
 
 
 def _is_effect_block(E: ToeplitzBlock, tol) -> bool:

@@ -111,26 +111,28 @@ def build_gns(generators, T) -> GnsRep:
     """GNS representation of omega(A) = tr(A T) from a generating set.
 
     Concretely realised inside Hilbert-Schmidt space: q(A) = A T^{1/2},
-    since <q(A), q(B)> = tr(B* A T) = omega(B* A).  The null ideal is
+    since <q(A), q(B)> = tr(B* A T) = omega(B* A).  An eigenvalue of T
+    within the rounding of its spectrum, 8 d eps lam_max, is taken as 0:
+    T is faithful when no eigenvalue is, and T^{1/2} is formed with them
+    set to 0, so the null ideal is exactly the kernel of q.  It is
     quotiented by a rank-revealing SVD with threshold 1e-10 * sigma_max.
     """
     T = require_square(T)
     if abs(np.trace(T) - 1.0) > NUMERIC_TOL:
         raise ValueError(f"not unit trace: tr T = {np.trace(T)}")
-    lam = _sym_eigvalsh(T)
-    if lam.min() < -1e-10:
-        raise ValueError(f"not positive: min eigenvalue {lam.min():.3e}")
-    sqrtT = sqrtm_psd(T)
+    lam, V = herm_spectrum(T, NUMERIC_TOL)
+    if lam[0] < -1e-10:
+        raise ValueError(f"not positive: min eigenvalue {lam[0]:.3e}")
+    kept = lam > 8 * len(lam) * np.finfo(float).eps * lam[-1]
+    sqrtT = (V * np.sqrt(np.where(kept, lam, 0.0))) @ adjoint(V)
     images = np.column_stack([vec(require_square(A) @ sqrtT)
                               for A in generators])
     U, s, _ = np.linalg.svd(images, full_matrices=False)
     rank = int(np.sum(s > 1e-10 * max(s.max(), 1e-300)))
     basis = U[:, :rank]
     omega_vec = adjoint(basis) @ vec(sqrtT)
-    # faithful iff A -> A T^{1/2} is injective: iff sqrt(min lam) > 1e-10
-    faithful = bool(np.sqrt(max(lam[0], 0.0)) > 1e-10)
     return GnsRep(density=T, basis=basis, omega_vec=omega_vec, dim=rank,
-                  faithful=faithful)
+                  faithful=bool(kept.all()))
 
 
 # --------------------------------------------------------------------------

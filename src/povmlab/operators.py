@@ -15,10 +15,13 @@ one FFT; its conjugation defect needs a geometric phase, which
 way: a generator of shape (S, n) stands for S blocks of one size, one per
 row, bounded from one FFT along the rows, and a one-row generator of shape
 (n,) is the single block, with single values; every member of a stack
-reads what it reads alone, bit for bit.
+reads what it reads alone, bit for bit.  Every model residual that a
+bound can certify is a ``Defect``: its bound, and its dense value deferred
+until ``Defect.norm`` refuses the bound at a tolerance.
 """
 
 import cmath
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +30,10 @@ import numpy as np
 # is_hermitian (so in herm_spectrum), absolute in is_effect's spectrum and
 # projection tests.  ``_norm_within`` decides each of them with a margin of
 # 2: ||X||_F <= threshold/2 certifies, a column norm > 2 threshold refutes.
-# Also the tol of the covariance residuals when their caller gives none: a
-# residual at most this is reported as the certified bound of
-# ToeplitzBlock.norm_bound, a larger one by the dense SVD.
 DEFAULT_TOL = 1e-10
+# Most elements one dense stack of a ``Defect`` may hold: one 4096 x 4096
+# complex matrix, 256 MB.
+DENSE_BUDGET = 2 ** 24
 # Tolerance for checks on operators built numerically (square roots, dilations,
 # densities), whose rounding error sits well above DEFAULT_TOL.
 NUMERIC_TOL = 1e-8
@@ -230,6 +233,42 @@ def circulant(c, k: int = None) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class Defect:
+    """The norm of a defect operator, or of each member of a stack of
+    them, as a certified bound and a deferred dense value.
+
+    ``bound`` holds one certified upper bound per member, inf where there
+    is none; ``dense(members)`` forms the dense defects of the members at
+    the given indices as one stack of ``size`` x ``size`` matrices.
+
+    ``norm(tol)`` is the one place where a bound meets a tolerance.  A
+    member reads its bound when that is at most tol, and otherwise the SVD
+    norm of its dense defect, so a failure shows the dense value; all
+    refused members are formed as one stack under one SVD call.  A stack
+    of more than ``DENSE_BUDGET`` elements is never formed: every member
+    then reads its bound, and the check fails on a bound above tol.
+    """
+
+    bound: np.ndarray
+    dense: Callable[[np.ndarray], np.ndarray]
+    size: int
+
+    def norm(self, tol: float) -> tuple:
+        """(value, certified) of the first member with the largest value,
+        certified when the value is the member's bound."""
+        value = self.bound
+        certified = value <= tol
+        if not certified.all():                 # a NaN bound is refused too
+            refused = np.flatnonzero(~certified)
+            if len(refused) * self.size ** 2 > DENSE_BUDGET:
+                return float(value.max()), True
+            value = value.copy()
+            value[refused] = opnorm(self.dense(refused))
+        i = int(np.argmax(value))
+        return float(value[i]), bool(certified[i])
+
+
+@dataclass(frozen=True, eq=False)
 class ToeplitzBlock:
     """The leading k x k block of circulant(c), kept as its generator c;
     or, for a generator of shape (S, n), the stack of the S blocks of its
@@ -293,26 +332,13 @@ class ToeplitzBlock:
                 self._values(lam.real.max(axis=-1) + slack),
                 self._values(2 * (np.abs(lam.imag).max(axis=-1) + slack)))
 
-    def certified_norm(self, tol: float, dense=None) -> tuple:
-        """(``norm_bound()``, True) when the bound is at most tol; else
-        (the SVD norm of the dense block, False), so a failure always
-        shows the dense value.  ``dense(members)``, when given, forms the
-        operators of the members (indices into the stack; [0] for a single
-        block) its own way, as a stack or, for a single block, a matrix.
-
-        For a stack, the values and flags are arrays with one entry per
-        member, and only the members whose bound exceeds tol (or is NaN)
-        form their dense operators, all of them under one SVD call.
-        """
-        value = np.atleast_1d(self.norm_bound())
-        certified = value <= tol
-        if not certified.all():
-            refused = np.flatnonzero(~certified)
-            value[refused] = opnorm(self.take(refused).dense() if dense is None
-                                    else dense(refused))
-        if self.c.ndim == 1:
-            return float(value[0]), bool(certified[0])
-        return value, certified
+    def as_defect(self, dense=None) -> "Defect":
+        """The norm of this block, or of each member, as a ``Defect``: the
+        bound ``norm_bound()``, and ``dense(members)``, when given, forms
+        the refused members' operators its own way, as a stack."""
+        return Defect(np.atleast_1d(self.norm_bound()),
+                      dense or (lambda members: self.take(members).dense()),
+                      self.k)
 
     def conjugation_defect(self, phase, other) -> "ToeplitzBlock":
         """diag(phase) B diag(phase)* - other for this block B, ``other`` a
@@ -414,27 +440,18 @@ def geometric_deviation(phase) -> tuple:
     return deviation, allowance
 
 
-def shift_covariance(phase, E: ToeplitzBlock, sampled, B, shift, h,
-                     tol: float) -> dict:
-    """|| diag(phase) E diag(phase)* - E_{B + shift} || for the Toeplitz-block
-    effect E = E_B, whether it is a certified bound, and whether the exact
-    path was taken.
+def shift_covariance(phase, E: ToeplitzBlock, sampled, B, shift) -> Defect:
+    """diag(phase) E diag(phase)* - E_{B + shift} for the Toeplitz-block
+    effect E = E_B, as a ``Defect`` of one member.
 
     ``sampled`` builds the target block from the indicator of B + shift
-    sampled at the grid points.  The residual is the bound of the defect's
-    generator when that is at most tol, and the SVD norm of the dense
-    defect otherwise.  The path is exact when ``shift`` is a multiple of
-    the grid step ``h`` and the shifted region is aligned to the grid;
-    otherwise the interpolation error shows in the defect.
+    sampled at the grid points.  The identity is exact when ``shift`` is a
+    multiple of the grid step and the shifted region is aligned to the
+    grid; otherwise the interpolation error shows in the defect.
     """
-    shifted = B.shifted(shift)
-    target = sampled(shifted)
-    residual, bound = E.conjugation_defect(phase, target).certified_norm(
-        tol, lambda _: diag_conjugate(phase, E.dense()) - target.dense())
-    steps = shift / h
-    return {"residual": residual, "upper_bound": bound,
-            "exact_path": (abs(steps - round(steps)) < 1e-9
-                           and shifted.is_aligned(h))}
+    target = sampled(B.shifted(shift))
+    return E.conjugation_defect(phase, target).as_defect(
+        lambda _: (diag_conjugate(phase, E.dense()) - target.dense())[None])
 
 
 def sqrtm_psd(A) -> np.ndarray:

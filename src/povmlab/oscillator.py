@@ -11,9 +11,9 @@ So the covariance defects of all the draws of a check, a partition sum
 and the thermal covariance defects of all the samples of one beta are
 each certified from one FFT of a stack of generators of length 2d.  The
 thermal check reads the modular flow of the Gibbs state as the diagonal
-phase of the triple's own density; ``dense()`` forms the matrix for the
-Naimark dilation and the dense fallbacks (the SVD, and the dense modular
-flow), for the members whose bound does not settle the check.
+phase of the triple's own density.  The covariance residuals are
+``Defect``s; ``dense()`` forms the matrix for the Naimark dilation and
+for the dense defects (by the dense modular flow, for the thermal check).
 
 Arc convention: angles in [-pi, pi), half-open arcs, arg valued in
 [-pi, pi).
@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .operators import (DEFAULT_TOL, NotGeometric, ToeplitzBlock,
-                        diag_conjugate, funcalc, opnorm)
+from .operators import (Defect, NotGeometric, ToeplitzBlock, diag_conjugate,
+                        funcalc, opnorm)
 from .modular import build_modular
 from .regions import region_list
 
@@ -83,24 +83,21 @@ def phase_effect(B, d: int) -> ToeplitzBlock:
     return ToeplitzBlock(c[0] if one else c, d)
 
 
-def covariance_residual(d: int, t, B, tol: float = DEFAULT_TOL) -> dict:
-    """|| e^{-itN} E_B e^{itN} - E_{rot_t B} ||, both sides in closed form,
-    and whether it is a certified bound; for equal-length sequences t and
-    B of draws, those of the draw with the largest residual.
+def covariance_residual(d: int, t, B) -> Defect:
+    """The defect e^{-itN} E_B e^{itN} - E_{rot_t B}, both sides in closed
+    form, as a ``Defect``; for equal-length sequences t and B of draws, one
+    member per draw.
 
     N is diagonal and E_B Toeplitz, so the defect is the Toeplitz block
-    ``conjugation_defect`` with phase e^{-itn}; its generator's bound is
-    reported when it is at most tol (``upper_bound`` True), and the SVD of
-    the dense defect otherwise.  Every rotation of the circle is exact.
-    e^{-itn} is 2 pi-periodic in t, so t enters the phase reduced to
-    [-pi, pi]: the rounding of an angle t n grows with |t|, and beyond
-    |t| ~ 200 it would exceed the rounding allowance of
-    ``conjugation_defect``'s geometric check.  The reduction is exact and
-    leaves a t in [-pi, pi] unchanged.
+    ``conjugation_defect`` with phase e^{-itn}, bounded from its
+    generator.  Every rotation of the circle is exact.  e^{-itn} is
+    2 pi-periodic in t, so t enters the phase reduced to [-pi, pi]: the
+    rounding of an angle t n grows with |t|, and beyond |t| ~ 200 it would
+    exceed the rounding allowance of ``conjugation_defect``'s geometric
+    check.  The reduction is exact and leaves a t in [-pi, pi] unchanged.
 
     The draws are one stack: their effects, their targets and their
-    defects are each one stacked block, bounded from one FFT, and only the
-    draws whose bound exceeds tol form their dense defect.
+    defects are each one stacked block, bounded from one FFT.
     """
     regions = region_list(B)[0]
     ts = np.atleast_1d(t)
@@ -116,9 +113,7 @@ def covariance_residual(d: int, t, B, tol: float = DEFAULT_TOL) -> dict:
         return (diag_conjugate(phase[members], E.take(members).dense())
                 - target.take(members).dense())
 
-    residual, bound = E.conjugation_defect(phase, target).certified_norm(
-        tol, dense)
-    return _worst(residual, bound)
+    return E.conjugation_defect(phase, target).as_defect(dense)
 
 
 def _effects_and_targets(regions, targets, d: int) -> tuple:
@@ -126,12 +121,6 @@ def _effects_and_targets(regions, targets, d: int) -> tuple:
     equal length, from one ``phase_effect`` call."""
     both = phase_effect(regions + targets, d)
     return both.take(slice(len(regions))), both.take(slice(len(regions), None))
-
-
-def _worst(residual, bound) -> dict:
-    """The residual and flag of the first draw with the largest residual."""
-    i = int(np.argmax(residual))
-    return {"residual": float(residual[i]), "upper_bound": bool(bound[i])}
 
 
 def toeplitz_arg(d: int) -> np.ndarray:
@@ -188,12 +177,11 @@ def weyl_failure_check(d: int, s: float, t: float) -> float:
     return opnorm(Es @ Et - np.exp(-1j * s * t) * Et @ Es)
 
 
-def thermal_covariance_residual(beta: float, d: int, samples,
-                                tol: float = DEFAULT_TOL) -> dict:
-    """Largest residual of the thermal covariance of the phase POVM over
-    the (t, B) pairs in ``samples``, and whether it is a certified bound:
-    the Connes-Rovelli thermal time as a POVM covariant under the modular
-    flow of gibbs(beta, d).
+def thermal_covariance_residual(beta: float, d: int, samples) -> Defect:
+    """The thermal covariance defects of the phase POVM over the (t, B)
+    pairs in ``samples``, as a ``Defect`` with one member per pair: the
+    Connes-Rovelli thermal time as a POVM covariant under the modular flow
+    of gibbs(beta, d).
 
     Builds the modular triple of gibbs(beta, d) once and compares the flow
     of E_B against the rotated arc effect.  The flow of E_B acting on the
@@ -207,12 +195,11 @@ def thermal_covariance_residual(beta: float, d: int, samples,
     T^{-it} is read as a diagonal phase from the triple's own density
     (``ModularTriple.flow_phase``, one row per sample), never from N and
     beta, so the defects are one stack of Toeplitz blocks
-    (``conjugation_defect``), bounded from one FFT: a sample's bound is
-    reported when it is at most tol (``upper_bound`` True), else the SVD
-    norm of its dense ``triple.flow`` defect.  When ``conjugation_defect``
+    (``conjugation_defect``), bounded from one FFT; the dense defect of a
+    sample is its ``triple.flow`` defect.  When ``conjugation_defect``
     refuses the stack because a phase is not geometric within rounding
-    (``NotGeometric``), as a non-Gibbs density's phases are, every sample
-    takes the dense path.
+    (``NotGeometric``), as a non-Gibbs density's phases are, no sample has
+    a bound.
     """
     if beta * d > 20:
         raise ValueError("conditioning guard: beta*d must be <= 20")
@@ -227,8 +214,7 @@ def thermal_covariance_residual(beta: float, d: int, samples,
         return np.stack(flowed) - target.take(members).dense()
 
     try:
-        residual, bound = E.conjugation_defect(
-            triple.flow_phase(ts), target).certified_norm(tol, dense)
+        return E.conjugation_defect(triple.flow_phase(ts),
+                                    target).as_defect(dense)
     except NotGeometric:
-        residual, bound = opnorm(dense(range(len(ts)))), np.zeros(len(ts), bool)
-    return _worst(residual, bound)
+        return Defect(np.full(len(ts), np.inf), dense, d)

@@ -78,10 +78,6 @@ class RegionSet:
     def line(cls, cells, length, base=0.0):
         return cls(domain=LINE, period=length, cells=tuple(cells), base=base)
 
-    @property
-    def measure(self) -> float:
-        return sum(b - a for a, b in self.cells)
-
     def shifted(self, t: float) -> "RegionSet":
         """Translate (line) / rotate (circle) by t."""
         return RegionSet(domain=self.domain, period=self.period,

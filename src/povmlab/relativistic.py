@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import (DEFAULT_TOL, NUMERIC_TOL, ToeplitzBlock, adjoint,
+from .operators import (NUMERIC_TOL, Defect, ToeplitzBlock, adjoint,
                         circulant, shift_covariance)
 from .regions import RegionSet, region_list
 
@@ -236,28 +236,26 @@ def rel_effect_apply(model: HardyModel, B: RegionSet, v) -> np.ndarray:
 
 
 def rel_covariance_residual(model: HardyModel, beta: float, t: float,
-                            B: RegionSet, tol: float = DEFAULT_TOL) -> dict:
-    """|| e^{-i beta t |D|} E_B e^{i beta t |D|} - E_{B + beta t} || on the
-    Hardy subspace.
+                            B: RegionSet) -> Defect:
+    """The defect e^{-i beta t |D|} E_B e^{i beta t |D|} - E_{B + beta t}
+    on the Hardy subspace, as a ``Defect``.
 
     The modular-time unitary is T^{it} = e^{-i beta t |D|}, so conjugation
     translates by +beta*t (direction frozen by a regression test).  When
     beta*t is a grid multiple and B is aligned the identity is exact;
     otherwise the shifted set is sampled pointwise and the interpolation
     error is reported, never silently accepted.  The Hardy frequencies are
-    equispaced, so the defect is a Toeplitz block; its generator's bound is
-    reported when it is at most tol (``upper_bound`` True), and the SVD of
-    the dense defect otherwise (see ``operators.shift_covariance``).  The
-    phase e^{-is xi} is L-periodic in s = beta*t, so s enters it reduced to
-    [-L/2, L/2] by ``math.remainder``, which leaves such an s unchanged:
-    the rounding of an unreduced angle s xi would grow past the rounding
-    allowance of ``conjugation_defect``'s geometric check.
+    equispaced, so the defect is a Toeplitz block, bounded from its
+    generator (see ``operators.shift_covariance``).  The phase e^{-is xi}
+    is L-periodic in s = beta*t, so s enters it reduced to [-L/2, L/2] by
+    ``math.remainder``, which leaves such an s unchanged: the rounding of
+    an unreduced angle s xi would grow past the rounding allowance of
+    ``conjugation_defect``'s geometric check.
     """
     s = beta * t
     phase = np.exp(-1j * math.remainder(s, model.grid.L) * model.xi)
     return shift_covariance(phase, rel_effect(model, B),
-                            lambda R: _sampled_effect(model, R), B, s,
-                            model.grid.h, tol)
+                            lambda R: _sampled_effect(model, R), B, s)
 
 
 def tau_unitarity_residual(grid: CircleGrid, beta: float, t: float,

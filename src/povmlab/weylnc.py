@@ -33,8 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import (DEFAULT_TOL, ToeplitzBlock, diag_conjugate, opnorm,
-                        shift_covariance)
+from .operators import Defect, ToeplitzBlock, diag_conjugate, shift_covariance
 from .regions import RegionSet, region_list
 
 
@@ -93,10 +92,6 @@ class MellinLattice:
         """e^{isP} = diag(e^{i s u_l}), returned as its diagonal."""
         return np.exp(1j * s * self.u)
 
-    def exp_Q(self, t: float) -> np.ndarray:
-        """e^{itQ}; coincides with shift(t) for t in delta*Z."""
-        return self.spectral_multiplier_Q(np.exp(1j * t * self.q)).dense()
-
     def spectral_multiplier_Q(self, values, k: int = None) -> ToeplitzBlock:
         """f(Q) = Phi diag(f(q)) Phi* with Phi[l, k] = e^{i q_k u_l} /
         sqrt(m), a circulant kept as its generator, or its leading k x k
@@ -141,20 +136,15 @@ def weyl_defect(lat: MellinLattice, s: float, t: float) -> tuple:
 
 
 def weyl_relation_residual(lat: MellinLattice, s: float, t: float) -> float:
-    """|| e^{isP} S(t) - e^{-ist} S(t) e^{isP} ||, with S(t) the exact
-    shift for t in delta*Z and e^{itQ} otherwise.
+    """|| e^{isP} S(t) - e^{-ist} S(t) e^{isP} || for t in delta*Z, with
+    S(t) the exact shift; a t off the lattice is refused with a
+    ``ValueError``, as ``weyl_defect`` refuses it.
 
-    Exact (rounding-level) for t in delta*Z and s on the dual grid;
-    generic s reports the wrap-around boundary defect.  On the lattice the
-    defect has one nonzero per row and column, so its norm is the largest
-    modulus among them; a generic t forms the dense defect.
+    Exact (rounding-level) for s on the dual grid; generic s reports the
+    wrap-around boundary defect.  On the lattice the defect has one nonzero
+    per row and column, so its norm is the largest modulus among them.
     """
-    j = t / lat.delta
-    if abs(j - round(j)) < 1e-9:
-        return float(np.abs(weyl_defect(lat, s, t)[1]).max())
-    Es = lat.exp_P(s)
-    St = lat.exp_Q(t)
-    return opnorm(Es[:, None] * St - np.exp(-1j * s * t) * St * Es[None, :])
+    return float(np.abs(weyl_defect(lat, s, t)[1]).max())
 
 
 @dataclass
@@ -272,44 +262,40 @@ def nc_effect(lat: MellinLattice, B) -> ToeplitzBlock:
     return _compressed_indicator(lat, B)
 
 
-def nc_covariance_residual(lat: MellinLattice, t: float, B: RegionSet,
-                           tol: float = DEFAULT_TOL) -> dict:
-    """|| e^{itP} E_B e^{-itP} - E_{B+t} || on the compressed range.
+def nc_covariance_residual(lat: MellinLattice, t: float,
+                           B: RegionSet) -> Defect:
+    """The defect e^{itP} E_B e^{-itP} - E_{B+t} on the compressed range,
+    as a ``Defect``.
 
     Exact for t on the Q-dual lattice; misaligned t is routed to the
     sampled-indicator interpolation path and its error reported.  The
-    positive sites are equispaced, so the defect is a Toeplitz block; its
-    generator's bound is reported when it is at most tol (``upper_bound``
-    True), and the SVD of the dense defect otherwise (see
-    ``operators.shift_covariance``).  The sites are multiples of delta, so
-    the phase e^{itu} is periodic in t with period 2 pi / delta, and t
-    enters it reduced to [-pi/delta, pi/delta] by ``math.remainder``, which
-    leaves such a t unchanged: the rounding of an unreduced angle t u would
-    grow past the rounding allowance of ``conjugation_defect``'s geometric
-    check.
+    positive sites are equispaced, so the defect is a Toeplitz block,
+    bounded from its generator (see ``operators.shift_covariance``).  The
+    sites are multiples of delta, so the phase e^{itu} is periodic in t
+    with period 2 pi / delta, and t enters it reduced to [-pi/delta,
+    pi/delta] by ``math.remainder``, which leaves such a t unchanged: the
+    rounding of an unreduced angle t u would grow past the rounding
+    allowance of ``conjugation_defect``'s geometric check.
     """
     period = 2 * np.pi / lat.delta
     return shift_covariance(np.exp(1j * math.remainder(t, period)
                                    * lat.u[lat.positive_sites]),
                             nc_effect(lat, B),
-                            lambda R: _compressed_indicator(lat, R), B, t,
-                            lat.dual_spacing, tol)
+                            lambda R: _compressed_indicator(lat, R), B, t)
 
 
-def conjugation_residual(lat: MellinLattice, t: float, a: SymbolRep,
-                         tol: float = DEFAULT_TOL) -> dict:
-    """|| e^{itP} a(Q,P) e^{-itP} - a_t(Q,P) || with a_t: (x, xi) ->
-    a(x + t, xi); exact for t on the x-grid (= Q-dual lattice), and whether
-    the residual is a certified bound.
+def conjugation_residual(lat: MellinLattice, t: float, a: SymbolRep) -> Defect:
+    """The defect e^{itP} a(Q,P) e^{-itP} - a_t(Q,P) with a_t: (x, xi) ->
+    a(x + t, xi), as a ``Defect``; exact for t on the x-grid (= Q-dual
+    lattice).
 
     Conjugation by the diagonal e^{itP} keeps each shift diagonal, so the
     defect is a sum of weighted permutations, one per offset, and by the
     triangle inequality its norm is at most the sum over offsets of the
     largest modulus on each.  That sum, widened by the rounding of its own
-    moduli and additions, is reported when it is at most tol
-    (``upper_bound`` True); otherwise the SVD norm of the dense defect
-    diag_conjugate(e^{itP}, quantize(a)) - quantize(a_t), whose entries
-    the diagonals equal bit for bit.
+    moduli and additions, is the bound; the dense defect is
+    diag_conjugate(e^{itP}, quantize(a)) - quantize(a_t), whose entries the
+    diagonals equal bit for bit.
     """
     dx = lat.x_length / lat.m
     r = t / dx
@@ -322,7 +308,6 @@ def conjugation_residual(lat: MellinLattice, t: float, a: SymbolRep,
     moduli = [np.abs((phase * d) * back[(rows + j) % lat.m] - target[j]).max()
               for j, d in _shift_diagonals(lat, a).items()]
     bound = float(sum(moduli)) * (1 + (len(moduli) + 2) * np.finfo(float).eps)
-    if bound <= tol:
-        return {"residual": bound, "upper_bound": True}
-    conj = diag_conjugate(phase, quantize(lat, a))
-    return {"residual": opnorm(conj - quantize(lat, at)), "upper_bound": False}
+    return Defect(np.array([bound]), lambda _: (
+        diag_conjugate(phase, quantize(lat, a)) - quantize(lat, at))[None],
+        lat.m)

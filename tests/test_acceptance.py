@@ -8,8 +8,8 @@ import pytest
 from povmlab.modular import (TraceWeight, build_gns, build_modular,
                              kms_residual, left_mult, lemma_modular_residual,
                              vec)
-from povmlab.operators import (EFFECT, NUMERIC_TOL, PROJECTION, adjoint,
-                               is_effect, opnorm, sqrtm_psd)
+from povmlab.operators import (DEFAULT_TOL, EFFECT, NUMERIC_TOL, PROJECTION,
+                               adjoint, is_effect, opnorm, sqrtm_psd)
 from povmlab.oscillator import (commutator_defect, covariance_residual, gibbs,
                                 number_operator, phase_effect,
                                 thermal_covariance_residual, toeplitz_arg,
@@ -44,7 +44,7 @@ def test_criterion_01_phase_covariance():
         a2 = a + w1 + float(rng.uniform(0.1, 1.0))
         w2 = float(rng.uniform(0.1, 1.0))
         B = RegionSet.circle([(a, a + w1), (a2, a2 + w2)])
-        worst = max(worst, covariance_residual(d, t, B)["residual"])
+        worst = max(worst, covariance_residual(d, t, B).norm(DEFAULT_TOL)[0])
     verdict(1, "phase covariance d=64", worst <= 1e-10, f"residual {worst:.3e}")
 
 
@@ -57,7 +57,7 @@ def test_criterion_02_thermal_covariance():
             a = float(rng.uniform(-np.pi, np.pi))
             B = RegionSet.circle([(a, a + float(rng.uniform(0.3, 1.5)))])
             worst = max(worst, thermal_covariance_residual(
-                beta, 12, [(t, B)])["residual"])
+                beta, 12, [(t, B)]).norm(DEFAULT_TOL)[0])
     verdict(2, "thermal covariance beta in {0.5,1} d=12", worst <= 1e-8,
             f"residual {worst:.3e}")
 
@@ -169,7 +169,8 @@ def test_criterion_09_relativistic():
     grid = CircleGrid(256, 8 * np.pi)
     model = HardyModel(grid)
     B = grid.region([(0.0, grid.L / 4)])
-    cov = rel_covariance_residual(model, 1.0, 8 * grid.h, B)["residual"]
+    cov = rel_covariance_residual(model, 1.0, 8 * grid.h, B).norm(
+        DEFAULT_TOL)[0]
     # rank-4 operators a_L a_R* and c_L c_R* from unit-variance factors,
     # the left ones scaled by n^(-1/4) so that |<A, C>_tau| does not grow
     # with n (see tau_unitarity_residual)
@@ -214,12 +215,13 @@ def test_criterion_10_weyl_mellin():
         a0 += amp * np.cos(j * lat.delta * lat.x_grid)
     a = SymbolRep(coeffs=coeffs, a0_pos=a0.copy(), a0_neg=a0.copy())
     t = 2 * lat.dual_spacing
-    conj = conjugation_residual(lat, t, a)["residual"]
+    conj = conjugation_residual(lat, t, a).norm(DEFAULT_TOL)[0]
     at = a.translated(lat, t)
     inv = abs(nc_integral(at, lat.x_length) - nc_integral(a, lat.x_length))
     iso = abs(htau_norm(at, lat.x_length) - htau_norm(a, lat.x_length))
     B = equal_partition(lat.q_region([]), 4)[0]
-    cov = nc_covariance_residual(lat, 3 * lat.dual_spacing, B)["residual"]
+    cov = nc_covariance_residual(lat, 3 * lat.dual_spacing, B).norm(
+        DEFAULT_TOL)[0]
     odd = SymbolRep(coeffs={}, a0_pos=a0, a0_neg=-a0)
     chan = nc_integral(odd, lat.x_length)
     ok = (weyl <= 1e-12 and conj <= 1e-10 and cov <= 1e-12

@@ -258,12 +258,12 @@ def nc_covariance_cases():
 
 
 def covariance_paths():
-    """(label, residual(shift, tol), dense defect and exactness(shift),
-    defect block(shift), grid step) for every grid and lattice above."""
+    """(label, residual(shift), dense defect and exactness(shift), defect
+    block(shift), grid step) for every grid and lattice above."""
     for n, model, B in rel_covariance_cases():
         yield (f"rel n={n}",
-               lambda s, tol, model=model, B=B: relativistic.
-               rel_covariance_residual(model, 1.0, s, B, tol),
+               lambda s, model=model, B=B: relativistic.
+               rel_covariance_residual(model, 1.0, s, B),
                lambda s, model=model, B=B: dense_rel_covariance_defect(
                    model, s, B),
                lambda s, model=model, B=B: relativistic.rel_effect(
@@ -273,8 +273,8 @@ def covariance_paths():
                model.grid.h)
     for lat, B in nc_covariance_cases():
         yield (f"nc m={lat.m} k={len(lat.positive_sites)}",
-               lambda t, tol, lat=lat, B=B: weylnc.nc_covariance_residual(
-                   lat, t, B, tol),
+               lambda t, lat=lat, B=B: weylnc.nc_covariance_residual(
+                   lat, t, B),
                lambda t, lat=lat, B=B: dense_nc_covariance_defect(lat, t, B),
                lambda t, lat=lat, B=B: weylnc.nc_effect(
                    lat, B).conjugation_defect(
@@ -296,19 +296,16 @@ def test_covariance_generator_matches_the_dense_defect(path):
         assert np.array_equal(D[:, 0], dense[:, 0])
         assert np.array_equal(D[0], dense[0])
         assert np.abs(D - dense).max() <= 8 * EPS
-        out = residual(steps * h, 1e-12)
-        assert out["exact_path"] == exact
+        value, certified = residual(steps * h).norm(1e-12)
         if exact:
             # ||dense|| <= ||D|| + ||dense - D||, and the bound covers ||D||
-            assert out["upper_bound"] and out["residual"] <= 1e-12
-            assert (out["residual"] + np.linalg.norm(dense - D)
-                    >= opnorm(dense))
+            assert certified and value <= 1e-12
+            assert value + np.linalg.norm(dense - D) >= opnorm(dense)
         else:
             # misaligned: the bound exceeds tol, and the dense SVD of the
             # dense formula is reported unchanged
             assert block(steps * h).norm_bound() > 1e-12
-            assert not out["upper_bound"]
-            assert out["residual"] == opnorm(dense)
+            assert not certified and value == opnorm(dense)
 
 
 def test_identity_defect_is_the_dense_sum_minus_identity():
@@ -321,7 +318,8 @@ def test_identity_defect_is_the_dense_sum_minus_identity():
             oscillator.phase_effect(regions.equal_partition(
                 regions.circle_full(), 6), 12)):
         dense = sum(effects.dense()) - np.eye(effects.k)
-        assert np.array_equal(_identity_defect(effects).dense(), dense)
+        assert np.array_equal(_identity_defect(effects).dense([0]),
+                              dense[None])
 
 
 def _case(report, name):
@@ -525,6 +523,27 @@ def test_tolerance_below_every_bound_reports_the_dense_values():
         assert not record["pass"]
 
 
+def test_a_bound_above_tol_over_the_dense_budget_fails_forming_nothing(
+        monkeypatch):
+    # at d = 16384 the bound of osc.povm.sum, 1.3e-12, exceeds its tol of
+    # 1e-12, and its dense defect would be a 16384 x 16384 matrix (4 GiB):
+    # the record fails on the bound, says why, and no circulant is formed
+    def refuse(*args):
+        raise AssertionError("a dense block was formed")
+
+    monkeypatch.setattr(operators, "circulant", refuse)
+    report = run_suite(SuiteConfig(suite="oscillator", d=16384))
+    arcs = regions.equal_partition(regions.circle_full(), 6)
+    bound = _identity_defect(oscillator.phase_effect(arcs, 16384)).bound[0]
+    assert bound > 1e-12
+    assert _case(report, "osc.povm.sum") == {
+        "case": "osc.povm.sum", "anchor": "Thm unsharp-observables",
+        "param": "d=16384 6 arcs [dense 16384x16384 over budget]",
+        "residual": bound, "tol": 1e-12, "pass": False, "upper_bound": True}
+    assert [r["case"] for r in report["cases"] if not r["pass"]] == [
+        "osc.povm.sum"]
+
+
 def test_certified_residuals_are_marked_and_within_tol():
     report = run_suite(SuiteConfig(suite="all"))
     marked = {r["case"] for r in report["cases"] if r.get("upper_bound")}
@@ -680,11 +699,6 @@ def test_weyl_suite_passes_where_the_seam_point_rounds_below_base():
 
 # Functions that no verify or study run reaches, each kept for a reason.
 UNREACHED = {
-    # the length of a region, through which tests check the cell arithmetic
-    "regions.RegionSet.measure",
-    # the generic-t branch of weyl_relation_residual; every run shifts by
-    # delta*Z, where the defect is kept as its m nonzeros
-    "weylnc.MellinLattice.exp_Q",
     # the dense circulant form of a Fourier multiplier: tau_unitarity_residual
     # applies its multipliers to factor columns by FFT, and test_relativistic's
     # test_tau_unitarity_fft_matches_dense_multiplier_products keeps this as

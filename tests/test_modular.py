@@ -69,6 +69,26 @@ def test_gns_faithful_verdict_is_the_rank_of_the_root(T, faithful):
     assert faithful == (np.linalg.matrix_rank(sqrtm_psd(T), tol=1e-10) == d)
 
 
+def test_gns_reads_numerically_pure_states_as_pure():
+    # v v* for unit v: its d - 1 zero eigenvalues round to about d eps, far
+    # above the 1e-20 that the root's rank once resolved, and within the
+    # spectrum's rounding allowance 8 d eps lam_max
+    draw = np.random.default_rng(0)
+    for d in range(2, 9):
+        units = [np.eye(d)[:, [i]] @ np.eye(d)[[j], :]
+                 for i in range(d) for j in range(d)]
+        for _ in range(200):
+            v = draw.standard_normal(d) + 1j * draw.standard_normal(d)
+            v = v / np.linalg.norm(v)
+            g = build_gns(units, np.outer(v, v.conj()))
+            assert not g.faithful and g.dim == d
+    # an eigenvalue of 1e-8 lies far above that rounding
+    units = [np.eye(3)[:, [i]] @ np.eye(3)[[j], :]
+             for i in range(3) for j in range(3)]
+    g = build_gns(units, rotated([0.6, 0.4 - 1e-8, 1e-8]))
+    assert g.faithful and g.dim == 9
+
+
 def test_modtime_unitarity_forms_each_power_once(monkeypatch):
     # modtime.commuting's times 0, 0.4 and 1.1 and the sums 0.4 and 1.5
     # of the group law need four distinct powers of T

@@ -1,16 +1,18 @@
 import cmath
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from povmlab.operators import (DEFAULT_TOL, EFFECT, NOT_EFFECT, PROJECTION,
-                               NotGeometric, ToeplitzBlock, adjoint, circulant,
-                               diag_conjugate, funcalc, geometric_deviation,
-                               herm_spectrum, imag_power, is_effect,
-                               is_hermitian, opnorm, sqrtm_psd)
+from povmlab.operators import (DEFAULT_TOL, DENSE_BUDGET, EFFECT, NOT_EFFECT,
+                               PROJECTION, Defect, NotGeometric, ToeplitzBlock,
+                               adjoint, circulant, diag_conjugate, funcalc,
+                               geometric_deviation, herm_spectrum, imag_power,
+                               is_effect, is_hermitian, opnorm, sqrtm_psd)
 from povmlab.oscillator import phase_effect
 from povmlab.regions import RegionSet
+from povmlab.weylnc import MellinLattice, SymbolRep, conjugation_residual
 
 rng = np.random.default_rng(11)
 
@@ -179,11 +181,11 @@ def test_toeplitz_block_certifies_only_within_tol(n):
     c = np.fft.ifft((np.arange(n) < n // 3).astype(float))
     E = ToeplitzBlock(c, n // 2)
     bound = E.norm_bound()
-    assert E.certified_norm(bound) == (bound, True)
-    value, certified = E.certified_norm(0.5 * bound)
+    assert E.as_defect().norm(bound) == (bound, True)
+    value, certified = E.as_defect().norm(0.5 * bound)
     assert not certified and value == opnorm(E.dense())
-    assert E.certified_norm(0.5 * bound, lambda members: 2 * E.dense()) == (
-        opnorm(2 * E.dense()), False)
+    twice = E.as_defect(lambda members: 2 * E.dense()[None])
+    assert twice.norm(0.5 * bound) == (opnorm(2 * E.dense()), False)
 
 
 # --------------------------------------------------------------------------
@@ -480,11 +482,11 @@ def test_stack_members_equal_their_one_block_calls(n, data, members, seed):
     assert np.array_equal(stack.norm_bound(), [E.norm_bound() for E in ones])
     assert all(np.array_equal(bounds, single) for bounds, single in zip(
         stack.spectrum_bounds(), zip(*(E.spectrum_bounds() for E in ones))))
-    # a tol between the members' bounds certifies some and refuses others
+    # a tol between the members' bounds certifies some and refuses others;
+    # the stack reads the worst of its members' one-block values
     tol = float(np.median(stack.norm_bound()))
-    values, certified = stack.certified_norm(tol)
-    assert [(float(v), bool(b)) for v, b in zip(values, certified)] == [
-        E.certified_norm(tol) for E in ones]
+    assert stack.as_defect().norm(tol) == max(
+        (E.as_defect().norm(tol) for E in ones), key=lambda out: out[0])
     # geometric phases e^{i(a j + b)}, one per member, and a stack of targets
     a, b = draw.uniform(-np.pi, np.pi, (2, members, 1))
     phase = np.exp(1j * (a * np.arange(k) + b))
@@ -511,16 +513,115 @@ def test_stacked_certified_norm_forms_only_the_refused_members():
         asked.append(list(members))
         return stack.take(members).dense()
 
-    values, certified = stack.certified_norm(1e-10, dense)
+    value, certified = stack.as_defect(dense).norm(1e-10)
     assert asked == [[1, 3]]
-    assert certified.tolist() == [True, False, True, False, True]
-    for i in range(5):
-        one = ToeplitzBlock(C[i], 8, slack[i])
-        expected = (one.norm_bound() if certified[i]
-                    else opnorm(one.dense()))
-        assert values[i] == expected
+    values = [ToeplitzBlock(C[i], 8, slack[i]).norm_bound() if i % 2 == 0
+              else opnorm(ToeplitzBlock(C[i], 8).dense()) for i in range(5)]
+    worst = int(np.argmax(values))
+    assert (value, certified) == (values[worst], worst % 2 == 0)
     # without a ``dense``, the members' own dense blocks decide
-    assert np.array_equal(stack.certified_norm(1e-10)[0], values)
+    assert stack.as_defect().norm(1e-10) == (value, certified)
+
+
+def test_defect_reads_the_first_worst_member_and_refuses_nan_bounds():
+    def dense(members):
+        return np.stack([np.diag([v, 0.0]) for v in (0.3, 0.6, 0.6)])[members]
+
+    bound = np.array([0.5, np.nan, 1.0])
+    # members 1 and 2 are refused and read 0.6 each; the first wins
+    assert Defect(bound, dense, 2).norm(0.8) == (0.6, False)
+    assert Defect(bound[[0, 2]], dense, 2).norm(1.0) == (1.0, True)
+    assert Defect(np.full(3, np.inf), dense, 2).norm(1e300) == (0.6, False)
+
+
+def test_dense_budget_is_one_4096_square_stack():
+    # the budget counts elements of the refused members' stack; ``dense``
+    # here returns a stand-in, so nothing of that size is formed
+    asked = []
+
+    def dense(members):
+        asked.append(len(members))
+        return np.full((len(members), 1, 1), 0.25)
+
+    assert DENSE_BUDGET == 4096 * 4096
+    for count, size, formed in ((1, 4096, True), (1, 4097, False),
+                                (4096, 64, True), (4097, 64, False)):
+        asked.clear()
+        bound = np.full(count, 2.0)
+        value, certified = Defect(bound, dense, size).norm(1.0)
+        assert asked == ([count] if formed else [])
+        assert (value, certified) == ((0.25, False) if formed else (2.0, True))
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(producer=st.sampled_from(["toeplitz", "bent phase",
+                                 "shift diagonals"]),
+       factor=st.floats(0.5, 2.0), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_a_certified_defect_norm_is_sound_near_tol(producer, factor, seed,
+                                                    data):
+    # each kind of bound, drawn so that the dense norm lies within a
+    # factor 2 of tol: every bound covers the dense norm, a member is
+    # certified exactly when its bound is within tol and then reads it,
+    # and a refused member reads the dense norm itself
+    draw = np.random.default_rng(seed)
+    if producer == "toeplitz":
+        n = data.draw(st.sampled_from(BLOCK_SIZES), label="n")
+        kind = data.draw(st.sampled_from(["complex", "hermitian",
+                                          "indicator"]), label="kind")
+        k = data.draw(st.sampled_from(sorted({n // 2, n})), label="k")
+        defect = ToeplitzBlock(_generator(kind, n, draw), k).as_defect()
+    elif producer == "bent phase":
+        # a geometric phase turned at one interior site by a fraction of
+        # the allowance 64 k eps: the slack carries what the generator
+        # does not see
+        k = data.draw(st.sampled_from([12, 64, 256]), label="k")
+        t, a = draw.uniform(-np.pi, np.pi, 2)
+        B = RegionSet.circle([(a, a + draw.uniform(0.1, 2.0))])
+        phase = np.exp(-1j * t * np.arange(k))
+        phase[draw.integers(1, k - 1)] *= np.exp(
+            1j * draw.uniform(0.05, 0.9) * 64 * k * np.finfo(float).eps)
+        E, target = phase_effect(B, k), phase_effect(B.shifted(t), k)
+        defect = E.conjugation_defect(phase, target).as_defect(
+            lambda _: (diag_conjugate(phase, E.dense())
+                       - target.dense())[None])
+    else:
+        defect = _scaled_twist_defect(
+            data.draw(st.sampled_from([16, 32, 64]), label="m"), draw)
+    dense = opnorm(defect.dense(np.array([0]))[0])
+    tol, bound = factor * dense, defect.bound[0]
+    assert dense <= bound
+    assert defect.norm(tol) == ((bound, True) if bound <= tol
+                                else (dense, False))
+
+
+@dataclass
+class _ScaledTranslate(SymbolRep):
+    """A symbol whose translate has its coefficients scaled by 1 + eta."""
+
+    eta: float = 0.0
+
+    def translated(self, lat, t):
+        out = SymbolRep.translated(self, lat, t)
+        out.coeffs = {key: c * (1 + self.eta) for key, c in out.coeffs.items()}
+        return out
+
+
+def _scaled_twist_defect(m, draw):
+    """conjugation_residual's Defect for a random real symbol on the
+    self-dual lattice of size m, whose translate is scaled by 1 + eta, eta
+    log-uniform in [1e-12, 1e-3]: a defect of norm about eta."""
+    delta = float(np.sqrt(2 * np.pi / m))
+    lat = MellinLattice(m, delta, -delta * (m // 2))
+    coeffs = {}
+    for _ in range(4):
+        j, k = (int(v) for v in draw.integers(-4, 5, 2))
+        c = complex(draw.standard_normal(), draw.standard_normal())
+        coeffs[(j, k)] = coeffs.get((j, k), 0.0) + c
+        coeffs[(-j, -k)] = coeffs.get((-j, -k), 0.0) + c.conjugate()
+    a = _ScaledTranslate(coeffs=coeffs, eta=10 ** draw.uniform(-12, -3))
+    return conjugation_residual(
+        lat, int(draw.integers(-3, 4)) * lat.dual_spacing, a)
 
 
 def test_stacked_conjugation_defect_refuses_naming_the_first_bad_member():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from povmlab.operators import adjoint, diag_conjugate, opnorm
+from povmlab.operators import DEFAULT_TOL, adjoint, diag_conjugate, opnorm
 from povmlab.oscillator import (commutator_defect, covariance_residual,
                                 gibbs, number_operator, phase_effect,
                                 thermal_covariance_residual, toeplitz_arg,
@@ -81,8 +81,8 @@ def test_covariance_closed_form():
         t = float(rng.uniform(-4, 4))
         a = float(rng.uniform(-np.pi, np.pi))
         B = RegionSet.circle([(a, a + float(rng.uniform(0.1, 2.0)))])
-        out = covariance_residual(16, t, B)
-        assert out["upper_bound"] and out["residual"] < 1e-12
+        value, certified = covariance_residual(16, t, B).norm(DEFAULT_TOL)
+        assert certified and value < 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 2, 12, 64, 256])
@@ -100,9 +100,9 @@ def test_certified_covariance_bound_covers_the_dense_defect(d):
             phase, phase_effect(B.shifted(t), d)).dense()
         assert np.array_equal(D[:, 0], dense[:, 0])
         assert np.array_equal(D[0], dense[0])
-        out = covariance_residual(d, t, B)
-        assert out["upper_bound"] and out["residual"] <= 1e-10
-        assert out["residual"] + np.linalg.norm(dense - D) >= opnorm(dense)
+        value, certified = covariance_residual(d, t, B).norm(DEFAULT_TOL)
+        assert certified and value <= 1e-10
+        assert value + np.linalg.norm(dense - D) >= opnorm(dense)
 
 
 def test_toeplitz_arg_entries():
@@ -151,7 +151,7 @@ def test_thermal_covariance():
             a = float(rng.uniform(-np.pi, np.pi))
             B = RegionSet.circle([(a, a + 1.0)])
             assert thermal_covariance_residual(
-                beta, 12, [(t, B)])["residual"] < 1e-8
+                beta, 12, [(t, B)]).norm(1e-8)[0] < 1e-8
 
 
 def test_worst_thermal_residual_is_max_over_single_samples():
@@ -161,8 +161,11 @@ def test_worst_thermal_residual_is_max_over_single_samples():
                for t, a in zip(draw.uniform(-1, 1, 4),
                                draw.uniform(-np.pi, np.pi, 4))]
     singles = [thermal_covariance_residual(0.7, 10, [s]) for s in samples]
-    worst = max(singles, key=lambda out: out["residual"])
-    assert thermal_covariance_residual(0.7, 10, samples) == worst
+    stack = thermal_covariance_residual(0.7, 10, samples)
+    assert np.array_equal(stack.bound, [one.bound[0] for one in singles])
+    for tol in (DEFAULT_TOL, 1e-30):
+        assert stack.norm(tol) == max((one.norm(tol) for one in singles),
+                                      key=lambda out: out[0])
 
 
 def test_thermal_rotation_direction_frozen():
@@ -210,14 +213,14 @@ def test_certified_thermal_bound_covers_the_dense_flow_defect(beta, d):
     for t, a in zip(draw.uniform(-1, 1, 4), draw.uniform(-np.pi, np.pi, 4)):
         B = RegionSet.circle([(a, a + 1.0)])
         E, target = phase_effect(B, d), phase_effect(B.shifted(-beta * t), d)
-        out = thermal_covariance_residual(beta, d, [(t, B)])
-        assert out["upper_bound"] and out["residual"] <= 1e-12
+        defect = thermal_covariance_residual(beta, d, [(t, B)])
+        value, certified = defect.norm(DEFAULT_TOL)
+        assert certified and value <= 1e-12
         dense = triple.flow(t, E.dense()) - target.dense()
         block = E.conjugation_defect(triple.flow_phase(t), target).dense()
-        assert out["residual"] + np.linalg.norm(dense - block) >= opnorm(dense)
+        assert value + np.linalg.norm(dense - block) >= opnorm(dense)
         # below the bound the dense flow decides, and reads the same value
-        low = thermal_covariance_residual(beta, d, [(t, B)], tol=1e-30)
-        assert low == {"residual": opnorm(dense), "upper_bound": False}
+        assert defect.norm(1e-30) == (opnorm(dense), False)
 
 
 def test_thermal_takes_the_dense_flow_only_when_the_phase_is_refused(
@@ -246,8 +249,8 @@ def test_covariance_at_a_large_rotation_is_certified(d):
     with pytest.raises(ValueError, match="not geometric"):
         phase_effect(B, d).conjugation_defect(
             np.exp(-1j * t * np.arange(d)), phase_effect(B.shifted(t), d))
-    out = covariance_residual(d, t, B)
-    assert out["upper_bound"] and out["residual"] <= 1e-10
+    value, certified = covariance_residual(d, t, B).norm(DEFAULT_TOL)
+    assert certified and value <= 1e-10
 
 
 @pytest.mark.parametrize("d", [1, 2, 12, 34])
@@ -272,8 +275,11 @@ def _covariance_draws(count=10, seed=3):
 def test_stacked_covariance_is_the_worst_one_draw_call(d):
     ts, regions = _covariance_draws()
     singles = [covariance_residual(d, t, B) for t, B in zip(ts, regions)]
-    assert covariance_residual(d, ts, regions) == max(
-        singles, key=lambda out: out["residual"])
+    stack = covariance_residual(d, ts, regions)
+    assert np.array_equal(stack.bound, [one.bound[0] for one in singles])
+    for tol in (DEFAULT_TOL, 1e-30):
+        assert stack.norm(tol) == max((one.norm(tol) for one in singles),
+                                      key=lambda out: out[0])
     with pytest.raises(ValueError, match="one entry per draw, got 9 and 10"):
         covariance_residual(d, ts[:9], regions)
 
@@ -298,13 +304,14 @@ def test_a_refused_draw_alone_forms_its_dense_defect(monkeypatch):
 
     monkeypatch.setattr(operators.ToeplitzBlock, "norm_bound", raised)
     monkeypatch.setattr(oscillator, "diag_conjugate", spy)
-    out = covariance_residual(d, ts, regions)
+    out = covariance_residual(d, ts, regions).norm(DEFAULT_TOL)
     assert formed == [(1, d, d)]
     monkeypatch.undo()
     dense = (diag_conjugate(np.exp(-1j * ts[3] * np.arange(d)),
                             closed_form_phase_effect(regions[3], d))
              - closed_form_phase_effect(regions[3].shifted(ts[3]), d))
-    values = [covariance_residual(d, t, B) for t, B in zip(ts, regions)]
-    assert all(out["upper_bound"] for out in values)
-    values[3] = {"residual": opnorm(dense), "upper_bound": False}
-    assert out == max(values, key=lambda out: out["residual"])
+    values = [covariance_residual(d, t, B).norm(DEFAULT_TOL)
+              for t, B in zip(ts, regions)]
+    assert all(certified for _, certified in values)
+    values[3] = (opnorm(dense), False)
+    assert out == max(values, key=lambda out: out[0])

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from povmlab import relativistic
-from povmlab.operators import EFFECT, PROJECTION, adjoint, is_effect, opnorm
+from povmlab.operators import (DEFAULT_TOL, EFFECT, PROJECTION, adjoint,
+                               is_effect, opnorm)
 from povmlab.regions import RegionSet
 from povmlab.relativistic import (CircleGrid, HardyModel, _sampled_apply,
                                   _sampled_effect, boundary_isometry_check,
@@ -13,6 +14,13 @@ from povmlab.relativistic import (CircleGrid, HardyModel, _sampled_apply,
                                   rel_effect_apply, tau_unitarity_residual)
 
 rng = np.random.default_rng(53)
+
+
+def exact_shift(B, shift, h):
+    """Whether a shift covariance identity is exact: the shift a multiple
+    of the grid step h, and B + shift aligned to the grid."""
+    steps = shift / h
+    return abs(steps - round(steps)) < 1e-9 and B.shifted(shift).is_aligned(h)
 
 
 def dft_matrix(grid):
@@ -246,9 +254,10 @@ def test_covariance_exact_on_aligned_shift():
     grid = CircleGrid(256, 8 * np.pi)
     model = HardyModel(grid)
     B = grid.region([(0.0, grid.L / 4)])
-    out = rel_covariance_residual(model, 1.0, 8 * grid.h, B)
-    assert out["exact_path"]
-    assert out["residual"] < 1e-10
+    assert exact_shift(B, 8 * grid.h, grid.h)
+    value, _ = rel_covariance_residual(model, 1.0, 8 * grid.h, B).norm(
+        DEFAULT_TOL)
+    assert value < 1e-10
 
 
 def test_covariance_at_a_large_shift_is_certified():
@@ -264,18 +273,18 @@ def test_covariance_at_a_large_shift_is_certified():
     with pytest.raises(ValueError, match="not geometric"):
         rel_effect(model, B).conjugation_defect(
             np.exp(-1j * s * model.xi), rel_effect(model, B.shifted(s)))
-    out = rel_covariance_residual(model, 1.0, s, B)
-    assert out["exact_path"] and out["upper_bound"]
-    assert out["residual"] <= 1e-11
+    assert exact_shift(B, s, grid.h)
+    value, certified = rel_covariance_residual(model, 1.0, s, B).norm(1e-11)
+    assert certified and value <= 1e-11
 
 
 def test_covariance_interpolation_path_reports():
     grid = CircleGrid(64, 8.0)
     model = HardyModel(grid)
     B = grid.region([(0.0, grid.L / 4)])
-    out = rel_covariance_residual(model, 1.0, 0.37, B)
-    assert not out["exact_path"]
-    assert out["residual"] > 1e-6                # honest nonzero error
+    assert not exact_shift(B, 0.37, grid.h)
+    value, _ = rel_covariance_residual(model, 1.0, 0.37, B).norm(DEFAULT_TOL)
+    assert value > 1e-6                          # honest nonzero error
 
 
 def rand_factor(n, r):

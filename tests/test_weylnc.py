@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from povmlab.operators import adjoint, diag_conjugate, opnorm
+from povmlab.operators import DEFAULT_TOL, adjoint, diag_conjugate, opnorm
 from povmlab.weylnc import (MellinLattice, SymbolRep, _compressed_indicator,
                             _shift_diagonals,
                             conjugation_residual, htau_norm, indicator_Q,
                             nc_covariance_residual, nc_effect, nc_integral,
                             quantize, weyl_defect, weyl_relation_residual)
 from povmlab.regions import equal_partition
+from test_relativistic import exact_shift
 
 rng = np.random.default_rng(61)
 
@@ -39,7 +40,8 @@ def test_shift_is_unitary_and_matches_exp_q():
     lat = selfdual_lattice(16)
     S = lat.shift(2 * lat.delta)
     assert opnorm(S @ adjoint(S) - np.eye(16)) < 1e-12
-    assert opnorm(S - lat.exp_Q(2 * lat.delta)) < 1e-12
+    assert opnorm(S - dense_multiplier_Q(
+        lat, np.exp(2j * lat.delta * lat.q))) < 1e-12
 
 
 def test_spectral_multiplier_q_matches_dense_reference():
@@ -48,8 +50,6 @@ def test_spectral_multiplier_q_matches_dense_reference():
         vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         assert opnorm(lat.spectral_multiplier_Q(vals).dense()
                       - dense_multiplier_Q(lat, vals)) < 1e-12
-        assert opnorm(lat.exp_Q(0.37)
-                      - dense_multiplier_Q(lat, np.exp(0.37j * lat.q))) < 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -73,23 +73,21 @@ def from_nonzeros(lat, cols, vals):
 
 def test_weyl_defect_matches_dense_reference():
     for lat in [skewed_lattice(m) for m in SKEWED] + [selfdual_lattice(192)]:
-        on = (2 * lat.delta, -3 * lat.delta)    # S(t) is the exact shift
-        off = 0.6 * lat.delta                   # S(t) is e^{itQ}
-        shifts = [(t, lat.shift(t)) for t in on] + [
-            (off, dense_multiplier_Q(lat, np.exp(1j * off * lat.q)))]
         for s in (0.37, lat.dual_spacing):
             Es = np.diag(np.exp(1j * s * lat.u))
-            for t, St in shifts:
+            for t in (2 * lat.delta, -3 * lat.delta):
+                St = lat.shift(t)
                 dense = Es @ St - np.exp(-1j * s * t) * St @ Es
                 # on the lattice the norm is the largest nonzero modulus,
                 # which the SVD of the dense defect must reproduce
                 assert weyl_relation_residual(lat, s, t) == pytest.approx(
                     opnorm(dense), rel=1e-12, abs=1e-15), (lat.m, s, t)
-                if t in on:
-                    D = from_nonzeros(lat, *weyl_defect(lat, s, t))
-                    assert opnorm(D - dense) < 1e-12
-        with pytest.raises(ValueError, match="lattice multiple"):
-            weyl_defect(lat, 0.37, off)
+                D = from_nonzeros(lat, *weyl_defect(lat, s, t))
+                assert opnorm(D - dense) < 1e-12
+        # a t off delta*Z has no lattice shift: both refuse it
+        for residual in (weyl_defect, weyl_relation_residual):
+            with pytest.raises(ValueError, match="lattice multiple"):
+                residual(lat, 0.37, 0.6 * lat.delta)
 
 
 def dense_weyl_defect(lat, s, t):
@@ -235,12 +233,11 @@ def test_conjugation_bound_covers_the_dense_defect(m, monkeypatch):
             t = steps * lat.dual_spacing
             dense = (diag_conjugate(np.exp(1j * t * lat.u), quantize(lat, a))
                      - quantize(lat, a.translated(lat, t)))
-            out = conjugation_residual(lat, t, a, np.inf)
-            assert out["upper_bound"] and out["residual"] >= opnorm(dense)
+            defect = conjugation_residual(lat, t, a)
+            value, certified = defect.norm(np.inf)
+            assert certified and value >= opnorm(dense)
             # below the bound the dense SVD is reported unchanged
-            tol = 0.5 * out["residual"]
-            assert conjugation_residual(lat, t, a, tol) == {
-                "residual": opnorm(dense), "upper_bound": False}
+            assert defect.norm(0.5 * value) == (opnorm(dense), False)
 
 
 def test_conjugation_shift_identity():
@@ -248,7 +245,7 @@ def test_conjugation_shift_identity():
     a = make_real_symbol(lat)
     for steps in (1, 3):
         t = steps * lat.dual_spacing
-        assert conjugation_residual(lat, t, a)["residual"] < 1e-10
+        assert conjugation_residual(lat, t, a).norm(DEFAULT_TOL)[0] < 1e-10
 
 
 def test_translation_invariance_of_integral_and_norm():
@@ -295,9 +292,9 @@ def test_nc_covariance_exact_path():
     lat = selfdual_lattice(64)
     B = equal_partition(lat.q_region([]), 4)[0]
     for steps in (1, 3):
-        out = nc_covariance_residual(lat, steps * lat.dual_spacing, B)
-        assert out["exact_path"]
-        assert out["residual"] < 1e-12
+        t = steps * lat.dual_spacing
+        assert exact_shift(B, t, lat.dual_spacing)
+        assert nc_covariance_residual(lat, t, B).norm(DEFAULT_TOL)[0] < 1e-12
 
 
 def test_nc_covariance_at_a_large_translation_is_certified():
@@ -311,17 +308,17 @@ def test_nc_covariance_at_a_large_translation_is_certified():
         nc_effect(lat, B).conjugation_defect(
             np.exp(1j * t * lat.u[lat.positive_sites]),
             _compressed_indicator(lat, B.shifted(t)))
-    out = nc_covariance_residual(lat, t, B, tol=1e-12)
-    assert out["exact_path"] and out["upper_bound"]
-    assert out["residual"] <= 1e-12
+    assert exact_shift(B, t, lat.dual_spacing)
+    value, certified = nc_covariance_residual(lat, t, B).norm(1e-12)
+    assert certified and value <= 1e-12
 
 
 def test_nc_covariance_interpolation_path_reports():
     lat = selfdual_lattice(16)
     B = equal_partition(lat.q_region([]), 4)[0]
-    out = nc_covariance_residual(lat, 0.37 * lat.dual_spacing, B)
-    assert not out["exact_path"]
-    assert out["residual"] > 1e-6
+    t = 0.37 * lat.dual_spacing
+    assert not exact_shift(B, t, lat.dual_spacing)
+    assert nc_covariance_residual(lat, t, B).norm(DEFAULT_TOL)[0] > 1e-6
 
 
 def test_selfdual_spacing_aligns_both_grids():
