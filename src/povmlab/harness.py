@@ -19,8 +19,8 @@ import numpy as np
 
 from . import modular, oscillator, povm, relativistic, weylnc
 from .operators import (EFFECT, NUMERIC_TOL, PROJECTION, Defect,
-                        ToeplitzBlock, _rand_complex, adjoint, is_effect,
-                        opnorm)
+                        ToeplitzBlock, _rand_complex, adjoint, circulant,
+                        is_effect, opnorm)
 from .regions import RegionSet, circle_full, equal_partition
 
 SCHEMA_VERSION = 1
@@ -113,17 +113,17 @@ class _Cases:
         """The tolerance a case is judged against."""
         return self.cfg.tol if self.cfg.tol is not None else default_tol
 
+    def _record(self, case, anchor, param, residual, tol, ok,
+                **extra) -> dict:
+        self.records.append({"case": case, "anchor": anchor, "param": param,
+                             "residual": residual, "tol": tol,
+                             "pass": bool(ok), **extra})
+        return self.records[-1]
+
     def add(self, case, anchor, param, residual, default_tol) -> dict:
         tol = self.tol(default_tol)
-        self.records.append({
-            "case": case,
-            "anchor": anchor,
-            "param": param,
-            "residual": float(residual),
-            "tol": tol,
-            "pass": bool(residual <= tol),
-        })
-        return self.records[-1]
+        return self._record(case, anchor, param, float(residual), tol,
+                            residual <= tol)
 
     def add_defect(self, case, anchor, param, defect, default_tol):
         """Record ``defect.norm`` at the case's tol.  A residual that is a
@@ -141,25 +141,11 @@ class _Cases:
     def add_flag(self, case, anchor, param, ok, note=""):
         # boolean checks are recorded with residual 0/1 against tol 0.5 so
         # the report schema stays uniform
-        self.records.append({
-            "case": case,
-            "anchor": anchor,
-            "param": param + (f" [{note}]" if note else ""),
-            "residual": 0.0 if ok else 1.0,
-            "tol": 0.5,
-            "pass": bool(ok),
-        })
+        self._record(case, anchor, param + (f" [{note}]" if note else ""),
+                     0.0 if ok else 1.0, 0.5, ok)
 
     def skip(self, case, anchor, param, reason):
-        self.records.append({
-            "case": case,
-            "anchor": anchor,
-            "param": param,
-            "residual": None,
-            "tol": None,
-            "pass": True,
-            "skipped": reason,
-        })
+        self._record(case, anchor, param, None, None, True, skipped=reason)
 
 
 def _rand_factor(rng, n, r, norm):
@@ -428,7 +414,7 @@ def _is_effect_block(E: ToeplitzBlock, tol) -> bool:
     dense = np.flatnonzero(~((skew <= tol) & (lo >= -tol) & (hi <= 1.0 + tol)))
     return len(dense) == 0 or all(
         cls in (EFFECT, PROJECTION)
-        for cls in is_effect(E.take(dense).dense(), tol))
+        for cls in is_effect(circulant(E.c[dense], E.k), tol))
 
 
 def _circulant_idempotency_defect(c) -> float:

@@ -10,17 +10,19 @@ values for a stack, from one batched LAPACK call that treats each member
 as it treats one matrix alone; an error names the first bad member.  The
 one structured operator is ``ToeplitzBlock``, a leading block of a
 circulant kept as its generator, whose norm and spectrum are bounded from
-one FFT; its conjugation defect needs a geometric phase, which
-``geometric_deviation`` checks.  A ToeplitzBlock takes stacks the same
-way: a generator of shape (S, n) stands for S blocks of one size, one per
-row, bounded from one FFT along the rows, and a one-row generator of shape
-(n,) is the single block, with single values; every member of a stack
-reads what it reads alone, bit for bit.  Every model residual that a
-bound can certify is a ``Defect``: its bound, and its dense value deferred
-until ``Defect.norm`` refuses the bound at a tolerance.
+one FFT.  A ToeplitzBlock takes stacks the same way: a generator of shape
+(S, n) stands for S blocks of one size, one per row, bounded from one FFT
+along the rows, and a one-row generator of shape (n,) is the single block,
+with single values; every member of a stack reads what it reads alone,
+bit for bit.  Every model residual that a bound can certify is a
+``Defect``: its bound, and its dense value deferred until ``Defect.norm``
+refuses the bound at a tolerance.  Every covariance check of the three
+models is one ``shift_covariance`` call: a stack of draws, each with its
+phase, whose defects are Toeplitz blocks when the phase is geometric
+(``geometric_deviation``); a lattice's phase is ``lattice_phase``.
 """
 
-import cmath
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -272,7 +274,7 @@ class Defect:
 class ToeplitzBlock:
     """The leading k x k block of circulant(c), kept as its generator c;
     or, for a generator of shape (S, n), the stack of the S blocks of its
-    rows, with ``slack`` a float or one value per member.
+    rows.
 
     The block compresses the circulant C(c), which is normal with
     eigenvalues lam = fft(c).  So ||block|| <= max|lam| (Gray, *Toeplitz
@@ -282,9 +284,7 @@ class ToeplitzBlock:
     2 max|Im lam|.  Each bound is widened by 5 log2(n) eps sqrt(n) ||c||_2,
     which bounds the rounding of every computed FFT value (Higham,
     *Accuracy and Stability of Numerical Algorithms*, Ch. 24), so it holds
-    for the exact block of the stored generator, and by ``slack``, the
-    norm of an operator the bounds also cover (``conjugation_defect``
-    sets it to what the generator does not carry).  It leaves out the
+    for the exact block of the stored generator.  It leaves out the
     rounding of forming the dense block, and can sit below the SVD norm of
     ``dense()``.
 
@@ -295,7 +295,6 @@ class ToeplitzBlock:
 
     c: np.ndarray
     k: int
-    slack: float = 0.0
 
     def _values(self, x):
         """x, one value per member, as a float for a single block."""
@@ -305,95 +304,32 @@ class ToeplitzBlock:
         """The matrix (k, k), or the stack of the members' (S, k, k)."""
         return circulant(self.c, self.k)
 
-    def take(self, members) -> "ToeplitzBlock":
-        """The stack of the given members, by index; a single block is a
-        stack of one."""
-        slack = np.asarray(self.slack)
-        return ToeplitzBlock(np.atleast_2d(self.c)[members], self.k,
-                             slack[members] if slack.ndim else self.slack)
-
     def _spectrum(self):
         """fft(c) along the rows and the allowance of each member's
         values."""
         n = self.c.shape[-1]
         rounding = (5 * max(1.0, np.log2(n)) * np.finfo(float).eps
                     * np.sqrt(n) * np.linalg.norm(self.c, axis=-1))
-        return np.fft.fft(self.c, axis=-1), rounding + self.slack
+        return np.fft.fft(self.c, axis=-1), rounding
 
     def norm_bound(self):
-        lam, slack = self._spectrum()
-        return self._values(np.abs(lam).max(axis=-1) + slack)
+        lam, rounding = self._spectrum()
+        return self._values(np.abs(lam).max(axis=-1) + rounding)
 
     def spectrum_bounds(self) -> tuple:
         """(lo, hi, skew): the spectrum of the Hermitian part lies in
         [lo, hi], and ||block - block*|| <= skew."""
-        lam, slack = self._spectrum()
-        return (self._values(lam.real.min(axis=-1) - slack),
-                self._values(lam.real.max(axis=-1) + slack),
-                self._values(2 * (np.abs(lam.imag).max(axis=-1) + slack)))
+        lam, rounding = self._spectrum()
+        return (self._values(lam.real.min(axis=-1) - rounding),
+                self._values(lam.real.max(axis=-1) + rounding),
+                self._values(2 * (np.abs(lam.imag).max(axis=-1) + rounding)))
 
-    def as_defect(self, dense=None) -> "Defect":
+    def as_defect(self) -> "Defect":
         """The norm of this block, or of each member, as a ``Defect``: the
-        bound ``norm_bound()``, and ``dense(members)``, when given, forms
-        the refused members' operators its own way, as a stack."""
+        bound ``norm_bound()``, and the dense blocks of the members."""
+        c = np.atleast_2d(self.c)
         return Defect(np.atleast_1d(self.norm_bound()),
-                      dense or (lambda members: self.take(members).dense()),
-                      self.k)
-
-    def conjugation_defect(self, phase, other) -> "ToeplitzBlock":
-        """diag(phase) B diag(phase)* - other for this block B, ``other`` a
-        block of the same size and phase_j = e^{i(a j + b)}; for a stack,
-        member by member, with phases of shape (S, k) and ``other`` a stack
-        of S blocks.
-
-        Entry (j, l) is e^{ia(j-l)} c_{j-l} - c'_{j-l}, so the defect is
-        Toeplitz.  Its generator holds that value at each signed offset
-        |r| < k, read off the first column and row as the dense formula
-        rounds them, in a circulant of length max(n, 2k) where no two
-        offsets share an entry; the entries no offset uses (the one at n/2
-        when k = n/2) are 0.
-
-        A phase whose first k entries are not geometric within rounding
-        (``geometric_deviation``) is refused with a ``NotGeometric``
-        ValueError: its defect is not Toeplitz.  A stack is refused when
-        any of its phases is, naming the first such member.  One that is
-        admitted lies within delta of some geometric q_j = phase_0 e^{iaj};
-        entry (j, l) of the dense defect then differs from the generator's
-        value by c_r (phase_j phase_l* - phase_r phase_0*), r = j - l,
-        which q makes 0, so by at most 3 delta (1 + delta) |c_r|.  By the
-        Schur test that difference has norm at most 3 delta (1 + delta)
-        sum_{|r| < k} |c_r|, and each entry of c serves at most
-        ceil((2k - 1) / n) of the offsets; the defect carries the resulting
-        bound as its ``slack``, so its bounds cover the dense defect of the
-        phase as given, not only of q.
-        """
-        k, n = self.k, self.c.shape[-1]
-        phase = phase[..., :k]
-        deviation, allowance = geometric_deviation(phase)
-        if not np.all(deviation <= allowance):      # a NaN is refused too
-            i = int(np.argmin(np.atleast_1d(deviation <= allowance)))
-            where = "" if self.c.ndim == 1 else f" {i} of the stack"
-            raise NotGeometric(f"phase{where} is not geometric: max_j "
-                               f"|phase_j - phase_0 e^(iaj)| <= "
-                               f"{np.atleast_1d(deviation)[i]:.3e} exceeds "
-                               f"the rounding allowance {allowance:.3e}")
-        c, m = self.c, max(n, 2 * k)
-        g = np.zeros(c.shape[:-1] + (m,), dtype=complex)
-        first = phase[..., :1]
-        g[..., :k] = phase * c[..., :k] * np.conj(first) - other.c[..., :k]
-        # the offsets -r, 0 < r < k, at m - r: r runs down along the slices
-        g[..., m - k + 1:] = (first * c[..., n - k + 1:]
-                              * np.conj(phase[..., :0:-1])
-                              - other.c[..., n - k + 1:])
-        hidden = (3 * deviation * (1 + deviation) * -(-(2 * k - 1) // n)
-                  * np.abs(self.c).sum(axis=-1))
-        return ToeplitzBlock(g, k, hidden)
-
-
-class NotGeometric(ValueError):
-    """The refusal of ``ToeplitzBlock.conjugation_defect``: the phase is
-    not geometric within rounding, so the conjugation defect is not a
-    Toeplitz block and only the dense defect decides."""
+                      lambda members: circulant(c[members], self.k), self.k)
 
 
 def geometric_deviation(phase) -> tuple:
@@ -408,50 +344,102 @@ def geometric_deviation(phase) -> tuple:
     computed gap to q, plus eps (|a| (k - 1) / 2 + 4) for the rounding of
     computing q, plus ||phase_0| - 1| (|q_j| = |phase_0|).  The allowance
     is 64 k eps for k entries.  The phases the three models compute as
-    e^{i(a j + b)} with |a| <= pi, as each of them reduces its periodic
-    angle, deviate by at most about 3 k eps; the rounding of an angle a j
-    grows with |a|: a step of 100 deviates by about 40 k eps, and one
-    beyond about 200 is refused.  A phase flipped in sign at one site
-    deviates by 2.
-
-    Each row's step and modulus defect are taken in scalar complex
-    arithmetic (cmath), whose rounding numpy's vector angle and modulus
-    do not share, and the gaps of all rows in one pass.
+    e^{i(a j + b)} with |a| <= pi, as ``lattice_phase`` reduces its angle,
+    deviate by at most about 3 k eps; the rounding of an angle a j grows
+    with |a|: a step of 100 deviates by about 40 k eps, and one beyond
+    about 200 is refused.  A phase flipped in sign at one site deviates
+    by 2.
     """
     phase = np.asarray(phase, dtype=complex)
-    k = phase.shape[-1]
-    rows = phase.reshape(1 if phase.ndim == 1 else len(phase), k)
-    eps = np.finfo(float).eps
-    firsts = rows[:, 0].tolist() if k else [1.0] * len(rows)
-    moduli = [abs(abs(p0) - 1.0) for p0 in firsts]
+    k, eps = phase.shape[-1], np.finfo(float).eps
+    # one phase is a stack of one: numpy rounds a complex product of
+    # scalars unlike one of arrays, so every value here stays an array
+    rows = phase.reshape(-1, k)
+    first = rows[:, :1]
+    deviation = np.abs(np.abs(first[:, 0]) - 1.0)
     if k > 1:
-        steps = []
-        for p0, p1, last in zip(firsts, rows[:, 1].tolist(),
-                                rows[:, -1].tolist()):
-            a = cmath.phase(p1 * p0.conjugate())
-            steps.append(a + cmath.phase(last * p0.conjugate() * cmath.exp(
-                -1j * a * (k - 1))) / (k - 1))
-        gaps = np.abs(rows - rows[:, :1] * np.exp(
-            1j * np.array(steps)[:, None] * np.arange(k))).max(axis=-1)
-        moduli = [modulus + (gap + eps * (abs(a) * (k - 1) / 2 + 4))
-                  for modulus, gap, a in zip(moduli, gaps.tolist(), steps)]
-    deviation = moduli[0] if phase.ndim == 1 else np.array(moduli)
+        back = np.conj(first[:, 0])
+        a = np.angle(rows[:, 1] * back)
+        a = a + np.angle(rows[:, -1] * back
+                         * np.exp(-1j * a * (k - 1))) / (k - 1)
+        gap = np.abs(rows - first * np.exp(
+            1j * a[:, None] * np.arange(k))).max(axis=-1)
+        deviation = deviation + (gap + eps * (np.abs(a) * (k - 1) / 2 + 4))
     allowance = 64 * k * eps
-    return deviation, allowance
+    return (float(deviation[0]) if phase.ndim == 1 else deviation), allowance
 
 
-def shift_covariance(phase, E: ToeplitzBlock, sampled, B, shift) -> Defect:
-    """diag(phase) E diag(phase)* - E_{B + shift} for the Toeplitz-block
-    effect E = E_B, as a ``Defect`` of one member.
+def lattice_phase(s, sites, period) -> np.ndarray:
+    """e^{i s x_j} over the sites x_j, one row per s of the sequence s
+    (a number is a sequence of one), each s reduced to [-period/2,
+    period/2] by ``math.remainder``.
 
-    ``sampled`` builds the target block from the indicator of B + shift
-    sampled at the grid points.  The identity is exact when ``shift`` is a
-    multiple of the grid step and the shifted region is aligned to the
-    grid; otherwise the interpolation error shows in the defect.
+    The sites are multiples of 2 pi / period, so the phase is periodic in
+    s, and the reduction, which is exact, leaves an s already in range
+    unchanged.  Without it the rounding of an angle s x_j would grow with
+    |s| past the allowance of ``geometric_deviation``.
     """
-    target = sampled(B.shifted(shift))
-    return E.conjugation_defect(phase, target).as_defect(
-        lambda _: (diag_conjugate(phase, E.dense()) - target.dense())[None])
+    reduced = [math.remainder(x, period) for x in np.atleast_1d(s).tolist()]
+    return np.exp(1j * np.multiply.outer(reduced, sites))
+
+
+def shift_covariance(phase, effects, regions, targets, flow=None) -> Defect:
+    """The covariance defects diag(phase_i) E_i diag(phase_i)* - E'_i of a
+    stack of draws, as a ``Defect`` with one member per draw: E_i the
+    effect of regions[i], E'_i that of targets[i], the moved region.
+
+    ``effects`` maps a sequence of regions to the stack of their effects,
+    Toeplitz blocks of one size k, and is called once, on regions +
+    targets; ``phase`` has one row of k entries per draw.  The identity is
+    exact when the move maps the grid onto itself; otherwise the
+    interpolation error shows in the defect.
+
+    For a geometric phase_j = e^{i(aj + b)}, entry (j, l) of the defect is
+    e^{ia(j-l)} c_{j-l} - c'_{j-l}, so the defect is Toeplitz.  Its
+    generator holds that value at each signed offset |r| < k, read off the
+    first column and row as the dense formula rounds them, in a circulant
+    of length max(n, 2k), n the effects' generator length, where no two
+    offsets share an entry; the entries no offset uses are 0.  A phase
+    within delta of some geometric q_j = phase_0 e^{iaj}
+    (``geometric_deviation``) moves entry (j, l) of the dense defect off
+    the generator's value by c_r (phase_j phase_l* - phase_r phase_0*),
+    r = j - l, which q makes 0, so by at most 3 delta (1 + delta) |c_r|.
+    By the Schur test that difference has norm at most 3 delta (1 + delta)
+    sum_{|r| < k} |c_r|, and each entry of c serves at most
+    ceil((2k - 1) / n) offsets: the bound is the generator's FFT norm
+    bound (``ToeplitzBlock.norm_bound``) widened by that slack, so it
+    covers the dense defect of the phase as given, not only of q.  A draw
+    whose phase deviates by more than the rounding allowance, as a phase
+    flipped in sign at one site does, has no Toeplitz defect: its bound is
+    inf, and only its dense defect decides.
+
+    A dense defect conjugates E_i by phase_i, or applies flow(i, E_i), the
+    caller's own dense flow of draw i, when ``flow`` is given.
+    """
+    both = effects(list(regions) + list(targets))
+    k, c = both.k, both.c[:len(regions)]
+    other, n = both.c[len(regions):], c.shape[-1]
+    m = max(n, 2 * k)
+    deviation, allowance = geometric_deviation(phase)
+    first = phase[:, :1]
+    g = np.zeros((len(c), m), dtype=complex)
+    g[:, :k] = phase * c[:, :k] * np.conj(first) - other[:, :k]
+    # the offsets -r, 0 < r < k, at m - r: r runs down along the slices
+    g[:, m - k + 1:] = (first * c[:, n - k + 1:] * np.conj(phase[:, :0:-1])
+                        - other[:, n - k + 1:])
+    slack = (3 * deviation * (1 + deviation) * -(-(2 * k - 1) // n)
+             * np.abs(c).sum(axis=-1))
+    lam, rounding = ToeplitzBlock(g, k)._spectrum()
+    bound = np.where(deviation <= allowance,      # a NaN is refused too
+                     np.abs(lam).max(axis=-1) + (rounding + slack), np.inf)
+
+    def dense(members):
+        E = circulant(c[members], k)
+        moved = (diag_conjugate(phase[members], E) if flow is None
+                 else np.stack([flow(i, X) for i, X in zip(members, E)]))
+        return moved - circulant(other[members], k)
+
+    return Defect(bound, dense, k)
 
 
 def sqrtm_psd(A) -> np.ndarray:

@@ -7,24 +7,24 @@ Toeplitz, all covariance identities of this module are entrywise exact
 under truncation; residuals below are pure rounding.  An arc effect is
 kept as a ``ToeplitzBlock``, as the relativistic and lattice effects are,
 and a sequence of regions gives the stack of their effects from one call.
-So the covariance defects of all the draws of a check, a partition sum
-and the thermal covariance defects of all the samples of one beta are
-each certified from one FFT of a stack of generators of length 2d.  The
-thermal check reads the modular flow of the Gibbs state as the diagonal
-phase of the triple's own density.  The covariance residuals are
-``Defect``s; ``dense()`` forms the matrix for the Naimark dilation and
-for the dense defects (by the dense modular flow, for the thermal check).
+A partition sum is certified from one FFT of a stack of generators of
+length 2d, and each covariance check is one ``shift_covariance`` call over
+all its draws: the rotations with the phase e^{-itn} of
+``lattice_phase``, the thermal samples of one beta with the modular flow
+of the Gibbs state read as the diagonal phase of the triple's own density,
+and the triple's dense flow for their dense defects.  ``dense()`` forms
+the matrix for the Naimark dilation.
 
 Arc convention: angles in [-pi, pi), half-open arcs, arg valued in
 [-pi, pi).
 """
 
-import math
+from functools import partial
 
 import numpy as np
 
-from .operators import (Defect, NotGeometric, ToeplitzBlock, diag_conjugate,
-                        funcalc, opnorm)
+from .operators import (Defect, ToeplitzBlock, funcalc, lattice_phase,
+                        opnorm, shift_covariance)
 from .modular import build_modular
 from .regions import region_list
 
@@ -88,39 +88,19 @@ def covariance_residual(d: int, t, B) -> Defect:
     form, as a ``Defect``; for equal-length sequences t and B of draws, one
     member per draw.
 
-    N is diagonal and E_B Toeplitz, so the defect is the Toeplitz block
-    ``conjugation_defect`` with phase e^{-itn}, bounded from its
-    generator.  Every rotation of the circle is exact.  e^{-itn} is
-    2 pi-periodic in t, so t enters the phase reduced to [-pi, pi]: the
-    rounding of an angle t n grows with |t|, and beyond |t| ~ 200 it would
-    exceed the rounding allowance of ``conjugation_defect``'s geometric
-    check.  The reduction is exact and leaves a t in [-pi, pi] unchanged.
-
-    The draws are one stack: their effects, their targets and their
-    defects are each one stacked block, bounded from one FFT.
+    N is diagonal and E_B Toeplitz, so with the phase e^{-itn} of
+    ``lattice_phase``, which reduces t modulo 2 pi, the defects are one
+    stack of Toeplitz blocks, bounded from one FFT by ``shift_covariance``.
+    Every rotation of the circle is exact.
     """
     regions = region_list(B)[0]
     ts = np.atleast_1d(t)
     if len(ts) != len(regions):
         raise ValueError(f"t and B need one entry per draw, got {len(ts)} "
                          f"and {len(regions)}")
-    phase = np.exp(-1j * np.array([math.remainder(s, 2 * np.pi) for s in ts])
-                   [:, None] * np.arange(d))
-    E, target = _effects_and_targets(
-        regions, [R.shifted(s) for R, s in zip(regions, ts)], d)
-
-    def dense(members):
-        return (diag_conjugate(phase[members], E.take(members).dense())
-                - target.take(members).dense())
-
-    return E.conjugation_defect(phase, target).as_defect(dense)
-
-
-def _effects_and_targets(regions, targets, d: int) -> tuple:
-    """The stacks of the effects of ``regions`` and of ``targets``, of
-    equal length, from one ``phase_effect`` call."""
-    both = phase_effect(regions + targets, d)
-    return both.take(slice(len(regions))), both.take(slice(len(regions), None))
+    return shift_covariance(lattice_phase(-ts, np.arange(d), 2 * np.pi),
+                            partial(phase_effect, d=d), regions,
+                            [R.shifted(s) for R, s in zip(regions, ts)])
 
 
 def toeplitz_arg(d: int) -> np.ndarray:
@@ -194,27 +174,16 @@ def thermal_covariance_residual(beta: float, d: int, samples) -> Defect:
 
     T^{-it} is read as a diagonal phase from the triple's own density
     (``ModularTriple.flow_phase``, one row per sample), never from N and
-    beta, so the defects are one stack of Toeplitz blocks
-    (``conjugation_defect``), bounded from one FFT; the dense defect of a
-    sample is its ``triple.flow`` defect.  When ``conjugation_defect``
-    refuses the stack because a phase is not geometric within rounding
-    (``NotGeometric``), as a non-Gibbs density's phases are, no sample has
-    a bound.
+    beta, so the defects are one stack of Toeplitz blocks bounded by
+    ``shift_covariance``, whose dense defect of a sample is its
+    ``triple.flow`` defect.  A sample whose phase is not geometric within
+    rounding, as a non-Gibbs density's phases are not, has no bound.
     """
     if beta * d > 20:
         raise ValueError("conditioning guard: beta*d must be <= 20")
     triple = build_modular(gibbs(beta, d))
     ts = np.array([t for t, _ in samples], dtype=float)
-    E, target = _effects_and_targets(
-        [B for _, B in samples], [B.shifted(-beta * t) for t, B in samples], d)
-
-    def dense(members):
-        flowed = [triple.flow(ts[i], X)
-                  for i, X in zip(members, E.take(members).dense())]
-        return np.stack(flowed) - target.take(members).dense()
-
-    try:
-        return E.conjugation_defect(triple.flow_phase(ts),
-                                    target).as_defect(dense)
-    except NotGeometric:
-        return Defect(np.full(len(ts), np.inf), dense, d)
+    return shift_covariance(
+        triple.flow_phase(ts), partial(phase_effect, d=d),
+        [B for _, B in samples], [B.shifted(-beta * t) for t, B in samples],
+        flow=lambda i, X: triple.flow(ts[i], X))

@@ -18,14 +18,13 @@ and are tested tightly; kernel shapes carry discretisation error and are
 probed through convergence sweeps instead.
 """
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .operators import (NUMERIC_TOL, Defect, ToeplitzBlock, adjoint,
-                        circulant, shift_covariance)
+                        circulant, lattice_phase, shift_covariance)
 from .regions import RegionSet, region_list
 
 
@@ -156,17 +155,22 @@ def boundary_isometry_check(model: HardyModel, f, ys) -> dict:
     smallest y, reports the convergence sequence ||P(y)f - f||, and checks
     ||P(y) f|| = (sum_k e^{-2y|xi_k|} |f^_k|^2)^{1/2}, f^ the unitary DFT of
     f, at y = 0 (the boundary isometry ||F|| = ||f||) and over the sweep.
+
+    The norms scale with f, and so does their rounding: every comparison
+    is relative to max(1, ||f||), and so is ``boundary_residual``.
     """
     f = np.asarray(f, dtype=complex)
+    scale = max(1.0, float(np.linalg.norm(f)))
     res = float(np.linalg.norm(hardy_project(model.grid, f) - f))
-    if res > NUMERIC_TOL * max(1.0, float(np.linalg.norm(f))):
+    if res > NUMERIC_TOL * scale:
         raise ValueError(f"input is not in the Hardy range (residual {res:.3e})")
     ys = sorted(float(y) for y in ys)
     # y = 0 and the sweep as the columns of one poisson_apply
     Pf = poisson_apply(model.grid, np.array([0.0] + ys), f)
     at_zero, *norms = np.linalg.norm(Pf, axis=0).tolist()
     gaps = np.linalg.norm(Pf[:, 1:] - f[:, None], axis=0).tolist()
-    violations = sum(1 for a, b in zip(norms, norms[1:]) if b > a + 1e-13)
+    violations = sum(1 for a, b in zip(norms, norms[1:])
+                     if b > a + 1e-13 * scale)
     exact = np.sqrt(np.exp(-2 * np.outer([0.0] + ys, np.abs(model.grid.xi)))
                     @ np.abs(model.grid.fft(f)) ** 2)
     return {
@@ -174,8 +178,9 @@ def boundary_isometry_check(model: HardyModel, f, ys) -> dict:
         "norms": norms,
         "convergence": gaps,
         "monotonicity_violations": violations,
-        "sup_at_smallest": norms[0] >= max(norms) - 1e-13,
-        "boundary_residual": float(np.abs([at_zero] + norms - exact).max()),
+        "sup_at_smallest": norms[0] >= max(norms) - 1e-13 * scale,
+        "boundary_residual": float(np.abs([at_zero] + norms - exact).max()
+                                   / scale),
     }
 
 
@@ -245,17 +250,14 @@ def rel_covariance_residual(model: HardyModel, beta: float, t: float,
     beta*t is a grid multiple and B is aligned the identity is exact;
     otherwise the shifted set is sampled pointwise and the interpolation
     error is reported, never silently accepted.  The Hardy frequencies are
-    equispaced, so the defect is a Toeplitz block, bounded from its
-    generator (see ``operators.shift_covariance``).  The phase e^{-is xi}
-    is L-periodic in s = beta*t, so s enters it reduced to [-L/2, L/2] by
-    ``math.remainder``, which leaves such an s unchanged: the rounding of
-    an unreduced angle s xi would grow past the rounding allowance of
-    ``conjugation_defect``'s geometric check.
+    multiples of 2 pi / L, so the phase e^{-is xi} is ``lattice_phase``'s
+    with period L and the defect is a Toeplitz block, bounded from its
+    generator by ``shift_covariance``.
     """
     s = beta * t
-    phase = np.exp(-1j * math.remainder(s, model.grid.L) * model.xi)
-    return shift_covariance(phase, rel_effect(model, B),
-                            lambda R: _sampled_effect(model, R), B, s)
+    return shift_covariance(lattice_phase(-s, model.xi, model.grid.L),
+                            partial(_sampled_effect, model),
+                            [_aligned(model, B)], [B.shifted(s)])
 
 
 def tau_unitarity_residual(grid: CircleGrid, beta: float, t: float,
@@ -284,7 +286,7 @@ def tau_unitarity_residual(grid: CircleGrid, beta: float, t: float,
     1e-10 fall below it.
     """
     xi = np.abs(grid.xi)
-    return _factored_isometry_defect(grid, np.exp(1j * t * xi),
+    return _factored_isometry_defect(grid, lattice_phase(t, xi, grid.L)[0],
                                      np.exp(-beta * xi), A, B)
 
 

@@ -27,13 +27,13 @@ Conjugation by e^{itP} twists the coefficients by e^{-i t u_j}, i.e.
 translates the symbol to a_t(x, xi) = a(x + t, xi).
 """
 
-import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .operators import Defect, ToeplitzBlock, diag_conjugate, shift_covariance
+from .operators import (Defect, ToeplitzBlock, diag_conjugate, lattice_phase,
+                        shift_covariance)
 from .regions import RegionSet, region_list
 
 
@@ -257,9 +257,14 @@ def nc_effect(lat: MellinLattice, B) -> ToeplitzBlock:
 
     B must be aligned to the Q-spectral cells [q_k, q_k + dual_spacing).
     """
+    return _compressed_indicator(lat, _aligned(lat, B))
+
+
+def _aligned(lat: MellinLattice, B):
+    """B, once checked to be aligned to the Q-spectral cells."""
     if not all(R.is_aligned(lat.dual_spacing) for R in region_list(B)[0]):
         raise ValueError("region is not aligned to the Q-spectral cells")
-    return _compressed_indicator(lat, B)
+    return B
 
 
 def nc_covariance_residual(lat: MellinLattice, t: float,
@@ -269,19 +274,14 @@ def nc_covariance_residual(lat: MellinLattice, t: float,
 
     Exact for t on the Q-dual lattice; misaligned t is routed to the
     sampled-indicator interpolation path and its error reported.  The
-    positive sites are equispaced, so the defect is a Toeplitz block,
-    bounded from its generator (see ``operators.shift_covariance``).  The
-    sites are multiples of delta, so the phase e^{itu} is periodic in t
-    with period 2 pi / delta, and t enters it reduced to [-pi/delta,
-    pi/delta] by ``math.remainder``, which leaves such a t unchanged: the
-    rounding of an unreduced angle t u would grow past the rounding
-    allowance of ``conjugation_defect``'s geometric check.
+    positive sites are multiples of delta, so the phase e^{itu} is
+    ``lattice_phase``'s with period 2 pi / delta and the defect is a
+    Toeplitz block, bounded from its generator by ``shift_covariance``.
     """
-    period = 2 * np.pi / lat.delta
-    return shift_covariance(np.exp(1j * math.remainder(t, period)
-                                   * lat.u[lat.positive_sites]),
-                            nc_effect(lat, B),
-                            lambda R: _compressed_indicator(lat, R), B, t)
+    return shift_covariance(
+        lattice_phase(t, lat.u[lat.positive_sites], 2 * np.pi / lat.delta),
+        partial(_compressed_indicator, lat), [_aligned(lat, B)],
+        [B.shifted(t)])
 
 
 def conjugation_residual(lat: MellinLattice, t: float, a: SymbolRep) -> Defect:
@@ -295,13 +295,14 @@ def conjugation_residual(lat: MellinLattice, t: float, a: SymbolRep) -> Defect:
     largest modulus on each.  That sum, widened by the rounding of its own
     moduli and additions, is the bound; the dense defect is
     diag_conjugate(e^{itP}, quantize(a)) - quantize(a_t), whose entries the
-    diagonals equal bit for bit.
+    diagonals equal bit for bit.  e^{itP} is ``lattice_phase``'s with
+    period 2 pi / delta.
     """
     dx = lat.x_length / lat.m
     r = t / dx
     if abs(r - round(r)) > 1e-9:
         raise ValueError("translation must lie on the x-grid for the exact path")
-    phase = np.exp(1j * t * lat.u)
+    phase = lattice_phase(t, lat.u, 2 * np.pi / lat.delta)[0]
     at = a.translated(lat, t)
     target = _shift_diagonals(lat, at)      # same offsets as a's
     rows, back = np.arange(lat.m), np.conj(phase)

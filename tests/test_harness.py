@@ -17,6 +17,7 @@ from povmlab.harness import (REQUIRED_ANCHORS, STUDY_KINDS, SuiteConfig,
                              convergence_study,
                              report_body, report_to_csv, run_suite)
 from povmlab.operators import adjoint, diag_conjugate, opnorm
+from test_operators import toeplitz_part
 from test_oscillator import closed_form_phase_effect
 from test_povm import per_effect_random_povm
 
@@ -258,45 +259,38 @@ def nc_covariance_cases():
 
 
 def covariance_paths():
-    """(label, residual(shift), dense defect and exactness(shift), defect
-    block(shift), grid step) for every grid and lattice above."""
+    """(label, residual(shift), dense defect and exactness(shift), grid
+    step) for every grid and lattice above."""
     for n, model, B in rel_covariance_cases():
         yield (f"rel n={n}",
                lambda s, model=model, B=B: relativistic.
                rel_covariance_residual(model, 1.0, s, B),
                lambda s, model=model, B=B: dense_rel_covariance_defect(
                    model, s, B),
-               lambda s, model=model, B=B: relativistic.rel_effect(
-                   model, B).conjugation_defect(
-                   np.exp(-1j * s * model.xi),
-                   relativistic._sampled_effect(model, B.shifted(s))),
                model.grid.h)
     for lat, B in nc_covariance_cases():
         yield (f"nc m={lat.m} k={len(lat.positive_sites)}",
                lambda t, lat=lat, B=B: weylnc.nc_covariance_residual(
                    lat, t, B),
                lambda t, lat=lat, B=B: dense_nc_covariance_defect(lat, t, B),
-               lambda t, lat=lat, B=B: weylnc.nc_effect(
-                   lat, B).conjugation_defect(
-                   np.exp(1j * t * lat.u[lat.positive_sites]),
-                   weylnc._compressed_indicator(lat, B.shifted(t))),
                lat.dual_spacing)
 
 
 @pytest.mark.parametrize("path", list(covariance_paths()),
                          ids=lambda p: p[0])
 def test_covariance_generator_matches_the_dense_defect(path):
-    _, residual, dense_defect, block, h = path
+    _, residual, dense_defect, h = path
     for steps in (1, 3, 2.5):
         dense, exact = dense_defect(steps * h)
         assert exact == (steps != 2.5)
-        D = block(steps * h).dense()
-        # the first column and row are the dense formula's, bit for bit;
-        # the rest differs by the rounding of the phase products
-        assert np.array_equal(D[:, 0], dense[:, 0])
-        assert np.array_equal(D[0], dense[0])
+        defect = residual(steps * h)
+        # the residual's own dense defect is the dense formula, bit for
+        # bit; its Toeplitz part D, the generator's block, differs from it
+        # by the rounding of the phase products
+        assert np.array_equal(defect.dense([0])[0], dense)
+        D = toeplitz_part(dense)
         assert np.abs(D - dense).max() <= 8 * EPS
-        value, certified = residual(steps * h).norm(1e-12)
+        value, certified = defect.norm(1e-12)
         if exact:
             # ||dense|| <= ||D|| + ||dense - D||, and the bound covers ||D||
             assert certified and value <= 1e-12
@@ -304,7 +298,7 @@ def test_covariance_generator_matches_the_dense_defect(path):
         else:
             # misaligned: the bound exceeds tol, and the dense SVD of the
             # dense formula is reported unchanged
-            assert block(steps * h).norm_bound() > 1e-12
+            assert defect.bound[0] > 1e-12
             assert not certified and value == opnorm(dense)
 
 
@@ -420,7 +414,8 @@ def test_wrong_translation_fails_nc_conjugation_through_the_dense_fallback(
 @pytest.mark.parametrize("model", ["rel", "nc"])
 def test_perturbed_covariance_target_fails_through_the_dense_fallback(
         monkeypatch, model):
-    # the target effect E_{B+s} of the first case moved by 1e-11 in one
+    # the target effect E_{B+s} of the first case, member 1 of the stack
+    # [E_B, E_{B+s}] of its effects call, moved by 1e-11 in one
     # off-diagonal generator entry; the second case is left intact
     if model == "rel":
         md, B = _harness_rel_model()
@@ -434,14 +429,58 @@ def test_perturbed_covariance_target_fails_through_the_dense_fallback(
             "_compressed_indicator", "weyl"
         cases = ("nc.covariance", "nc.covariance.def")
         dense = lambda: dense_nc_covariance_defect(md, s, B)[0]
-    real, target = getattr(module, name), B.shifted(s)
-    monkeypatch.setattr(module, name, lambda lat_or_model, R: _perturbed(
-        real(lat_or_model, R)) if R == target else real(lat_or_model, R))
+    real, stack = getattr(module, name), [B, B.shifted(s)]
+
+    def perturbed(lat_or_model, R):
+        # the one effects call of the case, and the reference's own call
+        E = real(lat_or_model, R)
+        if R == stack:
+            return _perturbed(E, member=1)
+        return _perturbed(E) if R == stack[1] else E
+
+    monkeypatch.setattr(module, name, perturbed)
     report = run_suite(SuiteConfig(suite=suite))
     broken, intact = (_case(report, c) for c in cases)
     assert not broken["pass"] and "upper_bound" not in broken
     assert broken["residual"] == opnorm(dense())
     assert intact["pass"] and intact["upper_bound"]
+
+
+COVARIANCE_CASES = ("osc.covariance", "rel.covariance", "rel.covariance.def",
+                    "nc.covariance", "nc.covariance.def")
+PHASE_USERS = (oscillator, relativistic, weylnc)
+
+
+def test_a_negated_lattice_phase_fails_every_covariance_case(monkeypatch):
+    # operators.lattice_phase is the one phase of the rotation, of the
+    # relativistic translation and of the lattice translation; each model
+    # imports it by name, so each binding is patched.  Run backwards, it
+    # fails each of their covariance cases through the dense defect
+    assert all(r["pass"] for r in run_suite(SuiteConfig())["cases"])
+    real = operators.lattice_phase
+    for module in PHASE_USERS:
+        monkeypatch.setattr(module, "lattice_phase", lambda s, sites, period:
+                            real(-np.asarray(s), sites, period))
+    report = run_suite(SuiteConfig())
+    for name in COVARIANCE_CASES:
+        record = _case(report, name)
+        assert not record["pass"] and "upper_bound" not in record, record
+        assert record["residual"] > 1e-3
+
+
+def test_verify_all_bounds_its_covariances_in_seven_calls(monkeypatch):
+    # one shift_covariance call per covariance case, and one per beta of
+    # osc.thermal; every draw of a case is a member of its one call
+    real, calls = operators.shift_covariance, []
+
+    def counting(phase, *args, **kwargs):
+        calls.append(len(phase))
+        return real(phase, *args, **kwargs)
+
+    for module in PHASE_USERS:
+        monkeypatch.setattr(module, "shift_covariance", counting)
+    run_suite(SuiteConfig())
+    assert calls == [10, 5, 5, 1, 1, 1, 1]
 
 
 def test_wrong_twist_sign_fails_through_the_dense_fallback(monkeypatch):
@@ -1009,7 +1048,7 @@ def test_osc_thermal_witnesses_fail_through_the_dense_flow(monkeypatch,
                                          ("weyl", {"m": 8192})])
 def test_covariance_phases_are_geometric_at_the_ci_sizes(monkeypatch, suite,
                                                          size):
-    # every phase conjugation_defect reads passes its geometric check with
+    # every phase shift_covariance reads passes its geometric check with
     # a margin of ten, and the covariance cases stay certified
     seen = []
     real = operators.geometric_deviation
@@ -1120,9 +1159,9 @@ def test_one_arc_rotated_the_wrong_way_fails_osc_covariance(monkeypatch):
         calls.append(t)
         return real(self, -t if len(calls) == 5 else t)
 
-    real_conjugate = oscillator.diag_conjugate
+    real_conjugate = operators.diag_conjugate
     monkeypatch.setattr(regions.RegionSet, "shifted", shifted)
-    monkeypatch.setattr(oscillator, "diag_conjugate", lambda phase, A: (
+    monkeypatch.setattr(operators, "diag_conjugate", lambda phase, A: (
         formed.append(A.shape) or real_conjugate(phase, A)))
     record = _case(run_suite(SuiteConfig(suite="oscillator")),
                    "osc.covariance")

@@ -1,15 +1,18 @@
 import cmath
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from povmlab.operators import (DEFAULT_TOL, DENSE_BUDGET, EFFECT, NOT_EFFECT,
-                               PROJECTION, Defect, NotGeometric, ToeplitzBlock,
-                               adjoint, circulant, diag_conjugate, funcalc,
+                               PROJECTION, Defect, ToeplitzBlock,
+                               _norm_within, _rand_complex, adjoint,
+                               circulant, diag_conjugate, funcalc,
                                geometric_deviation, herm_spectrum, imag_power,
-                               is_effect, is_hermitian, opnorm, sqrtm_psd)
+                               is_effect, is_hermitian, opnorm,
+                               shift_covariance, sqrtm_psd)
 from povmlab.oscillator import phase_effect
 from povmlab.regions import RegionSet
 from povmlab.weylnc import MellinLattice, SymbolRep, conjugation_residual
@@ -184,7 +187,9 @@ def test_toeplitz_block_certifies_only_within_tol(n):
     assert E.as_defect().norm(bound) == (bound, True)
     value, certified = E.as_defect().norm(0.5 * bound)
     assert not certified and value == opnorm(E.dense())
-    twice = E.as_defect(lambda members: 2 * E.dense()[None])
+    # a refused member reads whatever its dense thunk forms
+    twice = Defect(E.as_defect().bound, lambda members: 2 * E.dense()[None],
+                   E.k)
     assert twice.norm(0.5 * bound) == (opnorm(2 * E.dense()), False)
 
 
@@ -193,6 +198,33 @@ def test_toeplitz_block_certifies_only_within_tol(n):
 # where those settle the verdict; the SVD formulas below are the reference
 
 TOL_FACTORS = (0.1, 0.5, 0.9, 1.1, 2.0, 10.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6),
+       members=st.integers(1, 8), scaled=st.booleans(),
+       tol=st.sampled_from([1e-12, 1e-8, 1e-3, 1.0]))
+def test_norm_within_is_sound(seed, d, members, scaled, tol):
+    # members of rank one, whose largest column norm is their norm, and of
+    # full rank, whose Frobenius norm exceeds it, each scaled to a norm
+    # within a factor 8 of its threshold tol * max(1, ||scale||): every
+    # certified member has SVD norm within it, every refuted one above it
+    draw = np.random.default_rng(seed)
+    scale, threshold = None, np.full(members, tol)
+    if scaled:
+        scale = _rand_complex(draw, d, (members,)) * 10.0 ** draw.uniform(
+            -2, 2, (members, 1, 1))
+        threshold = tol * np.maximum(
+            1.0, np.linalg.svd(scale, compute_uv=False)[:, 0])
+    X = _rand_complex(draw, d, (members,))
+    rank_one = draw.uniform(size=members) < 0.5
+    X[rank_one] = X[rank_one][:, :, :1] @ X[rank_one][:, :1, :]
+    X *= (threshold * 8.0 ** draw.uniform(-1, 1, members)
+          / np.linalg.svd(X, compute_uv=False)[:, 0])[:, None, None]
+    ok = _norm_within(X, tol, scale)
+    norms = np.linalg.svd(X, compute_uv=False)[:, 0]
+    assert (norms[ok] <= threshold[ok]).all()
+    assert (norms[~ok] > threshold[~ok]).all()
 
 
 def _is_hermitian_ref(A, tol):
@@ -403,29 +435,48 @@ def test_stack_with_a_bad_member_is_refused_naming_it():
         sqrtm_psd(indefinite[3])
 
 
+def toeplitz_part(X):
+    """The Toeplitz matrix with the first column and row of X, or of each
+    matrix of a stack: the dense form of the generator ``shift_covariance``
+    reads off a dense defect X."""
+    j = np.arange(X.shape[-1])
+    r = j[:, None] - j[None, :]
+    return np.where(r >= 0, X[..., np.maximum(r, 0), 0],
+                    X[..., 0, np.maximum(-r, 0)])
+
+
+def arc_covariance(phases, B, t):
+    """shift_covariance of the arc B rotated by t, one draw per row of
+    ``phases``, and the dense defect of each row."""
+    d = phases.shape[-1]
+    dense = (diag_conjugate(phases, phase_effect(B, d).dense())
+             - phase_effect(B.shifted(t), d).dense())
+    return shift_covariance(phases, partial(phase_effect, d=d),
+                            [B] * len(phases),
+                            [B.shifted(t)] * len(phases)), dense
+
+
 def _arc_and_flipped_phase(d=12, t=0.9, site=5):
     B = RegionSet.circle([(0.3, 1.8)])
     phase = np.exp(-1j * t * np.arange(d))
     flipped = phase.copy()
     flipped[site] *= -1
-    return phase_effect(B, d), phase_effect(B.shifted(t), d), phase, flipped
+    return B, t, phase, flipped
 
 
-def test_conjugation_defect_refuses_a_phase_that_is_not_geometric():
+def test_a_phase_that_is_not_geometric_has_no_bound():
     # a sign flip at one site: the Toeplitz generator, read off the first
     # row and column, would see none of it, while the dense defect is O(1)
-    E, target, phase, flipped = _arc_and_flipped_phase()
-    dense = diag_conjugate(flipped, E.dense()) - target.dense()
-    assert opnorm(dense) > 0.5
+    B, t, phase, flipped = _arc_and_flipped_phase()
     deviation, allowance = geometric_deviation(flipped)
     assert deviation == pytest.approx(2.0)
-    with pytest.raises(NotGeometric, match="phase is not geometric: .* <= "
-                                         "2.000e\\+00 exceeds"):
-        E.conjugation_defect(flipped, target)
-    assert E.conjugation_defect(phase, target).norm_bound() < 1e-13
+    D, dense = arc_covariance(flipped[None], B, t)
+    assert D.bound[0] == np.inf and opnorm(dense[0]) > 0.5
+    assert D.norm(1.0) == (opnorm(dense[0]), False)
+    assert arc_covariance(phase[None], B, t)[0].bound[0] < 1e-13
     # a phase off the unit circle is no phase either
-    with pytest.raises(ValueError, match="not geometric"):
-        E.conjugation_defect(1.01 ** np.arange(12) * phase, target)
+    off = arc_covariance((1.01 ** np.arange(12) * phase)[None], B, t)[0]
+    assert off.bound[0] == np.inf
 
 
 def test_an_admitted_phase_off_its_geometric_sequence_widens_the_bound():
@@ -436,16 +487,31 @@ def test_an_admitted_phase_off_its_geometric_sequence_widens_the_bound():
     # column; the slack of 3 delta (1 + delta) sum |c_r| covers that
     k, t = 512, 0.9
     B = RegionSet.circle([(0.3, 1.8)])
-    E, target = phase_effect(B, k), phase_effect(B.shifted(t), k)
     phase = np.exp(-1j * t * np.arange(k))
     bent = phase.copy()
     bent[k // 2] *= np.exp(5e-12j)
     deviation, allowance = geometric_deviation(bent)
     assert 5e-12 < deviation < allowance
-    D = E.conjugation_defect(bent, target)
-    dense = opnorm(diag_conjugate(bent, E.dense()) - target.dense())
-    assert D.norm_bound() - D.slack < 1e-12 < dense <= D.norm_bound()
-    assert D.slack > 10 * E.conjugation_defect(phase, target).slack
+    D, dense = arc_covariance(bent[None], B, t)
+    assert opnorm(toeplitz_part(dense[0])) < 1e-12 < opnorm(dense[0])
+    assert opnorm(dense[0]) <= D.bound[0]
+    assert arc_covariance(phase[None], B, t)[0].bound[0] < 1e-12
+
+
+def test_a_stack_refuses_only_the_member_whose_phase_is_not_geometric():
+    # member 1 of four reads inf, and its dense defect alone is formed
+    B, t, phase, flipped = _arc_and_flipped_phase()
+    D, dense = arc_covariance(np.stack([phase, flipped, phase, phase]), B, t)
+    assert D.bound[1] == np.inf and (np.delete(D.bound, 1) < 1e-13).all()
+    asked = []
+
+    def spy(members):
+        asked.append(list(members))
+        return D.dense(members)
+
+    assert Defect(D.bound, spy, D.size).norm(1e-10) == (opnorm(dense[1]),
+                                                        False)
+    assert asked == [[1]]
 
 
 @pytest.mark.parametrize("k", [1, 2, 12, 4096])
@@ -475,9 +541,8 @@ def test_stack_members_equal_their_one_block_calls(n, data, members, seed):
     kinds = [data.draw(st.sampled_from(["complex", "hermitian", "indicator"]),
                        label="kind") for _ in range(members)]
     C = np.stack([_generator(kind, n, draw) for kind in kinds])
-    slack = draw.uniform(0.0, 1e-14, members)
-    stack = ToeplitzBlock(C, k, slack)
-    ones = [ToeplitzBlock(c, k, s) for c, s in zip(C, slack.tolist())]
+    stack = ToeplitzBlock(C, k)
+    ones = [ToeplitzBlock(c, k) for c in C]
     assert np.array_equal(stack.dense(), np.stack([E.dense() for E in ones]))
     assert np.array_equal(stack.norm_bound(), [E.norm_bound() for E in ones])
     assert all(np.array_equal(bounds, single) for bounds, single in zip(
@@ -487,35 +552,41 @@ def test_stack_members_equal_their_one_block_calls(n, data, members, seed):
     tol = float(np.median(stack.norm_bound()))
     assert stack.as_defect().norm(tol) == max(
         (E.as_defect().norm(tol) for E in ones), key=lambda out: out[0])
-    # geometric phases e^{i(a j + b)}, one per member, and a stack of targets
+    # geometric phases e^{i(a j + b)}, one per member, against the stack
+    # of targets C reversed; "regions" here are rows of the generators
     a, b = draw.uniform(-np.pi, np.pi, (2, members, 1))
     phase = np.exp(1j * (a * np.arange(k) + b))
-    other = ToeplitzBlock(C[::-1].copy(), k)
-    D = stack.conjugation_defect(phase, other)
-    for i, E in enumerate(ones):
-        single = E.conjugation_defect(phase[i], ToeplitzBlock(other.c[i], k))
-        assert np.array_equal(D.c[i], single.c) and D.slack[i] == single.slack
-        assert np.array_equal(D.take([i]).dense()[0], single.dense())
+
+    def effects(rows):
+        return ToeplitzBlock(np.concatenate([C, C[::-1]])[rows], k)
+
+    D = shift_covariance(phase, effects, range(members),
+                         range(members, 2 * members))
+    for i in range(members):
+        single = shift_covariance(phase[i:i + 1], effects, [i],
+                                  [members + i])
+        assert D.bound[i] == single.bound[0]
+        assert np.array_equal(D.dense([i]), single.dense([0]))
     deviation, allowance = geometric_deviation(phase)
     assert np.array_equal(deviation, [geometric_deviation(p)[0]
                                       for p in phase])
 
 
 def test_stacked_certified_norm_forms_only_the_refused_members():
-    # members 1 and 3 carry a slack above tol: only they reach ``dense``,
+    # members 1 and 3 carry a bound above tol: only they reach ``dense``,
     # and only their values are the dense norms
     draw = np.random.default_rng(5)
     C = np.stack([_generator("indicator", 16, draw) for _ in range(5)]) * 1e-13
-    slack = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
-    stack, asked = ToeplitzBlock(C, 8, slack), []
+    C[[1, 3]] *= 1e4
+    stack, asked = ToeplitzBlock(C, 8), []
 
     def dense(members):
         asked.append(list(members))
-        return stack.take(members).dense()
+        return stack.as_defect().dense(members)
 
-    value, certified = stack.as_defect(dense).norm(1e-10)
+    value, certified = Defect(stack.as_defect().bound, dense, 8).norm(1e-10)
     assert asked == [[1, 3]]
-    values = [ToeplitzBlock(C[i], 8, slack[i]).norm_bound() if i % 2 == 0
+    values = [ToeplitzBlock(C[i], 8).norm_bound() if i % 2 == 0
               else opnorm(ToeplitzBlock(C[i], 8).dense()) for i in range(5)]
     worst = int(np.argmax(values))
     assert (value, certified) == (values[worst], worst % 2 == 0)
@@ -581,10 +652,7 @@ def test_a_certified_defect_norm_is_sound_near_tol(producer, factor, seed,
         phase = np.exp(-1j * t * np.arange(k))
         phase[draw.integers(1, k - 1)] *= np.exp(
             1j * draw.uniform(0.05, 0.9) * 64 * k * np.finfo(float).eps)
-        E, target = phase_effect(B, k), phase_effect(B.shifted(t), k)
-        defect = E.conjugation_defect(phase, target).as_defect(
-            lambda _: (diag_conjugate(phase, E.dense())
-                       - target.dense())[None])
+        defect = arc_covariance(phase[None], B, t)[0]
     else:
         defect = _scaled_twist_defect(
             data.draw(st.sampled_from([16, 32, 64]), label="m"), draw)
@@ -622,18 +690,3 @@ def _scaled_twist_defect(m, draw):
     a = _ScaledTranslate(coeffs=coeffs, eta=10 ** draw.uniform(-12, -3))
     return conjugation_residual(
         lat, int(draw.integers(-3, 4)) * lat.dual_spacing, a)
-
-
-def test_stacked_conjugation_defect_refuses_naming_the_first_bad_member():
-    E, target, phase, flipped = _arc_and_flipped_phase()
-    stack = ToeplitzBlock(np.stack([E.c] * 4), E.k)
-    targets = ToeplitzBlock(np.stack([target.c] * 4), E.k)
-    phases = np.stack([phase, flipped, phase, flipped])
-    with pytest.raises(NotGeometric, match="^phase 1 of the stack is not "
-                                           "geometric: .* <= 2.000e\\+00"):
-        stack.conjugation_defect(phases, targets)
-    # one block keeps the message that names no member
-    with pytest.raises(NotGeometric, match="^phase is not geometric"):
-        E.conjugation_defect(flipped, target)
-    D = stack.conjugation_defect(np.stack([phase] * 4), targets)
-    assert (D.norm_bound() < 1e-13).all()

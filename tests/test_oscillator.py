@@ -7,6 +7,7 @@ from povmlab.oscillator import (commutator_defect, covariance_residual,
                                 thermal_covariance_residual, toeplitz_arg,
                                 weyl_failure_check)
 from povmlab.regions import RegionSet, circle_full, equal_partition
+from test_operators import arc_covariance, toeplitz_part
 
 rng = np.random.default_rng(41)
 EPS = np.finfo(float).eps
@@ -88,7 +89,8 @@ def test_covariance_closed_form():
 @pytest.mark.parametrize("d", [1, 2, 12, 64, 256])
 def test_certified_covariance_bound_covers_the_dense_defect(d):
     # ||dense|| <= ||D|| + ||dense - D|| for the defect block D, whose
-    # norm the certified bound covers; dense - D is the rounding of the
+    # norm the certified bound covers; D is the Toeplitz part of the
+    # residual's own dense defect, and dense - D is the rounding of the
     # phase products along each diagonal
     draw = np.random.default_rng(d)
     for B in REGIONS[1:]:
@@ -96,11 +98,11 @@ def test_certified_covariance_bound_covers_the_dense_defect(d):
         phase = np.exp(-1j * t * np.arange(d))
         dense = (diag_conjugate(phase, closed_form_phase_effect(B, d))
                  - closed_form_phase_effect(B.shifted(t), d))
-        D = phase_effect(B, d).conjugation_defect(
-            phase, phase_effect(B.shifted(t), d)).dense()
+        defect = covariance_residual(d, t, B)
+        D = toeplitz_part(defect.dense([0])[0])
         assert np.array_equal(D[:, 0], dense[:, 0])
         assert np.array_equal(D[0], dense[0])
-        value, certified = covariance_residual(d, t, B).norm(DEFAULT_TOL)
+        value, certified = defect.norm(DEFAULT_TOL)
         assert certified and value <= 1e-10
         assert value + np.linalg.norm(dense - D) >= opnorm(dense)
 
@@ -217,7 +219,8 @@ def test_certified_thermal_bound_covers_the_dense_flow_defect(beta, d):
         value, certified = defect.norm(DEFAULT_TOL)
         assert certified and value <= 1e-12
         dense = triple.flow(t, E.dense()) - target.dense()
-        block = E.conjugation_defect(triple.flow_phase(t), target).dense()
+        block = toeplitz_part(diag_conjugate(triple.flow_phase(t), E.dense())
+                              - target.dense())
         assert value + np.linalg.norm(dense - block) >= opnorm(dense)
         # below the bound the dense flow decides, and reads the same value
         assert defect.norm(1e-30) == (opnorm(dense), False)
@@ -226,8 +229,8 @@ def test_certified_thermal_bound_covers_the_dense_flow_defect(beta, d):
 def test_thermal_takes_the_dense_flow_only_when_the_phase_is_refused(
         monkeypatch):
     # a density that is not diagonal has no flow phase: its ValueError
-    # propagates, where only conjugation_defect's NotGeometric refusal
-    # sends a draw to the dense flow
+    # propagates, where only a phase that is not geometric sends a draw to
+    # the dense flow
     from povmlab import oscillator
     gibbs = oscillator.gibbs
     U = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0]
@@ -246,9 +249,8 @@ def test_covariance_at_a_large_rotation_is_certified(d):
     # carry the rounding of a + t, which shows in the residual)
     B = RegionSet.circle([(0.3, 1.8)])
     t = 1000.3
-    with pytest.raises(ValueError, match="not geometric"):
-        phase_effect(B, d).conjugation_defect(
-            np.exp(-1j * t * np.arange(d)), phase_effect(B.shifted(t), d))
+    unreduced = np.exp(-1j * t * np.arange(d))[None]
+    assert arc_covariance(unreduced, B, t)[0].bound[0] == np.inf
     value, certified = covariance_residual(d, t, B).norm(DEFAULT_TOL)
     assert certified and value <= 1e-10
 
@@ -285,26 +287,29 @@ def test_stacked_covariance_is_the_worst_one_draw_call(d):
 
 
 def test_a_refused_draw_alone_forms_its_dense_defect(monkeypatch):
-    # the bound of draw 3 of 10 raised above tol: its dense defect, and no
-    # other, is formed, and its value is the dense SVD norm
-    from povmlab import oscillator, operators
+    # the phase of draw 3 of 10 read as not geometric: its bound is inf,
+    # its dense defect, and no other, is formed, and its value is the
+    # dense SVD norm
+    from povmlab import operators
     d, ts, regions = 12, *_covariance_draws()
-    real_bound, formed = operators.ToeplitzBlock.norm_bound, []
+    real_deviation, formed = operators.geometric_deviation, []
 
-    def raised(self):
-        bound = real_bound(self)
-        if np.ndim(bound):
-            bound = bound.copy()
-            bound[3] = 1.0
-        return bound
+    def refused(phase):
+        deviation, allowance = real_deviation(phase)
+        deviation = deviation.copy()
+        deviation[3] = 1.0
+        return deviation, allowance
 
     def spy(phase, A):
         formed.append(A.shape)
         return diag_conjugate(phase, A)
 
-    monkeypatch.setattr(operators.ToeplitzBlock, "norm_bound", raised)
-    monkeypatch.setattr(oscillator, "diag_conjugate", spy)
-    out = covariance_residual(d, ts, regions).norm(DEFAULT_TOL)
+    monkeypatch.setattr(operators, "geometric_deviation", refused)
+    monkeypatch.setattr(operators, "diag_conjugate", spy)
+    defect = covariance_residual(d, ts, regions)
+    assert defect.bound[3] == np.inf and np.isfinite(np.delete(defect.bound,
+                                                               3)).all()
+    out = defect.norm(DEFAULT_TOL)
     assert formed == [(1, d, d)]
     monkeypatch.undo()
     dense = (diag_conjugate(np.exp(-1j * ts[3] * np.arange(d)),

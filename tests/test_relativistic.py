@@ -1,12 +1,15 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from povmlab import relativistic
 from povmlab.operators import (DEFAULT_TOL, EFFECT, PROJECTION, adjoint,
-                               is_effect, opnorm)
+                               is_effect, opnorm, shift_covariance)
 from povmlab.regions import RegionSet
-from povmlab.relativistic import (CircleGrid, HardyModel, _sampled_apply,
+from povmlab.relativistic import (CircleGrid, HardyModel,
+                                  _factored_isometry_defect, _sampled_apply,
                                   _sampled_effect, boundary_isometry_check,
                                   hardy_project, poisson_apply,
                                   poisson_kernel, poisson_kernel_error,
@@ -157,6 +160,24 @@ def test_boundary_isometry():
     assert rep["convergence"][0] < rep["convergence"][-1]
 
 
+def test_boundary_check_is_relative_to_the_norm_of_f():
+    # the norms of P(y) f scale with f, and so does their rounding: the
+    # residual and the slack of the monotonicity tests are relative to
+    # max(1, ||f||), so a unit Hardy vector scaled by 1e8 reads about what
+    # it reads at norm 1, where an absolute residual would read ~1e-8
+    grid = CircleGrid(256, 8 * np.pi)
+    model = HardyModel(grid)
+    coef = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    f = model.synthesize(coef / np.linalg.norm(coef))
+    ys = np.logspace(-3, 1, 20)
+    at_one = boundary_isometry_check(model, f, ys)
+    for scale in (1e4, 1e8):
+        rep = boundary_isometry_check(model, scale * f, ys)
+        assert rep["boundary_residual"] < 1e-14
+        assert rep["boundary_residual"] < 10 * at_one["boundary_residual"]
+        assert rep["monotonicity_violations"] == 0 and rep["sup_at_smallest"]
+
+
 def test_boundary_residual_sees_a_wrong_semigroup(monkeypatch):
     # P(y) applied as e^{-2y|xi|}: the sweep's norms leave their closed form
     grid = CircleGrid(256, 8 * np.pi)
@@ -270,9 +291,10 @@ def test_covariance_at_a_large_shift_is_certified():
     model = HardyModel(grid)
     B = grid.region([(0.0, grid.L / 4)])
     s = 8 * grid.h + 100 * grid.L
-    with pytest.raises(ValueError, match="not geometric"):
-        rel_effect(model, B).conjugation_defect(
-            np.exp(-1j * s * model.xi), rel_effect(model, B.shifted(s)))
+    unreduced = shift_covariance(np.exp(-1j * s * model.xi)[None],
+                                 partial(_sampled_effect, model), [B],
+                                 [B.shifted(s)])
+    assert unreduced.bound[0] == np.inf
     assert exact_shift(B, s, grid.h)
     value, certified = rel_covariance_residual(model, 1.0, s, B).norm(1e-11)
     assert certified and value <= 1e-11
@@ -328,7 +350,9 @@ def test_tau_unitarity_fft_matches_dense_multiplier_products(n):
     # references on the dense operators A = a_L a_R* and B = b_L b_R*: U,
     # U* and W formed as n x n circulants and multiplied out, and the
     # Fourier-frame formula.  A complex t makes U non-unitary, so the
-    # defect is far from rounding and the formulas must agree on its value
+    # defect is far from rounding and the formulas must agree on its value;
+    # tau_unitarity_residual takes a real t, so the factored defect of such
+    # a U is read from _factored_isometry_defect, which the residual calls
     grid = CircleGrid(n, 6.0)
     xi = np.abs(grid.xi)
     for r in (1, 4):
@@ -343,9 +367,11 @@ def test_tau_unitarity_fft_matches_dense_multiplier_products(n):
             UB = U @ B @ adjoint(U)
             dense = abs(np.trace(adjoint(UB) @ UA @ W)
                         - np.trace(adjoint(B) @ A @ W))
-            fft = tau_unitarity_residual(grid, beta, t, (a_L, a_R),
-                                         (b_L, b_R))
+            fft = _factored_isometry_defect(grid, u, w, (a_L, a_R),
+                                            (b_L, b_R))
             if np.isreal(t):
+                assert fft == tau_unitarity_residual(
+                    grid, beta, t, (a_L, a_R), (b_L, b_R))
                 assert fft < 1e-12
                 assert dense < 1e-12
             else:
@@ -396,9 +422,11 @@ def test_vector_y_sweep_equals_the_per_y_calls(n):
     assert np.abs(np.subtract(out["convergence"], gaps)).max() <= bound
     exact = np.sqrt(np.exp(-2 * np.outer([0.0] + out["ys"], np.abs(grid.xi)))
                     @ np.abs(grid.fft(f)) ** 2)
-    reference = np.abs([at_zero] + norms - exact).max()
-    assert abs(out["boundary_residual"] - reference) <= bound
-    assert out["boundary_residual"] < 1e-12 * np.linalg.norm(f)
+    # the residual is relative to max(1, ||f||)
+    scale = max(1.0, float(np.linalg.norm(f)))
+    reference = np.abs([at_zero] + norms - exact).max() / scale
+    assert abs(out["boundary_residual"] - reference) <= bound / scale
+    assert out["boundary_residual"] < 1e-14
     with pytest.raises(ValueError, match="nonnegative"):
         poisson_apply(grid, np.array([0.5, -1e-3]), f)
 
