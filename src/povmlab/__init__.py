@@ -24,9 +24,8 @@ from .modular import (GnsRep, ModularTriple, TraceWeight, build_gns,
                       build_modular, kms_residual, lemma_modular_residual,
                       modtime_unitarity)
 from .oscillator import (commutator_defect, covariance_residual, gibbs,
-                         number_operator, phase_effect,
-                         thermal_covariance_residual, toeplitz_arg,
-                         weyl_failure_check)
+                         phase_effect, thermal_covariance_residual,
+                         toeplitz_arg, weyl_failure_check)
 from .relativistic import (CircleGrid, HardyModel, boundary_isometry_check,
                            hardy_project, poisson_apply, poisson_kernel,
                            poisson_kernel_error, rel_effect,

@@ -22,12 +22,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITES)
-    v.add_argument("--d", type=int, default=12, help="matrix dimension")
-    v.add_argument("--n", type=int, default=256, help="circle grid size")
-    v.add_argument("--m", type=int, default=64, help="Mellin lattice size")
-    v.add_argument("--beta", type=float, nargs="+", default=[0.5, 1.0],
+    v.add_argument("--d", type=int, default=SuiteConfig.d, help="matrix dimension")
+    v.add_argument("--n", type=int, default=SuiteConfig.n, help="circle grid size")
+    v.add_argument("--m", type=int, default=SuiteConfig.m, help="Mellin lattice size")
+    v.add_argument("--beta", type=float, nargs="+", default=list(SuiteConfig.betas),
                    help="inverse temperatures for the thermal checks")
-    v.add_argument("--seed", type=int, default=7)
+    v.add_argument("--seed", type=int, default=SuiteConfig.seed)
     v.add_argument("--tol", type=float, default=None,
                    help="override every per-case tolerance")
     v.add_argument("--out", default=None, help="write the report here "
@@ -60,27 +60,21 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize --help to 0
         return int(exc.code or 0)
 
-    if args.command == "verify":
-        try:
-            cfg = SuiteConfig(suite=args.suite, d=args.d, n=args.n, m=args.m,
-                              betas=tuple(args.beta), seed=args.seed,
-                              tol=args.tol)
-            report = run_suite(cfg)
-        except (ValueError, RuntimeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        text = report_to_csv(report) if args.fmt == "csv" else report_to_json(report)
-        _emit(text, args.out)
-        return 0 if report["summary"]["failed"] == 0 else 1
-
+    verify = args.command == "verify"
     try:
-        study = convergence_study(args.kind, args.sizes)
-    except ValueError as exc:
+        if verify:
+            result = run_suite(SuiteConfig(
+                suite=args.suite, d=args.d, n=args.n, m=args.m,
+                betas=tuple(args.beta), seed=args.seed, tol=args.tol))
+        else:
+            result = convergence_study(args.kind, args.sizes)
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = study_to_csv(study) if args.fmt == "csv" else report_to_json(study)
-    _emit(text, args.out)
-    return 0
+    to_csv = report_to_csv if verify else study_to_csv
+    _emit(to_csv(result) if args.fmt == "csv" else report_to_json(result),
+          args.out)
+    return 1 if verify and result["summary"]["failed"] else 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import numpy as np
 from . import modular, oscillator, povm, relativistic, weylnc
 from .operators import (EFFECT, NUMERIC_TOL, PROJECTION, Defect,
                         ToeplitzBlock, _rand_complex, adjoint, circulant,
-                        is_effect, opnorm)
+                        is_effect, opnorm, require_int)
 from .regions import RegionSet, circle_full, equal_partition
 
 SCHEMA_VERSION = 1
@@ -82,12 +82,8 @@ class SuiteConfig:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         reads = _fields_read(self.suite)
         for name in ("seed", "d", "n", "m"):
-            value = getattr(self, name)
             if name in reads:
-                if (isinstance(value, bool)
-                        or not isinstance(value, (int, np.integer))):
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
-                setattr(self, name, int(value))
+                setattr(self, name, require_int(getattr(self, name), name))
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if "d" in reads and self.d < 1:
@@ -97,6 +93,8 @@ class SuiteConfig:
             if name in reads and (size < 8 or size % 4):
                 raise ValueError(f"{name} must be a multiple of 4 and >= 8, got {size}")
         self.betas = tuple(float(b) for b in self.betas)
+        if "betas" in reads and not self.betas:
+            raise ValueError("betas must hold at least one inverse temperature")
         if "betas" in reads and not all(0 <= b < np.inf for b in self.betas):
             raise ValueError(f"betas must be finite and >= 0, got {self.betas}")
         if self.tol is not None and (isinstance(self.tol, bool)
@@ -247,7 +245,7 @@ def _suite_gns_modular(c: _Cases):
           modular.kms_residual(np.eye(d) / d, _rand_complex(rng, d),
                                _rand_complex(rng, d)), 1e-12)
 
-    triple = modular.build_modular(oscillator.gibbs(1.0, min(d, 6)))
+    triple = modular.build_modular(oscillator.gibbs(1.0, d))
     c.add("modular.delta.closed-form", "Lemma modular", f"d={triple.d}",
           triple.closed_form_residuals["delta_conjugation"], 1e-8)
     c.add("modular.j.closed-form", "Lemma modular", f"d={triple.d}",
@@ -350,10 +348,9 @@ def _suite_relativistic(c: _Cases):
     c.add_flag("rel.boundary.monotone", "Thm thermal-D(1)", f"n={n}",
                rep["monotonicity_violations"] == 0)
 
-    errs = [relativistic.poisson_kernel_error(nn, np.pi * nn / 16)
-            for nn in (128, 256, 512, 1024)]
+    study = convergence_study("poisson-kernel", (128, 256, 512, 1024))
     c.add_flag("rel.poisson.convergence", "Thm thermal-D(1)",
-               "4 refinements", all(b < a for a, b in zip(errs, errs[1:])),
+               "4 refinements", study["monotone"] == "decreasing",
                "strictly decreasing")
 
 
@@ -557,7 +554,9 @@ def convergence_study(kind: str, sizes) -> dict:
     """Error-vs-size table for the discretisation-limited checks."""
     if kind not in _STUDIES:
         raise ValueError(f"unknown study kind {kind!r}; choose from {STUDY_KINDS}")
-    sizes = [int(s) for s in sizes]
+    sizes = [require_int(s, f"{kind} size") for s in sizes]
+    if not sizes:
+        raise ValueError(f"{kind} needs at least one size")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         # the monotone flag compares consecutive rows
         raise ValueError(f"{kind} sizes must be strictly increasing, got {sizes}")

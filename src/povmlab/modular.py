@@ -12,12 +12,12 @@ sigma_t(A) = Delta^{-it} A Delta^{it}, which on algebra elements is
 conjugation A -> T^{-it} A T^{it}: Delta^{it} = T^{it} (x) (T^{-it})^T
 factors, so the flow of a left multiplication is the left multiplication
 of the d x d flow.  For a diagonal T, T^{-it} is the diagonal phase
-``flow_phase`` read off T itself.  A triple therefore stores only T and
-Omega; its d^2 x d^2 carrier data (S, Delta, its spectrum and J) is
-computed on first read, by the checks that compare it with the closed
-forms.  ``vec``, ``unvec`` and ``apply_J`` also take stacks, one row per
-matrix or vector, and the closed-form, KMS and Lemma-modular checks run
-over stacks of draws at once.
+``flow_phase`` read off T itself.  A triple therefore stores only T,
+Omega and T's spectrum, taken once; its d^2 x d^2 carrier data (S,
+Delta, its spectrum and J) is computed on first read, by the checks that
+compare it with the closed forms.  ``vec``, ``unvec`` and ``apply_J``
+also take stacks, one row per matrix or vector, and the closed-form, KMS
+and Lemma-modular checks run over stacks of draws at once.
 """
 
 from dataclasses import dataclass
@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .operators import (DEFAULT_TOL, NUMERIC_TOL, _rand_complex, _square_stack,
-                        _sym_eigvalsh, adjoint, as_operator, herm_spectrum,
-                        opnorm, require_square, spectral_imag_power, sqrtm_psd)
+                        adjoint, as_operator, herm_spectrum, opnorm,
+                        require_square, spectral_imag_power)
 
 
 def vec(X) -> np.ndarray:
@@ -142,20 +142,16 @@ def build_gns(generators, T) -> GnsRep:
 @dataclass
 class ModularTriple:
     """S = J Delta^{1/2} on the Hilbert-Schmidt carrier of a positive
-    invertible density T, with Omega = T^{1/2}.  Only T and ``omega`` are
-    stored: the flow of an algebra element needs the spectrum of T alone,
-    ``T_spectrum``, and the carrier data ``S_mat``, ``Delta``,
+    invertible density T, with Omega = T^{1/2}.  Only T, ``omega`` and
+    ``T_spectrum`` are stored: the flow of an algebra element needs the
+    spectrum of T alone, and the carrier data ``S_mat``, ``Delta``,
     ``delta_spectrum`` and ``J_mat`` come from the antilinear polar
-    decomposition of S.  All five are computed when first read."""
+    decomposition of S.  All four are computed when first read."""
 
     T: np.ndarray
     d: int
     omega: np.ndarray          # Omega = T^{1/2}
-
-    @cached_property
-    def T_spectrum(self) -> tuple:
-        """(eigenvalues, eigenvectors) of T, shared by every d x d flow."""
-        return herm_spectrum(self.T)
+    T_spectrum: tuple          # (eigenvalues, eigenvectors) of T
 
     @cached_property
     def S_mat(self) -> np.ndarray:
@@ -241,6 +237,8 @@ class ModularTriple:
 def build_modular(T) -> ModularTriple:
     """Modular triple of the state tr(. T) for a positive invertible T.
 
+    One ``herm_spectrum`` of T, which refuses a non-Hermitian T, decides
+    invertibility and cond(T), gives Omega = V sqrt(lam) V* and is kept.
     S is defined by S(X Omega) = X* Omega, i.e. Y -> T^{-1/2} Y* T^{1/2};
     its antilinear polar decomposition gives Delta and J when the triple's
     carrier data is first read, and the triple's
@@ -248,14 +246,15 @@ def build_modular(T) -> ModularTriple:
     Delta: X -> T X T^{-1}, J: X -> X*.
     """
     T = require_square(T)
-    lam = _sym_eigvalsh(T)
-    if lam.min() <= 0:
-        raise ValueError(f"density not invertible (min eigenvalue {lam.min():.3e})")
-    cond = float(lam.max() / lam.min())
+    lam, V = herm_spectrum(T)
+    if lam[0] <= 0:
+        raise ValueError(f"density not invertible (min eigenvalue {lam[0]:.3e})")
+    cond = float(lam[-1] / lam[0])
     if cond > 1e12:
         raise ValueError(f"density too ill-conditioned: cond(T) = {cond:.3e} "
                          "> 1.0e+12; reduce beta*d")
-    return ModularTriple(T=T, d=T.shape[0], omega=sqrtm_psd(T))
+    return ModularTriple(T=T, d=T.shape[0], T_spectrum=(lam, V),
+                         omega=(V * np.sqrt(lam)) @ adjoint(V))
 
 
 def kms_residual(T, A, B) -> float:

@@ -62,6 +62,16 @@ def require_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def require_int(value, name: str, least: int = None) -> int:
+    """value as an int; a bool, a float and, with ``least``, an integer
+    below it are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 def opnorm(A):
     """Operator norm (largest singular value): a float for one matrix (a
     vector reads as one row), an array of norms for a stack (k, m, n),
@@ -155,11 +165,6 @@ def _sym_eigh(H):
     return np.linalg.eigh((H + adjoint(H)) / 2.0)
 
 
-def _sym_eigvalsh(H):
-    """eigvalsh of (H + H*)/2: the spectrum alone, ascending."""
-    return np.linalg.eigvalsh((H + adjoint(H)) / 2.0)
-
-
 def funcalc(H, f) -> np.ndarray:
     """Hermitian functional calculus: return V f(lam) V*.
 
@@ -197,7 +202,7 @@ def is_effect(A, tol: float = DEFAULT_TOL):
     """
     A, one = _square_stack(A)
     effect = is_hermitian(A, tol)
-    lam = _sym_eigvalsh(A[effect])
+    lam = np.linalg.eigvalsh((A + adjoint(A))[effect] / 2.0)
     effect[effect] = (lam[:, 0] >= -tol) & (lam[:, -1] <= 1.0 + tol)
     sharp, E = effect.copy(), A[effect]
     sharp[effect] = _norm_within(E @ E - E, tol)
@@ -416,6 +421,8 @@ def shift_covariance(phase, effects, regions, targets, flow=None) -> Defect:
     A dense defect conjugates E_i by phase_i, or applies flow(i, E_i), the
     caller's own dense flow of draw i, when ``flow`` is given.
     """
+    if not len(regions):
+        raise ValueError("a covariance check needs at least one draw")
     both = effects(list(regions) + list(targets))
     k, c = both.k, both.c[:len(regions)]
     other, n = both.c[len(regions):], c.shape[-1]

@@ -1,19 +1,20 @@
 """Truncated Hardy-disc model of the harmonic-oscillator clock.
 
 Everything lives on the monomial basis z^0..z^{d-1}, where the number
-operator is diag(0..d-1).  Arc effects and the angle Toeplitz operator
-have closed-form entries, and because N is diagonal while the effects are
-Toeplitz, all covariance identities of this module are entrywise exact
-under truncation; residuals below are pure rounding.  An arc effect is
-kept as a ``ToeplitzBlock``, as the relativistic and lattice effects are,
-and a sequence of regions gives the stack of their effects from one call.
-A partition sum is certified from one FFT of a stack of generators of
-length 2d, and each covariance check is one ``shift_covariance`` call over
-all its draws: the rotations with the phase e^{-itn} of
-``lattice_phase``, the thermal samples of one beta with the modular flow
-of the Gibbs state read as the diagonal phase of the triple's own density,
-and the triple's dense flow for their dense defects.  ``dense()`` forms
-the matrix for the Naimark dilation.
+operator N is diag(0..d-1), kept as its diagonal n: a product with a
+function of N scales rows or columns.  Arc effects and the angle Toeplitz
+operator have closed-form entries, and because N is diagonal while the
+effects are Toeplitz, all covariance identities of this module are
+entrywise exact under truncation; residuals below are pure rounding.  An
+arc effect is kept as a ``ToeplitzBlock``, as the relativistic and lattice
+effects are, and a sequence of regions gives the stack of their effects
+from one call.  A partition sum is certified from one FFT of a stack of
+generators of length 2d, and each covariance check is one
+``shift_covariance`` call over all its draws: the rotations with the phase
+e^{-itn} of ``lattice_phase``, the thermal samples of one beta with the
+modular flow of the Gibbs state read as the diagonal phase of the triple's
+own density, and the triple's dense flow for their dense defects.
+``dense()`` forms the matrix for the Naimark dilation.
 
 Arc convention: angles in [-pi, pi), half-open arcs, arg valued in
 [-pi, pi).
@@ -27,12 +28,6 @@ from .operators import (Defect, ToeplitzBlock, funcalc, lattice_phase,
                         opnorm, shift_covariance)
 from .modular import build_modular
 from .regions import region_list
-
-
-def number_operator(d: int) -> np.ndarray:
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    return np.diag(np.arange(d, dtype=float)).astype(complex)
 
 
 def gibbs(beta: float, d: int) -> np.ndarray:
@@ -125,9 +120,10 @@ def commutator_defect(d: int) -> dict:
     """
     if d < 2:
         raise ValueError("need dimension at least 2")
-    N = number_operator(d)
+    n = np.arange(d, dtype=float)
     F = toeplitz_arg(d)
-    C = N @ F - F @ N + 1j * np.eye(d)
+    commutator = n[:, None] * F - F * n      # NF - FN
+    C = commutator + 1j * np.eye(d)
     s = np.linalg.svd(C, compute_uv=False)
     v = ((-1.0) ** np.arange(d)).astype(complex)
     v_hat = v / np.linalg.norm(v)
@@ -138,7 +134,7 @@ def commutator_defect(d: int) -> dict:
     # test vector orthogonal to the alternating vector
     h = np.zeros(d, dtype=complex)
     h[0] = h[1] = 1 / np.sqrt(2)
-    ortho_residual = float(np.linalg.norm((N @ F - F @ N) @ h + 1j * h))
+    ortho_residual = float(np.linalg.norm(commutator @ h + 1j * h))
     return {
         "rank_one_ratio": float(s[1] / s[0]),
         "top_singular_value": float(s[0]),
@@ -150,11 +146,9 @@ def commutator_defect(d: int) -> dict:
 def weyl_failure_check(d: int, s: float, t: float) -> float:
     """Norm of e^{isN} e^{itF} - e^{-ist} e^{itF} e^{isN}: a negative
     control, bounded away from zero for generic s, t."""
-    N = number_operator(d)
-    F = toeplitz_arg(d)
-    Es = funcalc(N, lambda x: np.exp(1j * s * x))
-    Et = funcalc(F, lambda x: np.exp(1j * t * x))
-    return opnorm(Es @ Et - np.exp(-1j * s * t) * Et @ Es)
+    es = np.exp(1j * s * np.arange(d))      # the diagonal of e^{isN}
+    Et = funcalc(toeplitz_arg(d), lambda x: np.exp(1j * t * x))
+    return opnorm(es[:, None] * Et - np.exp(-1j * s * t) * Et * es)
 
 
 def thermal_covariance_residual(beta: float, d: int, samples) -> Defect:

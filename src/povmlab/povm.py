@@ -24,8 +24,8 @@ import numpy as np
 
 from .operators import (DEFAULT_TOL, EFFECT, NUMERIC_TOL, PROJECTION,
                         _norm_within, _rand_complex, _sym_eigh, adjoint,
-                        as_operator,
-                        herm_spectrum, is_effect, opnorm, sqrtm_psd)
+                        as_operator, herm_spectrum, is_effect, opnorm,
+                        require_int, sqrtm_psd)
 from .regions import _EPS, circle_full, equal_partition
 
 
@@ -442,10 +442,8 @@ def contraction_moment_povm(T, M: int, cells: int):
     T = as_operator(T)
     if T.shape[0] != T.shape[1] or T.size == 0:
         raise ValueError(f"square non-empty contraction required, got shape {T.shape}")
-    for name, value in (("moment depth M", M), ("cell count cells", cells)):
-        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                or value < 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    M = require_int(M, "moment depth M", 1)
+    cells = require_int(cells, "cell count cells", 1)
     svd = _defect_svd(T)
     if svd[3][0] > 1.0 + NUMERIC_TOL:
         raise ValueError(f"not a contraction: ||T|| = {svd[3][0]:.6f}")

@@ -109,10 +109,9 @@ def poisson_kernel(grid: CircleGrid, y: float) -> np.ndarray:
     return np.fft.ifft(np.exp(-y * np.abs(grid.xi))).real * grid.n / grid.L
 
 
-def poisson_kernel_error(n: int, L: float, y: float = 1.0) -> float:
-    """|p(0; y) - 1/(pi y)| on an (n, L) grid."""
-    grid = CircleGrid(n, L)
-    return float(abs(poisson_kernel(grid, y)[0] - 1.0 / (np.pi * y)))
+def poisson_kernel_error(n: int, L: float) -> float:
+    """|p(0; 1) - 1/pi| on an (n, L) grid."""
+    return float(abs(poisson_kernel(CircleGrid(n, L), 1.0)[0] - 1.0 / np.pi))
 
 
 @dataclass(frozen=True)

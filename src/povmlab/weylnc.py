@@ -9,12 +9,13 @@ same) while symbols keep a principal part per channel.  e^{isP} is kept
 as its diagonal, the shift S(t) for t in delta*Z as the columns of its
 permutation (so the Weyl defect on the lattice is kept as its m
 nonzeros), a quantized symbol as its shift diagonals (so the
-conjugation defect is bounded without an m x m operator), and functions
-of Q, diagonal in the dual (DFT) basis, are circulants kept as their
-generators.  On aligned data the Weyl relation e^{isP} S(t) = e^{-ist}
-S(t) e^{isP}, the conjugation-shift identity for quantized symbols, and
-the covariance of the half-line effects are exact; misaligned inputs
-report the wrap-around defect.
+conjugation defect is bounded without an m x m operator), and the
+spectral projections 1_B(Q), diagonal in the dual (DFT) basis, are
+circulants kept as their generators, whose leading blocks are the
+half-line effects.  On aligned data the Weyl relation e^{isP} S(t) =
+e^{-ist} S(t) e^{isP}, the conjugation-shift identity for quantized
+symbols, and the covariance of the half-line effects are exact;
+misaligned inputs report the wrap-around defect.
 
 Operator conventions.  S(t) shifts forward, (S(t)g)(u) = g(u + t), and
 S(t) = e^{itQ}, so [Q, P] = -i; the symmetric (selfadjoint-for-real-
@@ -91,13 +92,6 @@ class MellinLattice:
     def exp_P(self, s: float) -> np.ndarray:
         """e^{isP} = diag(e^{i s u_l}), returned as its diagonal."""
         return np.exp(1j * s * self.u)
-
-    def spectral_multiplier_Q(self, values, k: int = None) -> ToeplitzBlock:
-        """f(Q) = Phi diag(f(q)) Phi* with Phi[l, k] = e^{i q_k u_l} /
-        sqrt(m), a circulant kept as its generator, or its leading k x k
-        block; ifftshift moves q = 0 (mid-array) first."""
-        return ToeplitzBlock(np.fft.ifft(np.fft.ifftshift(values, axes=-1),
-                                         axis=-1), self.m if k is None else k)
 
     @cached_property
     def positive_sites(self) -> np.ndarray:
@@ -229,20 +223,17 @@ def htau_norm(a: SymbolRep, x_length: float) -> float:
 
 def indicator_Q(lat: MellinLattice, B, k: int = None) -> ToeplitzBlock:
     """1_B(Q) on one channel, a projection finitely additive in B, or its
-    leading k x k block, kept as its generator; for a sequence of regions,
-    the stack of theirs."""
+    leading k x k block, kept as its generator (the inverse FFT of 1_B(q),
+    q = 0 moved first); for a sequence of regions, the stack of theirs.
+    k = len(lat.positive_sites) compresses it to the sites u >= 0, a
+    suffix of the lattice."""
     regions, one = region_list(B)
     if any(abs(R.period - lat.x_length) > 1e-9 for R in regions):
         raise ValueError("region must live on the Q-spectral circle")
     values = np.array([R.indicator(lat.q) for R in regions])
-    return lat.spectral_multiplier_Q(values[0] if one else values, k)
-
-
-def _compressed_indicator(lat: MellinLattice, B) -> ToeplitzBlock:
-    """1_B(Q) compressed to the sites with u >= 0.  They are a suffix of
-    the lattice, and every diagonal block of a circulant on consecutive
-    sites is its leading block of that size."""
-    return indicator_Q(lat, B, len(lat.positive_sites))
+    c = np.fft.ifft(np.fft.ifftshift(values[0] if one else values, axes=-1),
+                    axis=-1)
+    return ToeplitzBlock(c, lat.m if k is None else k)
 
 
 def nc_effect(lat: MellinLattice, B) -> ToeplitzBlock:
@@ -257,7 +248,7 @@ def nc_effect(lat: MellinLattice, B) -> ToeplitzBlock:
 
     B must be aligned to the Q-spectral cells [q_k, q_k + dual_spacing).
     """
-    return _compressed_indicator(lat, _aligned(lat, B))
+    return indicator_Q(lat, _aligned(lat, B), k=len(lat.positive_sites))
 
 
 def _aligned(lat: MellinLattice, B):
@@ -280,14 +271,15 @@ def nc_covariance_residual(lat: MellinLattice, t: float,
     """
     return shift_covariance(
         lattice_phase(t, lat.u[lat.positive_sites], 2 * np.pi / lat.delta),
-        partial(_compressed_indicator, lat), [_aligned(lat, B)],
-        [B.shifted(t)])
+        partial(indicator_Q, lat, k=len(lat.positive_sites)),
+        [_aligned(lat, B)], [B.shifted(t)])
 
 
 def conjugation_residual(lat: MellinLattice, t: float, a: SymbolRep) -> Defect:
     """The defect e^{itP} a(Q,P) e^{-itP} - a_t(Q,P) with a_t: (x, xi) ->
     a(x + t, xi), as a ``Defect``; exact for t on the x-grid (= Q-dual
-    lattice).
+    lattice), the only t that ``SymbolRep.translated`` accepts: any other
+    is refused with its ValueError.
 
     Conjugation by the diagonal e^{itP} keeps each shift diagonal, so the
     defect is a sum of weighted permutations, one per offset, and by the
@@ -298,12 +290,8 @@ def conjugation_residual(lat: MellinLattice, t: float, a: SymbolRep) -> Defect:
     diagonals equal bit for bit.  e^{itP} is ``lattice_phase``'s with
     period 2 pi / delta.
     """
-    dx = lat.x_length / lat.m
-    r = t / dx
-    if abs(r - round(r)) > 1e-9:
-        raise ValueError("translation must lie on the x-grid for the exact path")
-    phase = lattice_phase(t, lat.u, 2 * np.pi / lat.delta)[0]
     at = a.translated(lat, t)
+    phase = lattice_phase(t, lat.u, 2 * np.pi / lat.delta)[0]
     target = _shift_diagonals(lat, at)      # same offsets as a's
     rows, back = np.arange(lat.m), np.conj(phase)
     moduli = [np.abs((phase * d) * back[(rows + j) % lat.m] - target[j]).max()

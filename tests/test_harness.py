@@ -140,7 +140,8 @@ def dense_nc_covariance_defect(lat, t, B):
     return covariance_defect(
         np.exp(1j * t * lat.u[lat.positive_sites]),
         weylnc.nc_effect(lat, B).dense(),
-        lambda R: weylnc._compressed_indicator(lat, R).dense(), B, t,
+        lambda R: weylnc.indicator_Q(lat, R, k=len(lat.positive_sites)).dense(),
+        B, t,
         lat.dual_spacing)
 
 
@@ -426,14 +427,15 @@ def test_perturbed_covariance_target_fails_through_the_dense_fallback(
     else:
         md, B = _harness_lattice()
         s, module, name, suite = 3 * md.dual_spacing, weylnc, \
-            "_compressed_indicator", "weyl"
+            "indicator_Q", "weyl"
         cases = ("nc.covariance", "nc.covariance.def")
         dense = lambda: dense_nc_covariance_defect(md, s, B)[0]
     real, stack = getattr(module, name), [B, B.shifted(s)]
 
-    def perturbed(lat_or_model, R):
-        # the one effects call of the case, and the reference's own call
-        E = real(lat_or_model, R)
+    def perturbed(lat_or_model, R, **k):
+        # the one effects call of the case, and the reference's own call;
+        # a lattice's calls pass the compressed block size k
+        E = real(lat_or_model, R, **k)
         if R == stack:
             return _perturbed(E, member=1)
         return _perturbed(E) if R == stack[1] else E
@@ -763,13 +765,11 @@ UNREACHED = {
     # the dense defect only in the fallback taken when a bound exceeds tol,
     # which the *_fails_through_the_dense_fallback tests exercise
     "operators.diag_conjugate",
-    # the dense d x d modular flow and the eigendecomposition of T it
-    # reads: osc.thermal certifies the Gibbs flow from the phase of T's
-    # diagonal and flows E_B densely only in the fallback taken when the
-    # phase is not geometric or the bound exceeds tol, which the osc.thermal
-    # witness tests exercise
+    # the dense d x d modular flow: osc.thermal certifies the Gibbs flow
+    # from the phase of T's diagonal and flows E_B densely only in the
+    # fallback taken when the phase is not geometric or the bound exceeds
+    # tol, which the osc.thermal witness tests exercise
     "modular.ModularTriple.flow",
-    "modular.ModularTriple.T_spectrum",
     # the dense circular dilation and its Cayley eigensolver: every run
     # passes a scalar T, whose dilation is diagonalised in closed form by
     # povm._scalar_spectrum; they are the solver for d >= 2, which
@@ -961,6 +961,29 @@ def test_tol_must_be_a_finite_positive_number(tol):
     # a bool would pass 0 < tol < inf and reach every record as a JSON bool
     with pytest.raises(ValueError, match="^tol must be finite and > 0, got "):
         SuiteConfig(suite="weyl", tol=tol)
+
+
+@pytest.mark.parametrize("sizes", [[128.7, 256], [128, True], [np.float64(128.0)]])
+def test_study_sizes_must_be_integers(sizes):
+    # int() would truncate 128.7 to 128 and read True as 1
+    with pytest.raises(ValueError, match="^poisson-kernel size must be an integer, got "):
+        convergence_study("poisson-kernel", sizes)
+
+
+def test_study_needs_a_size():
+    with pytest.raises(ValueError, match="needs at least one size"):
+        convergence_study("poisson-kernel", [])
+    rows = convergence_study("poisson-kernel", [np.int64(128), 256])["rows"]
+    assert [type(r["size"]) for r in rows] == [int, int]
+
+
+def test_a_suite_that_reads_betas_needs_one():
+    # with no beta the oscillator suite would run no osc.thermal case and
+    # leave "Thm thermal-L" unchecked without a word
+    for suite in ("oscillator", "all"):
+        with pytest.raises(ValueError, match="at least one inverse temperature"):
+            SuiteConfig(suite=suite, betas=())
+    assert "betas" not in run_suite(SuiteConfig(suite="povm", betas=()))["config"]
 
 
 def test_integer_fields_validated_only_where_read_and_coerced():

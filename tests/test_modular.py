@@ -164,23 +164,31 @@ def test_lemma_modular_residual():
 
 
 def test_modular_data_is_computed_once(monkeypatch):
-    # Omega = T^{1/2} is stored by build_modular and S is cached on the
-    # triple; reading the closed forms and running the lemma check must not
-    # take a square root again
-    calls = []
-    counted = modular.sqrtm_psd
+    # build_modular decomposes T exactly once; Omega = T^{1/2}, bit for bit
+    # sqrtm_psd's, and the d x d flows are read from that spectrum, so
+    # reading the closed forms, running the lemma check and flowing algebra
+    # elements decompose no d x d matrix again (Delta, d^2 x d^2, is
+    # decomposed on first read)
+    d, shapes = 4, []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return counted(*args, **kwargs)
+        def counting(H, *args, real=real, **kwargs):
+            shapes.append(np.shape(H)[-2:])
+            return real(H, *args, **kwargs)
 
-    monkeypatch.setattr(modular, "sqrtm_psd", counting)
-    triple = build_modular(gibbs(1.0, 4))
-    built = len(calls)
+        monkeypatch.setattr(np.linalg, name, counting)
+    T = gibbs(1.0, d)
+    triple = build_modular(T)
+    assert shapes == [(d, d)]
+    assert np.array_equal(triple.omega, sqrtm_psd(T))
+    del shapes[:]
     assert triple.closed_form_residuals["s_defining"] < 1e-8
     for _ in range(5):
-        assert lemma_modular_residual(triple, rand_c(4)) < 1e-8
-    assert len(calls) == built
+        assert lemma_modular_residual(triple, rand_c(d)) < 1e-8
+    for t in (0.3, -1.1):
+        triple.flow(t, rand_c(d))
+    assert (d, d) not in shapes
 
 
 def test_algebra_flows_decompose_t_once(monkeypatch):
@@ -291,6 +299,19 @@ def test_modtime_detects_noncommuting_weight():
 def test_build_modular_condition_guard():
     with pytest.raises(ValueError):
         build_modular(gibbs(5.0, 12))
+
+
+def test_build_modular_refuses_a_density_off_hermitian_by_more_than_tol():
+    # a skew part of 1e-9 lies within the NUMERIC_TOL that sqrtm_psd allows
+    # but beyond DEFAULT_TOL: T's one decomposition refuses it, and a skew
+    # part within DEFAULT_TOL is still taken
+    T = gibbs(1.0, 4)
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1], skew[1, 0] = 1e-9, -1e-9
+    with pytest.raises(ValueError, match="not Hermitian within tolerance"):
+        build_modular(T + skew)
+    assert build_modular(T + skew / 100).closed_form_residuals[
+        "delta_conjugation"] < 1e-8
 
 
 def test_imag_power_flow_direction():

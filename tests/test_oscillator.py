@@ -3,7 +3,7 @@ import pytest
 
 from povmlab.operators import DEFAULT_TOL, adjoint, diag_conjugate, opnorm
 from povmlab.oscillator import (commutator_defect, covariance_residual,
-                                gibbs, number_operator, phase_effect,
+                                gibbs, phase_effect,
                                 thermal_covariance_residual, toeplitz_arg,
                                 weyl_failure_check)
 from povmlab.regions import RegionSet, circle_full, equal_partition
@@ -126,7 +126,7 @@ def test_commutator_defect_rank_one():
 
 def test_commutator_on_orthogonal_vectors():
     d = 16
-    N = number_operator(d)
+    N = np.diag(np.arange(d)).astype(complex)        # the number operator
     F = toeplitz_arg(d)
     C = N @ F - F @ N
     v = ((-1.0) ** np.arange(d)).astype(complex)
@@ -284,6 +284,13 @@ def test_stacked_covariance_is_the_worst_one_draw_call(d):
                                       key=lambda out: out[0])
     with pytest.raises(ValueError, match="one entry per draw, got 9 and 10"):
         covariance_residual(d, ts[:9], regions)
+
+
+def test_a_covariance_check_without_draws_is_refused():
+    # shift_covariance refuses zero draws before any effect is built; an
+    # empty Defect would otherwise die in np.argmax inside Defect.norm
+    with pytest.raises(ValueError, match="needs at least one draw"):
+        covariance_residual(12, [], [])
 
 
 def test_a_refused_draw_alone_forms_its_dense_defect(monkeypatch):

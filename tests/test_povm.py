@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import povmlab
 from povmlab import harness, povm
@@ -667,6 +668,40 @@ def test_scalar_spectrum_matches_the_dense_and_schur_references(name, M):
         assert np.abs(weights - ref[2]).max() <= tol
     _, rep = contraction_moment_povm(T, M, 2 * M)
     assert rep.moment_residuals.max() <= 1e-12
+
+
+# t = r e^{i a} over the closed unit disc, r drawn near 0, uniformly and
+# within 10^-k of 1 (1 - r down to one ulp, and |t| = 1 itself)
+RADII = st.one_of(st.floats(0.0, 1.0), st.just(1.0),
+                  st.integers(1, 16).map(lambda k: 1 - 10.0 ** -k),
+                  st.just(1 - 2.0 ** -53))
+ANGLES = st.one_of(st.floats(-np.pi, np.pi),
+                   st.sampled_from([0.0, np.pi, -np.pi + 2 * np.pi * 5 / 16]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(t=st.builds(lambda r, a: r * np.exp(1j * a), RADII, ANGLES))
+@example(t=np.exp(2j * np.pi * 3 / 64))         # an arc end: t^64 = 1
+@example(t=np.exp(0.7j))                        # unitary
+@example(t=1 - 2.0 ** -53)
+@example(t=0.0)
+def test_scalar_spectrum_is_sound(t):
+    # whatever the closed form certifies lies on the spectrum of the dense
+    # dilation U: U is unitary, so sigma_min(U - e^{i theta} I) is the
+    # distance of e^{i theta} from its spectrum; and the block-0 weights
+    # of an orthonormal eigenbasis sum to ||e_0||^2 = 1
+    T = np.array([[t]], dtype=complex)
+    s = _defect_svd(T)[1][0]
+    for M in (1, 2, 8, 32):
+        found = _scalar_spectrum(complex(t), s, M)
+        if found is None:
+            continue
+        thetas, weights = found
+        U = dilation(T, M)
+        shifted = U - np.exp(1j * thetas)[:, None, None] * np.eye(len(U))
+        distance = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+        assert distance.max() <= NUMERIC_TOL, (t, M, distance.max())
+        assert abs(weights.sum() - 1) <= 1e-12, (t, M)
 
 
 def test_scalar_moment_povm_takes_no_dense_solve(monkeypatch):

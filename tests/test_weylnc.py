@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from povmlab.operators import (DEFAULT_TOL, adjoint, diag_conjugate, opnorm,
                                shift_covariance)
-from povmlab.weylnc import (MellinLattice, SymbolRep, _compressed_indicator,
-                            _shift_diagonals,
+from povmlab.weylnc import (MellinLattice, SymbolRep, _shift_diagonals,
                             conjugation_residual, htau_norm, indicator_Q,
                             nc_covariance_residual, nc_effect, nc_integral,
                             quantize, weyl_defect, weyl_relation_residual)
@@ -45,14 +44,6 @@ def test_shift_is_unitary_and_matches_exp_q():
     assert opnorm(S @ adjoint(S) - np.eye(16)) < 1e-12
     assert opnorm(S - dense_multiplier_Q(
         lat, np.exp(2j * lat.delta * lat.q))) < 1e-12
-
-
-def test_spectral_multiplier_q_matches_dense_reference():
-    for m in SKEWED:
-        lat = skewed_lattice(m)
-        vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        assert opnorm(lat.spectral_multiplier_Q(vals).dense()
-                      - dense_multiplier_Q(lat, vals)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -144,7 +135,7 @@ def test_compressed_indicator_is_the_positive_site_block(m):
             lat.q_region([(q0 + 0.4 * dq, q0 + 5.3 * dq)]),          # misaligned
         ]
         for B in regions:
-            assert np.array_equal(_compressed_indicator(lat, B).dense(),
+            assert np.array_equal(indicator_Q(lat, B, len(pos)).dense(),
                                   indicator_Q(lat, B).dense()[np.ix_(pos, pos)])
 
 
@@ -251,6 +242,15 @@ def test_conjugation_shift_identity():
         assert conjugation_residual(lat, t, a).norm(DEFAULT_TOL)[0] < 1e-10
 
 
+def test_conjugation_refuses_a_translation_off_the_x_grid():
+    # the translated symbol's own check refuses it, before any defect
+    lat = selfdual_lattice(32)
+    a = make_real_symbol(lat)
+    for t in (0.5 * lat.dual_spacing, 2.3 * lat.dual_spacing):
+        with pytest.raises(ValueError, match="multiple of the x-grid spacing"):
+            conjugation_residual(lat, t, a)
+
+
 def test_translation_invariance_of_integral_and_norm():
     lat = selfdual_lattice(32)
     a = make_real_symbol(lat)
@@ -309,7 +309,8 @@ def test_nc_covariance_at_a_large_translation_is_certified():
     t = 3 * lat.dual_spacing + 100 * 2 * np.pi / lat.delta
     unreduced = shift_covariance(
         np.exp(1j * t * lat.u[lat.positive_sites])[None],
-        partial(_compressed_indicator, lat), [B], [B.shifted(t)])
+        partial(indicator_Q, lat, k=len(lat.positive_sites)), [B],
+        [B.shifted(t)])
     assert unreduced.bound[0] == np.inf
     assert exact_shift(B, t, lat.dual_spacing)
     value, certified = nc_covariance_residual(lat, t, B).norm(1e-12)
