@@ -18,9 +18,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import modular, oscillator, povm, relativistic, weylnc
-from .operators import (EFFECT, NUMERIC_TOL, PROJECTION, Defect,
-                        ToeplitzBlock, _rand_complex, adjoint, circulant,
-                        is_effect, opnorm, require_int)
+from .operators import (EFFECT, NUMERIC_TOL, PROJECTION, ToeplitzBlock,
+                        _rand_complex, adjoint, circulant, is_effect, opnorm,
+                        partition_defect, require_int)
 from .regions import RegionSet, circle_full, equal_partition
 
 SCHEMA_VERSION = 1
@@ -306,7 +306,7 @@ def _suite_oscillator(c: _Cases):
 
     arcs = equal_partition(circle_full(), 6)
     c.add_defect("osc.povm.sum", "Thm unsharp-observables", f"d={d} 6 arcs",
-                 _identity_defect(oscillator.phase_effect(arcs, d)), 1e-12)
+                 partition_defect(oscillator.phase_effect(arcs, d)), 1e-12)
 
 
 def _suite_relativistic(c: _Cases):
@@ -319,7 +319,7 @@ def _suite_relativistic(c: _Cases):
     parts = equal_partition(RegionSet.line([], length=grid.L), 4)
     effects = relativistic.rel_effect(model, parts)
     c.add_defect("rel.povm.sum", "Thm thermal-D(1)", f"n={n} 4 blocks",
-                 _identity_defect(effects), 1e-12)
+                 partition_defect(effects), 1e-12)
     c.add_flag("rel.povm.effects", "Thm thermal-D(1)", f"n={n}",
                _is_effect_block(effects, 1e-10))
 
@@ -366,7 +366,7 @@ def _suite_weyl(c: _Cases):
 
     parts = equal_partition(lat.q_region([]), 4)
     c.add_defect("nc.povm.sum", "Thm thermal-Dixmier(1)", f"m={m} 4 cells",
-                 _identity_defect(weylnc.nc_effect(lat, parts)), 1e-12)
+                 partition_defect(weylnc.nc_effect(lat, parts)), 1e-12)
     half = parts[0]
     c.add("nc.indicator.projection", "Thm thermal-Dixmier(1)", f"m={m}",
           _circulant_idempotency_defect(weylnc.indicator_Q(lat, half).c), 1e-12)
@@ -389,16 +389,6 @@ def _suite_weyl(c: _Cases):
         c.add_defect(case, anchor, param, weylnc.nc_covariance_residual(
             lat, steps * lat.dual_spacing, half), 1e-12)
     c.add("modtime.weighted", "Def modular-time", f"m={m}", htau, 1e-13)
-
-
-def _identity_defect(blocks: ToeplitzBlock) -> Defect:
-    """The sum of a stack of Toeplitz blocks minus I, as the ``Defect`` of
-    one block: the generators add, member after member, and I is the block
-    of the unit generator.  Its dense form equals the dense sum minus I
-    entry for entry."""
-    g = blocks.c.sum(axis=0)
-    g[0] -= 1.0
-    return ToeplitzBlock(g, blocks.k).as_defect()
 
 
 def _is_effect_block(E: ToeplitzBlock, tol) -> bool:

@@ -16,10 +16,10 @@ along the rows, and a one-row generator of shape (n,) is the single block,
 with single values; every member of a stack reads what it reads alone,
 bit for bit.  Every model residual that a bound can certify is a
 ``Defect``: its bound, and its dense value deferred until ``Defect.norm``
-refuses the bound at a tolerance.  Every covariance check of the three
-models is one ``shift_covariance`` call: a stack of draws, each with its
-phase, whose defects are Toeplitz blocks when the phase is geometric
-(``geometric_deviation``); a lattice's phase is ``lattice_phase``.
+refuses the bound at a tolerance.  Each of the three thermal systems is
+a ``ThermalModel``, whose covariance check is one ``shift_covariance``
+call: a stack of draws, each with its ``lattice_phase``, whose defects
+are Toeplitz blocks when the phase is geometric (``geometric_deviation``).
 """
 
 import math
@@ -27,6 +27,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+
+from .regions import region_list
 
 # Default tolerance of the predicates: relative to max(1, ||A||) in
 # is_hermitian (so in herm_spectrum), absolute in is_effect's spectrum and
@@ -447,6 +449,63 @@ def shift_covariance(phase, effects, regions, targets, flow=None) -> Defect:
         return moved - circulant(other[members], k)
 
     return Defect(bound, dense, k)
+
+
+@dataclass(frozen=True, eq=False)
+class ThermalModel:
+    """One of the three thermal systems: a flow with a lattice spectrum
+    and the effects, compressed from a PVM, that it moves covariantly.
+
+    ``sites`` is the flow generator's spectrum on the effects' basis, its
+    sign folded in so that the flow by s is diag(e^{is sites}): -n for
+    the oscillator's rotation e^{-isN} (period 2 pi), -xi for the Hardy
+    modes' translation e^{-is|D|}, s = beta t (period L), +u for the
+    lattice's translation e^{isP} on the sites u >= 0 (period 2 pi /
+    delta).  The sites are multiples of 2 pi / ``period``, so
+    ``lattice_phase`` reduces s modulo ``period``.  ``effects`` maps any
+    sequence of regions to the stack of their Toeplitz effects: a region
+    moved off the grid is sampled, and its interpolation error shows.
+    """
+
+    sites: np.ndarray
+    period: float
+    effects: Callable
+
+    def covariance(self, s, B) -> Defect:
+        """The defects diag(e^{is sites}) E_R diag(e^{is sites})* - E_{R+s}
+        of a shift s and region B, or of equal-length sequences of them,
+        from one ``shift_covariance`` call; exact when the move maps the
+        grid onto itself (every rotation, a grid shift of an aligned B)."""
+        regions, s = region_list(B)[0], np.atleast_1d(s)
+        if len(s) != len(regions):
+            raise ValueError(f"shifts and regions need one entry per draw, "
+                             f"got {len(s)} and {len(regions)}")
+        return shift_covariance(lattice_phase(s, self.sites, self.period),
+                                self.effects, regions,
+                                [R.shifted(x) for R, x in zip(regions, s)])
+
+
+def partition_defect(blocks: ToeplitzBlock) -> Defect:
+    """The sum of a stack of Toeplitz blocks, the effects of a partition,
+    minus I, as the ``Defect`` of one block: the generators add, member
+    after member, and I is the block of the unit generator, so its dense
+    form is the dense sum minus I entry for entry."""
+    g = blocks.c.sum(axis=0)
+    g[0] -= 1.0
+    return ToeplitzBlock(g, blocks.k).as_defect()
+
+
+def sampled_indicator(B, points, k: int, sign: int) -> ToeplitzBlock:
+    """The leading k x k block of the circulant with generator c_r = (1/n)
+    sum_p 1_B(x_p) e^{sign 2 pi i p r / n} over the n ``points``; for a
+    sequence of regions, the stack of theirs from one FFT along the rows.
+    sign -1, fft(v)/n, is 1_B(X) on Fourier modes (the relativistic
+    effect); +1, conj(fft(v))/n, the inverse DFT of the real samples v, is
+    the multiplier 1_B(Q) on lattice sites, its points in FFT order."""
+    regions, one = region_list(B)
+    c = np.fft.fft([R.indicator(points) for R in regions], axis=-1)
+    c = (c if sign < 0 else np.conj(c)) / len(points)
+    return ToeplitzBlock(c[0] if one else c, k)
 
 
 def sqrtm_psd(A) -> np.ndarray:

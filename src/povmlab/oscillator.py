@@ -3,28 +3,23 @@
 Everything lives on the monomial basis z^0..z^{d-1}, where the number
 operator N is diag(0..d-1), kept as its diagonal n: a product with a
 function of N scales rows or columns.  Arc effects and the angle Toeplitz
-operator have closed-form entries, and because N is diagonal while the
-effects are Toeplitz, all covariance identities of this module are
-entrywise exact under truncation; residuals below are pure rounding.  An
-arc effect is kept as a ``ToeplitzBlock``, as the relativistic and lattice
-effects are, and a sequence of regions gives the stack of their effects
-from one call.  A partition sum is certified from one FFT of a stack of
-generators of length 2d, and each covariance check is one
-``shift_covariance`` call over all its draws: the rotations with the phase
-e^{-itn} of ``lattice_phase``, the thermal samples of one beta with the
-modular flow of the Gibbs state read as the diagonal phase of the triple's
-own density, and the triple's dense flow for their dense defects.
-``dense()`` forms the matrix for the Naimark dilation.
+operator have closed-form entries.  N is diagonal and an arc effect is a
+``ToeplitzBlock``, so every covariance identity here is entrywise exact
+under truncation, and its residual is pure rounding.  ``thermal_model``
+is the oscillator's ``operators.ThermalModel``: the rotations e^{-itN}
+and the arc effects.  The thermal samples of one beta are one
+``shift_covariance`` call, their phase read off the Gibbs triple's own
+density.  ``dense()`` forms an effect's matrix for the Naimark dilation.
 
 Arc convention: angles in [-pi, pi), half-open arcs, arg valued in
-[-pi, pi).
+[-pi, pi); the two ends -pi and pi of the circle are one point.
 """
 
 from functools import partial
 
 import numpy as np
 
-from .operators import (Defect, ToeplitzBlock, funcalc, lattice_phase,
+from .operators import (Defect, ThermalModel, ToeplitzBlock, funcalc,
                         opnorm, shift_covariance)
 from .modular import build_modular
 from .regions import region_list
@@ -51,26 +46,28 @@ def phase_effect(B, d: int) -> ToeplitzBlock:
     are each region's own bit for bit.
 
     Closed form per arc [a, b): c_B(0) = (b-a)/2pi and c_B(k) =
-    (e^{ik b} - e^{ik a}) / (2 pi i k), summed over arcs.  The generator
-    has length 2d and holds c_B(-r) at r mod 2d for |r| < d; entry d is 0.
-    The coefficients of every arc of every region are computed at once,
-    in the generator's order, and each region's arcs are added into its
-    row in turn.
+    (e^{ik b} - e^{ik a}) / (2 pi i k), summed over arcs, with an end at
+    pi read as -pi, the same point, so that the arcs of a partition
+    telescope.  The generator has length 2d and holds c_B(-r) at r mod 2d
+    for |r| < d; entry d is 0.  The coefficients of every arc of every
+    region are computed at once, in the generator's order, and each
+    region's arcs are added into its row in turn.
     """
     regions, one = region_list(B)
     if any(R.domain != "circle" for R in regions):
         raise ValueError("phase effects are defined on the circle")
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
-    a, b = np.array([end for R in regions for cell in R.cells for end in cell],
+    ends = np.array([end for R in regions for cell in R.cells for end in cell],
                     dtype=float).reshape(-1, 2, 1).transpose(1, 0, 2)
+    a, b = np.where(ends >= np.pi, ends - 2 * np.pi, ends)
     entry = np.arange(2 * d)
     k = np.where(entry < d, -entry, 2 * d - entry)    # c_B(k) sits at -k mod 2d
     coef = np.exp(1j * k * b)
     coef -= np.exp(1j * k * a)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef /= 2j * np.pi * k
-    coef[:, 0] = (b - a)[:, 0] / (2 * np.pi)          # k = 0
+    coef[:, 0] = (ends[1] - ends[0])[:, 0] / (2 * np.pi)  # k = 0, unwrapped
     coef[:, d] = 0.0                                  # no offset of the block
     c = np.zeros((len(regions), 2 * d), dtype=complex)
     np.add.at(c, np.repeat(np.arange(len(regions)),
@@ -78,24 +75,16 @@ def phase_effect(B, d: int) -> ToeplitzBlock:
     return ToeplitzBlock(c[0] if one else c, d)
 
 
-def covariance_residual(d: int, t, B) -> Defect:
-    """The defect e^{-itN} E_B e^{itN} - E_{rot_t B}, both sides in closed
-    form, as a ``Defect``; for equal-length sequences t and B of draws, one
-    member per draw.
+def thermal_model(d: int) -> ThermalModel:
+    """The oscillator as a ``ThermalModel``: the rotation e^{-itN} on the
+    sites -n, period 2 pi, and the arc effects of size d."""
+    return ThermalModel(-np.arange(d), 2 * np.pi, partial(phase_effect, d=d))
 
-    N is diagonal and E_B Toeplitz, so with the phase e^{-itn} of
-    ``lattice_phase``, which reduces t modulo 2 pi, the defects are one
-    stack of Toeplitz blocks, bounded from one FFT by ``shift_covariance``.
-    Every rotation of the circle is exact.
-    """
-    regions = region_list(B)[0]
-    ts = np.atleast_1d(t)
-    if len(ts) != len(regions):
-        raise ValueError(f"t and B need one entry per draw, got {len(ts)} "
-                         f"and {len(regions)}")
-    return shift_covariance(lattice_phase(-ts, np.arange(d), 2 * np.pi),
-                            partial(phase_effect, d=d), regions,
-                            [R.shifted(s) for R, s in zip(regions, ts)])
+
+def covariance_residual(d: int, t, B) -> Defect:
+    """``ThermalModel.covariance`` of the rotations by t: the defects
+    e^{-itN} E_B e^{itN} - E_{rot_t B}, exact for every rotation."""
+    return thermal_model(d).covariance(t, B)
 
 
 def toeplitz_arg(d: int) -> np.ndarray:
@@ -157,21 +146,15 @@ def thermal_covariance_residual(beta: float, d: int, samples) -> Defect:
     Connes-Rovelli thermal time as a POVM covariant under the modular flow
     of gibbs(beta, d).
 
-    Builds the modular triple of gibbs(beta, d) once and compares the flow
-    of E_B against the rotated arc effect.  The flow of E_B acting on the
-    carrier by left multiplication is the left multiplication of the d x d
-    flow T^{-it} E_B T^{it}, and ||pi(X)|| = ||X||, so the d x d defect is
-    the carrier defect and no d^2 x d^2 matrix is formed.  With
-    sigma_t = Delta^{-it} . Delta^{it} the exact rotation is by -beta*t;
-    that direction is frozen here (and by a regression test), making the
-    identity entrywise exact.
-
-    T^{-it} is read as a diagonal phase from the triple's own density
-    (``ModularTriple.flow_phase``, one row per sample), never from N and
-    beta, so the defects are one stack of Toeplitz blocks bounded by
-    ``shift_covariance``, whose dense defect of a sample is its
-    ``triple.flow`` defect.  A sample whose phase is not geometric within
-    rounding, as a non-Gibbs density's phases are not, has no bound.
+    The flow of E_B acting on the carrier by left multiplication is the
+    left multiplication of the d x d flow T^{-it} E_B T^{it}, with the same
+    norm, so no d^2 x d^2 matrix is formed.  With sigma_t = Delta^{-it} .
+    Delta^{it} the exact rotation is by -beta*t, a direction frozen by a
+    regression test.  T^{-it} is read as a diagonal phase off the triple's
+    own density (``ModularTriple.flow_phase``, one row per sample), never
+    from N and beta, so the defects are one ``shift_covariance`` stack,
+    whose dense defects are ``triple.flow`` defects; a sample whose phase
+    is not geometric, as a non-Gibbs density's is not, has no bound.
     """
     if beta * d > 20:
         raise ValueError("conditioning guard: beta*d must be <= 20")

@@ -100,12 +100,8 @@ class RegionSet:
 
     def is_aligned(self, h: float) -> bool:
         """True when every endpoint sits on the grid base + h*Z."""
-        for a, b in self.cells:
-            for x in (a, b):
-                r = (x - self.base) / h
-                if abs(r - round(r)) > 1e-9:
-                    return False
-        return True
+        r = (np.ravel(self.cells) - self.base) / h
+        return not (np.abs(r - np.round(r)) > 1e-9).any()
 
 
 def equal_partition(like: RegionSet, k: int):
@@ -130,3 +126,13 @@ def region_list(B) -> tuple:
     if isinstance(B, RegionSet):
         return [B], True
     return list(B), False
+
+
+def check_aligned(B, period: float, h: float):
+    """Refuse B unless each of its regions lives on the line circle of
+    this period, aligned to its cells of width h."""
+    for R in region_list(B)[0]:
+        if R.domain != LINE or abs(R.period - period) > 1e-9:
+            raise ValueError("region must live on the grid's circle")
+        if not R.is_aligned(h):
+            raise ValueError("region is not aligned to the grid's cells")

@@ -11,7 +11,9 @@ of circulants in the Fourier basis, kept as their generators, so bounded
 from one FFT and applied to a vector by two), and the weighted inner
 product <A, B>_tau = tr(B* A e^{-beta |D|}), whose invariance under the
 thermal flow e^{it|D|} is checked on low-rank operators a_L a_R* given by
-their n x r factors, so no n x n array is formed.
+their n x r factors, so no n x n array is formed.  ``thermal_model`` is
+the Hardy subspace's ``operators.ThermalModel``: the flow e^{-is|D|} and
+the position-band effects.
 
 Multiplier commutation and shift covariance are exact under periodisation
 and are tested tightly; kernel shapes carry discretisation error and are
@@ -23,9 +25,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .operators import (NUMERIC_TOL, Defect, ToeplitzBlock, adjoint,
-                        circulant, lattice_phase, shift_covariance)
-from .regions import RegionSet, region_list
+from .operators import (NUMERIC_TOL, Defect, ThermalModel, ToeplitzBlock,
+                        adjoint, circulant, lattice_phase, sampled_indicator)
+from .regions import RegionSet, check_aligned
 
 
 @dataclass(frozen=True)
@@ -183,80 +185,47 @@ def boundary_isometry_check(model: HardyModel, f, ys) -> dict:
     }
 
 
-def _sampled_effect(model: HardyModel, B) -> ToeplitzBlock:
-    """P_+ 1_B(X) P_+ on the Hardy basis with the indicator of B sampled at
-    the grid points; agrees with ``rel_effect`` on aligned regions.  In the
-    Fourier basis 1_B(X) is a circulant and the Hardy modes are its first
-    n/2 basis vectors, so the effect is its leading n/2 x n/2 block, kept
-    as the circulant's generator.  For a sequence of regions, the stack of
-    their effects from one FFT along the rows."""
-    regions, one = region_list(B)
-    c = np.fft.fft([R.indicator(model.grid.x) for R in regions],
-                   axis=-1) / model.grid.n
-    return ToeplitzBlock(c[0] if one else c, model.dim)
-
-
 def _sampled_apply(model: HardyModel, B: RegionSet, v) -> np.ndarray:
-    """``_sampled_effect(model, B) @ v`` in O(n log n) without the matrix:
-    synthesize v on the grid, multiply by the sampled indicator and keep
-    the Hardy coefficients, fft(1_B(x) * ifft(pad(v)))[:n/2]; the sqrt(n)
-    factors of the unitary DFT cancel."""
+    """The sampled effect of any region B applied to v in O(n log n),
+    without the matrix: synthesize v on the grid, multiply by the sampled
+    indicator and keep the Hardy coefficients, fft(1_B(x) *
+    ifft(pad(v)))[:n/2]; the sqrt(n) factors of the unitary DFT cancel."""
     return np.fft.fft(B.indicator(model.grid.x)
                       * model._padded_ifft(v))[: model.dim]
 
 
-def _aligned(model: HardyModel, B: RegionSet) -> RegionSet:
-    """B, once checked to lie on the grid's circle, aligned to its cells."""
-    grid = model.grid
-    if B.domain != "line" or abs(B.period - grid.L) > 1e-9:
-        raise ValueError("region must live on the grid's circle")
-    if not B.is_aligned(grid.h):
-        raise ValueError("region is not aligned to grid cells")
-    return B
-
-
 def rel_effect(model: HardyModel, B) -> ToeplitzBlock:
     """Position-band effect P_+ 1_B(X) P_+ compressed to the Hardy basis,
-    as a ``ToeplitzBlock``: the circulant's spectrum is the sampled
-    indicator, so its norm and spectrum bounds certify a sum of effects or
-    an effect's range from one FFT, and ``dense()`` forms the matrix for
-    the SVD or ``is_effect`` when a bound does not settle a check.  For a
-    sequence of regions, the stack of their effects, each member bit for
-    bit the effect of its region alone.
-
-    B must be a union of grid-aligned cells [x_j, x_j + h); non-aligned
-    sets are refused (the interpolation path is only taken by the
-    covariance checker, which reports its error).
-    """
-    for R in region_list(B)[0]:
-        _aligned(model, R)
-    return _sampled_effect(model, B)
+    a ``ToeplitzBlock`` (``sampled_indicator``): 1_B(X) is a circulant in
+    the Fourier basis, and the Hardy modes are its first n/2 basis
+    vectors; for a sequence of regions, the stack of their effects.  B
+    must be a union of grid-aligned cells [x_j, x_j + h): only the
+    covariance check samples a region moved off the grid, and reports the
+    interpolation error."""
+    check_aligned(B, model.grid.L, model.grid.h)
+    return sampled_indicator(B, model.grid.x, model.dim, -1)
 
 
 def rel_effect_apply(model: HardyModel, B: RegionSet, v) -> np.ndarray:
     """``rel_effect(model, B) @ v`` by two FFTs, in O(n log n) time and
     O(n) memory, with the same region checks as ``rel_effect``."""
-    return _sampled_apply(model, _aligned(model, B), v)
+    check_aligned(B, model.grid.L, model.grid.h)
+    return _sampled_apply(model, B, v)
+
+
+def thermal_model(model: HardyModel) -> ThermalModel:
+    """The Hardy subspace as a ``ThermalModel``: the flow e^{-is|D|} on
+    the sites -xi, period L, and the sampled position-band effects."""
+    return ThermalModel(-model.xi, model.grid.L, partial(
+        sampled_indicator, points=model.grid.x, k=model.dim, sign=-1))
 
 
 def rel_covariance_residual(model: HardyModel, beta: float, t: float,
                             B: RegionSet) -> Defect:
-    """The defect e^{-i beta t |D|} E_B e^{i beta t |D|} - E_{B + beta t}
-    on the Hardy subspace, as a ``Defect``.
-
-    The modular-time unitary is T^{it} = e^{-i beta t |D|}, so conjugation
-    translates by +beta*t (direction frozen by a regression test).  When
-    beta*t is a grid multiple and B is aligned the identity is exact;
-    otherwise the shifted set is sampled pointwise and the interpolation
-    error is reported, never silently accepted.  The Hardy frequencies are
-    multiples of 2 pi / L, so the phase e^{-is xi} is ``lattice_phase``'s
-    with period L and the defect is a Toeplitz block, bounded from its
-    generator by ``shift_covariance``.
-    """
-    s = beta * t
-    return shift_covariance(lattice_phase(-s, model.xi, model.grid.L),
-                            partial(_sampled_effect, model),
-                            [_aligned(model, B)], [B.shifted(s)])
+    """``ThermalModel.covariance`` of the aligned region B translated by
+    beta*t: e^{-i beta t |D|} E_B e^{i beta t |D|} - E_{B + beta t}."""
+    check_aligned(B, model.grid.L, model.grid.h)
+    return thermal_model(model).covariance(beta * t, B)
 
 
 def tau_unitarity_residual(grid: CircleGrid, beta: float, t: float,

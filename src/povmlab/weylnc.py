@@ -12,10 +12,12 @@ nonzeros), a quantized symbol as its shift diagonals (so the
 conjugation defect is bounded without an m x m operator), and the
 spectral projections 1_B(Q), diagonal in the dual (DFT) basis, are
 circulants kept as their generators, whose leading blocks are the
-half-line effects.  On aligned data the Weyl relation e^{isP} S(t) =
-e^{-ist} S(t) e^{isP}, the conjugation-shift identity for quantized
-symbols, and the covariance of the half-line effects are exact;
-misaligned inputs report the wrap-around defect.
+half-line effects; ``thermal_model`` is the lattice's
+``operators.ThermalModel``: the translations e^{itP} and those effects.
+On aligned data the Weyl relation e^{isP} S(t) = e^{-ist} S(t) e^{isP},
+the conjugation-shift identity for quantized symbols, and the covariance
+of the half-line effects are exact; misaligned inputs report the
+wrap-around defect.
 
 Operator conventions.  S(t) shifts forward, (S(t)g)(u) = g(u + t), and
 S(t) = e^{itQ}, so [Q, P] = -i; the symmetric (selfadjoint-for-real-
@@ -33,9 +35,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .operators import (Defect, ToeplitzBlock, diag_conjugate, lattice_phase,
-                        shift_covariance)
-from .regions import RegionSet, region_list
+from .operators import (Defect, ThermalModel, ToeplitzBlock, diag_conjugate,
+                        lattice_phase, sampled_indicator)
+from .regions import RegionSet, check_aligned, region_list
 
 
 @dataclass(frozen=True)
@@ -199,80 +201,64 @@ def quantize(lat: MellinLattice, a: SymbolRep) -> np.ndarray:
     return O
 
 
-def nc_integral(a: SymbolRep, x_length: float) -> float:
-    """Noncommutative integral 0.5 * int (a0(x,1) + a0(x,-1)) dx by the
-    rectangle rule (exact for band-limited periodic integrands)."""
+def _principal_integral(a: SymbolRep, x_length: float, f) -> float:
+    """0.5 * int (f(a0(x,1)) + f(a0(x,-1))) dx by the rectangle rule, exact
+    for band-limited periodic integrands."""
     if a.a0_pos is None or a.a0_neg is None:
         raise ValueError("principal symbol samples are required")
-    m = len(a.a0_pos)
-    dx = x_length / m
-    return float(0.5 * dx * (np.sum(np.real(a.a0_pos))
-                             + np.sum(np.real(a.a0_neg))))
+    dx = x_length / len(a.a0_pos)
+    return 0.5 * dx * (np.sum(f(a.a0_pos)) + np.sum(f(a.a0_neg)))
+
+
+def nc_integral(a: SymbolRep, x_length: float) -> float:
+    """Noncommutative integral 0.5 * int (a0(x,1) + a0(x,-1)) dx."""
+    return float(_principal_integral(a, x_length, np.real))
 
 
 def htau_norm(a: SymbolRep, x_length: float) -> float:
     """Norm in the trace inner product at symbol level:
     sqrt(0.5 * int (a0(x,1)^2 + a0(x,-1)^2) dx)."""
-    if a.a0_pos is None or a.a0_neg is None:
-        raise ValueError("principal symbol samples are required")
-    m = len(a.a0_pos)
-    dx = x_length / m
-    return float(np.sqrt(0.5 * dx * (np.sum(np.abs(a.a0_pos) ** 2)
-                                     + np.sum(np.abs(a.a0_neg) ** 2))))
+    return float(np.sqrt(_principal_integral(
+        a, x_length, lambda x: np.abs(x) ** 2)))
 
 
 def indicator_Q(lat: MellinLattice, B, k: int = None) -> ToeplitzBlock:
     """1_B(Q) on one channel, a projection finitely additive in B, or its
-    leading k x k block, kept as its generator (the inverse FFT of 1_B(q),
-    q = 0 moved first); for a sequence of regions, the stack of theirs.
+    leading k x k block, kept as its generator (``sampled_indicator``);
     k = len(lat.positive_sites) compresses it to the sites u >= 0, a
-    suffix of the lattice."""
-    regions, one = region_list(B)
-    if any(abs(R.period - lat.x_length) > 1e-9 for R in regions):
+    suffix of the lattice.  For a sequence of regions, the stack.  Each
+    region must live on the Q-spectral circle, of period ``x_length``."""
+    if any(abs(R.period - lat.x_length) > 1e-9 for R in region_list(B)[0]):
         raise ValueError("region must live on the Q-spectral circle")
-    values = np.array([R.indicator(lat.q) for R in regions])
-    c = np.fft.ifft(np.fft.ifftshift(values[0] if one else values, axes=-1),
-                    axis=-1)
-    return ToeplitzBlock(c, lat.m if k is None else k)
+    return sampled_indicator(B, np.fft.ifftshift(lat.q),
+                             lat.m if k is None else k, 1)
 
 
 def nc_effect(lat: MellinLattice, B) -> ToeplitzBlock:
     """Effect 1_{R+}(P) 1_B(Q) 1_{R+}(P) compressed to the range of the
-    half-line projection, on one channel (both carry the same effect).
-    It is the leading block of the circulant 1_B(Q) on the sites u >= 0,
-    kept as a ``ToeplitzBlock``: its norm and spectrum bounds certify a
-    sum of effects from one FFT, and ``dense()`` forms the matrix for the
-    SVD when a bound does not settle a check.  For a sequence of regions,
-    the stack of their effects, each member bit for bit the effect of its
-    region alone.
-
-    B must be aligned to the Q-spectral cells [q_k, q_k + dual_spacing).
+    half-line projection, on one channel (both carry the same effect):
+    the leading block of the circulant 1_B(Q) on the sites u >= 0, a
+    ``ToeplitzBlock``; for a sequence of regions, the stack of their
+    effects.  B must lie on the Q-spectral circle, aligned to its cells
+    [q_k, q_k + dual_spacing).
     """
-    return indicator_Q(lat, _aligned(lat, B), k=len(lat.positive_sites))
+    check_aligned(B, lat.x_length, lat.dual_spacing)
+    return indicator_Q(lat, B, k=len(lat.positive_sites))
 
 
-def _aligned(lat: MellinLattice, B):
-    """B, once checked to be aligned to the Q-spectral cells."""
-    if not all(R.is_aligned(lat.dual_spacing) for R in region_list(B)[0]):
-        raise ValueError("region is not aligned to the Q-spectral cells")
-    return B
+def thermal_model(lat: MellinLattice) -> ThermalModel:
+    """The lattice as a ``ThermalModel``: the translation e^{itP} on the
+    sites u >= 0, period 2 pi / delta, and the half-line effects."""
+    return ThermalModel(lat.u[lat.positive_sites], lat.x_length,
+                        partial(indicator_Q, lat, k=len(lat.positive_sites)))
 
 
 def nc_covariance_residual(lat: MellinLattice, t: float,
                            B: RegionSet) -> Defect:
-    """The defect e^{itP} E_B e^{-itP} - E_{B+t} on the compressed range,
-    as a ``Defect``.
-
-    Exact for t on the Q-dual lattice; misaligned t is routed to the
-    sampled-indicator interpolation path and its error reported.  The
-    positive sites are multiples of delta, so the phase e^{itu} is
-    ``lattice_phase``'s with period 2 pi / delta and the defect is a
-    Toeplitz block, bounded from its generator by ``shift_covariance``.
-    """
-    return shift_covariance(
-        lattice_phase(t, lat.u[lat.positive_sites], 2 * np.pi / lat.delta),
-        partial(indicator_Q, lat, k=len(lat.positive_sites)),
-        [_aligned(lat, B)], [B.shifted(t)])
+    """``ThermalModel.covariance`` of the aligned region B translated by
+    t: e^{itP} E_B e^{-itP} - E_{B+t}."""
+    check_aligned(B, lat.x_length, lat.dual_spacing)
+    return thermal_model(lat).covariance(t, B)
 
 
 def conjugation_residual(lat: MellinLattice, t: float, a: SymbolRep) -> Defect:

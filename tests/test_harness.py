@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -13,8 +14,7 @@ from povmlab import (harness, modular, operators, oscillator, povm, regions,
                      relativistic, weylnc)
 from povmlab.cli import main
 from povmlab.harness import (REQUIRED_ANCHORS, STUDY_KINDS, SuiteConfig,
-                             _circulant_idempotency_defect, _identity_defect,
-                             convergence_study,
+                             _circulant_idempotency_defect, convergence_study,
                              report_body, report_to_csv, run_suite)
 from povmlab.operators import adjoint, diag_conjugate, opnorm
 from test_operators import toeplitz_part
@@ -132,7 +132,7 @@ def covariance_defect(phase, E, sampled, B, shift, h):
 def dense_rel_covariance_defect(model, s, B):
     return covariance_defect(
         np.exp(-1j * s * model.xi), relativistic.rel_effect(model, B).dense(),
-        lambda R: relativistic._sampled_effect(model, R).dense(), B, s,
+        lambda R: relativistic.thermal_model(model).effects(R).dense(), B, s,
         model.grid.h)
 
 
@@ -140,8 +140,7 @@ def dense_nc_covariance_defect(lat, t, B):
     return covariance_defect(
         np.exp(1j * t * lat.u[lat.positive_sites]),
         weylnc.nc_effect(lat, B).dense(),
-        lambda R: weylnc.indicator_Q(lat, R, k=len(lat.positive_sites)).dense(),
-        B, t,
+        lambda R: weylnc.thermal_model(lat).effects(R).dense(), B, t,
         lat.dual_spacing)
 
 
@@ -313,7 +312,7 @@ def test_identity_defect_is_the_dense_sum_minus_identity():
             oscillator.phase_effect(regions.equal_partition(
                 regions.circle_full(), 6), 12)):
         dense = sum(effects.dense()) - np.eye(effects.k)
-        assert np.array_equal(_identity_defect(effects).dense([0]),
+        assert np.array_equal(operators.partition_defect(effects).dense([0]),
                               dense[None])
 
 
@@ -416,31 +415,33 @@ def test_wrong_translation_fails_nc_conjugation_through_the_dense_fallback(
 def test_perturbed_covariance_target_fails_through_the_dense_fallback(
         monkeypatch, model):
     # the target effect E_{B+s} of the first case, member 1 of the stack
-    # [E_B, E_{B+s}] of its effects call, moved by 1e-11 in one
-    # off-diagonal generator entry; the second case is left intact
+    # [E_B, E_{B+s}] of the model record's effects call, moved by 1e-11 in
+    # one off-diagonal generator entry; the second case is left intact
     if model == "rel":
         md, B = _harness_rel_model()
-        s, module, name, suite = 8 * md.grid.h, relativistic, \
-            "_sampled_effect", "relativistic"
+        s, module, suite = 8 * md.grid.h, relativistic, "relativistic"
         cases = ("rel.covariance", "rel.covariance.def")
         dense = lambda: dense_rel_covariance_defect(md, s, B)[0]
     else:
         md, B = _harness_lattice()
-        s, module, name, suite = 3 * md.dual_spacing, weylnc, \
-            "indicator_Q", "weyl"
+        s, module, suite = 3 * md.dual_spacing, weylnc, "weyl"
         cases = ("nc.covariance", "nc.covariance.def")
         dense = lambda: dense_nc_covariance_defect(md, s, B)[0]
-    real, stack = getattr(module, name), [B, B.shifted(s)]
+    real, stack = module.thermal_model, [B, B.shifted(s)]
 
-    def perturbed(lat_or_model, R, **k):
-        # the one effects call of the case, and the reference's own call;
-        # a lattice's calls pass the compressed block size k
-        E = real(lat_or_model, R, **k)
-        if R == stack:
-            return _perturbed(E, member=1)
-        return _perturbed(E) if R == stack[1] else E
+    def perturbed(lat_or_model):
+        thermal = real(lat_or_model)
 
-    monkeypatch.setattr(module, name, perturbed)
+        def effects(R):
+            # the one effects call of the case, and the reference's own
+            E = thermal.effects(R)
+            if R == stack:
+                return _perturbed(E, member=1)
+            return _perturbed(E) if R == stack[1] else E
+
+        return dataclasses.replace(thermal, effects=effects)
+
+    monkeypatch.setattr(module, "thermal_model", perturbed)
     report = run_suite(SuiteConfig(suite=suite))
     broken, intact = (_case(report, c) for c in cases)
     assert not broken["pass"] and "upper_bound" not in broken
@@ -450,19 +451,17 @@ def test_perturbed_covariance_target_fails_through_the_dense_fallback(
 
 COVARIANCE_CASES = ("osc.covariance", "rel.covariance", "rel.covariance.def",
                     "nc.covariance", "nc.covariance.def")
-PHASE_USERS = (oscillator, relativistic, weylnc)
 
 
 def test_a_negated_lattice_phase_fails_every_covariance_case(monkeypatch):
     # operators.lattice_phase is the one phase of the rotation, of the
-    # relativistic translation and of the lattice translation; each model
-    # imports it by name, so each binding is patched.  Run backwards, it
+    # relativistic translation and of the lattice translation, which
+    # ThermalModel.covariance reads for all three.  Run backwards, it
     # fails each of their covariance cases through the dense defect
     assert all(r["pass"] for r in run_suite(SuiteConfig())["cases"])
     real = operators.lattice_phase
-    for module in PHASE_USERS:
-        monkeypatch.setattr(module, "lattice_phase", lambda s, sites, period:
-                            real(-np.asarray(s), sites, period))
+    monkeypatch.setattr(operators, "lattice_phase", lambda s, sites, period:
+                        real(-np.asarray(s), sites, period))
     report = run_suite(SuiteConfig())
     for name in COVARIANCE_CASES:
         record = _case(report, name)
@@ -470,16 +469,83 @@ def test_a_negated_lattice_phase_fails_every_covariance_case(monkeypatch):
         assert record["residual"] > 1e-3
 
 
+@pytest.mark.parametrize("module, cases", [
+    (oscillator, ("osc.covariance",)),
+    (relativistic, ("rel.covariance", "rel.covariance.def")),
+    (weylnc, ("nc.covariance", "nc.covariance.def")),
+], ids=["osc", "rel", "nc"])
+def test_negated_record_sites_fail_only_that_models_covariance(monkeypatch,
+                                                               module, cases):
+    # the witness of the covariance case that the three models share: one
+    # model's ThermalModel with its sites negated, its flow run backwards,
+    # fails that model's covariance cases through the dense defect, and
+    # the other two models' still pass, certified
+    real = module.thermal_model
+
+    def negated(*args):
+        model = real(*args)
+        return dataclasses.replace(model, sites=-model.sites)
+
+    monkeypatch.setattr(module, "thermal_model", negated)
+    report = run_suite(SuiteConfig())
+    assert {r["case"] for r in report["cases"] if not r["pass"]} == set(cases)
+    for name in COVARIANCE_CASES:
+        record = _case(report, name)
+        if name in cases:
+            assert "upper_bound" not in record and record["residual"] > 1e-3
+        else:
+            assert record["pass"] and record["upper_bound"]
+
+
+def _relativistic_failures():
+    """The cases that fail in a run of the relativistic suite."""
+    report = run_suite(SuiteConfig(suite="relativistic"))
+    return [r["case"] for r in report["cases"] if not r["pass"]]
+
+
+def test_a_doubled_semigroup_parameter_fails_rel_boundary_isometry(
+        monkeypatch):
+    # P(2y) in place of P(y): the norms still fall with y, but not as the
+    # exact e^{-y|xi|} weights say
+    real = relativistic.poisson_apply
+    monkeypatch.setattr(relativistic, "poisson_apply", lambda grid, y, g:
+                        real(grid, 2 * np.asarray(y), g))
+    assert _relativistic_failures() == ["rel.boundary.isometry"]
+
+
+def test_a_growing_semigroup_fails_rel_boundary_monotone(monkeypatch):
+    # e^{+y|xi|} in place of e^{-y|xi|}: ||P(y) f|| grows with y, and
+    # departs from the exact norms too
+    def growing(grid, y, g):
+        return grid.ifft(np.exp(np.outer(np.abs(grid.xi), y))
+                         * grid.fft(g)[:, None])
+
+    monkeypatch.setattr(relativistic, "poisson_apply", growing)
+    assert _relativistic_failures() == ["rel.boundary.isometry",
+                                        "rel.boundary.monotone"]
+
+
+def test_an_unnormalised_poisson_kernel_fails_rel_poisson_convergence(
+        monkeypatch):
+    # the kernel without its 1/L: with L = pi n / 16, the error at the
+    # origin grows with the refinement
+    real = relativistic.poisson_kernel
+    monkeypatch.setattr(relativistic, "poisson_kernel",
+                        lambda grid, y: real(grid, y) * grid.L)
+    assert _relativistic_failures() == ["rel.poisson.convergence"]
+
+
 def test_verify_all_bounds_its_covariances_in_seven_calls(monkeypatch):
-    # one shift_covariance call per covariance case, and one per beta of
-    # osc.thermal; every draw of a case is a member of its one call
+    # one shift_covariance call per covariance case, from
+    # ThermalModel.covariance, and one per beta of osc.thermal; every draw
+    # of a case is a member of its one call
     real, calls = operators.shift_covariance, []
 
     def counting(phase, *args, **kwargs):
         calls.append(len(phase))
         return real(phase, *args, **kwargs)
 
-    for module in PHASE_USERS:
+    for module in (operators, oscillator):
         monkeypatch.setattr(module, "shift_covariance", counting)
     run_suite(SuiteConfig())
     assert calls == [10, 5, 5, 1, 1, 1, 1]
@@ -566,23 +632,30 @@ def test_tolerance_below_every_bound_reports_the_dense_values():
 
 def test_a_bound_above_tol_over_the_dense_budget_fails_forming_nothing(
         monkeypatch):
-    # at d = 16384 the bound of osc.povm.sum, 1.3e-12, exceeds its tol of
-    # 1e-12, and its dense defect would be a 16384 x 16384 matrix (4 GiB):
-    # the record fails on the bound, says why, and no circulant is formed
+    # at d = 16384 the bound of osc.covariance, 8.2e-11, exceeds a tol of
+    # 1e-11, and its dense defects would be ten 16384 x 16384 matrices
+    # (40 GiB): the record fails on the bound, says why, and no circulant
+    # is formed.  osc.povm.sum, whose arcs telescope, is certified at 3e-16
     def refuse(*args):
         raise AssertionError("a dense block was formed")
 
     monkeypatch.setattr(operators, "circulant", refuse)
-    report = run_suite(SuiteConfig(suite="oscillator", d=16384))
-    arcs = regions.equal_partition(regions.circle_full(), 6)
-    bound = _identity_defect(oscillator.phase_effect(arcs, 16384)).bound[0]
-    assert bound > 1e-12
-    assert _case(report, "osc.povm.sum") == {
-        "case": "osc.povm.sum", "anchor": "Thm unsharp-observables",
-        "param": "d=16384 6 arcs [dense 16384x16384 over budget]",
-        "residual": bound, "tol": 1e-12, "pass": False, "upper_bound": True}
+    report = run_suite(SuiteConfig(suite="oscillator", d=16384, tol=1e-11))
+    rng = np.random.default_rng(7 + 2)
+    draws = [[float(rng.uniform(lo, hi)) for lo, hi in
+              ((-np.pi, np.pi), (-np.pi, np.pi), (0.1, 2.0))]
+             for _ in range(10)]
+    bound = oscillator.covariance_residual(
+        16384, [t for t, _, _ in draws],
+        [regions.RegionSet.circle([(a, a + w)]) for _, a, w in draws]).bound
+    assert bound.max() > 1e-11
+    assert _case(report, "osc.covariance") == {
+        "case": "osc.covariance", "anchor": "Thm quantum-phase",
+        "param": "d=16384 10 cases [dense 16384x16384 over budget]",
+        "residual": bound.max(), "tol": 1e-11, "pass": False,
+        "upper_bound": True}
     assert [r["case"] for r in report["cases"] if not r["pass"]] == [
-        "osc.povm.sum"]
+        "osc.covariance"]
 
 
 def test_certified_residuals_are_marked_and_within_tol():

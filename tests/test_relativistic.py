@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +8,12 @@ from povmlab.operators import (DEFAULT_TOL, EFFECT, PROJECTION, adjoint,
 from povmlab.regions import RegionSet
 from povmlab.relativistic import (CircleGrid, HardyModel,
                                   _factored_isometry_defect, _sampled_apply,
-                                  _sampled_effect, boundary_isometry_check,
-                                  hardy_project, poisson_apply,
-                                  poisson_kernel, poisson_kernel_error,
+                                  boundary_isometry_check, hardy_project,
+                                  poisson_apply, poisson_kernel,
+                                  poisson_kernel_error,
                                   rel_covariance_residual, rel_effect,
-                                  rel_effect_apply, tau_unitarity_residual)
+                                  rel_effect_apply, tau_unitarity_residual,
+                                  thermal_model)
 
 rng = np.random.default_rng(53)
 
@@ -237,8 +236,9 @@ def test_effect_action_matches_dense_effect(n):
             assert np.allclose(rel_effect_apply(model, B, v),
                                rel_effect(model, B).dense() @ v,
                                rtol=0, atol=1e-12 * scale)
+            sampled = thermal_model(model).effects(shifted)
             assert np.allclose(_sampled_apply(model, shifted, v),
-                               _sampled_effect(model, shifted).dense() @ v,
+                               sampled.dense() @ v,
                                rtol=0, atol=1e-12 * scale)
         with pytest.raises(ValueError, match="not aligned"):
             rel_effect_apply(model, shifted, v)
@@ -292,7 +292,7 @@ def test_covariance_at_a_large_shift_is_certified():
     B = grid.region([(0.0, grid.L / 4)])
     s = 8 * grid.h + 100 * grid.L
     unreduced = shift_covariance(np.exp(-1j * s * model.xi)[None],
-                                 partial(_sampled_effect, model), [B],
+                                 thermal_model(model).effects, [B],
                                  [B.shifted(s)])
     assert unreduced.bound[0] == np.inf
     assert exact_shift(B, s, grid.h)

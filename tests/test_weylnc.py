@@ -10,7 +10,7 @@ from povmlab.weylnc import (MellinLattice, SymbolRep, _shift_diagonals,
                             conjugation_residual, htau_norm, indicator_Q,
                             nc_covariance_residual, nc_effect, nc_integral,
                             quantize, weyl_defect, weyl_relation_residual)
-from povmlab.regions import equal_partition
+from povmlab.regions import RegionSet, equal_partition
 from test_relativistic import exact_shift
 
 rng = np.random.default_rng(61)
@@ -289,6 +289,21 @@ def test_nc_effect_rejects_misaligned():
     B = lat.q_region([(0.0, 0.4 * lat.dual_spacing)])
     with pytest.raises(ValueError):
         nc_effect(lat, B)
+
+
+def test_indicator_q_rejects_a_region_off_the_q_spectral_circle():
+    # the same cells on a circle of half the period: sampled on lat.q,
+    # each point reduced modulo that period, they would mark the cells
+    # twice over, which is not 1_B(Q); indicator_Q refuses them, alone and
+    # as a member of a stack
+    lat = selfdual_lattice(16)
+    B = lat.q_region([(0.0, 2 * lat.dual_spacing)])
+    off = RegionSet.line(B.cells, length=lat.x_length / 2, base=B.base / 2)
+    assert off.indicator(lat.q).sum() == 2 * B.indicator(lat.q).sum()
+    for regions in (off, [B, off]):
+        with pytest.raises(ValueError, match="Q-spectral circle"):
+            indicator_Q(lat, regions)
+    indicator_Q(lat, [B, B])
 
 
 def test_nc_covariance_exact_path():
