@@ -544,7 +544,7 @@ def convergence_study(kind: str, sizes) -> dict:
     """Error-vs-size table for the discretisation-limited checks."""
     if kind not in _STUDIES:
         raise ValueError(f"unknown study kind {kind!r}; choose from {STUDY_KINDS}")
-    sizes = [require_int(s, f"{kind} size") for s in sizes]
+    sizes = [require_int(s, f"{kind} size", 1) for s in sizes]
     if not sizes:
         raise ValueError(f"{kind} needs at least one size")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):

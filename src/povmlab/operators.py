@@ -67,10 +67,10 @@ def require_square(A: np.ndarray) -> np.ndarray:
 def require_int(value, name: str, least: int = None) -> int:
     """value as an int; a bool, a float and, with ``least``, an integer
     below it are refused."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or (least is not None and value < least)):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
     return int(value)
 
 

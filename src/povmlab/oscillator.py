@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .operators import (Defect, ThermalModel, ToeplitzBlock, funcalc,
-                        opnorm, shift_covariance)
+                        opnorm, require_int, shift_covariance)
 from .modular import build_modular
 from .regions import region_list
 
@@ -28,14 +28,13 @@ from .regions import region_list
 def gibbs(beta: float, d: int) -> np.ndarray:
     """Gibbs density e^{-beta N} / Z on the truncated basis.
 
-    beta = 0 is allowed as the explicit tracial flag I/d; negative beta is
-    rejected.
+    beta = 0 is allowed as the explicit tracial flag I/d; a negative or
+    non-finite beta is rejected.
     """
-    if beta < 0:
-        raise ValueError("inverse temperature must be nonnegative")
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    w = np.exp(-beta * np.arange(d))
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"inverse temperature beta must be finite and "
+                         f"nonnegative, got {beta!r}")
+    w = np.exp(-beta * np.arange(require_int(d, "d", 1)))
     return np.diag(w / w.sum()).astype(complex)
 
 
@@ -56,8 +55,7 @@ def phase_effect(B, d: int) -> ToeplitzBlock:
     regions, one = region_list(B)
     if any(R.domain != "circle" for R in regions):
         raise ValueError("phase effects are defined on the circle")
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
+    d = require_int(d, "d", 1)
     ends = np.array([end for R in regions for cell in R.cells for end in cell],
                     dtype=float).reshape(-1, 2, 1).transpose(1, 0, 2)
     a, b = np.where(ends >= np.pi, ends - 2 * np.pi, ends)
@@ -90,8 +88,7 @@ def covariance_residual(d: int, t, B) -> Defect:
 def toeplitz_arg(d: int) -> np.ndarray:
     """Toeplitz operator of the angle function: F_{mn} = c_{m-n} with
     c_0 = 0 and c_k = (-1)^k i / k."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    d = require_int(d, "d", 1)
     F = np.zeros((d, d), dtype=complex)
     idx = np.arange(d)
     k = idx[:, None] - idx[None, :]          # k = m - n

@@ -14,7 +14,9 @@ residual of an explicit eigenvector.  When that certificate fails, and
 for any T of size d >= 2, U is diagonalised densely by one solve and one
 ``eigh`` of a Hermitian Cayley transform (``_unitary_eigh``), accepted
 only after every eigenvector residual is checked.  Either spectral
-measure is binned in one pass.  The module needs numpy alone.
+measure is one stack (K, d, d) of point masses on the original space,
+binned and taken moments of the same way at every d.  The module needs
+numpy alone.
 """
 
 from dataclasses import dataclass
@@ -396,18 +398,20 @@ def _scalar_spectrum(t: complex, s: float, M: int):
 
 
 def _block0_spectrum(T: np.ndarray, M: int, svd):
-    """Eigenphases of the circular dilation U of T and the block-0 rows of
-    its eigenvectors, from ``svd`` = ``_defect_svd(T)``: in closed form by
-    ``_scalar_spectrum`` when T is a scalar and its certificate holds (the
-    square roots of the weights stand for the rows), else by
-    ``_unitary_eigh`` of the dense U."""
+    """Eigenphases of the circular dilation U of T and its point masses
+    F_j = P0 v_j v_j* P0 on block 0, a stack (K, d, d), from ``svd`` =
+    ``_defect_svd(T)``: in closed form by ``_scalar_spectrum`` when T is a
+    scalar and its certificate holds (the weights are the 1 x 1 masses),
+    else from the block-0 rows of the eigenvectors of ``_unitary_eigh`` of
+    the dense U."""
     d = T.shape[0]
     if d == 1:
         found = _scalar_spectrum(complex(T[0, 0]), float(svd[1][0]), M)
         if found is not None:
-            return found[0], np.sqrt(found[1]).astype(complex)[None]
+            return found[0], found[1][:, None, None]
     thetas, V = _unitary_eigh(_circular_dilation(T, M, svd))
-    return thetas, V[:d]
+    P0V = V[:d].T
+    return thetas, P0V[:, :, None] * P0V[:, None, :].conj()
 
 
 @lru_cache
@@ -428,16 +432,16 @@ def contraction_moment_povm(T, M: int, cells: int):
     closed form for a 1 x 1 T (``_scalar_spectrum``), else, and when that
     certificate fails, from ``_unitary_eigh`` of the dense U.  One SVD of T
     (``_defect_svd``) gives the norm of the contraction check and the
-    defect operators of U.  The measure is binned into ``cells`` equal arcs
-    of [-pi, pi) in one pass: one ``searchsorted`` gives every phase its
-    cell, one batched product forms every effect; a phase within _EPS below
-    pi is binned as -pi, and the moments keep the phase itself.  Returns
-    the binned DiscretePOVM together with a MomentReport; the unbinned
-    moments are certified for n = 0..M-1, all M residuals from one stack of
-    powers and one batched SVD.  For a 1 x 1 T the point masses are the
-    weights w_j: the cell masses and 1 x 1 effects are one ``np.bincount``
-    of w over the cells, and the moments one matrix-vector product
-    e^{i n theta_j} w with residuals |moment_n - t^n|.
+    defect operators of U.  The measure is one stack of point masses
+    F_j = P0 v_j v_j* P0, binned the same way at every d into ``cells``
+    equal arcs of [-pi, pi): one ``searchsorted`` gives every phase its
+    cell and one ``np.add.at`` sums the masses of each cell, in phase
+    order; a phase within _EPS below pi is binned as -pi, and the moments
+    keep the phase itself.  Returns the binned DiscretePOVM together with
+    a MomentReport; the unbinned moments are certified for n = 0..M-1:
+    moment n is one product of the cumulative phase products
+    e^{i n theta_j} with the masses, and all M residuals against the
+    powers of T come from one batched ``opnorm``.
     """
     T = as_operator(T)
     if T.shape[0] != T.shape[1] or T.size == 0:
@@ -448,43 +452,30 @@ def contraction_moment_povm(T, M: int, cells: int):
     if svd[3][0] > 1.0 + NUMERIC_TOL:
         raise ValueError(f"not a contraction: ||T|| = {svd[3][0]:.6f}")
     d = T.shape[0]
-    thetas, P0V = _block0_spectrum(T, M, svd)
+    thetas, masses = _block0_spectrum(T, M, svd)
     # as in RegionSet.indicator, a phase within _EPS below pi is binned as
     # -pi; the moments keep the phase itself
     binned = np.where(thetas >= np.pi - _EPS, -np.pi, thetas)
     order = np.argsort(binned, kind="stable")
-    thetas, binned = thetas[order], binned[order]
-    P0V = P0V[:, order]              # compression of eigenvectors to block 0
+    thetas, binned, masses = thetas[order], binned[order], masses[order]
 
     # half-open cells with ends moved down by _EPS, as in RegionSet.indicator:
     # a phase on an edge, up to rounding, goes with the cell it starts
     regions, edges = _equal_arcs(cells)
-    cell = np.searchsorted(edges, binned, side="right") - 1
+    effects = np.zeros((cells, d, d), dtype=masses.dtype)
+    np.add.at(effects, np.searchsorted(edges, binned, side="right") - 1, masses)
 
-    # moment n of the unbinned compressed point masses F_j = P0 v_j v_j* P0
-    # against T^n, for every n at once
-    if d == 1:
-        # the point masses are the weights w_j = |P0 v_j|^2: the moments are
-        # one matrix-vector product of the powers e^{i n theta_j}, taken by
-        # repeated products (each rounds by at most n eps), with w, and
-        # the effects one weighted count per cell
-        w = (P0V[0] * P0V[0].conj()).real
-        phases = np.ones((M, len(thetas)), dtype=complex)
-        phases[1:] = np.exp(1j * thetas)
-        powers = np.cumprod(np.append(1.0, np.full(M - 1, T[0, 0])))
-        residuals = np.abs(np.cumprod(phases, axis=0) @ w - powers)
-        effects = np.bincount(cell, w, minlength=cells)[:, None, None]
-    else:
-        phases = np.exp(1j * np.outer(np.arange(M), thetas))
-        moments = np.einsum("in,kn,jn->kij", P0V, phases, P0V.conj())
-        powers = np.empty((M, d, d), dtype=complex)
-        powers[0] = np.eye(d)
-        for n in range(1, M):
-            powers[n] = powers[n - 1] @ T
-        residuals = np.linalg.norm(moments - powers, 2, axis=(-2, -1))
-        B = np.zeros((cells, d, len(cell)), dtype=complex)  # P0V by cell
-        B[cell, :, np.arange(len(cell))] = P0V.T
-        effects = B @ adjoint(P0V)
+    # moment n of the unbinned point masses against T^n, for every n at
+    # once: the powers e^{i n theta_j} by repeated products (each rounds by
+    # at most n eps) against the masses
+    phases = np.ones((M, len(thetas)), dtype=complex)
+    phases[1:] = np.exp(1j * thetas)
+    moments = np.cumprod(phases, axis=0) @ masses.reshape(-1, d * d)
+    powers = np.empty((M, d, d), dtype=complex)
+    powers[0] = np.eye(d)
+    for n in range(1, M):
+        powers[n] = powers[n - 1] @ T
+    residuals = opnorm(moments.reshape(M, d, d) - powers)
     povm = DiscretePOVM(regions=list(regions), effects=effects)
     report = MomentReport(moment_residuals=residuals,
                           cell_masses=np.einsum("cii->c", effects).real / d)

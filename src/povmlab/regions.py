@@ -35,8 +35,9 @@ class RegionSet:
     def __post_init__(self):
         if self.domain not in (CIRCLE, LINE):
             raise ValueError(f"unknown domain tag {self.domain!r}")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period < math.inf:
+            raise ValueError(f"period must be finite and positive, "
+                             f"got {self.period!r}")
         object.__setattr__(self, "cells", self._normalize(self.cells))
 
     def _normalize(self, cells):
@@ -44,6 +45,8 @@ class RegionSet:
         per = self.period
         out = []
         for a, b in cells:
+            if not math.isfinite(a) or not math.isfinite(b):
+                raise ValueError(f"cell end of [{a}, {b}) is not finite")
             length = b - a
             if length < -_EPS:
                 raise ValueError(f"cell [{a}, {b}) has negative length")

@@ -26,7 +26,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .operators import (NUMERIC_TOL, Defect, ThermalModel, ToeplitzBlock,
-                        adjoint, circulant, lattice_phase, sampled_indicator)
+                        adjoint, circulant, lattice_phase, require_int,
+                        sampled_indicator)
 from .regions import RegionSet, check_aligned
 
 
@@ -38,10 +39,11 @@ class CircleGrid:
     L: float
 
     def __post_init__(self):
-        if self.n < 8 or self.n % 2 != 0:
+        if require_int(self.n, "grid size n") < 8 or self.n % 2 != 0:
             raise ValueError("grid size must be even and at least 8")
-        if self.L <= 0:
-            raise ValueError("circumference must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"circumference L must be finite and positive, "
+                             f"got {self.L!r}")
 
     @property
     def h(self) -> float:

@@ -36,7 +36,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .operators import (Defect, ThermalModel, ToeplitzBlock, diag_conjugate,
-                        lattice_phase, sampled_indicator)
+                        lattice_phase, require_int, sampled_indicator)
 from .regions import RegionSet, check_aligned, region_list
 
 
@@ -50,10 +50,11 @@ class MellinLattice:
     u_min: float
 
     def __post_init__(self):
-        if self.m < 8 or self.m % 2 != 0:
+        if require_int(self.m, "lattice size m") < 8 or self.m % 2 != 0:
             raise ValueError("lattice size must be even and at least 8")
-        if self.delta <= 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"spacing delta must be finite and positive, "
+                             f"got {self.delta!r}")
         r = self.u_min / self.delta
         if abs(r - round(r)) > 1e-9:
             raise ValueError("u_min must be a multiple of delta")

@@ -5,6 +5,7 @@ import io
 import json
 import sys
 import tracemalloc
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -748,6 +749,52 @@ def test_cli_study_rejects_a_grid_below_eight_points(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: grid size must be even and at least 8\n"
+
+
+@pytest.mark.parametrize("sizes", [["0"], ["-8", "16"]])
+def test_cli_study_refuses_a_size_below_one_before_running(sizes, capsys):
+    # a size of 0 divided by zero, and -8 took a square root, before any
+    # check; now each size is refused by name, and nothing runs or warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["study", "weyl-wrap", "--sizes", *sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: weyl-wrap size must be at least 1, "
+                            f"got {sizes[0]}\n")
+
+
+NAN, INF = float("nan"), float("inf")
+ARC = regions.RegionSet.circle([(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: oscillator.gibbs(1.0, 2.5), "d", id="gibbs-d-2.5"),
+    pytest.param(lambda: oscillator.gibbs(NAN, 3), "beta", id="gibbs-beta-nan"),
+    pytest.param(lambda: oscillator.gibbs(INF, 3), "beta", id="gibbs-beta-inf"),
+    pytest.param(lambda: oscillator.phase_effect(ARC, 3.0), "d",
+                 id="phase_effect-d-3.0"),
+    pytest.param(lambda: oscillator.covariance_residual(12.0, 0.3, ARC), "d",
+                 id="covariance_residual-d-12.0"),
+    pytest.param(lambda: relativistic.CircleGrid(16, NAN), "L",
+                 id="CircleGrid-L-nan"),
+    pytest.param(lambda: relativistic.CircleGrid(16.0, 1.0), "n",
+                 id="CircleGrid-n-16.0"),
+    pytest.param(lambda: weylnc.MellinLattice(16, NAN, 0), "delta",
+                 id="MellinLattice-delta-nan"),
+    pytest.param(lambda: weylnc.MellinLattice(16.0, 1.0, 0), "m",
+                 id="MellinLattice-m-16.0"),
+    pytest.param(lambda: regions.RegionSet.line([(0, 1)], length=NAN),
+                 "period", id="line-length-nan"),
+    pytest.param(lambda: regions.RegionSet.circle([(0, NAN)]), "cell end",
+                 id="circle-cell-end-nan"),
+])
+def test_model_input_not_an_integer_or_not_finite_is_refused_by_name(call,
+                                                                     name):
+    # each of these returned a NaN or wrongly sized object, or failed with
+    # an IndexError or a message that did not name the input
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call()
 
 
 def test_cli_csv_output(tmp_path):
