@@ -81,16 +81,12 @@ class SuiteConfig:
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         reads = _fields_read(self.suite)
-        for name in ("seed", "d", "n", "m"):
+        for name, least in (("seed", 0), ("d", 1), ("n", 8), ("m", 8)):
             if name in reads:
-                setattr(self, name, require_int(getattr(self, name), name))
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if "d" in reads and self.d < 1:
-            raise ValueError(f"d must be at least 1, got {self.d}")
+                setattr(self, name, require_int(getattr(self, name), name, least))
         for name in ("n", "m"):     # each is split into 4 aligned cells
             size = getattr(self, name)
-            if name in reads and (size < 8 or size % 4):
+            if name in reads and size % 4:
                 raise ValueError(f"{name} must be a multiple of 4 and >= 8, got {size}")
         self.betas = tuple(float(b) for b in self.betas)
         if "betas" in reads and not self.betas:

@@ -104,9 +104,7 @@ def commutator_defect(d: int) -> dict:
     vector v_m = (-1)^m; the relation [N, F]h = -ih therefore holds
     exactly on vectors orthogonal to v.
     """
-    if d < 2:
-        raise ValueError("need dimension at least 2")
-    n = np.arange(d, dtype=float)
+    n = np.arange(require_int(d, "d", 2), dtype=float)
     F = toeplitz_arg(d)
     commutator = n[:, None] * F - F * n      # NF - FN
     C = commutator + 1j * np.eye(d)

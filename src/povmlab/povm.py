@@ -152,7 +152,7 @@ def naimark_dilate(p: DiscretePOVM) -> NaimarkDilation:
 def random_povm(d: int, k: int, rng) -> DiscretePOVM:
     """Seeded random POVM on k equal circle arcs: E_i = S^{-1/2} A_i* A_i S^{-1/2}
     for Gaussian A_i, drawn as one stack, and S the sum of the A_i* A_i."""
-    A = _rand_complex(rng, d, (k,))
+    A = _rand_complex(rng, require_int(d, "d", 1), (require_int(k, "k", 1),))
     gram = adjoint(A) @ A
     lam, V = _sym_eigh(_in_order_sum(gram))
     S_isqrt = (V / np.sqrt(lam)) @ adjoint(V)

@@ -101,10 +101,15 @@ class RegionSet:
         inside = (a - _EPS <= x[:, None]) & (x[:, None] < b - _EPS)
         return inside.any(axis=1).astype(float)
 
-    def is_aligned(self, h: float) -> bool:
-        """True when every endpoint sits on the grid base + h*Z."""
-        r = (np.ravel(self.cells) - self.base) / h
-        return not (np.abs(r - np.round(r)) > 1e-9).any()
+
+def grid_steps(x: float, h: float, message: str) -> int:
+    """x / h as a whole number of grid steps h; a ratio that is not finite
+    or lies more than 1e-9 steps off an integer is refused with
+    ``message``."""
+    r = x / h
+    if not math.isfinite(r) or abs(r - round(r)) > 1e-9:
+        raise ValueError(f"{message}, got {x!r}")
+    return round(r)
 
 
 def equal_partition(like: RegionSet, k: int):
@@ -137,5 +142,5 @@ def check_aligned(B, period: float, h: float):
     for R in region_list(B)[0]:
         if R.domain != LINE or abs(R.period - period) > 1e-9:
             raise ValueError("region must live on the grid's circle")
-        if not R.is_aligned(h):
-            raise ValueError("region is not aligned to the grid's cells")
+        for end in [x - R.base for cell in R.cells for x in cell]:
+            grid_steps(end, h, "region is not aligned to the grid's cells")

@@ -95,8 +95,8 @@ def poisson_apply(grid: CircleGrid, y, g) -> np.ndarray:
     and one batched inverse FFT; a scalar y gives one grid vector.
     """
     y1 = np.atleast_1d(np.asarray(y, dtype=float))
-    if (y1 < 0).any():
-        raise ValueError("semigroup parameter must be nonnegative")
+    if not ((0 <= y1) & (y1 < np.inf)).all():
+        raise ValueError(f"y must be finite and nonnegative, got {y!r}")
     if np.shape(g) != (grid.n,):
         raise ValueError(f"g must be a grid vector of shape ({grid.n},), "
                          f"got {np.shape(g)}")
@@ -108,8 +108,8 @@ def poisson_apply(grid: CircleGrid, y, g) -> np.ndarray:
 def poisson_kernel(grid: CircleGrid, y: float) -> np.ndarray:
     """Discrete Poisson kernel: p with P(y) f = p * f under the grid
     convolution; p_j = (1/L) sum_k e^{-y|xi_k|} e^{i xi_k x_j}."""
-    if y < 0:
-        raise ValueError("semigroup parameter must be nonnegative")
+    if not 0 <= y < np.inf:
+        raise ValueError(f"y must be finite and nonnegative, got {y!r}")
     return np.fft.ifft(np.exp(-y * np.abs(grid.xi))).real * grid.n / grid.L
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .operators import (Defect, ThermalModel, ToeplitzBlock, diag_conjugate,
                         lattice_phase, require_int, sampled_indicator)
-from .regions import RegionSet, check_aligned, region_list
+from .regions import RegionSet, check_aligned, grid_steps, region_list
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,7 @@ class MellinLattice:
         if not 0 < self.delta < np.inf:
             raise ValueError(f"spacing delta must be finite and positive, "
                              f"got {self.delta!r}")
-        r = self.u_min / self.delta
-        if abs(r - round(r)) > 1e-9:
-            raise ValueError("u_min must be a multiple of delta")
+        grid_steps(self.u_min, self.delta, "u_min must be a multiple of delta")
 
     @property
     def circumference(self) -> float:
@@ -81,10 +79,8 @@ class MellinLattice:
     def shift_columns(self, t: float) -> np.ndarray:
         """Column of the one nonzero entry in each row of S(t), t in
         delta*Z: (S g)_l = g_{l+j} puts it at (l, (l + j) mod m)."""
-        j = t / self.delta
-        if abs(j - round(j)) > 1e-9:
-            raise ValueError("shift amount must be a lattice multiple")
-        return (np.arange(self.m) + int(round(j))) % self.m
+        j = grid_steps(t, self.delta, "shift amount must be a lattice multiple")
+        return (np.arange(self.m) + j % self.m) % self.m
 
     def shift(self, t: float) -> np.ndarray:
         """S(t) for t in delta*Z as a dense m x m permutation matrix."""
@@ -99,11 +95,13 @@ class MellinLattice:
     @cached_property
     def positive_sites(self) -> np.ndarray:
         """Indices of lattice sites with u_j >= 0 (closed half-line): a
-        contiguous suffix of the increasing lattice, never empty."""
-        pos = np.flatnonzero(self.u >= -1e-12)
-        if len(pos) == 0:
+        contiguous suffix of the increasing lattice, from the site
+        j = -u_min / delta on, never empty."""
+        first = max(0, -grid_steps(self.u_min, self.delta,
+                                   "u_min must be a multiple of delta"))
+        if first >= self.m:
             raise ValueError("lattice has no site with u >= 0")
-        return pos
+        return np.arange(first, self.m)
 
     # symbol-side grids ---------------------------------------------------
 
@@ -161,11 +159,8 @@ class SymbolRep:
     def translated(self, lat: MellinLattice, t: float) -> "SymbolRep":
         """a_t(x, xi) = a(x + t, xi): coefficient twist e^{-i u_j t} and a
         circular roll of the principal samples (t must lie on the x-grid)."""
-        dx = lat.x_length / lat.m
-        r = t / dx
-        if abs(r - round(r)) > 1e-9:
-            raise ValueError("translation must be a multiple of the x-grid spacing")
-        r = int(round(r))
+        r = grid_steps(t, lat.x_length / lat.m,
+                       "translation must be a multiple of the x-grid spacing")
         coeffs = {(j, k): c * np.exp(-1j * j * lat.delta * t)
                   for (j, k), c in self.coeffs.items()}
         roll = lambda a: None if a is None else np.roll(a, -r)
@@ -278,7 +273,7 @@ def conjugation_residual(lat: MellinLattice, t: float, a: SymbolRep) -> Defect:
     period 2 pi / delta.
     """
     at = a.translated(lat, t)
-    phase = lattice_phase(t, lat.u, 2 * np.pi / lat.delta)[0]
+    phase = lattice_phase(t, lat.u, lat.x_length)[0]
     target = _shift_diagonals(lat, at)      # same offsets as a's
     rows, back = np.arange(lat.m), np.conj(phase)
     moduli = [np.abs((phase * d) * back[(rows + j) % lat.m] - target[j]).max()

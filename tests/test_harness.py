@@ -21,6 +21,7 @@ from povmlab.operators import adjoint, diag_conjugate, opnorm
 from test_operators import toeplitz_part
 from test_oscillator import closed_form_phase_effect
 from test_povm import per_effect_random_povm
+from test_relativistic import exact_shift
 
 
 def test_full_suite_passes():
@@ -124,10 +125,8 @@ def covariance_defect(phase, E, sampled, B, shift, h):
     """Reference: the dense defect diag(phase) E diag(phase)* - E_{B + shift}
     of a covariance identity for the effect E = E_B, and whether the exact
     path applies (shift a multiple of h, B + shift aligned to the grid)."""
-    shifted = B.shifted(shift)
-    steps = shift / h
-    exact = abs(steps - round(steps)) < 1e-9 and shifted.is_aligned(h)
-    return diag_conjugate(phase, E) - sampled(shifted), exact
+    return (diag_conjugate(phase, E) - sampled(B.shifted(shift)),
+            exact_shift(B, shift, h))
 
 
 def dense_rel_covariance_defect(model, s, B):
@@ -766,6 +765,8 @@ def test_cli_study_refuses_a_size_below_one_before_running(sizes, capsys):
 
 NAN, INF = float("nan"), float("inf")
 ARC = regions.RegionSet.circle([(0.0, 1.0)])
+LAT = weylnc.MellinLattice(16, 1.0, 0.0)
+GRID = relativistic.CircleGrid(16, 1.0)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -788,12 +789,37 @@ ARC = regions.RegionSet.circle([(0.0, 1.0)])
                  "period", id="line-length-nan"),
     pytest.param(lambda: regions.RegionSet.circle([(0, NAN)]), "cell end",
                  id="circle-cell-end-nan"),
+    *(pytest.param(lambda x=x: weylnc.MellinLattice(16, 1.0, x), "u_min",
+                   id=f"MellinLattice-u_min-{x}") for x in (NAN, INF, -INF)),
+    *(pytest.param(lambda x=x: weylnc.weyl_relation_residual(LAT, 0.5, x),
+                   "shift amount", id=f"weyl_relation_residual-t-{x}")
+      for x in (NAN, INF, -INF)),
+    *(pytest.param(lambda x=x: weylnc.conjugation_residual(
+        LAT, x, weylnc.SymbolRep({(1, 0): 1.0})), "translation",
+        id=f"conjugation_residual-t-{x}") for x in (NAN, INF, -INF)),
+    *(pytest.param(lambda x=x: relativistic.poisson_kernel(GRID, x), "y",
+                   id=f"poisson_kernel-y-{x}") for x in (NAN, INF)),
+    *(pytest.param(lambda x=x: relativistic.poisson_apply(GRID, x,
+                                                          np.ones(16)), "y",
+                   id=f"poisson_apply-y-{x}") for x in (NAN, INF)),
+    *(pytest.param(lambda x=x: relativistic.boundary_isometry_check(
+        relativistic.HardyModel(GRID), np.ones(16), [0.1, x]), "y",
+        id=f"boundary_isometry_check-y-{x}") for x in (NAN, INF)),
+    pytest.param(lambda: povm.random_povm(0, 2, np.random.default_rng(0)), "d",
+                 id="random_povm-d-0"),
+    pytest.param(lambda: povm.random_povm(2, 0, np.random.default_rng(0)), "k",
+                 id="random_povm-k-0"),
+    pytest.param(lambda: oscillator.commutator_defect(True), "d",
+                 id="commutator_defect-d-True"),
 ])
 def test_model_input_not_an_integer_or_not_finite_is_refused_by_name(call,
                                                                      name):
     # each of these returned a NaN or wrongly sized object, or failed with
-    # an IndexError or a message that did not name the input
-    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+    # an IndexError, an OverflowError or a message that did not name the
+    # input; now each is refused by name, with no warning first
+    with warnings.catch_warnings(), pytest.raises(ValueError,
+                                                  match=rf"\b{name}\b"):
+        warnings.simplefilter("error")
         call()
 
 

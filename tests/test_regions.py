@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from povmlab.regions import _EPS, RegionSet, circle_full, equal_partition
+from povmlab.regions import (_EPS, RegionSet, check_aligned, circle_full,
+                             equal_partition, grid_steps)
 
 
 def measure(B: RegionSet) -> float:
@@ -52,10 +53,33 @@ def test_equal_partition_covers_disjointly():
     assert np.array_equal(sum(p.indicator(xs) for p in parts), np.ones(5))
 
 
-def test_is_aligned():
+@pytest.mark.parametrize("x, h, steps", [
+    (6.0, 2.0, 3), (0.0, 0.1, 0), (-0.3, 0.1, -3), (0.7, 0.1, 7),
+    (2 * math.pi, math.pi / 8, 16), ((5 + 1e-10) * 0.25, 0.25, 5),
+    ((-5 - 1e-10) * 0.25, 0.25, -5)])
+def test_grid_steps_of_a_multiple(x, h, steps):
+    # within 1e-9 steps of an integer counts as on the grid
+    n = grid_steps(x, h, "x must be a multiple of h")
+    assert n == steps and type(n) is int
+
+
+@pytest.mark.parametrize("x", [(5 + 1e-8) * 0.25, (-5 - 1e-8) * 0.25, 0.1,
+                               math.nan, math.inf, -math.inf])
+def test_grid_steps_refuses_off_grid_and_non_finite(x):
+    with pytest.raises(ValueError,
+                       match=rf"^x must be a multiple of h, got {x!r}$"):
+        grid_steps(x, 0.25, "x must be a multiple of h")
+
+
+def test_check_aligned_refuses_an_off_grid_region():
     B = RegionSet.line([(2.0, 6.0)], length=16.0)
-    assert B.is_aligned(2.0)
-    assert not B.is_aligned(3.0)
+    check_aligned(B, 16.0, 2.0)
+    check_aligned([B, RegionSet.line([], length=16.0)], 16.0, 2.0)
+    with pytest.raises(ValueError, match="not aligned to the grid's cells, "
+                                         "got 2.0"):
+        check_aligned(B, 16.0, 3.0)
+    with pytest.raises(ValueError, match="not aligned"):
+        check_aligned([B, B.shifted(0.5)], 16.0, 2.0)
 
 
 def test_line_base_offset():

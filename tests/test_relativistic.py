@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from povmlab import relativistic
 from povmlab.operators import (DEFAULT_TOL, EFFECT, PROJECTION, adjoint,
                                is_effect, opnorm, shift_covariance)
-from povmlab.regions import RegionSet
+from povmlab.regions import RegionSet, grid_steps
 from povmlab.relativistic import (CircleGrid, HardyModel,
                                   _factored_isometry_defect, _sampled_apply,
                                   boundary_isometry_check, hardy_project,
@@ -21,8 +21,13 @@ rng = np.random.default_rng(53)
 def exact_shift(B, shift, h):
     """Whether a shift covariance identity is exact: the shift a multiple
     of the grid step h, and B + shift aligned to the grid."""
-    steps = shift / h
-    return abs(steps - round(steps)) < 1e-9 and B.shifted(shift).is_aligned(h)
+    C = B.shifted(shift)
+    try:
+        for x in [shift] + [end - C.base for cell in C.cells for end in cell]:
+            grid_steps(x, h, "off the grid")
+    except ValueError:
+        return False
+    return True
 
 
 def dft_matrix(grid):

@@ -139,6 +139,23 @@ def test_compressed_indicator_is_the_positive_site_block(m):
                                   indicator_Q(lat, B).dense()[np.ix_(pos, pos)])
 
 
+@pytest.mark.parametrize("m", [8, 10, 64])
+@pytest.mark.parametrize("delta", [0.1, 0.45, 1.0, float(np.sqrt(2 * np.pi / 64))])
+def test_positive_sites_equal_the_sites_at_or_above_zero(m, delta):
+    # the suffix from -u_min / delta on is the old cut u >= -1e-12 of the
+    # lattice's float sites, for u_min from -(m + 2) delta to 2 delta; a
+    # lattice wholly below 0 (u_min <= -m delta) is refused
+    for k in range(-(m + 2), 3):
+        lat = MellinLattice(m, delta, k * delta)
+        cut = np.flatnonzero(lat.u >= -1e-12)
+        if len(cut) == 0:
+            assert k <= -m
+            with pytest.raises(ValueError, match="no site with u >= 0"):
+                lat.positive_sites
+        else:
+            assert np.array_equal(lat.positive_sites, cut)
+
+
 def test_positive_sites_reject_a_lattice_below_zero():
     lat = MellinLattice(16, 0.45, -20 * 0.45)
     with pytest.raises(ValueError, match="no site with u >= 0"):
@@ -149,6 +166,14 @@ def test_shift_rejects_misaligned():
     lat = selfdual_lattice(16)
     with pytest.raises(ValueError):
         lat.shift(0.3 * lat.delta)
+
+
+def test_shift_of_a_huge_lattice_multiple_wraps_without_overflow():
+    # 2^80 steps is 0 mod m: the shift is the identity permutation, where
+    # adding the step count to the site indices overflowed int64
+    lat = MellinLattice(16, 1.0, 0.0)
+    for t in (2.0 ** 80, -2.0 ** 80):
+        assert np.array_equal(lat.shift_columns(t), np.arange(16))
 
 
 def test_weyl_relation_exact_path():
