@@ -18,9 +18,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import modular, oscillator, povm, relativistic, weylnc
-from .operators import (EFFECT, NUMERIC_TOL, PROJECTION, ToeplitzBlock,
-                        _rand_complex, adjoint, circulant, is_effect, opnorm,
-                        partition_defect, require_int)
+from .operators import (NUMERIC_TOL, ToeplitzBlock, _rand_complex, adjoint,
+                        opnorm, partition_defect, require_int)
 from .regions import RegionSet, circle_full, equal_partition
 
 SCHEMA_VERSION = 1
@@ -317,7 +316,7 @@ def _suite_relativistic(c: _Cases):
     c.add_defect("rel.povm.sum", "Thm thermal-D(1)", f"n={n} 4 blocks",
                  partition_defect(effects), 1e-12)
     c.add_flag("rel.povm.effects", "Thm thermal-D(1)", f"n={n}",
-               _is_effect_block(effects, 1e-10))
+               _effects_within(effects, 1e-10))
 
     # rank-4 operators a_L a_R* and b_L b_R*; the left factors have
     # ||.||_F = n^(1/4) and the right ones n^(1/2), so that |<A, B>_tau|
@@ -387,17 +386,18 @@ def _suite_weyl(c: _Cases):
     c.add("modtime.weighted", "Def modular-time", f"m={m}", htau, 1e-13)
 
 
-def _is_effect_block(E: ToeplitzBlock, tol) -> bool:
-    """Whether every member of the stack E is an effect within tol, as
-    ``is_effect`` decides it.  The spectrum bounds certify a member
-    without a matrix when its Hermitian part lies in [-tol, 1 + tol] and
-    its Hermiticity defect is at most tol; ``is_effect`` runs on the dense
-    blocks of the other members, as one stack."""
-    lo, hi, skew = E.spectrum_bounds()
-    dense = np.flatnonzero(~((skew <= tol) & (lo >= -tol) & (hi <= 1.0 + tol)))
-    return len(dense) == 0 or all(
-        cls in (EFFECT, PROJECTION)
-        for cls in is_effect(circulant(E.c[dense], E.k), tol))
+def _effects_within(E: ToeplitzBlock, tol) -> bool:
+    """Whether every member of the stack E is an effect within tol.  A
+    Hermitian E has its spectrum in [-tol, 1 + tol] exactly when
+    ||2E - I|| <= 1 + 2 tol, so E is one when ||E - E*|| <= tol and
+    ||E + E* - I|| <= 1 + 2 tol.  Both are Toeplitz blocks, E* of the
+    generator conj(c[-r mod n]), and each norm is decided by
+    ``Defect.norm``: only a refused member forms its dense block, within
+    the budget."""
+    c, star = E.c, np.conj(np.roll(E.c[..., ::-1], 1, axis=-1))
+    sym = c + star - np.eye(1, c.shape[-1])
+    return all(ToeplitzBlock(g, E.k).as_defect().norm(bound)[0] <= bound
+               for g, bound in ((c - star, tol), (sym, 1.0 + 2.0 * tol)))
 
 
 def _circulant_idempotency_defect(c) -> float:

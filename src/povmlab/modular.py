@@ -277,8 +277,12 @@ def modtime_unitarity(weight: TraceWeight, T, ts, samples) -> dict:
 
     Returns per-(t, pair) isometry residuals
     |<U_t A, U_t B>_tau - <A, B>_tau| and group-law residuals for
-    consecutive times.
+    consecutive times.  An empty ``ts`` or ``samples`` is refused, as it
+    would compare nothing.
     """
+    for name, entries in (("ts", ts), ("samples", samples)):
+        if not len(entries):
+            raise ValueError(f"{name} must hold at least one entry")
     spectrum = herm_spectrum(T)
     if spectrum[0].min() <= 0:
         raise ValueError("positive operator required for imaginary powers")
@@ -301,7 +305,7 @@ def modtime_unitarity(weight: TraceWeight, T, ts, samples) -> dict:
         A = samples[0][0]
         r = opnorm(U(t1, U(t2, A)) - U(t1 + t2, A))
         group.append({"t1": t1, "t2": t2, "residual": float(r)})
-    worst = max((c["residual"] for c in iso), default=0.0)
+    worst = max(c["residual"] for c in iso)
     return {"isometry": iso, "group_law": group, "max_isometry_residual": worst,
             "unitary": worst <= DEFAULT_TOL}
 

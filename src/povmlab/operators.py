@@ -9,10 +9,10 @@ one matrix or a stack (k, d, d): a value for one matrix, an array of
 values for a stack, from one batched LAPACK call that treats each member
 as it treats one matrix alone; an error names the first bad member.  The
 one structured operator is ``ToeplitzBlock``, a leading block of a
-circulant kept as its generator, whose norm and spectrum are bounded from
-one FFT.  A ToeplitzBlock takes stacks the same way: a generator of shape
-(S, n) stands for S blocks of one size, one per row, bounded from one FFT
-along the rows, and a one-row generator of shape (n,) is the single block,
+circulant kept as its generator, whose norm is bounded from one FFT.  A
+ToeplitzBlock takes stacks the same way: a generator of shape (S, n)
+stands for S blocks of one size, one per row, bounded from one FFT along
+the rows, and a one-row generator of shape (n,) is the single block,
 with single values; every member of a stack reads what it reads alone,
 bit for bit.  Every model residual that a bound can certify is a
 ``Defect``: its bound, and its dense value deferred until ``Defect.norm``
@@ -285,27 +285,20 @@ class ToeplitzBlock:
 
     The block compresses the circulant C(c), which is normal with
     eigenvalues lam = fft(c).  So ||block|| <= max|lam| (Gray, *Toeplitz
-    and Circulant Matrices: A Review*, 2006), and by Cauchy interlacing
-    (Horn-Johnson, Thm 4.3.28) the Hermitian part (block + block*)/2 has
-    its spectrum in [min Re lam, max Re lam] and ||block - block*|| <=
-    2 max|Im lam|.  Each bound is widened by 5 log2(n) eps sqrt(n) ||c||_2,
-    which bounds the rounding of every computed FFT value (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, Ch. 24), so it holds
-    for the exact block of the stored generator.  It leaves out the
-    rounding of forming the dense block, and can sit below the SVD norm of
-    ``dense()``.
+    and Circulant Matrices: A Review*, 2006).  The bound is widened by
+    5 log2(n) eps sqrt(n) ||c||_2, which bounds the rounding of every
+    computed FFT value (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Ch. 24), so it holds for the exact block of the stored
+    generator.  It leaves out the rounding of forming the dense block, and
+    can sit below the SVD norm of ``dense()``.
 
-    A stack is bounded from one FFT along its rows: each bound is then an
+    A stack is bounded from one FFT along its rows: the bound is then an
     array with one value per member, where a single block gives a float,
     and a member reads the value it reads as a single block, bit for bit.
     """
 
     c: np.ndarray
     k: int
-
-    def _values(self, x):
-        """x, one value per member, as a float for a single block."""
-        return float(x) if self.c.ndim == 1 else x
 
     def dense(self) -> np.ndarray:
         """The matrix (k, k), or the stack of the members' (S, k, k)."""
@@ -321,15 +314,7 @@ class ToeplitzBlock:
 
     def norm_bound(self):
         lam, rounding = self._spectrum()
-        return self._values(np.abs(lam).max(axis=-1) + rounding)
-
-    def spectrum_bounds(self) -> tuple:
-        """(lo, hi, skew): the spectrum of the Hermitian part lies in
-        [lo, hi], and ||block - block*|| <= skew."""
-        lam, rounding = self._spectrum()
-        return (self._values(lam.real.min(axis=-1) - rounding),
-                self._values(lam.real.max(axis=-1) + rounding),
-                self._values(2 * (np.abs(lam.imag).max(axis=-1) + rounding)))
+        return np.abs(lam).max(axis=-1) + rounding
 
     def as_defect(self) -> "Defect":
         """The norm of this block, or of each member, as a ``Defect``: the
@@ -384,9 +369,13 @@ def lattice_phase(s, sites, period) -> np.ndarray:
     The sites are multiples of 2 pi / period, so the phase is periodic in
     s, and the reduction, which is exact, leaves an s already in range
     unchanged.  Without it the rounding of an angle s x_j would grow with
-    |s| past the allowance of ``geometric_deviation``.
+    |s| past the allowance of ``geometric_deviation``.  A shift that is
+    not finite is refused by name.
     """
-    reduced = [math.remainder(x, period) for x in np.atleast_1d(s).tolist()]
+    shifts = np.atleast_1d(s).tolist()
+    if not all(map(math.isfinite, shifts)):
+        raise ValueError(f"shift must be finite, got {s!r}")
+    reduced = [math.remainder(x, period) for x in shifts]
     return np.exp(1j * np.multiply.outer(reduced, sites))
 
 

@@ -253,8 +253,11 @@ def tau_unitarity_residual(grid: CircleGrid, beta: float, t: float,
     ||.||_F = n^{1/4} and the right ones to n^{1/2}.  Unit-variance
     factors let the rounding grow past a 1e-12 tolerance by n = 2048, and
     unit-norm columns let the defect of a symbol off the unit circle by
-    1e-10 fall below it.
+    1e-10 fall below it.  The identity holds for every real beta; a beta
+    that is not finite is refused by name.
     """
+    if not -np.inf < beta < np.inf:
+        raise ValueError(f"beta must be finite, got {beta!r}")
     xi = np.abs(grid.xi)
     return _factored_isometry_defect(grid, lattice_phase(t, xi, grid.L)[0],
                                      np.exp(-beta * xi), A, B)

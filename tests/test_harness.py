@@ -564,16 +564,13 @@ def test_wrong_twist_sign_fails_through_the_dense_fallback(monkeypatch):
         assert record["residual"] == opnorm(dense) > 0.1
 
 
-@pytest.mark.parametrize("mutation", ["scaled", "skewed"])
-def test_effect_outside_the_unit_interval_fails_through_is_effect(
-        monkeypatch, mutation):
-    # the first effect of the partition's stack scaled so that its
-    # enclosure reaches 1 + 1e-9, or given the anti-Hermitian part 1e-9 i I,
-    # which leaves the enclosure alone; only that member forms its dense
-    # block for is_effect
-    real, seen = relativistic.rel_effect, []
+def _mutated_rel_effect(mutation):
+    """rel_effect with the first effect of a partition's stack scaled by
+    1 + 1e-9, so that its spectrum reaches 1 + 1e-9, or given the
+    anti-Hermitian part 1e-9 i I; the effect of one region is left alone."""
+    real = relativistic.rel_effect
 
-    def scaled(model, B):
+    def mutated(model, B):
         E = real(model, B)
         if isinstance(B, regions.RegionSet):
             return E
@@ -583,23 +580,89 @@ def test_effect_outside_the_unit_interval_fails_through_is_effect(
         c[0] *= 1 + 1e-9
         return operators.ToeplitzBlock(c, E.k)
 
-    def spy(A, tol=operators.DEFAULT_TOL):
-        seen.append(A.shape)
-        return operators.is_effect(A, tol)
+    return mutated
 
-    monkeypatch.setattr(relativistic, "rel_effect", scaled)
-    monkeypatch.setattr(harness, "is_effect", spy)
-    model, _ = _harness_rel_model()
-    lo, hi, skew = scaled(model, regions.equal_partition(
-        regions.RegionSet.line([], length=model.grid.L), 4)).spectrum_bounds()
-    assert (hi[0] > 1 + 0.5e-9 if mutation == "scaled" else skew[0] > 1e-9)
-    assert (hi[1:] <= 1 + 1e-10).all() and (skew[1:] <= 1e-10).all()
+
+@pytest.mark.parametrize("mutation", ["scaled", "skewed"])
+def test_effect_outside_the_unit_interval_fails_forming_only_that_member(
+        monkeypatch, mutation):
+    # the scaled member fails ||E + E* - I|| <= 1 + 2 tol, the skewed one
+    # ||E - E*|| <= tol; the bounds certify every other member, so the
+    # flag forms one dense block, member 0's, after the one of the
+    # partition sum that the mutation also breaks
+    mutated, real, formed = (_mutated_rel_effect(mutation),
+                             operators.circulant, [])
+
+    def spy(c, k=None):
+        formed.append(np.array(c))
+        return real(c, k)
+
+    monkeypatch.setattr(operators, "circulant", spy)
+    report = run_suite(SuiteConfig(suite="relativistic"))
+    assert _case(report, "rel.povm.effects")["pass"] and formed == []
+    monkeypatch.setattr(relativistic, "rel_effect", mutated)
     report = run_suite(SuiteConfig(suite="relativistic"))
     assert not _case(report, "rel.povm.effects")["pass"]
-    assert seen == [(1, model.dim, model.dim)]
-    monkeypatch.setattr(relativistic, "rel_effect", real)
-    report = run_suite(SuiteConfig(suite="relativistic"))
-    assert _case(report, "rel.povm.effects")["pass"] and len(seen) == 1
+    model, _ = _harness_rel_model()
+    c = mutated(model, regions.equal_partition(
+        regions.RegionSet.line([], length=model.grid.L), 4)).c[0]
+    n = len(c)
+    star = np.conj(c[-np.arange(n) % n])
+    expected = c - star if mutation == "skewed" else c + star - np.eye(1, n)
+    assert [X.shape for X in formed] == [(1, n), (1, n)]
+    assert np.array_equal(formed[1], expected.reshape(1, n))
+
+
+def test_effect_flag_over_the_dense_budget_fails_forming_nothing(
+        monkeypatch):
+    # with no dense budget the scaled member fails on its bound: no
+    # circulant is formed, and the run stays far below the 64 MB of one
+    # 2048 x 2048 effect, which the flag used to form and classify
+    def refuse(*args):
+        raise AssertionError("a dense block was formed")
+
+    monkeypatch.setattr(operators, "DENSE_BUDGET", 0)
+    monkeypatch.setattr(operators, "circulant", refuse)
+    monkeypatch.setattr(relativistic, "rel_effect",
+                        _mutated_rel_effect("scaled"))
+    tracemalloc.start()
+    try:
+        report = run_suite(SuiteConfig(suite="relativistic", n=4096))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(r["case"], r["param"]) for r in report["cases"]
+            if not r["pass"]] == [
+        ("rel.povm.sum", "n=4096 4 blocks [dense 2048x2048 over budget]"),
+        ("rel.povm.effects", "n=4096")]
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 256])
+def test_effect_flag_equals_dense_is_effect_near_the_boundary(n):
+    # stacks of 1-3 members whose blocks sit within a few tol of the
+    # effects: an indicator spectrum, that spectrum moved entry by entry
+    # within 3 tol, the skew a i I with |a| <= 2 tol, or a scale of
+    # 1 +- 3 tol; the flag must read what is_effect reads on the dense
+    # blocks
+    tol, draw, verdicts = 1e-10, np.random.default_rng(n), []
+    for _ in range(75):
+        kind = draw.choice(["indicator", "hermitian", "skewed", "scaled"])
+        k, members = int(draw.choice([1, n // 2, n])), int(draw.integers(1, 4))
+        spectra = (draw.uniform(size=(members, n)) < 0.5).astype(float)
+        if kind == "hermitian":
+            spectra += draw.uniform(-3 * tol, 3 * tol, (members, n))
+        if kind == "scaled":
+            spectra *= 1 + draw.uniform(-3 * tol, 3 * tol, (members, 1))
+        c = np.fft.ifft(spectra, axis=-1)
+        if kind == "skewed":
+            c[:, 0] += 1j * draw.uniform(-2 * tol, 2 * tol, members)
+        E = operators.ToeplitzBlock(c, k)
+        dense = all(cls in (operators.EFFECT, operators.PROJECTION)
+                    for cls in operators.is_effect(E.dense(), tol))
+        assert harness._effects_within(E, tol) == dense, (kind, k)
+        verdicts.append(dense)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_tolerance_below_every_bound_reports_the_dense_values():
@@ -811,6 +874,31 @@ GRID = relativistic.CircleGrid(16, 1.0)
                  id="random_povm-k-0"),
     pytest.param(lambda: oscillator.commutator_defect(True), "d",
                  id="commutator_defect-d-True"),
+    *(pytest.param(call, "shift", id=f"{label}-t-{x}")
+      for x in (NAN, INF, -INF) for label, call in (
+          ("covariance_residual",
+           lambda x=x: oscillator.covariance_residual(12, x, ARC)),
+          ("rel_covariance_residual",
+           lambda x=x: relativistic.rel_covariance_residual(
+               relativistic.HardyModel(GRID), 1.0, x,
+               GRID.region([(0.0, GRID.L / 4)]))),
+          ("nc_covariance_residual",
+           lambda x=x: weylnc.nc_covariance_residual(
+               LAT, x, regions.equal_partition(LAT.q_region([]), 4)[0])),
+          ("tau_unitarity_residual",
+           lambda x=x: relativistic.tau_unitarity_residual(
+               GRID, 1.0, x, (np.ones((16, 1)),) * 2,
+               (np.ones((16, 1)),) * 2)))),
+    *(pytest.param(lambda x=x: relativistic.tau_unitarity_residual(
+        GRID, x, 0.7, (np.ones((16, 1)),) * 2, (np.ones((16, 1)),) * 2),
+        "beta", id=f"tau_unitarity_residual-beta-{x}")
+      for x in (NAN, INF, -INF)),
+    pytest.param(lambda: modular.modtime_unitarity(
+        modular.TraceWeight(np.eye(2)), np.eye(2), np.array([]),
+        [(np.eye(2), np.eye(2))]), "ts", id="modtime_unitarity-ts-empty"),
+    pytest.param(lambda: modular.modtime_unitarity(
+        modular.TraceWeight(np.eye(2)), np.eye(2), [0.0, 0.4], []),
+        "samples", id="modtime_unitarity-samples-empty"),
 ])
 def test_model_input_not_an_integer_or_not_finite_is_refused_by_name(call,
                                                                      name):

@@ -159,11 +159,7 @@ def test_toeplitz_block_bounds_enclose_the_dense_block(n, data, kind, scale,
                       k)
     A = E.dense()
     assert np.array_equal(A, circulant(E.c, k))
-    lo, hi, skew = E.spectrum_bounds()
-    lam = np.linalg.eigvalsh((A + adjoint(A)) / 2)
     assert E.norm_bound() >= opnorm(A)
-    assert lo <= lam.min() and lam.max() <= hi
-    assert skew >= opnorm(A - adjoint(A))
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES + (4 * 1009,))
@@ -545,8 +541,6 @@ def test_stack_members_equal_their_one_block_calls(n, data, members, seed):
     ones = [ToeplitzBlock(c, k) for c in C]
     assert np.array_equal(stack.dense(), np.stack([E.dense() for E in ones]))
     assert np.array_equal(stack.norm_bound(), [E.norm_bound() for E in ones])
-    assert all(np.array_equal(bounds, single) for bounds, single in zip(
-        stack.spectrum_bounds(), zip(*(E.spectrum_bounds() for E in ones))))
     # a tol between the members' bounds certifies some and refuses others;
     # the stack reads the worst of its members' one-block values
     tol = float(np.median(stack.norm_bound()))
