@@ -19,8 +19,8 @@ import numpy as np
 
 from . import modular, oscillator, povm, relativistic, weylnc
 from .operators import (NUMERIC_TOL, ToeplitzBlock, _rand_complex, adjoint,
-                        opnorm, partition_defect, require_int)
-from .regions import RegionSet, circle_full, equal_partition
+                        opnorm, partition_defect)
+from .regions import RegionSet, circle_full, equal_partition, require_int
 
 SCHEMA_VERSION = 1
 

@@ -8,16 +8,19 @@ algebra: Delta = M_S^T conj(M_S) and M_J = M_S conj(Delta^{-1/2}).
 
 Conventions.  With reference vector Omega = T^{1/2} the closed forms are
 Delta: X -> T X T^{-1} and J: X -> X*.  The modular flow is
-sigma_t(A) = Delta^{-it} A Delta^{it}, which on algebra elements is
-conjugation A -> T^{-it} A T^{it}: Delta^{it} = T^{it} (x) (T^{-it})^T
-factors, so the flow of a left multiplication is the left multiplication
-of the d x d flow.  For a diagonal T, T^{-it} is the diagonal phase
-``flow_phase`` read off T itself.  A triple therefore stores only T,
-Omega and T's spectrum, taken once; its d^2 x d^2 carrier data (S,
-Delta, its spectrum and J) is computed on first read, by the checks that
-compare it with the closed forms.  ``vec``, ``unvec`` and ``apply_J``
-also take stacks, one row per matrix or vector, and the closed-form, KMS
-and Lemma-modular checks run over stacks of draws at once.
+sigma_t(A) = Delta^{-it} A Delta^{it}, which on algebra elements is the
+conjugation A -> T^{-it} A T^{it} by ``operators.imag_power``:
+Delta^{it} = T^{it} (x) (T^{-it})^T factors, so the flow of a left
+multiplication is the left multiplication of the d x d flow.  For a
+diagonal T, T^{-it} is the diagonal phase that ``flow_phase`` reads off
+the density itself, with no triple.  A triple stores only T and Omega;
+its d^2 x d^2 carrier data (S, Delta, its spectrum and J) is computed on
+first read, by the checks that compare it with the closed forms, and its
+``flow`` moves carrier operators by powers of Delta.  Every power of a
+decomposed positive operator is ``operators.spectral_power``.  ``vec``
+and ``apply_J`` also take stacks, one row per matrix or vector, and the
+closed-form, KMS and Lemma-modular checks run over stacks of draws at
+once, each residual of a carrier vector in its Euclidean norm.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,8 @@ import numpy as np
 
 from .operators import (DEFAULT_TOL, NUMERIC_TOL, _rand_complex, _square_stack,
                         adjoint, as_operator, herm_spectrum, opnorm,
-                        require_square, spectral_imag_power)
+                        require_square, spectral_power)
+from .regions import require_entries, require_finite
 
 
 def vec(X) -> np.ndarray:
@@ -35,12 +39,6 @@ def vec(X) -> np.ndarray:
     stack (k, d, d) to the rows of (k, d^2)."""
     X = np.asarray(X, dtype=complex)
     return X.reshape(X.shape[:-2] + (-1,))
-
-
-def unvec(x, d: int) -> np.ndarray:
-    """Inverse of ``vec``, for one vector or a stack of rows."""
-    x = np.asarray(x, dtype=complex)
-    return x.reshape(x.shape[:-1] + (d, d))
 
 
 def _worst_norm(rows) -> float:
@@ -116,6 +114,7 @@ def build_gns(generators, T) -> GnsRep:
     T is faithful when no eigenvalue is, and T^{1/2} is formed with them
     set to 0, so the null ideal is exactly the kernel of q.  It is
     quotiented by a rank-revealing SVD with threshold 1e-10 * sigma_max.
+    An empty generating set is refused.
     """
     T = require_square(T)
     if abs(np.trace(T) - 1.0) > NUMERIC_TOL:
@@ -125,9 +124,9 @@ def build_gns(generators, T) -> GnsRep:
         raise ValueError(f"not positive: min eigenvalue {lam[0]:.3e}")
     kept = lam > 8 * len(lam) * np.finfo(float).eps * lam[-1]
     sqrtT = (V * np.sqrt(np.where(kept, lam, 0.0))) @ adjoint(V)
-    images = np.column_stack([vec(require_square(A) @ sqrtT)
-                              for A in generators])
-    U, s, _ = np.linalg.svd(images, full_matrices=False)
+    images = require_entries([vec(require_square(A) @ sqrtT)
+                              for A in generators], "generators")
+    U, s, _ = np.linalg.svd(np.column_stack(images), full_matrices=False)
     rank = int(np.sum(s > 1e-10 * max(s.max(), 1e-300)))
     basis = U[:, :rank]
     omega_vec = adjoint(basis) @ vec(sqrtT)
@@ -142,16 +141,14 @@ def build_gns(generators, T) -> GnsRep:
 @dataclass
 class ModularTriple:
     """S = J Delta^{1/2} on the Hilbert-Schmidt carrier of a positive
-    invertible density T, with Omega = T^{1/2}.  Only T, ``omega`` and
-    ``T_spectrum`` are stored: the flow of an algebra element needs the
-    spectrum of T alone, and the carrier data ``S_mat``, ``Delta``,
-    ``delta_spectrum`` and ``J_mat`` come from the antilinear polar
-    decomposition of S.  All four are computed when first read."""
+    invertible density T, with Omega = T^{1/2}.  Only T and ``omega`` are
+    stored: the carrier data ``S_mat``, ``Delta``, ``delta_spectrum`` and
+    ``J_mat`` come from the antilinear polar decomposition of S.  All four
+    are computed when first read."""
 
     T: np.ndarray
     d: int
     omega: np.ndarray          # Omega = T^{1/2}
-    T_spectrum: tuple          # (eigenvalues, eigenvectors) of T
 
     @cached_property
     def S_mat(self) -> np.ndarray:
@@ -201,44 +198,41 @@ class ModularTriple:
         """J applied to a carrier vector, or to each row of a stack (k, d^2)."""
         return _apply(self.J_mat, np.conj(np.asarray(x, dtype=complex)))
 
-    def flow_phase(self, t):
-        """The diagonal of T^{-it} = e^{-it log T} for a diagonal T, read
-        off T's own diagonal, so that sigma_t(A) = diag(phase) A
-        diag(phase)*; for a vector of times, one row per time.  A
-        ValueError for a T that is not diagonal."""
-        w = np.diagonal(self.T)
-        if np.count_nonzero(self.T - np.diag(w)):
-            raise ValueError("flow_phase needs a diagonal density")
-        return np.exp(np.multiply.outer(-1j * np.asarray(t, dtype=float),
-                                        np.log(w.real)))
-
     def delta_power(self, p: complex) -> np.ndarray:
-        lam, V = self.delta_spectrum
-        return (V * np.exp(p * np.log(lam))) @ adjoint(V)
+        """Delta^p from the decomposed Delta."""
+        return spectral_power(self.delta_spectrum, p)
 
     def flow(self, t: float, A) -> np.ndarray:
-        """Modular flow sigma_t = Delta^{-it} . Delta^{it}.
-
-        Accepts an algebra element (d x d, returned as T^{-it} A T^{it},
-        which needs only ``T_spectrum``) or an operator on the carrier
-        (d^2 x d^2, conjugated by the powers of the decomposed Delta).
-        """
+        """Modular flow sigma_t = Delta^{-it} A Delta^{it} of an operator A
+        on the carrier (d^2 x d^2).  An algebra element B flows as
+        T^{-it} B T^{it}, the conjugation by ``operators.imag_power``, and
+        the flow of its left multiplication is the left multiplication of
+        that flow."""
         A = require_square(A)
-        if A.shape == (self.d, self.d):
-            U = spectral_imag_power(self.T_spectrum, -t)
-            return U @ A @ adjoint(U)
-        if A.shape == (self.d ** 2, self.d ** 2):
-            D = self.delta_power(-1j * t)
-            return D @ A @ adjoint(D)
-        raise ValueError(f"expected a {self.d} or {self.d**2} dimensional "
-                         f"square operator, got {A.shape}")
+        if A.shape != (self.d ** 2, self.d ** 2):
+            raise ValueError(f"expected a {self.d**2} dimensional square "
+                             f"operator, got {A.shape}")
+        D = self.delta_power(-1j * t)
+        return D @ A @ adjoint(D)
+
+
+def flow_phase(T, t):
+    """The diagonal of T^{-it} = e^{-it log T} for a diagonal density T,
+    read off T's own diagonal, so that sigma_t(A) = diag(phase) A
+    diag(phase)*; for a vector of times, one row per time.  A ValueError
+    for a T that is not diagonal and for a time that is not finite."""
+    w = np.diagonal(T)
+    if np.count_nonzero(T) != np.count_nonzero(w):
+        raise ValueError("flow_phase needs a diagonal density")
+    t = require_finite(np.asarray(t, dtype=float), "flow time t")
+    return np.exp(np.multiply.outer(-1j * t, np.log(w.real)))
 
 
 def build_modular(T) -> ModularTriple:
     """Modular triple of the state tr(. T) for a positive invertible T.
 
     One ``herm_spectrum`` of T, which refuses a non-Hermitian T, decides
-    invertibility and cond(T), gives Omega = V sqrt(lam) V* and is kept.
+    invertibility and cond(T) and gives Omega = V sqrt(lam) V*.
     S is defined by S(X Omega) = X* Omega, i.e. Y -> T^{-1/2} Y* T^{1/2};
     its antilinear polar decomposition gives Delta and J when the triple's
     carrier data is first read, and the triple's
@@ -253,7 +247,7 @@ def build_modular(T) -> ModularTriple:
     if cond > 1e12:
         raise ValueError(f"density too ill-conditioned: cond(T) = {cond:.3e} "
                          "> 1.0e+12; reduce beta*d")
-    return ModularTriple(T=T, d=T.shape[0], T_spectrum=(lam, V),
+    return ModularTriple(T=T, d=T.shape[0],
                          omega=(V * np.sqrt(lam)) @ adjoint(V))
 
 
@@ -261,10 +255,10 @@ def kms_residual(T, A, B) -> float:
     """|tr(T A B) - tr(T B . T A T^{-1})|; zero up to rounding by trace
     cyclicity, the finite-dimensional KMS identity.  A and B may be stacks
     (k, d, d) of pairs: T is then decomposed and inverted once, and the
-    worst pair's residual is returned."""
+    worst pair's residual is returned; an empty stack is refused."""
     T = require_square(T)
-    A = _square_stack(A)[0]
-    B = _square_stack(B)[0]
+    A = require_entries(_square_stack(A)[0], "A")
+    B = require_entries(_square_stack(B)[0], "B")
     if herm_spectrum(T)[0].min() <= 0:
         raise ValueError("density must be invertible")
     lhs = np.trace(T @ A @ B, axis1=-2, axis2=-1)
@@ -278,20 +272,18 @@ def modtime_unitarity(weight: TraceWeight, T, ts, samples) -> dict:
     Returns per-(t, pair) isometry residuals
     |<U_t A, U_t B>_tau - <A, B>_tau| and group-law residuals for
     consecutive times.  An empty ``ts`` or ``samples`` is refused, as it
-    would compare nothing.
+    would compare nothing, and so are a T that is not positive definite
+    and a time that is not finite, by ``operators.spectral_power``.
     """
-    for name, entries in (("ts", ts), ("samples", samples)):
-        if not len(entries):
-            raise ValueError(f"{name} must hold at least one entry")
+    require_entries(ts, "ts")
+    require_entries(samples, "samples")
     spectrum = herm_spectrum(T)
-    if spectrum[0].min() <= 0:
-        raise ValueError("positive operator required for imaginary powers")
 
     powers = {}             # t -> (T^{it}, its adjoint), formed once per t
 
     def U(t, A):
         if t not in powers:
-            P = spectral_imag_power(spectrum, t)
+            P = spectral_power(spectrum, 1j * t)
             powers[t] = P, adjoint(P)
         return powers[t][0] @ A @ powers[t][1]
 
@@ -313,11 +305,9 @@ def modtime_unitarity(weight: TraceWeight, T, ts, samples) -> dict:
 def lemma_modular_residual(triple: ModularTriple, A) -> float:
     """|| J Delta^{1/2} (A Omega) - A* Omega ||: the Lemma-modular identity
     S = J Delta^{1/2} applied to A Omega, with J, Delta and Omega = T^{1/2}
-    read from a triple already built by ``build_modular``.  For a stack A
-    (k, d, d), Delta^{1/2} is formed once and the worst residual is
-    returned."""
-    A = _square_stack(A)[0]
-    x = vec(A @ triple.omega)
-    y = triple.apply_J(_apply(triple.delta_power(0.5), x))
-    target = vec(adjoint(A) @ triple.omega)
-    return float(opnorm(unvec(y - target, triple.d)).max())
+    read from a triple already built by ``build_modular``, in the carrier's
+    vector norm.  For a stack A (k, d, d), Delta^{1/2} is formed once and
+    the worst residual is returned; an empty stack is refused."""
+    A = require_entries(_square_stack(A)[0], "A")
+    y = triple.apply_J(_apply(triple.delta_power(0.5), vec(A @ triple.omega)))
+    return _worst_norm(y - vec(adjoint(A) @ triple.omega))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import region_list
+from .regions import region_list, require_finite
 
 # Default tolerance of the predicates: relative to max(1, ||A||) in
 # is_hermitian (so in herm_spectrum), absolute in is_effect's spectrum and
@@ -62,16 +62,6 @@ def require_square(A: np.ndarray) -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"square operator required, got shape {A.shape}")
     return A
-
-
-def require_int(value, name: str, least: int = None) -> int:
-    """value as an int; a bool, a float and, with ``least``, an integer
-    below it are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value!r}")
-    return int(value)
 
 
 def opnorm(A):
@@ -372,10 +362,8 @@ def lattice_phase(s, sites, period) -> np.ndarray:
     |s| past the allowance of ``geometric_deviation``.  A shift that is
     not finite is refused by name.
     """
-    shifts = np.atleast_1d(s).tolist()
-    if not all(map(math.isfinite, shifts)):
-        raise ValueError(f"shift must be finite, got {s!r}")
-    reduced = [math.remainder(x, period) for x in shifts]
+    reduced = [math.remainder(x, period) for x in
+               np.atleast_1d(require_finite(s, "shift")).tolist()]
     return np.exp(1j * np.multiply.outer(reduced, sites))
 
 
@@ -519,14 +507,17 @@ def sqrtm_psd(A) -> np.ndarray:
 
 def imag_power(A, t: float) -> np.ndarray:
     """A^{it} for positive definite A, via the functional calculus."""
-    return spectral_imag_power(herm_spectrum(A), t)
+    return spectral_power(herm_spectrum(A), 1j * t)
 
 
-def spectral_imag_power(spectrum, t: float) -> np.ndarray:
-    """A^{it} from the pair (eigenvalues, eigenvectors) of ``herm_spectrum``,
-    for a caller that raises one A to many powers."""
+def spectral_power(spectrum, p: complex) -> np.ndarray:
+    """A^p = V e^{p log lam} V* from the pair (eigenvalues, eigenvectors)
+    of ``herm_spectrum``, for a caller that raises one A to many powers;
+    an eigenvalue at or below 0 and a power that is not finite are
+    refused."""
     lam, V = spectrum
+    require_finite(p, "power p")
     if lam.min() <= 0:
-        raise ValueError("imaginary powers need a positive definite operator "
+        raise ValueError("powers need a positive definite operator "
                          f"(min eigenvalue {lam.min():.3e})")
-    return (V * np.exp(1j * t * np.log(lam))) @ adjoint(V)
+    return (V * np.exp(p * np.log(lam))) @ adjoint(V)

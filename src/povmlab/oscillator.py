@@ -8,8 +8,10 @@ operator have closed-form entries.  N is diagonal and an arc effect is a
 under truncation, and its residual is pure rounding.  ``thermal_model``
 is the oscillator's ``operators.ThermalModel``: the rotations e^{-itN}
 and the arc effects.  The thermal samples of one beta are one
-``shift_covariance`` call, their phase read off the Gibbs triple's own
-density.  ``dense()`` forms an effect's matrix for the Naimark dilation.
+``shift_covariance`` call, their phase read off the Gibbs density itself
+by ``modular.flow_phase``, with no modular triple; a draw that its bound
+does not certify is flowed densely by ``imag_power``.  ``dense()`` forms
+an effect's matrix for the Naimark dilation.
 
 Arc convention: angles in [-pi, pi), half-open arcs, arg valued in
 [-pi, pi); the two ends -pi and pi of the circle are one point.
@@ -19,10 +21,10 @@ from functools import partial
 
 import numpy as np
 
-from .operators import (Defect, ThermalModel, ToeplitzBlock, funcalc,
-                        opnorm, require_int, shift_covariance)
-from .modular import build_modular
-from .regions import region_list
+from .operators import (Defect, ThermalModel, ToeplitzBlock, adjoint,
+                        funcalc, imag_power, opnorm, shift_covariance)
+from .modular import flow_phase
+from .regions import region_list, require_finite, require_int
 
 
 def gibbs(beta: float, d: int) -> np.ndarray:
@@ -35,7 +37,7 @@ def gibbs(beta: float, d: int) -> np.ndarray:
         raise ValueError(f"inverse temperature beta must be finite and "
                          f"nonnegative, got {beta!r}")
     w = np.exp(-beta * np.arange(require_int(d, "d", 1)))
-    return np.diag(w / w.sum()).astype(complex)
+    return np.diag((w / w.sum()).astype(complex))
 
 
 def phase_effect(B, d: int) -> ToeplitzBlock:
@@ -129,7 +131,10 @@ def commutator_defect(d: int) -> dict:
 
 def weyl_failure_check(d: int, s: float, t: float) -> float:
     """Norm of e^{isN} e^{itF} - e^{-ist} e^{itF} e^{isN}: a negative
-    control, bounded away from zero for generic s, t."""
+    control, bounded away from zero for generic s, t; an s or t that is
+    not finite is refused."""
+    require_finite(s, "angle s")
+    require_finite(t, "shift t")
     es = np.exp(1j * s * np.arange(d))      # the diagonal of e^{isN}
     Et = funcalc(toeplitz_arg(d), lambda x: np.exp(1j * t * x))
     return opnorm(es[:, None] * Et - np.exp(-1j * s * t) * Et * es)
@@ -145,17 +150,24 @@ def thermal_covariance_residual(beta: float, d: int, samples) -> Defect:
     left multiplication of the d x d flow T^{-it} E_B T^{it}, with the same
     norm, so no d^2 x d^2 matrix is formed.  With sigma_t = Delta^{-it} .
     Delta^{it} the exact rotation is by -beta*t, a direction frozen by a
-    regression test.  T^{-it} is read as a diagonal phase off the triple's
-    own density (``ModularTriple.flow_phase``, one row per sample), never
-    from N and beta, so the defects are one ``shift_covariance`` stack,
-    whose dense defects are ``triple.flow`` defects; a sample whose phase
-    is not geometric, as a non-Gibbs density's is not, has no bound.
+    regression test.  T^{-it} is read as a diagonal phase off the density
+    itself (``modular.flow_phase``, one row per sample), never from N and
+    beta, and no modular triple is built, so the defects are one
+    ``shift_covariance`` stack.  Its dense defects flow E_B by the
+    conjugation with ``imag_power(T, -t)``, independent of the phase; a
+    sample whose phase is not geometric, as a non-Gibbs density's is not,
+    has no bound.
     """
     if beta * d > 20:
         raise ValueError("conditioning guard: beta*d must be <= 20")
-    triple = build_modular(gibbs(beta, d))
+    T = gibbs(beta, d)
     ts = np.array([t for t, _ in samples], dtype=float)
+
+    def flow(i, X):
+        U = imag_power(T, -ts[i])
+        return U @ X @ adjoint(U)
+
     return shift_covariance(
-        triple.flow_phase(ts), partial(phase_effect, d=d),
+        flow_phase(T, ts), partial(phase_effect, d=d),
         [B for _, B in samples], [B.shifted(-beta * t) for t, B in samples],
-        flow=lambda i, X: triple.flow(ts[i], X))
+        flow=flow)

@@ -27,8 +27,8 @@ import numpy as np
 from .operators import (DEFAULT_TOL, EFFECT, NUMERIC_TOL, PROJECTION,
                         _norm_within, _rand_complex, _sym_eigh, adjoint,
                         as_operator, herm_spectrum, is_effect, opnorm,
-                        require_int, sqrtm_psd)
-from .regions import _EPS, circle_full, equal_partition
+                        sqrtm_psd)
+from .regions import _EPS, circle_full, equal_partition, require_int
 
 
 def _in_order_sum(X) -> np.ndarray:

@@ -5,6 +5,11 @@ segment of length L.
 Rotation and translation both act by adding t to every endpoint and
 renormalising modulo the period, so they are measure preserving by
 construction.
+
+The input checks that every model shares live here too: ``require_int``
+for counts and sizes, ``require_finite`` for times, angles and powers,
+``require_entries`` for the sequences a check runs over, and
+``grid_steps`` for every "multiple of the grid step" test.
 """
 
 import math
@@ -102,6 +107,32 @@ class RegionSet:
         return inside.any(axis=1).astype(float)
 
 
+def require_int(value, name: str, least: int = None) -> int:
+    """value as an int; a bool, a float and, with ``least``, an integer
+    below it are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return int(value)
+
+
+def require_finite(value, name: str):
+    """value, a number or an array of them, refused by name unless every
+    entry is finite."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def require_entries(entries, name: str):
+    """entries, refused by name when it holds none: a check over no entry
+    would compare nothing."""
+    if not len(entries):
+        raise ValueError(f"{name} must hold at least one entry")
+    return entries
+
+
 def grid_steps(x: float, h: float, message: str) -> int:
     """x / h as a whole number of grid steps h; a ratio that is not finite
     or lies more than 1e-9 steps off an integer is refused with
@@ -114,8 +145,7 @@ def grid_steps(x: float, h: float, message: str) -> int:
 
 def equal_partition(like: RegionSet, k: int):
     """Split the domain of ``like`` into k equal consecutive cells."""
-    if k < 1:
-        raise ValueError("need at least one cell")
+    k = require_int(k, "cell count k", 1)
     w = like.period / k
     lo = like.base
     return [RegionSet(domain=like.domain, period=like.period,

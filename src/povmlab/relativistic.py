@@ -26,9 +26,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .operators import (NUMERIC_TOL, Defect, ThermalModel, ToeplitzBlock,
-                        adjoint, circulant, lattice_phase, require_int,
-                        sampled_indicator)
-from .regions import RegionSet, check_aligned
+                        adjoint, circulant, lattice_phase, sampled_indicator)
+from .regions import RegionSet, check_aligned, require_entries, require_int
 
 
 @dataclass(frozen=True)
@@ -160,14 +159,15 @@ def boundary_isometry_check(model: HardyModel, f, ys) -> dict:
     f, at y = 0 (the boundary isometry ||F|| = ||f||) and over the sweep.
 
     The norms scale with f, and so does their rounding: every comparison
-    is relative to max(1, ||f||), and so is ``boundary_residual``.
+    is relative to max(1, ||f||), and so is ``boundary_residual``.  An
+    empty sweep ``ys`` is refused.
     """
     f = np.asarray(f, dtype=complex)
     scale = max(1.0, float(np.linalg.norm(f)))
     res = float(np.linalg.norm(hardy_project(model.grid, f) - f))
     if res > NUMERIC_TOL * scale:
         raise ValueError(f"input is not in the Hardy range (residual {res:.3e})")
-    ys = sorted(float(y) for y in ys)
+    ys = require_entries(sorted(float(y) for y in ys), "ys")
     # y = 0 and the sweep as the columns of one poisson_apply
     Pf = poisson_apply(model.grid, np.array([0.0] + ys), f)
     at_zero, *norms = np.linalg.norm(Pf, axis=0).tolist()

@@ -36,8 +36,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from .operators import (Defect, ThermalModel, ToeplitzBlock, diag_conjugate,
-                        lattice_phase, require_int, sampled_indicator)
-from .regions import RegionSet, check_aligned, grid_steps, region_list
+                        lattice_phase, sampled_indicator)
+from .regions import (RegionSet, check_aligned, grid_steps, region_list,
+                      require_finite, require_int)
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,9 @@ class MellinLattice:
 def weyl_defect(lat: MellinLattice, s: float, t: float) -> tuple:
     """e^{isP} S(t) - e^{-ist} S(t) e^{isP} for t in delta*Z, as its m
     nonzeros: the pair (cols, vals) with the entry vals[l] at (l, cols[l]).
-    The shift is a permutation, so the defect has no other entries."""
+    The shift is a permutation, so the defect has no other entries.  An s
+    that is not finite is refused."""
+    require_finite(s, "exponent s")
     cols = lat.shift_columns(t)
     Es = lat.exp_P(s)
     return cols, Es - np.exp(-1j * s * t) * Es[cols]

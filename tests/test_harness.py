@@ -64,22 +64,32 @@ def test_guard_violations_become_skips():
     assert all(c["pass"] for c in skipped)
 
 
-def test_oscillator_suite_builds_one_triple_per_executed_beta(monkeypatch):
-    built = []
-    real = oscillator.build_modular
-
-    def counting(T):
-        built.append(np.diag(T).real.copy())
-        return real(T)
-
-    monkeypatch.setattr(oscillator, "build_modular", counting)
-    report = run_suite(SuiteConfig(suite="oscillator", d=12,
-                                   betas=(0.5, 1.0, 2.0)))
-    thermal = [c for c in report["cases"] if c["case"] == "osc.thermal"]
-    assert [c.get("skipped") is None for c in thermal] == [True, True, False]
-    assert len(built) == 2
-    for diag, beta in zip(built, (0.5, 1.0)):
-        assert np.array_equal(diag, np.diag(oscillator.gibbs(beta, 12)).real)
+def test_oscillator_suite_builds_no_triple_and_flows_densely_only_refused_draws(
+        monkeypatch):
+    # osc.thermal reads its flow off the Gibbs density: no modular triple
+    # at any beta, and no dense imag_power flow while every draw is
+    # certified; under tol 1e-30 each of the five draws of each run beta
+    # takes the imag_power fallback, whose value the record carries
+    built, powers = [], []
+    real_build, real_power = modular.build_modular, oscillator.imag_power
+    monkeypatch.setattr(modular, "build_modular",
+                        lambda T: built.append(T) or real_build(T))
+    monkeypatch.setattr(oscillator, "imag_power",
+                        lambda A, t: powers.append(t) or real_power(A, t))
+    for tol, flowed in ((None, 0), (1e-30, 10)):
+        report = run_suite(SuiteConfig(suite="oscillator", d=12, tol=tol,
+                                       betas=(0.5, 1.0, 2.0)))
+        thermal = _thermal_records(report)
+        assert [c.get("skipped") is None for c in thermal] == [True, True,
+                                                               False]
+        assert built == [] and len(powers) == flowed
+        assert [c.get("upper_bound") is True for c in thermal[:2]] == \
+            [tol is None] * 2
+        del powers[:]
+    monkeypatch.undo()
+    for i, beta in enumerate((0.5, 1.0)):
+        assert thermal[i]["residual"] == _dense_thermal_worst(
+            beta, 12, _thermal_draws(7, i))
 
 
 def test_csv_header_and_shape():
@@ -899,6 +909,43 @@ GRID = relativistic.CircleGrid(16, 1.0)
     pytest.param(lambda: modular.modtime_unitarity(
         modular.TraceWeight(np.eye(2)), np.eye(2), [0.0, 0.4], []),
         "samples", id="modtime_unitarity-samples-empty"),
+    *(pytest.param(lambda k=k: regions.equal_partition(regions.circle_full(),
+                                                       k),
+                   "cell count k", id=f"equal_partition-k-{k}")
+      for k in (2.5, NAN, True, 0)),
+    *(pytest.param(call, name, id=f"{label}-{x}")
+      for x in (NAN, INF, -INF) for label, name, call in (
+          ("thermal_covariance_residual-t", "time",
+           lambda x=x: oscillator.thermal_covariance_residual(1.0, 4,
+                                                              [(x, ARC)])),
+          ("weyl_relation_residual-s", "exponent s",
+           lambda x=x: weylnc.weyl_relation_residual(LAT, x, 1.0)),
+          ("weyl_failure_check-s", "angle s",
+           lambda x=x: oscillator.weyl_failure_check(4, x, 1.0)),
+          ("weyl_failure_check-t", "shift t",
+           lambda x=x: oscillator.weyl_failure_check(4, 1.0, x)),
+          ("imag_power-t", "power",
+           lambda x=x: operators.imag_power(np.eye(2), x)),
+          ("delta_power-p", "power",
+           lambda x=x: modular.build_modular(np.eye(2) / 2).delta_power(x)),
+          ("ModularTriple.flow-t", "power",
+           lambda x=x: modular.build_modular(np.eye(2) / 2).flow(
+               x, np.eye(4))),
+          ("modtime_unitarity-ts", "power",
+           lambda x=x: modular.modtime_unitarity(
+               modular.TraceWeight(np.eye(2)), np.eye(2), [0.0, x],
+               [(np.eye(2), np.eye(2))])))),
+    pytest.param(lambda: relativistic.boundary_isometry_check(
+        relativistic.HardyModel(GRID), np.ones(16), []), "ys",
+        id="boundary_isometry_check-ys-empty"),
+    pytest.param(lambda: modular.kms_residual(
+        np.eye(2) / 2, np.zeros((0, 2, 2)), np.zeros((0, 2, 2))), "A",
+        id="kms_residual-A-empty"),
+    pytest.param(lambda: modular.lemma_modular_residual(
+        modular.build_modular(np.eye(2) / 2), np.zeros((0, 2, 2))), "A",
+        id="lemma_modular_residual-A-empty"),
+    pytest.param(lambda: modular.build_gns([], np.eye(2) / 2), "generators",
+                 id="build_gns-generators-empty"),
 ])
 def test_model_input_not_an_integer_or_not_finite_is_refused_by_name(call,
                                                                      name):
@@ -989,20 +1036,22 @@ UNREACHED = {
     # test_wrong_translation_fails_nc_conjugation_through_the_dense_fallback
     # exercises; kept because perfbench/layers.py traces it by name
     "weylnc.quantize",
-    # A^{it} from a fresh eigendecomposition: modtime_unitarity and the
-    # modular flow raise one spectrum of T to many powers with
-    # spectral_imag_power; test_modular keeps this as their reference;
-    # kept because perfbench/layers.py traces it by name
+    # A^{it} from a fresh eigendecomposition: the dense flow of osc.thermal,
+    # taken only in the fallback when a draw's bound exceeds tol, which
+    # the osc.thermal witness tests exercise; modtime_unitarity raises one
+    # spectrum of T to many powers with spectral_power; kept because
+    # perfbench/layers.py traces it by name
     "operators.imag_power",
     # the dense conjugation diag(phase) A diag(phase)*: every run certifies
     # its conjugation defects from generators or shift diagonals and forms
     # the dense defect only in the fallback taken when a bound exceeds tol,
     # which the *_fails_through_the_dense_fallback tests exercise
     "operators.diag_conjugate",
-    # the dense d x d modular flow: osc.thermal certifies the Gibbs flow
-    # from the phase of T's diagonal and flows E_B densely only in the
-    # fallback taken when the phase is not geometric or the bound exceeds
-    # tol, which the osc.thermal witness tests exercise
+    # the modular flow of a carrier operator through the powers of the
+    # decomposed Delta: no case flows a carrier operator, and test_modular
+    # and test_oscillator keep it as the reference that the d x d
+    # imag_power flow of an algebra element is the carrier flow of its left
+    # multiplication; kept because perfbench/layers.py traces it by name
     "modular.ModularTriple.flow",
     # the dense circular dilation and its Cayley eigensolver: every run
     # passes a scalar T, whose dilation is diagonalised in closed form by
@@ -1243,10 +1292,15 @@ def _thermal_draws(seed, beta_index):
 
 def _dense_thermal_worst(beta, d, samples):
     """Reference: the largest dense defect ||T^{-it} E_B T^{it} -
-    E_{B - beta t}||, flowed by ``ModularTriple.flow`` of the triple of
-    ``oscillator.gibbs``, as the module sees them at call time."""
-    triple = oscillator.build_modular(oscillator.gibbs(beta, d))
-    return max(opnorm(triple.flow(t, oscillator.phase_effect(B, d).dense())
+    E_{B - beta t}||, T^{-it} the ``imag_power`` of ``oscillator.gibbs``,
+    both as the module sees them at call time."""
+    T = oscillator.gibbs(beta, d)
+
+    def flow(t, X):
+        U = oscillator.imag_power(T, -t)
+        return U @ X @ adjoint(U)
+
+    return max(opnorm(flow(t, oscillator.phase_effect(B, d).dense())
                       - oscillator.phase_effect(B.shifted(-beta * t),
                                                 d).dense())
                for t, B in samples)
@@ -1264,7 +1318,7 @@ def test_osc_thermal_is_certified_and_below_its_dense_defect_by_rounding():
             _thermal_records(dense)[i]
         assert record["pass"] and record["upper_bound"] is True
         assert record["residual"] < 1e-13
-        # below every bound, the record is the dense triple.flow value
+        # below every bound, the record is the dense imag_power flow value
         worst = _dense_thermal_worst(beta, 12, _thermal_draws(7, i))
         assert "upper_bound" not in fallback
         assert fallback["residual"] == worst < 1e-13
@@ -1275,12 +1329,12 @@ def test_osc_thermal_witnesses_fail_through_the_dense_flow(monkeypatch,
                                                            witness):
     if witness == "backward flow":
         # sigma_t read as Delta^{it} . Delta^{-it}: the phase and the dense
-        # flow of the triple both run at -t
-        flow, phase = modular.ModularTriple.flow, modular.ModularTriple.flow_phase
-        monkeypatch.setattr(modular.ModularTriple, "flow",
-                            lambda self, t, A: flow(self, -t, A))
-        monkeypatch.setattr(modular.ModularTriple, "flow_phase",
-                            lambda self, t: phase(self, -t))
+        # imag_power flow both run at -t
+        power, phase = oscillator.imag_power, oscillator.flow_phase
+        monkeypatch.setattr(oscillator, "imag_power",
+                            lambda A, t: power(A, -t))
+        monkeypatch.setattr(oscillator, "flow_phase",
+                            lambda T, t: phase(T, -np.asarray(t)))
     else:
         # the weight of one interior level moved: log T is no longer affine
         # in n, so the phase is not geometric and the dense flow is taken
@@ -1434,16 +1488,16 @@ def test_one_arc_rotated_the_wrong_way_fails_osc_covariance(monkeypatch):
 def test_wrong_sign_flow_phase_sends_every_thermal_draw_to_the_dense_flow(
         monkeypatch):
     # T^{+it} read as the flow's phase: no draw's bound is within tol, so
-    # every draw of each beta takes the dense triple.flow, whose value the
-    # record carries unmarked; the flow itself is right, so the case
+    # every draw of each beta takes the dense imag_power flow, whose value
+    # the record carries unmarked; the flow itself is right, so the case
     # passes, and a broken phase can never certify a residual (the
     # backward-flow witness, which turns the dense flow too, fails it)
-    phase, formed = modular.ModularTriple.flow_phase, []
-    flow = modular.ModularTriple.flow
-    monkeypatch.setattr(modular.ModularTriple, "flow_phase",
-                        lambda self, t: phase(self, -np.asarray(t)))
-    monkeypatch.setattr(modular.ModularTriple, "flow",
-                        lambda self, t, A: formed.append(t) or flow(self, t, A))
+    phase, formed = oscillator.flow_phase, []
+    power = oscillator.imag_power
+    monkeypatch.setattr(oscillator, "flow_phase",
+                        lambda T, t: phase(T, -np.asarray(t)))
+    monkeypatch.setattr(oscillator, "imag_power",
+                        lambda A, t: formed.append(t) or power(A, t))
     report = run_suite(SuiteConfig(suite="oscillator"))
     assert len(formed) == 10
     for i, beta in enumerate((0.5, 1.0)):

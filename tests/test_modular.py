@@ -3,8 +3,8 @@ import pytest
 
 from povmlab import modular, operators
 from povmlab.modular import (TraceWeight, build_gns, build_modular,
-                             kms_residual, left_mult, lemma_modular_residual,
-                             modtime_unitarity, unvec, vec)
+                             flow_phase, kms_residual, left_mult,
+                             lemma_modular_residual, modtime_unitarity, vec)
 from povmlab.operators import adjoint, imag_power, opnorm, sqrtm_psd
 from povmlab.oscillator import gibbs
 
@@ -17,7 +17,7 @@ def rand_c(d):
 
 def test_vec_roundtrip_and_left_mult():
     A, X = rand_c(4), rand_c(4)
-    assert opnorm(unvec(vec(X), 4) - X) < 1e-15
+    assert np.array_equal(vec(X).reshape(4, 4), X)
     assert np.linalg.norm(left_mult(A) @ vec(X) - vec(A @ X)) < 1e-12
 
 
@@ -92,13 +92,14 @@ def test_gns_reads_numerically_pure_states_as_pure():
 def test_modtime_unitarity_forms_each_power_once(monkeypatch):
     # modtime.commuting's times 0, 0.4 and 1.1 and the sums 0.4 and 1.5
     # of the group law need four distinct powers of T
-    calls, real = [], modular.spectral_imag_power
-    monkeypatch.setattr(modular, "spectral_imag_power",
-                        lambda spectrum, t: calls.append(t) or real(spectrum, t))
+    calls, real = [], modular.spectral_power
+    monkeypatch.setattr(modular, "spectral_power",
+                        lambda spectrum, p: calls.append(p) or real(spectrum, p))
     T = gibbs(0.7, 4)
     modtime_unitarity(TraceWeight(T), T, [0.0, 0.4, 1.1],
                       [(rand_c(4), rand_c(4))])
-    assert sorted(calls) == [0.0, 0.4, 1.1, 1.5]
+    assert all(p.real == 0 for p in calls)
+    assert sorted(p.imag for p in calls) == [0.0, 0.4, 1.1, 1.5]
 
 
 def test_gns_representation_is_multiplicative_when_faithful():
@@ -124,8 +125,9 @@ def test_modular_closed_forms():
 
 
 def test_closed_form_residuals_computed_on_first_read():
+    # building the triple computes no carrier data; the first read of the
+    # closed forms computes all of it, once
     triple = build_modular(gibbs(1.0, 4))
-    triple.flow(0.6, rand_c(4))         # the d x d flow reads T alone
     carrier = {"S_mat", "Delta", "delta_spectrum", "J_mat"}
     assert not carrier & set(vars(triple))
     assert "closed_form_residuals" not in vars(triple)
@@ -137,13 +139,20 @@ def test_closed_form_residuals_computed_on_first_read():
 
 
 def test_flow_on_algebra_matches_carrier():
+    # the carrier flow through the decomposed Delta of a left
+    # multiplication is the left multiplication of the algebra flow, the
+    # conjugation by imag_power, which is V e^{-it log lam} V* of T's eigh
+    # bit for bit
     T = gibbs(0.8, 4)
     triple = build_modular(T)
+    lam, V = np.linalg.eigh(T)
     A = rand_c(4)
-    t = 0.6
-    carrier = triple.flow(t, left_mult(A))
-    algebra = left_mult(triple.flow(t, A))
-    assert opnorm(carrier - algebra) < 1e-10
+    for t in (0.6, 0.3, -1.1, 2.0):
+        U = imag_power(T, -t)
+        assert np.array_equal(U, (V * np.exp(1j * -t * np.log(lam)))
+                              @ adjoint(V))
+        carrier = triple.flow(t, left_mult(A))
+        assert opnorm(carrier - left_mult(U @ A @ adjoint(U))) < 1e-10
 
 
 def test_sqrt_delta_swaps_sides():
@@ -165,10 +174,9 @@ def test_lemma_modular_residual():
 
 def test_modular_data_is_computed_once(monkeypatch):
     # build_modular decomposes T exactly once; Omega = T^{1/2}, bit for bit
-    # sqrtm_psd's, and the d x d flows are read from that spectrum, so
-    # reading the closed forms, running the lemma check and flowing algebra
-    # elements decompose no d x d matrix again (Delta, d^2 x d^2, is
-    # decomposed on first read)
+    # sqrtm_psd's, so reading the closed forms, running the lemma check
+    # and flowing carrier operators decompose no d x d matrix again (Delta,
+    # d^2 x d^2, is decomposed on first read)
     d, shapes = 4, []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -187,32 +195,8 @@ def test_modular_data_is_computed_once(monkeypatch):
     for _ in range(5):
         assert lemma_modular_residual(triple, rand_c(d)) < 1e-8
     for t in (0.3, -1.1):
-        triple.flow(t, rand_c(d))
+        triple.flow(t, left_mult(rand_c(d)))
     assert (d, d) not in shapes
-
-
-def test_algebra_flows_decompose_t_once(monkeypatch):
-    # the d x d flows share the triple's cached spectrum of T, and each
-    # equals the conjugation by imag_power bit for bit
-    T = gibbs(0.5, 6)
-    A = rand_c(6)
-    expected = []
-    for t in (0.3, -1.1, 2.0):
-        U = imag_power(T, -t)
-        expected.append(U @ A @ adjoint(U))
-    calls = []
-    counted = modular.herm_spectrum
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return counted(*args, **kwargs)
-
-    monkeypatch.setattr(modular, "herm_spectrum", counting)
-    triple = build_modular(T)
-    flows = [triple.flow(t, A) for t in (0.3, -1.1, 2.0)]
-    assert len(calls) == 1
-    for got, want in zip(flows, expected):
-        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
@@ -316,14 +300,16 @@ def test_build_modular_refuses_a_density_off_hermitian_by_more_than_tol():
 
 def test_imag_power_flow_direction():
     # sigma_t(A) = T^{-it} A T^{it} for diagonal T acts entrywise by
-    # (lam_i/lam_j)^{-it}; pin one entry to freeze the sign convention
+    # (lam_i/lam_j)^{-it}; pin one entry of the imag_power flow and of the
+    # flow_phase conjugation to freeze the sign convention
     T = np.diag([0.75, 0.25]).astype(complex)
-    triple = build_modular(T)
     A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     t = 0.4
-    out = triple.flow(t, A)
+    U = imag_power(T, -t)
     expected = np.exp(-1j * t * np.log(0.75 / 0.25))
-    assert abs(out[0, 1] - expected) < 1e-12
+    for out in (U @ A @ adjoint(U),
+                operators.diag_conjugate(flow_phase(T, t), A)):
+        assert abs(out[0, 1] - expected) < 1e-12
 
 
 def per_draw_closed_form_residuals(triple):
@@ -366,7 +352,7 @@ def test_stacked_kms_and_lemma_equal_the_worst_single_draw(d):
     triple = build_modular(T)
     assert lemma_modular_residual(triple, A) == max(
         lemma_modular_residual(triple, a) for a in A)
-    assert np.array_equal(unvec(vec(A), d), A)
+    assert np.array_equal(vec(A).reshape(A.shape), A)
     assert np.array_equal(triple.apply_J(vec(A)),
                           np.stack([triple.apply_J(x) for x in vec(A)]))
 
@@ -376,12 +362,13 @@ def test_stacked_kms_and_lemma_equal_the_worst_single_draw(d):
 def test_flow_phase_conjugation_is_the_eigh_flow(d, beta):
     # the phase read off the diagonal density against the flow through the
     # eigendecomposition of T, within a rounding bound of 64 d eps ||A||
-    triple = build_modular(gibbs(beta, d))
+    T = gibbs(beta, d)
     for t in (-1.0, 0.37, 1.0):
         A = rand_c(d)
-        phase = triple.flow_phase(t)
+        phase = flow_phase(T, t)
         assert np.allclose(np.abs(phase), 1.0, rtol=0, atol=1e-15)
-        defect = operators.diag_conjugate(phase, A) - triple.flow(t, A)
+        U = imag_power(T, -t)
+        defect = operators.diag_conjugate(phase, A) - U @ A @ adjoint(U)
         assert opnorm(defect) <= 64 * d * np.finfo(float).eps * opnorm(A)
 
 
@@ -389,4 +376,4 @@ def test_flow_phase_needs_a_diagonal_density():
     U = np.linalg.qr(rand_c(4))[0]
     T = U @ gibbs(1.0, 4) @ adjoint(U)
     with pytest.raises(ValueError, match="needs a diagonal density"):
-        build_modular(T).flow_phase(0.5)
+        flow_phase(T, 0.5)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from povmlab.operators import (DEFAULT_TOL, adjoint, diag_conjugate, opnorm,
-                               partition_defect)
+from povmlab.operators import (DEFAULT_TOL, adjoint, diag_conjugate,
+                               imag_power, opnorm, partition_defect)
 from povmlab.oscillator import (commutator_defect, covariance_residual,
                                 gibbs, phase_effect,
                                 thermal_covariance_residual, toeplitz_arg,
@@ -204,15 +204,17 @@ def test_thermal_rotation_direction_frozen():
 @pytest.mark.parametrize("d", [4, 8, 12, 14])
 @pytest.mark.parametrize("beta", [0.5, 1.0])
 def test_carrier_flow_of_a_phase_effect_is_its_algebra_flow(d, beta):
-    # thermal_covariance_residual flows E_B on the d x d algebra; the flow
-    # of its left multiplication through the decomposed d^2 x d^2 Delta is
-    # the dense reference
+    # thermal_covariance_residual flows E_B on the d x d algebra, densely
+    # by the imag_power conjugation; the flow of its left multiplication
+    # through the decomposed d^2 x d^2 Delta is the dense reference
     from povmlab.modular import build_modular, left_mult
-    triple = build_modular(gibbs(beta, d))
+    T = gibbs(beta, d)
+    triple = build_modular(T)
     for t, a in [(0.3, -1.0), (-0.8, 2.0), (1.0, 0.0)]:
         E = phase_effect(RegionSet.circle([(a, a + 1.0)]), d).dense()
+        U = imag_power(T, -t)
         assert opnorm(triple.flow(t, left_mult(E))
-                      - left_mult(triple.flow(t, E))) < 1e-12
+                      - left_mult(U @ E @ adjoint(U))) < 1e-12
 
 
 def test_thermal_guard():
@@ -225,9 +227,10 @@ def test_thermal_guard():
 def test_certified_thermal_bound_covers_the_dense_flow_defect(beta, d):
     # the block path reads T^{-it} off the Gibbs density's diagonal; the
     # bound plus the rounding of forming the dense block covers the dense
-    # triple.flow defect, and at beta*d = 20, the guard's edge, it holds
-    from povmlab.modular import build_modular
-    triple = build_modular(gibbs(beta, d))
+    # defect of the imag_power flow, and at beta*d = 20, the guard's edge,
+    # it holds
+    from povmlab.modular import flow_phase
+    T = gibbs(beta, d)
     draw = np.random.default_rng(d)
     for t, a in zip(draw.uniform(-1, 1, 4), draw.uniform(-np.pi, np.pi, 4)):
         B = RegionSet.circle([(a, a + 1.0)])
@@ -235,11 +238,14 @@ def test_certified_thermal_bound_covers_the_dense_flow_defect(beta, d):
         defect = thermal_covariance_residual(beta, d, [(t, B)])
         value, certified = defect.norm(DEFAULT_TOL)
         assert certified and value <= 1e-12
-        dense = triple.flow(t, E.dense()) - target.dense()
-        block = toeplitz_part(diag_conjugate(triple.flow_phase(t), E.dense())
+        U = imag_power(T, -t)
+        dense = U @ E.dense() @ adjoint(U) - target.dense()
+        block = toeplitz_part(diag_conjugate(flow_phase(T, t), E.dense())
                               - target.dense())
         assert value + np.linalg.norm(dense - block) >= opnorm(dense)
-        # below the bound the dense flow decides, and reads the same value
+        # below the bound the dense flow decides: it is the imag_power
+        # conjugation bit for bit, and reads the same value
+        assert np.array_equal(defect.dense(np.array([0])), dense[None])
         assert defect.norm(1e-30) == (opnorm(dense), False)
 
 
