@@ -28,9 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import (DEFAULT_TOL, NUMERIC_TOL, _rand_complex, _square_stack,
-                        adjoint, as_operator, herm_spectrum, opnorm,
-                        require_square, spectral_power)
+from .operators import (DEFAULT_TOL, NUMERIC_TOL, _rand_complex, adjoint,
+                        herm_spectrum, opnorm, require_square, require_stack,
+                        spectral_power)
 from .regions import require_entries, require_finite
 
 
@@ -54,7 +54,7 @@ def _apply(M, x) -> np.ndarray:
 
 def left_mult(A) -> np.ndarray:
     """pi(A): X -> A X on the carrier."""
-    A = require_square(A)
+    A = require_square(A, "A")
     return np.kron(A, np.eye(A.shape[0]))
 
 
@@ -74,14 +74,16 @@ class TraceWeight:
     W: np.ndarray
 
     def __post_init__(self):
-        self.W = require_square(self.W)
+        self.W = require_square(self.W, "weight W")
         lam = herm_spectrum(self.W)[0]
         if lam.min() < -1e-10 * max(1.0, lam.max()):
             raise ValueError(f"weight not positive (min eigenvalue {lam.min():.3e})")
 
     def inner(self, A, B) -> complex:
         """<A, B>_tau = tr(B* A W)."""
-        return complex(np.trace(adjoint(B) @ as_operator(A) @ self.W))
+        d = len(self.W)
+        A, B = require_square(A, "A", d), require_square(B, "B", d)
+        return complex(np.trace(adjoint(B) @ A @ self.W))
 
 
 # --------------------------------------------------------------------------
@@ -98,11 +100,13 @@ class GnsRep:
 
     def state(self, A) -> complex:
         """omega(A) = tr(A T)."""
-        return complex(np.trace(as_operator(A) @ self.density))
+        return complex(np.trace(
+            require_square(A, "A", len(self.density)) @ self.density))
 
     def represent(self, A) -> np.ndarray:
         """Compression of left multiplication by A to the quotient basis."""
-        return adjoint(self.basis) @ left_mult(A) @ self.basis
+        return adjoint(self.basis) @ left_mult(
+            require_square(A, "A", len(self.density))) @ self.basis
 
 
 def build_gns(generators, T) -> GnsRep:
@@ -116,7 +120,7 @@ def build_gns(generators, T) -> GnsRep:
     quotiented by a rank-revealing SVD with threshold 1e-10 * sigma_max.
     An empty generating set is refused.
     """
-    T = require_square(T)
+    T = require_square(T, "density T")
     if abs(np.trace(T) - 1.0) > NUMERIC_TOL:
         raise ValueError(f"not unit trace: tr T = {np.trace(T)}")
     lam, V = herm_spectrum(T, NUMERIC_TOL)
@@ -124,8 +128,9 @@ def build_gns(generators, T) -> GnsRep:
         raise ValueError(f"not positive: min eigenvalue {lam[0]:.3e}")
     kept = lam > 8 * len(lam) * np.finfo(float).eps * lam[-1]
     sqrtT = (V * np.sqrt(np.where(kept, lam, 0.0))) @ adjoint(V)
-    images = require_entries([vec(require_square(A) @ sqrtT)
-                              for A in generators], "generators")
+    images = require_entries(
+        [vec(require_square(A, "generator", len(T)) @ sqrtT)
+         for A in generators], "generators")
     U, s, _ = np.linalg.svd(np.column_stack(images), full_matrices=False)
     rank = int(np.sum(s > 1e-10 * max(s.max(), 1e-300)))
     basis = U[:, :rank]
@@ -208,10 +213,7 @@ class ModularTriple:
         T^{-it} B T^{it}, the conjugation by ``operators.imag_power``, and
         the flow of its left multiplication is the left multiplication of
         that flow."""
-        A = require_square(A)
-        if A.shape != (self.d ** 2, self.d ** 2):
-            raise ValueError(f"expected a {self.d**2} dimensional square "
-                             f"operator, got {A.shape}")
+        A = require_square(A, "A", self.d ** 2)
         D = self.delta_power(-1j * t)
         return D @ A @ adjoint(D)
 
@@ -239,7 +241,7 @@ def build_modular(T) -> ModularTriple:
     ``closed_form_residuals`` check them against the closed forms
     Delta: X -> T X T^{-1}, J: X -> X*.
     """
-    T = require_square(T)
+    T = require_square(T, "density T")
     lam, V = herm_spectrum(T)
     if lam[0] <= 0:
         raise ValueError(f"density not invertible (min eigenvalue {lam[0]:.3e})")
@@ -255,10 +257,14 @@ def kms_residual(T, A, B) -> float:
     """|tr(T A B) - tr(T B . T A T^{-1})|; zero up to rounding by trace
     cyclicity, the finite-dimensional KMS identity.  A and B may be stacks
     (k, d, d) of pairs: T is then decomposed and inverted once, and the
-    worst pair's residual is returned; an empty stack is refused."""
-    T = require_square(T)
-    A = require_entries(_square_stack(A)[0], "A")
-    B = require_entries(_square_stack(B)[0], "B")
+    worst pair's residual is returned.  A and B must be of T's size and
+    hold as many matrices; an empty stack is refused."""
+    T = require_square(T, "density T")
+    A = require_stack(A, "A", len(T))[0]
+    B = require_stack(B, "B", len(T))[0]
+    if len(A) != len(B):
+        raise ValueError(f"A and B need one matrix per pair, "
+                         f"got {len(A)} and {len(B)}")
     if herm_spectrum(T)[0].min() <= 0:
         raise ValueError("density must be invertible")
     lhs = np.trace(T @ A @ B, axis1=-2, axis2=-1)
@@ -271,13 +277,15 @@ def modtime_unitarity(weight: TraceWeight, T, ts, samples) -> dict:
 
     Returns per-(t, pair) isometry residuals
     |<U_t A, U_t B>_tau - <A, B>_tau| and group-law residuals for
-    consecutive times.  An empty ``ts`` or ``samples`` is refused, as it
-    would compare nothing, and so are a T that is not positive definite
-    and a time that is not finite, by ``operators.spectral_power``.
+    consecutive times.  T and every sample must be of the weight's size.
+    An empty ``ts`` or ``samples`` is refused, as it would compare
+    nothing, and so are a T that is not positive definite and a time that
+    is not finite, by ``operators.spectral_power``.
     """
     require_entries(ts, "ts")
-    require_entries(samples, "samples")
-    spectrum = herm_spectrum(T)
+    spectrum = herm_spectrum(require_square(T, "density T", len(weight.W)))
+    require_stack([X for pair in require_entries(samples, "samples")
+                   for X in pair], "samples", len(weight.W))
 
     powers = {}             # t -> (T^{it}, its adjoint), formed once per t
 
@@ -307,7 +315,8 @@ def lemma_modular_residual(triple: ModularTriple, A) -> float:
     S = J Delta^{1/2} applied to A Omega, with J, Delta and Omega = T^{1/2}
     read from a triple already built by ``build_modular``, in the carrier's
     vector norm.  For a stack A (k, d, d), Delta^{1/2} is formed once and
-    the worst residual is returned; an empty stack is refused."""
-    A = require_entries(_square_stack(A)[0], "A")
+    the worst residual is returned; an A of another size than the
+    triple's d and an empty stack are refused."""
+    A = require_stack(A, "A", triple.d)[0]
     y = triple.apply_J(_apply(triple.delta_power(0.5), vec(A @ triple.omega)))
     return _worst_norm(y - vec(adjoint(A) @ triple.omega))

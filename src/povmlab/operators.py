@@ -20,6 +20,12 @@ refuses the bound at a tolerance.  Each of the three thermal systems is
 a ``ThermalModel``, whose covariance check is one ``shift_covariance``
 call: a stack of draws, each with its ``lattice_phase``, whose defects
 are Toeplitz blocks when the phase is geometric (``geometric_deviation``).
+
+Operator arguments are checked by name in one place, ``require_stack``,
+or its one-matrix form ``require_square``: the decompositions and
+predicates here call it, and so do the POVM, GNS, modular and KMS entry
+points of ``povm`` and ``modular``.  ``opnorm``, which also takes
+vectors, isometries and empty arrays, checks nothing.
 """
 
 import math
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import region_list, require_finite
+from .regions import region_list, require_entries, require_finite
 
 # Default tolerance of the predicates: relative to max(1, ||A||) in
 # is_hermitian (so in herm_spectrum), absolute in is_effect's spectrum and
@@ -47,21 +53,34 @@ EFFECT = "effect"
 PROJECTION = "projection"
 
 
-def as_operator(A) -> np.ndarray:
-    """Coerce to a complex matrix and reject non-finite entries."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2:
-        raise ValueError(f"operator must be a 2-d array, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("operator has non-finite entries")
-    return A
+def require_stack(A, name: str = "operator", d: int = None) -> tuple:
+    """(A as a complex stack (k, m, m), whether A was one m x m matrix).
+    Refused by name: a ragged A, one that is not one square matrix or a
+    stack of equal-shaped ones, a size 0 or, with ``d``, a size other
+    than d, a non-finite entry, and an empty stack."""
+    try:
+        A = np.asarray(A, dtype=complex)
+    except ValueError:
+        raise ValueError(f"{name} must be matrices of one shape, "
+                         "got a ragged input") from None
+    if (A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]
+            or not A.shape[-1] or d not in (None, A.shape[-1])):
+        size = "nonzero size" if d is None else f"size {d}"
+        raise ValueError(f"{name} must be a square matrix or a stack of "
+                         f"them, of {size}, got shape {A.shape}")
+    if not np.isfinite(require_entries(A, name)).all():
+        raise ValueError(f"{name} must be finite")
+    return (A[None], True) if A.ndim == 2 else (A, False)
 
 
-def require_square(A: np.ndarray) -> np.ndarray:
-    A = as_operator(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"square operator required, got shape {A.shape}")
-    return A
+def require_square(A, name: str = "operator", d: int = None) -> np.ndarray:
+    """A as one complex square matrix, checked as ``require_stack`` checks
+    it; a stack is refused."""
+    A, one = require_stack(A, name, d)
+    if not one:
+        raise ValueError(f"{name} must be one matrix, not a stack, "
+                         f"got shape {A.shape}")
+    return A[0]
 
 
 def opnorm(A):
@@ -87,16 +106,6 @@ def _rand_complex(rng, d, shape=()):
 
 def adjoint(A) -> np.ndarray:
     return np.conj(np.asarray(A)).swapaxes(-1, -2)
-
-
-def _square_stack(A):
-    """(A as a checked stack (k, d, d), whether A was one square matrix)."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 3 or A.shape[1] != A.shape[2]:
-        return require_square(A)[None], True
-    if not np.isfinite(A).all():
-        raise ValueError("operator stack has non-finite entries")
-    return A, False
 
 
 def _norm_within(X, tol: float, scale=None) -> np.ndarray:
@@ -126,7 +135,7 @@ def _norm_within(X, tol: float, scale=None) -> np.ndarray:
 def is_hermitian(A, tol: float = DEFAULT_TOL):
     """||A - A*|| <= tol * max(1, ||A||) by ``_norm_within``: a bool for one
     matrix, a bool array for a stack (k, d, d)."""
-    A, one = _square_stack(A)
+    A, one = require_stack(A)
     ok = _norm_within(A - adjoint(A), tol, A)
     return bool(ok[0]) if one else ok
 
@@ -141,7 +150,7 @@ def herm_spectrum(H, tol: float = DEFAULT_TOL):
     a stack (k, d, d), as in ``is_hermitian``, both come stacked from one
     batched ``eigh``, and the error names the first non-Hermitian member.
     """
-    H, one = _square_stack(H)
+    H, one = require_stack(H)
     ok = is_hermitian(H, tol)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -192,7 +201,7 @@ def is_effect(A, tol: float = DEFAULT_TOL):
     Effect: Hermitian (``is_hermitian``) with spectrum in [-tol, 1+tol].
     Projection: additionally ||A^2 - A|| <= tol, by ``_norm_within``.
     """
-    A, one = _square_stack(A)
+    A, one = require_stack(A)
     effect = is_hermitian(A, tol)
     lam = np.linalg.eigvalsh((A + adjoint(A))[effect] / 2.0)
     effect[effect] = (lam[:, 0] >= -tol) & (lam[:, -1] <= 1.0 + tol)

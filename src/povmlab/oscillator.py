@@ -10,19 +10,21 @@ is the oscillator's ``operators.ThermalModel``: the rotations e^{-itN}
 and the arc effects.  The thermal samples of one beta are one
 ``shift_covariance`` call, their phase read off the Gibbs density itself
 by ``modular.flow_phase``, with no modular triple; a draw that its bound
-does not certify is flowed densely by ``imag_power``.  ``dense()`` forms
-an effect's matrix for the Naimark dilation.
+does not certify is flowed densely by a ``spectral_power`` of the one
+``herm_spectrum`` of T.  ``dense()`` forms an effect's matrix for the
+Naimark dilation.
 
 Arc convention: angles in [-pi, pi), half-open arcs, arg valued in
 [-pi, pi); the two ends -pi and pi of the circle are one point.
 """
 
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from .operators import (Defect, ThermalModel, ToeplitzBlock, adjoint,
-                        funcalc, imag_power, opnorm, shift_covariance)
+                        funcalc, herm_spectrum, opnorm, shift_covariance,
+                        spectral_power)
 from .modular import flow_phase
 from .regions import region_list, require_finite, require_int
 
@@ -154,17 +156,19 @@ def thermal_covariance_residual(beta: float, d: int, samples) -> Defect:
     itself (``modular.flow_phase``, one row per sample), never from N and
     beta, and no modular triple is built, so the defects are one
     ``shift_covariance`` stack.  Its dense defects flow E_B by the
-    conjugation with ``imag_power(T, -t)``, independent of the phase; a
-    sample whose phase is not geometric, as a non-Gibbs density's is not,
-    has no bound.
+    conjugation with T^{-it}, independent of the phase: a
+    ``spectral_power`` of the one ``herm_spectrum`` of T, taken on the
+    first refused sample.  A sample whose phase is not geometric, as a
+    non-Gibbs density's is not, has no bound.
     """
     if beta * d > 20:
         raise ValueError("conditioning guard: beta*d must be <= 20")
     T = gibbs(beta, d)
     ts = np.array([t for t, _ in samples], dtype=float)
+    spectrum = cache(lambda: herm_spectrum(T))
 
     def flow(i, X):
-        U = imag_power(T, -ts[i])
+        U = spectral_power(spectrum(), 1j * -ts[i])
         return U @ X @ adjoint(U)
 
     return shift_covariance(

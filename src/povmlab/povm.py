@@ -26,9 +26,10 @@ import numpy as np
 
 from .operators import (DEFAULT_TOL, EFFECT, NUMERIC_TOL, PROJECTION,
                         _norm_within, _rand_complex, _sym_eigh, adjoint,
-                        as_operator, herm_spectrum, is_effect, opnorm,
-                        sqrtm_psd)
-from .regions import _EPS, circle_full, equal_partition, require_int
+                        herm_spectrum, is_effect, opnorm, require_square,
+                        require_stack, sqrtm_psd)
+from .regions import (_EPS, circle_full, equal_partition, require_finite,
+                      require_int)
 
 
 def _in_order_sum(X) -> np.ndarray:
@@ -50,19 +51,10 @@ class DiscretePOVM:
             raise ValueError("empty partition")
         if len(self.regions) != len(self.effects):
             raise ValueError("regions and effects must have equal length")
-        try:
-            E = np.asarray(self.effects, dtype=complex)
-        except ValueError:
-            if len({np.shape(E) for E in self.effects}) > 1:
-                raise ValueError("effects must be square and equal-shaped") from None
-            raise
-        if E.ndim != 3:
-            raise ValueError(f"operator must be a 2-d array, got shape {E.shape[1:]}")
-        if not np.isfinite(E).all():
-            raise ValueError("operator has non-finite entries")
-        if E.shape[1] != E.shape[2]:
-            raise ValueError("effects must be square and equal-shaped")
-        self.effects = E
+        self.effects, one = require_stack(self.effects, "effects")
+        if one:
+            raise ValueError(f"effects must be a stack (k, d, d), not one "
+                             f"matrix, got shape {self.effects.shape[1:]}")
 
     @property
     def dim(self) -> int:
@@ -98,9 +90,7 @@ def povm_validate(p: DiscretePOVM, tol: float = DEFAULT_TOL) -> PovmReport:
 
 def state_to_measure(p: DiscretePOVM, T) -> np.ndarray:
     """Probabilities tr(E_i T) of a density operator T over the cells."""
-    T = as_operator(T)
-    if T.shape != (p.dim, p.dim):
-        raise ValueError("density has wrong shape")
+    T = require_square(T, "density T", p.dim)
     if abs(np.trace(T) - 1.0) > NUMERIC_TOL:
         raise ValueError(f"not unit trace: tr T = {np.trace(T)}")
     lam = herm_spectrum(T, NUMERIC_TOL)[0]
@@ -111,9 +101,11 @@ def state_to_measure(p: DiscretePOVM, T) -> np.ndarray:
 
 def povm_integrate(p: DiscretePOVM, f) -> np.ndarray:
     """Bounded functional calculus Psi(f) = sum_i f(mid_i) E_i, where mid_i
-    is the midpoint of the first normalized interval of cell i."""
+    is the midpoint of the first normalized interval of cell i; a value
+    of f that is not finite is refused."""
     values = np.array([complex(f(0.5 * (a + b)))
                        for a, b in (region.cells[0] for region in p.regions)])
+    require_finite(values, "values of f")
     return _in_order_sum(values[:, None, None] * p.effects)
 
 
@@ -443,9 +435,7 @@ def contraction_moment_povm(T, M: int, cells: int):
     e^{i n theta_j} with the masses, and all M residuals against the
     powers of T come from one batched ``opnorm``.
     """
-    T = as_operator(T)
-    if T.shape[0] != T.shape[1] or T.size == 0:
-        raise ValueError(f"square non-empty contraction required, got shape {T.shape}")
+    T = require_square(T, "contraction T")
     M = require_int(M, "moment depth M", 1)
     cells = require_int(cells, "cell count cells", 1)
     svd = _defect_svd(T)

@@ -67,25 +67,33 @@ def test_guard_violations_become_skips():
 def test_oscillator_suite_builds_no_triple_and_flows_densely_only_refused_draws(
         monkeypatch):
     # osc.thermal reads its flow off the Gibbs density: no modular triple
-    # at any beta, and no dense imag_power flow while every draw is
-    # certified; under tol 1e-30 each of the five draws of each run beta
-    # takes the imag_power fallback, whose value the record carries
-    built, powers = [], []
-    real_build, real_power = modular.build_modular, oscillator.imag_power
+    # at any beta, and no dense flow while every draw is certified; under
+    # tol 1e-30 each of the five draws of each run beta takes the dense
+    # fallback, whose value the record carries, from one decomposition of
+    # T per beta
+    built, spectra, powers = [], [], []
+    real_build, real_spectrum, real_power = (
+        modular.build_modular, oscillator.herm_spectrum,
+        oscillator.spectral_power)
     monkeypatch.setattr(modular, "build_modular",
                         lambda T: built.append(T) or real_build(T))
-    monkeypatch.setattr(oscillator, "imag_power",
-                        lambda A, t: powers.append(t) or real_power(A, t))
-    for tol, flowed in ((None, 0), (1e-30, 10)):
+    monkeypatch.setattr(oscillator, "herm_spectrum",
+                        lambda A: spectra.append(A) or real_spectrum(A))
+    monkeypatch.setattr(oscillator, "spectral_power",
+                        lambda s, p: powers.append(p) or real_power(s, p))
+    for tol, decomposed, flowed in ((None, 0, 0), (1e-30, 2, 10)):
         report = run_suite(SuiteConfig(suite="oscillator", d=12, tol=tol,
                                        betas=(0.5, 1.0, 2.0)))
         thermal = _thermal_records(report)
         assert [c.get("skipped") is None for c in thermal] == [True, True,
                                                                False]
         assert built == [] and len(powers) == flowed
+        assert len(spectra) == decomposed and all(
+            np.array_equal(A, oscillator.gibbs(beta, 12))
+            for A, beta in zip(spectra, (0.5, 1.0)))
         assert [c.get("upper_bound") is True for c in thermal[:2]] == \
             [tol is None] * 2
-        del powers[:]
+        del spectra[:], powers[:]
     monkeypatch.undo()
     for i, beta in enumerate((0.5, 1.0)):
         assert thermal[i]["residual"] == _dense_thermal_worst(
@@ -946,6 +954,47 @@ GRID = relativistic.CircleGrid(16, 1.0)
         id="lemma_modular_residual-A-empty"),
     pytest.param(lambda: modular.build_gns([], np.eye(2) / 2), "generators",
                  id="build_gns-generators-empty"),
+    pytest.param(lambda: modular.kms_residual(
+        np.eye(3) / 3, np.ones((3, 3, 3)), np.ones((2, 3, 3))), "A",
+        id="kms_residual-A-B-lengths"),
+    pytest.param(lambda: modular.kms_residual(np.eye(3) / 3, np.eye(4),
+                                              np.eye(3)), "A",
+                 id="kms_residual-A-size"),
+    pytest.param(lambda: modular.lemma_modular_residual(
+        modular.build_modular(np.eye(3) / 3), np.eye(4)), "A",
+        id="lemma_modular_residual-A-size"),
+    pytest.param(lambda: modular.TraceWeight(np.eye(3)).inner(np.eye(4),
+                                                              np.eye(4)),
+                 "A", id="TraceWeight.inner-size"),
+    pytest.param(lambda: modular.TraceWeight(np.eye(3)).inner(
+        np.eye(3), np.full((3, 3), NAN)), "B", id="TraceWeight.inner-B-nan"),
+    pytest.param(lambda: modular.modtime_unitarity(
+        modular.TraceWeight(np.eye(3)), np.eye(3) / 3, [0.0, 0.4],
+        [(np.eye(4), np.eye(4))]), "samples",
+        id="modtime_unitarity-samples-size"),
+    pytest.param(lambda: modular.build_gns([np.eye(2)], np.eye(2) / 2).state(
+        np.eye(3)), "A", id="GnsRep.state-size"),
+    pytest.param(lambda: modular.build_gns([np.eye(2)],
+                                           np.eye(2) / 2).represent(np.eye(3)),
+                 "A", id="GnsRep.represent-size"),
+    pytest.param(lambda: modular.build_gns([np.eye(3)], np.eye(2) / 2),
+                 "generator", id="build_gns-generator-size"),
+    pytest.param(lambda: modular.build_modular(np.eye(2) / 2).flow(
+        0.5, np.eye(9)), "A", id="ModularTriple.flow-A-size"),
+    pytest.param(lambda: operators.herm_spectrum(np.zeros((0, 0))),
+                 "operator", id="herm_spectrum-size-0"),
+    pytest.param(lambda: povm.DiscretePOVM(
+        regions.equal_partition(regions.circle_full(), 2), [np.ones(2)] * 2),
+        "effects", id="DiscretePOVM-effects-one-matrix"),
+    pytest.param(lambda: povm.povm_integrate(
+        povm.random_povm(3, 4, np.random.default_rng(0)), lambda x: NAN),
+        "f", id="povm_integrate-f-nan"),
+    pytest.param(lambda: povm.state_to_measure(
+        povm.random_povm(3, 4, np.random.default_rng(0)), np.eye(2) / 2),
+        "density T", id="state_to_measure-T-size"),
+    pytest.param(lambda: povm.contraction_moment_povm(np.zeros((0, 0)), 8,
+                                                      16),
+                 "contraction T", id="contraction_moment_povm-T-empty"),
 ])
 def test_model_input_not_an_integer_or_not_finite_is_refused_by_name(call,
                                                                      name):
@@ -1036,11 +1085,11 @@ UNREACHED = {
     # test_wrong_translation_fails_nc_conjugation_through_the_dense_fallback
     # exercises; kept because perfbench/layers.py traces it by name
     "weylnc.quantize",
-    # A^{it} from a fresh eigendecomposition: the dense flow of osc.thermal,
-    # taken only in the fallback when a draw's bound exceeds tol, which
-    # the osc.thermal witness tests exercise; modtime_unitarity raises one
-    # spectrum of T to many powers with spectral_power; kept because
-    # perfbench/layers.py traces it by name
+    # A^{it} from a fresh eigendecomposition: no model calls it, because
+    # osc.thermal's dense fallback and modtime_unitarity each raise one
+    # spectrum of T to many powers with spectral_power; test_operators and
+    # test_modular keep it as the one-call reference for that flow; kept
+    # because perfbench/layers.py traces it by name
     "operators.imag_power",
     # the dense conjugation diag(phase) A diag(phase)*: every run certifies
     # its conjugation defects from generators or shift diagonals and forms
@@ -1292,12 +1341,13 @@ def _thermal_draws(seed, beta_index):
 
 def _dense_thermal_worst(beta, d, samples):
     """Reference: the largest dense defect ||T^{-it} E_B T^{it} -
-    E_{B - beta t}||, T^{-it} the ``imag_power`` of ``oscillator.gibbs``,
-    both as the module sees them at call time."""
+    E_{B - beta t}||, T^{-it} the ``spectral_power`` of the
+    ``herm_spectrum`` of ``oscillator.gibbs``, each as the module sees it
+    at call time."""
     T = oscillator.gibbs(beta, d)
 
     def flow(t, X):
-        U = oscillator.imag_power(T, -t)
+        U = oscillator.spectral_power(oscillator.herm_spectrum(T), 1j * -t)
         return U @ X @ adjoint(U)
 
     return max(opnorm(flow(t, oscillator.phase_effect(B, d).dense())
@@ -1318,7 +1368,7 @@ def test_osc_thermal_is_certified_and_below_its_dense_defect_by_rounding():
             _thermal_records(dense)[i]
         assert record["pass"] and record["upper_bound"] is True
         assert record["residual"] < 1e-13
-        # below every bound, the record is the dense imag_power flow value
+        # below every bound, the record is the dense flow's value
         worst = _dense_thermal_worst(beta, 12, _thermal_draws(7, i))
         assert "upper_bound" not in fallback
         assert fallback["residual"] == worst < 1e-13
@@ -1329,10 +1379,10 @@ def test_osc_thermal_witnesses_fail_through_the_dense_flow(monkeypatch,
                                                            witness):
     if witness == "backward flow":
         # sigma_t read as Delta^{it} . Delta^{-it}: the phase and the dense
-        # imag_power flow both run at -t
-        power, phase = oscillator.imag_power, oscillator.flow_phase
-        monkeypatch.setattr(oscillator, "imag_power",
-                            lambda A, t: power(A, -t))
+        # flow both run at -t
+        power, phase = oscillator.spectral_power, oscillator.flow_phase
+        monkeypatch.setattr(oscillator, "spectral_power",
+                            lambda s, p: power(s, -p))
         monkeypatch.setattr(oscillator, "flow_phase",
                             lambda T, t: phase(T, -np.asarray(t)))
     else:
@@ -1488,16 +1538,16 @@ def test_one_arc_rotated_the_wrong_way_fails_osc_covariance(monkeypatch):
 def test_wrong_sign_flow_phase_sends_every_thermal_draw_to_the_dense_flow(
         monkeypatch):
     # T^{+it} read as the flow's phase: no draw's bound is within tol, so
-    # every draw of each beta takes the dense imag_power flow, whose value
-    # the record carries unmarked; the flow itself is right, so the case
-    # passes, and a broken phase can never certify a residual (the
-    # backward-flow witness, which turns the dense flow too, fails it)
+    # every draw of each beta takes the dense flow, whose value the record
+    # carries unmarked; the flow itself is right, so the case passes, and
+    # a broken phase can never certify a residual (the backward-flow
+    # witness, which turns the dense flow too, fails it)
     phase, formed = oscillator.flow_phase, []
-    power = oscillator.imag_power
+    power = oscillator.spectral_power
     monkeypatch.setattr(oscillator, "flow_phase",
                         lambda T, t: phase(T, -np.asarray(t)))
-    monkeypatch.setattr(oscillator, "imag_power",
-                        lambda A, t: formed.append(t) or power(A, t))
+    monkeypatch.setattr(oscillator, "spectral_power",
+                        lambda s, p: formed.append(p) or power(s, p))
     report = run_suite(SuiteConfig(suite="oscillator"))
     assert len(formed) == 10
     for i, beta in enumerate((0.5, 1.0)):

@@ -523,15 +523,17 @@ def test_numpy_integer_moment_depth_accepted():
     (equal_partition(circle_full(), 2), [np.eye(2)],
      "regions and effects must have equal length"),
     (equal_partition(circle_full(), 2), [np.eye(2), np.eye(3)],
-     "effects must be square and equal-shaped"),
+     "effects must be matrices of one shape, got a ragged input"),
     (equal_partition(circle_full(), 2), [np.ones((2, 3))] * 2,
-     "effects must be square and equal-shaped"),
+     r"effects must be a square matrix or a stack of them, of nonzero "
+     r"size, got shape \(2, 2, 3\)"),
     (equal_partition(circle_full(), 2), [np.ones(2)] * 2,
-     r"operator must be a 2-d array, got shape \(2,\)"),
+     r"effects must be a stack \(k, d, d\), not one matrix, "
+     r"got shape \(2, 2\)"),
     (equal_partition(circle_full(), 2), [np.eye(2), np.full((2, 2), np.nan)],
-     "operator has non-finite entries"),
+     "effects must be finite"),
     (equal_partition(circle_full(), 2), [np.eye(2), np.diag([1.0, np.inf])],
-     "operator has non-finite entries"),
+     "effects must be finite"),
 ])
 def test_discrete_povm_error_messages(regions, effects, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
