@@ -222,10 +222,16 @@ def flow_phase(T, t):
     """The diagonal of T^{-it} = e^{-it log T} for a diagonal density T,
     read off T's own diagonal, so that sigma_t(A) = diag(phase) A
     diag(phase)*; for a vector of times, one row per time.  A ValueError
-    for a T that is not diagonal and for a time that is not finite."""
+    for a T that is not diagonal, for a time that is not finite, and,
+    naming the first, for a weight that is not positive and finite."""
     w = np.diagonal(T)
     if np.count_nonzero(T) != np.count_nonzero(w):
         raise ValueError("flow_phase needs a diagonal density")
+    bad = ~((w.real > 0) & np.isfinite(w))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"flow_phase needs positive finite weights, got "
+                         f"weight {i} = {float(w[i].real)!r}")
     t = require_finite(np.asarray(t, dtype=float), "flow time t")
     return np.exp(np.multiply.outer(-1j * t, np.log(w.real)))
 

@@ -92,8 +92,8 @@ def opnorm(A):
     A = np.atleast_2d(A)
     if A.shape[-1] * A.shape[-2] == 0:
         norms = np.zeros(A.shape[:-2])
-    else:
-        norms = np.linalg.norm(A, 2, axis=(-2, -1))
+    else:           # LAPACK returns the largest singular value first
+        norms = np.linalg.svd(A, compute_uv=False)[..., 0]
     return float(norms) if one else norms
 
 
@@ -111,19 +111,25 @@ def adjoint(A) -> np.ndarray:
 def _norm_within(X, tol: float, scale=None) -> np.ndarray:
     """Whether ||X[i]|| <= tol * max(1, ||scale[i]||), or <= tol without a
     scale, for each matrix of the stack X.  The Frobenius norm bounds each
-    operator norm from above, the largest column norm from below: a
-    Frobenius norm at most half the threshold certifies, a column norm
-    above twice it refutes, and the SVD decides only the rest."""
-    def colmax(Y):
-        return np.linalg.norm(Y, axis=-2).max(axis=-1, initial=0.0)
+    operator norm from above, the largest column norm from below, both
+    sums of one |X|^2: a Frobenius norm at most half the threshold (tol / 2
+    at any scale) certifies, a column norm above twice it refutes, and the
+    SVD decides only the rest."""
+    def squares(Y):
+        return (Y.conj() * Y).real
 
-    lo = tol if scale is None else tol * np.maximum(1.0, colmax(scale))
-    ok = np.linalg.norm(X, axis=(-2, -1)) <= 0.5 * lo
+    sq = squares(X)
+    fro = np.sqrt(sq.sum(axis=(-2, -1)))
+    ok = fro <= 0.5 * tol
     if ok.all():
         return ok
-    hi = tol if scale is None else tol * np.maximum(
-        1.0, np.linalg.norm(scale, axis=(-2, -1)))
-    open_ = ~ok & (colmax(X) <= 2.0 * hi)
+    lo = hi = tol
+    if scale is not None:
+        scale_sq = squares(scale)
+        lo = tol * np.maximum(1.0, np.sqrt(scale_sq.sum(axis=-2).max(axis=-1)))
+        hi = tol * np.maximum(1.0, np.sqrt(scale_sq.sum(axis=(-2, -1))))
+        ok = fro <= 0.5 * lo
+    open_ = ~ok & (np.sqrt(sq.sum(axis=-2).max(axis=-1)) <= 2.0 * hi)
     if open_.any():
         if scale is not None:
             tol = tol * np.maximum(1.0, np.linalg.svd(
@@ -132,11 +138,19 @@ def _norm_within(X, tol: float, scale=None) -> np.ndarray:
     return ok
 
 
+def _hermitian_stack(A, tol: float) -> tuple:
+    """(A as a stack, whether A was one matrix, A*, and whether each member
+    is Hermitian within tol): an entry point's one ``require_stack`` and
+    one Hermitian test, its A* also serving (A + A*)/2."""
+    A, one = require_stack(A)
+    Ah = adjoint(A)
+    return A, one, Ah, _norm_within(A - Ah, tol, A)
+
+
 def is_hermitian(A, tol: float = DEFAULT_TOL):
     """||A - A*|| <= tol * max(1, ||A||) by ``_norm_within``: a bool for one
     matrix, a bool array for a stack (k, d, d)."""
-    A, one = require_stack(A)
-    ok = _norm_within(A - adjoint(A), tol, A)
+    _, one, _, ok = _hermitian_stack(A, tol)
     return bool(ok[0]) if one else ok
 
 
@@ -150,14 +164,13 @@ def herm_spectrum(H, tol: float = DEFAULT_TOL):
     a stack (k, d, d), as in ``is_hermitian``, both come stacked from one
     batched ``eigh``, and the error names the first non-Hermitian member.
     """
-    H, one = require_stack(H)
-    ok = is_hermitian(H, tol)
+    H, one, Hh, ok = _hermitian_stack(H, tol)
     if not ok.all():
         i = int(np.argmin(ok))
         where = "" if one else f" {i} of the stack"
         raise ValueError(f"operator{where} is not Hermitian within tolerance "
-                         f"(defect {opnorm(H[i] - adjoint(H[i])):.3e})")
-    lam, V = _sym_eigh(H)
+                         f"(defect {opnorm(H[i] - Hh[i]):.3e})")
+    lam, V = np.linalg.eigh((H + Hh) / 2.0)
     return (lam[0], V[0]) if one else (lam, V)
 
 
@@ -201,9 +214,8 @@ def is_effect(A, tol: float = DEFAULT_TOL):
     Effect: Hermitian (``is_hermitian``) with spectrum in [-tol, 1+tol].
     Projection: additionally ||A^2 - A|| <= tol, by ``_norm_within``.
     """
-    A, one = require_stack(A)
-    effect = is_hermitian(A, tol)
-    lam = np.linalg.eigvalsh((A + adjoint(A))[effect] / 2.0)
+    A, one, Ah, effect = _hermitian_stack(A, tol)
+    lam = np.linalg.eigvalsh((A + Ah)[effect] / 2.0)
     effect[effect] = (lam[:, 0] >= -tol) & (lam[:, -1] <= 1.0 + tol)
     sharp, E = effect.copy(), A[effect]
     sharp[effect] = _norm_within(E @ E - E, tol)
@@ -496,13 +508,15 @@ def sampled_indicator(B, points, k: int, sign: int) -> ToeplitzBlock:
 
 def sqrtm_psd(A) -> np.ndarray:
     """Hermitian square root of a positive semidefinite operator, or the
-    stack of roots of a stack (k, d, d) from one ``herm_spectrum``.
+    stack of roots of a stack (k, d, d), from one ``herm_spectrum``."""
+    return _psd_root(*herm_spectrum(A, NUMERIC_TOL))
 
-    Eigenvalues in [-NUMERIC_TOL, 0) (relative) are clipped to zero;
-    anything below is a genuine negativity and is rejected, naming the
-    first such member of a stack.
-    """
-    lam, V = herm_spectrum(A, NUMERIC_TOL)
+
+def _psd_root(lam, V) -> np.ndarray:
+    """V lam^{1/2} V* from the spectrum of an operator, or of a stack,
+    already tested Hermitian.  Eigenvalues in [-NUMERIC_TOL, 0) (relative)
+    are clipped to zero; anything below is a genuine negativity and is
+    rejected, naming the first such member of a stack."""
     one = lam.ndim == 1
     low = lam[..., 0] < -NUMERIC_TOL * np.maximum(1.0, abs(lam).max(axis=-1))
     if low.any():

@@ -25,9 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import (DEFAULT_TOL, EFFECT, NUMERIC_TOL, PROJECTION,
-                        _norm_within, _rand_complex, _sym_eigh, adjoint,
-                        herm_spectrum, is_effect, opnorm, require_square,
-                        require_stack, sqrtm_psd)
+                        _norm_within, _psd_root, _rand_complex, _sym_eigh,
+                        adjoint, herm_spectrum, is_effect, opnorm,
+                        require_square, require_stack)
 from .regions import (_EPS, circle_full, equal_partition, require_finite,
                       require_int)
 
@@ -129,12 +129,12 @@ class NaimarkDilation:
 
 def naimark_dilate(p: DiscretePOVM) -> NaimarkDilation:
     """Dilate a validated POVM by stacking the square roots E_i^{1/2}, all
-    taken by one stacked ``sqrtm_psd``."""
+    taken by one stacked ``_psd_root`` of effects the validation tested."""
     report = povm_validate(p, NUMERIC_TOL)
     if not report.ok:
         raise ValueError(f"POVM does not validate: sum residual "
                          f"{report.sum_residual:.3e}, classes {report.classifications}")
-    J = sqrtm_psd(p.effects).reshape(-1, p.dim)
+    J = _psd_root(*_sym_eigh(p.effects)).reshape(-1, p.dim)
     iso_res = opnorm(adjoint(J) @ J - np.eye(p.dim))
     if iso_res > NUMERIC_TOL:
         raise ValueError(f"dilation is not an isometry (residual {iso_res:.3e})")
@@ -257,13 +257,14 @@ def _arc_roots(f, lo, hi, sign_lo, x):
     leaves it, until every step is within rounding.  f(x) returns
     (f, f')."""
     x = np.where((x >= lo) & (x <= hi), x, (lo + hi) / 2)
+    rounding = 4 * np.pi * np.finfo(float).eps
     for _ in range(100):
         y, dy = f(x)
         below = sign_lo * y > 0                 # the root lies above x
         lo, hi = np.where(below, x, lo), np.where(below, hi, x)
         new = x - y / dy
         new = np.where((new >= lo) & (new <= hi), new, (lo + hi) / 2)
-        done = np.abs(new - x).max() <= 4 * np.pi * np.finfo(float).eps
+        done = np.abs(new - x).max() <= rounding
         x = new
         if done:
             break
@@ -326,8 +327,9 @@ def _scalar_spectrum(t: complex, s: float, M: int):
     sin_m, cos_m = np.sin(M * phi), np.cos(M * phi)
 
     def g(y):
-        v, u = y / 2, M * y - y / 2         # a - v = M arg t + u
-        cmy, smy, cu, su = np.cos(M * y), np.sin(M * y), np.cos(u), np.sin(u)
+        my, v = M * y, y / 2
+        u = my - v                          # a - v = M arg t + u
+        cmy, smy, cu, su = np.cos(my), np.sin(my), np.cos(u), np.sin(u)
         sin_a = sin_m * cmy + cos_m * smy
         cos_a = cos_m * cmy - sin_m * smy
         sin_u = sin_m * cu + cos_m * su
@@ -406,6 +408,31 @@ def _block0_spectrum(T: np.ndarray, M: int, svd):
     return thetas, P0V[:, :, None] * P0V[:, None, :].conj()
 
 
+def _powers(T: np.ndarray, M: int) -> np.ndarray:
+    """The stack of T^0, ..., T^{M-1} from about log2 M batched products:
+    with T^0..T^k known, T^{k+j} = T^j T^k for j = 1..k at once.  T^n is
+    still n - 1 products of factors T, as by repeated products, and its
+    rounding bound is theirs."""
+    powers = np.empty((M, len(T), len(T)), dtype=complex)
+    powers[0] = np.eye(len(T))
+    powers[1:2] = T
+    k = 1
+    while k + 1 < M:
+        j = min(k, M - 1 - k)
+        powers[k + 1:k + 1 + j] = powers[1:j + 1] @ powers[k]
+        k += j
+    return powers
+
+
+def _modulus(z) -> np.ndarray:
+    """|z| of each finite entry as LAPACK's 1 x 1 SVD rounds it, so with
+    the bits of ``opnorm``: w ((x/w)^2 + (y/w)^2)^{1/2}, w = max(|x|, |y|)
+    (1 at z = 0)."""
+    x, y = np.abs(z.real), np.abs(z.imag)
+    w = np.where((x > 0) | (y > 0), np.maximum(x, y), 1.0)
+    return w * np.sqrt(np.square(x / w) + np.square(y / w))
+
+
 @lru_cache
 def _equal_arcs(cells: int) -> tuple:
     """The ``cells`` equal arcs of [-pi, pi) and their binning edges, the
@@ -432,8 +459,9 @@ def contraction_moment_povm(T, M: int, cells: int):
     keep the phase itself.  Returns the binned DiscretePOVM together with
     a MomentReport; the unbinned moments are certified for n = 0..M-1:
     moment n is one product of the cumulative phase products
-    e^{i n theta_j} with the masses, and all M residuals against the
-    powers of T come from one batched ``opnorm``.
+    e^{i n theta_j} with the masses, the powers of T come from
+    ``_powers``, and all M residuals from one batched ``opnorm``, or, for
+    a 1 x 1 T, as the moduli ``_modulus`` reads with the same bits.
     """
     T = require_square(T, "contraction T")
     M = require_int(M, "moment depth M", 1)
@@ -461,11 +489,9 @@ def contraction_moment_povm(T, M: int, cells: int):
     phases = np.ones((M, len(thetas)), dtype=complex)
     phases[1:] = np.exp(1j * thetas)
     moments = np.cumprod(phases, axis=0) @ masses.reshape(-1, d * d)
-    powers = np.empty((M, d, d), dtype=complex)
-    powers[0] = np.eye(d)
-    for n in range(1, M):
-        powers[n] = powers[n - 1] @ T
-    residuals = opnorm(moments.reshape(M, d, d) - powers)
+    residuals = moments.reshape(M, d, d) - _powers(T, M)
+    residuals = (_modulus(residuals[:, 0, 0]) if d == 1
+                 else opnorm(residuals))
     povm = DiscretePOVM(regions=list(regions), effects=effects)
     report = MomentReport(moment_residuals=residuals,
                           cell_masses=np.einsum("cii->c", effects).real / d)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -370,6 +372,27 @@ def test_flow_phase_conjugation_is_the_eigh_flow(d, beta):
         U = imag_power(T, -t)
         defect = operators.diag_conjugate(phase, A) - U @ A @ adjoint(U)
         assert opnorm(defect) <= 64 * d * np.finfo(float).eps * opnorm(A)
+
+
+@pytest.mark.parametrize("weights, first", [
+    ([0.5, 0.5, 0.0], "2 = 0.0"), ([1.5, -0.5], "1 = -0.5"),
+    ([np.nan, 1.0], "0 = nan"), ([1.0, np.inf], "1 = inf")])
+def test_flow_phase_refuses_a_weight_without_a_logarithm(weights, first):
+    # log of a zero or negative weight warned, and a NaN weight gave a NaN
+    # phase: each is refused by name, with no warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"positive finite weights, got "
+                                             f"weight {first}$"):
+            flow_phase(np.diag(weights), 0.5)
+
+
+@pytest.mark.parametrize("beta, d", [(0.0, 1), (0.5, 12), (1.0, 20), (5.0, 4)])
+def test_flow_phase_accepts_the_gibbs_densities(beta, d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phase = flow_phase(gibbs(beta, d), [0.0, 0.3])
+    assert phase.shape == (2, d) and np.isfinite(phase).all()
 
 
 def test_flow_phase_needs_a_diagonal_density():

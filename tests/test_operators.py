@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from povmlab import operators
 from povmlab.operators import (DEFAULT_TOL, DENSE_BUDGET, EFFECT, NOT_EFFECT,
-                               PROJECTION, Defect, ToeplitzBlock,
+                               NUMERIC_TOL, PROJECTION, Defect, ToeplitzBlock,
                                _norm_within, _rand_complex, adjoint,
                                circulant, diag_conjugate, funcalc,
                                geometric_deviation, herm_spectrum, imag_power,
@@ -27,6 +28,22 @@ def rand_c(d):
 def test_opnorm_matches_svd():
     A = rand_c(7)
     assert abs(opnorm(A) - np.linalg.svd(A, compute_uv=False)[0]) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (5, 3), (4, 6, 6), (3, 2, 5),
+                                   (6,), (9, 1, 1), (1, 1), (0, 3), (2, 0, 4),
+                                   (3, 0, 0)])
+def test_opnorm_reads_numpys_operator_norm_bit_for_bit(shape):
+    # the first singular value of the one SVD is np.linalg.norm's amax of
+    # it; a vector reads as one row, an empty matrix as 0
+    A = _rand_complex(rng, 1, shape)[..., 0, 0] * 10.0 ** rng.uniform(
+        -3, 3, shape)
+    expected = np.linalg.norm(np.atleast_2d(A), 2, axis=(-2, -1))
+    got = opnorm(A)
+    if len(shape) < 3:
+        assert type(got) is float and got == float(expected)
+    else:
+        assert got.shape == expected.shape and np.array_equal(got, expected)
 
 
 def test_is_hermitian():
@@ -407,6 +424,65 @@ def test_stacked_primitives_equal_their_per_matrix_calls(d):
     assert np.array_equal(roots, np.stack([sqrtm_psd(H) for H in P]))
     assert opnorm(roots @ roots - P).max() < 1e-12 * max(1.0, opnorm(P).max())
     assert np.array_equal(opnorm(np.zeros((3, 0, 0))), np.zeros(3))
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, NUMERIC_TOL])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_one_hermitian_test_refuses_what_is_hermitian_refuses(tol, shape):
+    # projections moved off Hermitian by f tol max(1, ||H||), f on either
+    # side of 1, in two stacks: herm_spectrum, is_effect and sqrtm_psd each
+    # run one test and refuse exactly the members that is_hermitian refuses
+    draw = np.random.default_rng(len(shape))
+    stacks = {}
+    for name, factors in (("below", (0.0, 0.1, 0.5, 0.9)),
+                          ("across", (0.5, 0.9, 1.1, 2.0, 10.0))):
+        stacks[name] = np.stack([_planted(5, draw, tol, f, 0.0, shape,
+                                          False, 1.0) for f in factors])
+    for name, A in stacks.items():
+        ok = is_hermitian(A, tol)
+        assert ok.tolist() == [_is_hermitian_ref(X, tol) for X in A]
+        assert ok.all() == (name == "below")
+        classes = is_effect(A, tol)
+        assert [c == NOT_EFFECT for c in classes] == (~ok).tolist()
+        calls = [partial(herm_spectrum, tol=tol)]
+        if tol == NUMERIC_TOL:          # sqrtm_psd tests at NUMERIC_TOL
+            calls.append(sqrtm_psd)
+        for call in calls:
+            if ok.all():
+                call(A)
+                continue
+            first = int(np.argmin(ok))
+            with pytest.raises(ValueError, match=f"operator {first} of the "
+                                                 "stack is not Hermitian"):
+                call(A)
+            for X in A[ok]:
+                call(X)
+            for X in A[~ok]:
+                with pytest.raises(ValueError, match="^operator is not "
+                                                     "Hermitian"):
+                    call(X)
+
+
+def test_entry_points_check_and_test_their_argument_once(monkeypatch):
+    # one require_stack and one Hermitian test per call, and A* formed for
+    # both the test and the symmetrised part
+    counts = {"require_stack": 0, "_norm_within": 0, "adjoint": 0}
+    for name in counts:
+        real = getattr(operators, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(operators, name, counted)
+    P = _psd_stack(3, 4, np.random.default_rng(5)) / 100.0
+    for call in (herm_spectrum, is_effect, sqrtm_psd, is_hermitian):
+        for name in counts:
+            counts[name] = 0
+        call(P)
+        # is_effect tests E^2 - E by _norm_within, and sqrtm_psd forms V*
+        assert counts == {"require_stack": 1,
+                          "_norm_within": 2 if call is is_effect else 1,
+                          "adjoint": 2 if call is sqrtm_psd else 1}
 
 
 def test_stack_with_a_bad_member_is_refused_naming_it():

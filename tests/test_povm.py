@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import povmlab
-from povmlab import harness, povm
+from povmlab import harness, operators, povm
 from povmlab.operators import (EFFECT, NOT_EFFECT, NUMERIC_TOL, PROJECTION,
-                               adjoint, is_effect, opnorm, sqrtm_psd)
+                               _rand_complex, adjoint, is_effect, opnorm,
+                               sqrtm_psd)
 from povmlab.povm import (DiscretePOVM, _block0_spectrum, _circular_dilation,
-                          _defect_svd, _scalar_spectrum, _unitary_eigh,
+                          _defect_svd, _modulus, _powers, _scalar_spectrum,
+                          _unitary_eigh,
                           contraction_moment_povm, naimark_dilate,
                           povm_integrate, povm_validate, random_povm,
                           state_to_measure)
@@ -309,19 +311,27 @@ def test_batched_classification_takes_svds_only_of_open_matrices(
     # the Frobenius and column-norm bounds decide every effect and pair
     # defect of these POVMs; of the planted effects the SVD sees near's
     # E^2 - E, once in is_effect and once as its own pair defect, and
-    # leaky itself, which scales the bound, with its Hermiticity defect
+    # leaky itself, which scales the bound, with its Hermiticity defect.
+    # The tests take SVDs of stacks; opnorm's SVD of each sum residual
+    # takes the one matrix
     unitary, _ = contraction_moment_povm(np.array([[np.exp(0.7j)]]), 32, 64)
+    povms = [unitary, random_povm(6, 4, rng)]
+    _, _, near, leaky = planted = planted_effects(1e-10)
+    povms += [DiscretePOVM(regions=equal_partition(circle_full(), 1),
+                           effects=[E]) for E in planted]
     seen = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
                         lambda X, *a, **k: seen.append(X) or svd(X, *a, **k))
-    povm_validate(unitary, NUMERIC_TOL)
-    povm_validate(random_povm(6, 4, rng))
-    assert seen == []
-    _, _, near, leaky = planted = planted_effects(1e-10)
-    for E in planted:
-        povm_validate(DiscretePOVM(regions=equal_partition(circle_full(), 1),
-                                   effects=[E]), 1e-10)
+    povm_validate(povms[0], NUMERIC_TOL)
+    povm_validate(povms[1])
+    for p in povms[2:]:
+        povm_validate(p, 1e-10)
+    sums = [X for X in seen if X.ndim == 2]
+    assert len(sums) == len(povms)
+    for X, p in zip(sums, povms):
+        assert np.array_equal(X, p.total() - np.eye(p.dim))
+    seen = [X for X in seen if X.ndim == 3]
     R = near @ near - near
     expected = [R, R, leaky, leaky - adjoint(leaky)]
     assert len(seen) == len(expected)
@@ -591,6 +601,15 @@ def test_naimark_roots_are_the_per_effect_roots_bit_for_bit(d, k):
         povm_integrate(p, lambda x: values[mids.index(x)]), psi)
 
 
+def test_naimark_tests_its_effects_hermitian_once(monkeypatch):
+    # the validation's is_effect tests the stack; the roots test nothing
+    calls, real = [], operators._hermitian_stack
+    monkeypatch.setattr(operators, "_hermitian_stack",
+                        lambda *a: calls.append(a) or real(*a))
+    naimark_dilate(random_povm(4, 3, np.random.default_rng(2)))
+    assert len(calls) == 1
+
+
 def test_povm_suite_validates_three_times(monkeypatch):
     # povm.random.sum is read from the dilation's own validation
     calls, real = [], povm.povm_validate
@@ -780,3 +799,70 @@ def test_wrong_roots_fail_the_residual_certificate(monkeypatch):
     calls = dense_calls(monkeypatch)
     _, rep = contraction_moment_povm(T, 32, 64)
     assert calls == [64] and rep.moment_residuals.max() <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# the powers of T by doubling and the 1 x 1 residuals as moduli, against
+# the repeated matmuls and the SVD norms
+
+
+def loop_powers(T, M):
+    """T^0, ..., T^{M-1} by M - 1 repeated matmuls."""
+    powers = [np.eye(len(T), dtype=complex)]
+    for _ in range(1, M):
+        powers.append(powers[-1] @ T)
+    return np.array(powers)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, np.exp(0.7j)],
+                         ids=["0", "0.5", "e^0.7i"])
+def test_scalar_moments_match_the_matmul_loop(t, monkeypatch):
+    # the three scalars of the povm suite: powers of 0 and 0.5 are exact
+    # either way, so their residuals are the loop's bit for bit; those of
+    # e^{0.7i} stay within n eps, and every binned effect is the loop's
+    T = np.array([[t]], dtype=complex)
+    p, fast = contraction_moment_povm(T, 32, 64)
+    eps = np.finfo(float).eps
+    n = np.arange(32)
+    doubled, looped = _powers(T, 32), loop_powers(T, 32)
+    assert (np.abs(doubled - looped)[:, 0, 0] <= n * eps).all()
+    monkeypatch.setattr(povm, "_powers", loop_powers)
+    monkeypatch.setattr(povm, "_modulus", lambda z: opnorm(z[:, None, None]))
+    q, loop = contraction_moment_povm(T, 32, 64)
+    assert np.array_equal(p.effects, q.effects)
+    assert np.array_equal(fast.cell_masses, loop.cell_masses)
+    if t in (0.0, 0.5):
+        assert np.array_equal(doubled, looped)
+        assert np.array_equal(fast.moment_residuals, loop.moment_residuals)
+    else:
+        assert (np.abs(fast.moment_residuals - loop.moment_residuals)
+                <= n * eps).all()
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 5, 32, 33, 256, 1024])
+def test_doubled_powers_stay_within_n_eps_of_the_loop(M):
+    # T^n doubled against T^n by repeated products, for seeded scalars
+    # |t| <= 1 and for 3 x 3 contractions (within n d eps in norm)
+    draw = np.random.default_rng(M)
+    eps = np.finfo(float).eps
+    n = np.arange(M)[:, None, None]
+    for _ in range(20):
+        t = draw.uniform(0, 1) * np.exp(1j * draw.uniform(-np.pi, np.pi))
+        T = np.array([[t]])
+        doubled = _powers(T, M)
+        assert doubled.shape == (M, 1, 1)
+        assert (np.abs(doubled - loop_powers(T, M)) <= n * eps).all()
+        A = _rand_complex(draw, 3)
+        A *= draw.uniform(0.5, 1) / opnorm(A)
+        assert (opnorm(_powers(A, M) - loop_powers(A, M))
+                <= 3 * n[:, 0, 0] * eps).all()
+
+
+def test_modulus_is_the_svd_norm_of_a_1x1_bit_for_bit():
+    draw = np.random.default_rng(3)
+    z = (draw.standard_normal(4096) + 1j * draw.standard_normal(4096)) \
+        * 10.0 ** draw.integers(-17, 3, 4096)
+    z[:64] = z[:64].real
+    z[64:128] = 1j * z[64:128].imag
+    z[128:136] = 0.0
+    assert np.array_equal(_modulus(z), opnorm(z[:, None, None]))
